@@ -31,7 +31,7 @@ from .defend import (
     trim_defend,
 )
 from .harness import ExperimentSpec, aggregate, emit_plot, run_cell, run_sweep
-from .regress import FitReport, RegressionModel, fit, loss, mse, select_lambda
+from .regress import FitReport, Moments, RegressionModel, fit, loss, mse, select_lambda
 
 __version__ = "0.1.0"
 
@@ -45,6 +45,7 @@ __all__ = [
     "ExperimentSpec",
     "FitReport",
     "KktSystem",
+    "Moments",
     "NormalizationSpec",
     "ProdaConfig",
     "RegressionModel",

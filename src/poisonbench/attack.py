@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, poison_count
-from .regress import RegressionModel, fit, loss, mse
+from .regress import Moments, RegressionModel, fit, loss, mse
 
 logger = logging.getLogger(__name__)
 
@@ -80,20 +80,21 @@ class AttackConfig:
 class KktSystem:
     """Blocks of the stationarity system for one training point z_c = (x_c, y_c)."""
 
-    sigma: np.ndarray      # (1/n) sum x x^T
-    mu: np.ndarray         # (1/n) sum x
-    m: np.ndarray          # w x_c^T + (f(x_c) - y_c) I
-    reg_block: np.ndarray  # (lambda/n) * penalty curvature * I
-    n: int
+    moments: Moments  # of the training rows
+    m: np.ndarray     # w x_c^T + (f(x_c) - y_c) I
+    reg: float        # lambda * penalty curvature
+
+    @property
+    def n(self) -> int:
+        return self.moments.n
+
+    @property
+    def sigma(self) -> np.ndarray:  # (1/n) sum x x^T
+        return self.moments.gram[:-1, :-1] / self.n
 
     def matrix(self) -> np.ndarray:
-        d = self.sigma.shape[0]
-        h = np.empty((d + 1, d + 1))
-        h[:d, :d] = self.sigma + self.reg_block
-        h[:d, d] = self.mu
-        h[d, :d] = self.mu
-        h[d, d] = 1.0
-        return h
+        """[[Sigma + reg/n, mu], [mu^T, 1]]: the training Hessian over n."""
+        return self.moments.penalized_gram(self.reg) / self.n
 
 
 @dataclass(frozen=True)
@@ -130,34 +131,34 @@ class AttackState:
         return "\n".join(lines) + "\n"
 
 
-def _degenerate(ref_loss: float, n_clean: int) -> bool:
-    return ref_loss <= 0.5 * n_clean * DEGENERATE_MSE
+def _require_reference(ref_loss: float, n_clean: int) -> None:
+    if ref_loss <= 0.5 * n_clean * DEGENERATE_MSE:
+        raise DegenerateCleanLossError(
+            "clean reference loss is zero; add noise to the data or use a relative floor"
+        )
+
+
+def _dispersion(total: float, ref_loss: float, n_total: int, n_clean: int) -> float:
+    """Signed dispersion total / ref_loss - N / n_o; E is its absolute value."""
+    _require_reference(ref_loss, n_clean)
+    return total / ref_loss - n_total / n_clean
 
 
 def dispersion_objective(
     clean: Dataset, poison: Dataset, model: RegressionModel, ref_loss: float
 ) -> float:
     """E = |loss_off(clean u poison, model) / ref_loss - (n_o + n_p) / n_o|."""
-    if _degenerate(ref_loss, clean.n):
-        raise DegenerateCleanLossError(
-            "clean reference loss is zero; add noise to the data or use a relative floor"
-        )
     total = loss(clean, model, include_regularizer=False)
-    if poison.n:
-        total += loss(poison, model, include_regularizer=False)
-    size_ratio = (clean.n + poison.n) / clean.n
-    return abs(total / ref_loss - size_ratio)
+    total += loss(poison, model, include_regularizer=False)
+    return abs(_dispersion(total, ref_loss, clean.n + poison.n, clean.n))
 
 
-def build_kkt(training: Dataset, model: RegressionModel, x_c: np.ndarray, y_c: float) -> KktSystem:
-    n, d = training.n, training.d
-    x = training.features
-    sigma = x.T @ x / n
-    mu = x.mean(axis=0)
+def build_kkt(
+    training: Dataset | Moments, model: RegressionModel, x_c: np.ndarray, y_c: float
+) -> KktSystem:
     r_c = float(model.weights @ x_c + model.bias - y_c)
-    m = np.outer(model.weights, x_c) + r_c * np.eye(d)
-    reg = (model.lam / n) * model.curvature_scale() * np.eye(d)
-    return KktSystem(sigma=sigma, mu=mu, m=m, reg_block=reg, n=n)
+    m = np.outer(model.weights, x_c) + r_c * np.eye(len(model.weights))
+    return KktSystem(Moments.of(training), m, model.lam * model.curvature_scale())
 
 
 def _solve_kkt(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -172,33 +173,23 @@ def _solve_kkt(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def theta_jacobian(
-    training: Dataset, model: RegressionModel, x_c: np.ndarray, y_c: float
+    training: Dataset | Moments, model: RegressionModel, x_c: np.ndarray, y_c: float
 ) -> np.ndarray:
     """(d+1, d+1) matrix J with J[i, j] = d theta_j / d z_c[i].
 
     Rows index the point coordinates (x_c then y_c); columns index the
     parameters (weights then bias). model must (approximately) minimize the
-    training loss on `training`, which must contain z_c.
+    training loss on `training` (rows or Moments), which must contain z_c.
     """
     if training.n < training.d + 1:
         raise ValueError("need n >= d+1 training rows for the KKT system")
     x_c = np.asarray(x_c, dtype=float)
     kkt = build_kkt(training, model, x_c, y_c)
-    d = training.d
-    explicit = np.empty((d + 1, d + 1))
-    explicit[:d, :d] = kkt.m
-    explicit[:d, d] = model.weights
-    explicit[d, :d] = -x_c
-    explicit[d, d] = -1.0
-    h = kkt.matrix()
+    # explicit = [[M, w], [-x_c^T, -1]]: (w, -1) (x_c, 1)^T with M in the top-left block
+    explicit = np.outer(np.concatenate((model.weights, (-1.0,))), np.concatenate((x_c, (1.0,))))
+    explicit[:-1, :-1] = kkt.m
     # J = -(1/n) explicit @ H^-1; H is symmetric so solve on the transpose.
-    return -(1.0 / kkt.n) * _solve_kkt(h, explicit.T).T
-
-
-def _loss_gradient_theta(ds: Dataset, model: RegressionModel) -> np.ndarray:
-    """Gradient of the unregularized residual loss w.r.t. (w, b)."""
-    r = model.predict(ds.features) - ds.responses
-    return np.concatenate([ds.features.T @ r, [float(r.sum())]])
+    return -(1.0 / kkt.n) * _solve_kkt(kkt.matrix(), explicit.T).T
 
 
 def _sign(value: float) -> float:
@@ -206,72 +197,62 @@ def _sign(value: float) -> float:
 
 
 def objective_gradient(
-    clean: Dataset,
+    clean: Dataset | Moments,
     poison: Dataset,
     model: RegressionModel,
     ref_loss: float,
     index: int,
     reference: str = "clean_fit",
+    merged: Moments | None = None,
 ) -> np.ndarray:
     """Gradient of the dispersion objective w.r.t. poison point `index`.
 
     Chain rule through the trained parameters plus the point's own explicit
     residual term. With reference="current_theta" the denominator is the
     clean-set loss at the current parameters and its theta-dependence is
-    differentiated as a quotient.
+    differentiated as a quotient. Every sum over rows is read off the
+    moments; `merged`, the moments of clean plus poison, saves adding them.
     """
     if reference not in REFERENCE_MODES:
         raise ValueError(f"reference must be one of {REFERENCE_MODES}")
-    x_c = poison.features[index]
-    y_c = float(poison.responses[index])
-    merged = Dataset(
-        np.vstack([clean.features, poison.features]),
-        np.concatenate([clean.responses, poison.responses]),
-        clean.feature_names,
-        "mixed",
-    )
-    total = loss(merged, model, include_regularizer=False)
+    clean = Moments.of(clean)
+    merged = merged if merged is not None else clean + Moments.of(poison)
+    x_c, y_c = poison.features[index], float(poison.responses[index])
+    total = merged.residual_loss(model)
     if reference == "current_theta":
-        ref_loss = loss(clean, model, include_regularizer=False)
-    if _degenerate(ref_loss, clean.n):
-        raise DegenerateCleanLossError(
-            "clean reference loss is zero; add noise to the data or use a relative floor"
-        )
-    size_ratio = merged.n / clean.n
-    s = _sign(total / ref_loss - size_ratio)
+        ref_loss = clean.residual_loss(model)
+    s = _sign(_dispersion(total, ref_loss, merged.n, clean.n))
 
-    grad_total = _loss_gradient_theta(merged, model)
+    grad_total = merged.residual_gradient(model)
     if reference == "clean_fit":
         grad_theta = grad_total / ref_loss
     else:
-        grad_ref = _loss_gradient_theta(clean, model)
+        grad_ref = clean.residual_gradient(model)
         grad_theta = (grad_total * ref_loss - total * grad_ref) / ref_loss**2
 
     r_c = float(model.weights @ x_c + model.bias - y_c)
-    explicit = r_c * np.concatenate([model.weights, [-1.0]]) / ref_loss
+    explicit = r_c * np.concatenate((model.weights, (-1.0,))) / ref_loss
 
     jac = theta_jacobian(merged, model, x_c, y_c)
     return s * (jac @ grad_theta + explicit)
 
 
 def opt_objective_gradient(
-    clean: Dataset, poison: Dataset, model: RegressionModel, index: int
+    clean: Dataset | Moments,
+    poison: Dataset,
+    model: RegressionModel,
+    index: int,
+    merged: Moments | None = None,
 ) -> np.ndarray:
     """Gradient of the clean-points residual loss w.r.t. poison point `index`.
 
     The poison point enters only through the trained parameters, so there is
-    no explicit term.
+    no explicit term. Inputs as for objective_gradient.
     """
-    x_c = poison.features[index]
-    y_c = float(poison.responses[index])
-    merged = Dataset(
-        np.vstack([clean.features, poison.features]),
-        np.concatenate([clean.responses, poison.responses]),
-        clean.feature_names,
-        "mixed",
-    )
-    jac = theta_jacobian(merged, model, x_c, y_c)
-    return jac @ _loss_gradient_theta(clean, model)
+    clean = Moments.of(clean)
+    merged = merged if merged is not None else clean + Moments.of(poison)
+    jac = theta_jacobian(merged, model, poison.features[index], float(poison.responses[index]))
+    return jac @ clean.residual_gradient(model)
 
 
 def _initial_poison(clean: Dataset, p: int, rng: np.random.Generator):
@@ -283,11 +264,8 @@ def _initial_poison(clean: Dataset, p: int, rng: np.random.Generator):
 
 
 def _run_attack(clean, cfg, family, lam, rho, kind):
-    if kind == "nopt":
-        objective_name = "dispersion"
-    elif kind == "opt":
-        objective_name = "clean_loss"
-    else:
+    objective_name = {"nopt": "dispersion", "opt": "clean_loss"}.get(kind)
+    if objective_name is None:
         raise ValueError(f"unknown attack kind {kind!r}")
 
     p = cfg.n_poison if cfg.n_poison is not None else poison_count(clean.n, cfg.alpha)
@@ -296,49 +274,32 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
 
     clean_model = fit(clean, family, lam, rho=rho).model
     ref_loss = loss(clean, clean_model, include_regularizer=False)
-    if kind == "nopt" and _degenerate(ref_loss, clean.n):
-        raise DegenerateCleanLossError(
-            "clean-fit loss is zero; add noise to the data or use a relative floor"
-        )
+    if kind == "nopt":
+        _require_reference(ref_loss, clean.n)
 
-    rng = np.random.default_rng(cfg.seed)
-    px, py = _initial_poison(clean, p, rng)
+    px, py = _initial_poison(clean, p, np.random.default_rng(cfg.seed))
     lo, hi = cfg.box
     d = clean.d
-
-    def merged_with(px_arr, py_arr):
-        return Dataset(
-            np.vstack([clean.features, px_arr]),
-            np.concatenate([clean.responses, py_arr]),
-            clean.feature_names,
-            "mixed",
-        )
+    # every row sum the loop needs is read off these moments; a trial step
+    # is a rank-two update of the merged ones
+    clean_m = Moments.of(clean)
 
     def objective(merged, model):
         if kind == "opt":
-            return loss(clean, model, include_regularizer=False)
-        if cfg.reference_loss == "current_theta":
-            denom = loss(clean, model, include_regularizer=False)
-        else:
-            denom = ref_loss
-        if _degenerate(denom, clean.n):
-            raise DegenerateCleanLossError(
-                "clean reference loss is zero; add noise to the data or use a relative floor"
-            )
-        total = loss(merged, model, include_regularizer=False)
-        return abs(total / denom - merged.n / clean.n)
+            return clean_m.residual_loss(model)
+        denom = clean_m.residual_loss(model) if cfg.reference_loss == "current_theta" else ref_loss
+        return abs(_dispersion(merged.residual_loss(model), denom, merged.n, clean.n))
 
-    def gradient(poison_ds, model, c):
+    def gradient(merged, poison_ds, model, c):
         if kind == "opt":
-            return opt_objective_gradient(clean, poison_ds, model, c)
+            return opt_objective_gradient(clean_m, poison_ds, model, c, merged=merged)
         return objective_gradient(
-            clean, poison_ds, model, ref_loss, c, reference=cfg.reference_loss
+            clean_m, poison_ds, model, ref_loss, c, reference=cfg.reference_loss, merged=merged
         )
 
-    refits = 1  # the clean reference fit
-    merged = merged_with(px, py)
+    merged = clean_m + Moments.from_rows(px, py)
     theta = fit(merged, family, lam, rho=rho).model
-    refits += 1
+    refits = 2  # the clean reference fit and this one
     obj = objective(merged, theta)
 
     def record(i, model, value):
@@ -355,9 +316,12 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
     outer = 0
     for outer in range(1, cfg.max_outer_iters + 1):
         sweep_start = obj
+        # rebuilt from the rows once a sweep, so rank-two updates cannot drift
+        merged = clean_m + Moments.from_rows(px, py)
+        # point c only moves in its own turn, so this snapshot holds its current row
+        poison_ds = Dataset(px.copy(), py.copy(), clean.feature_names, "poisoned")
         for c in range(p):
-            poison_ds = Dataset(px.copy(), py.copy(), clean.feature_names, "poisoned")
-            grad = gradient(poison_ds, theta, c)
+            grad = gradient(merged, poison_ds, theta, c)
             norm = float(np.linalg.norm(grad))
             if norm == 0.0 or not math.isfinite(norm):
                 continue
@@ -365,19 +329,17 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
             eta = cfg.step0
             for _ in range(cfg.max_backtracks):
                 cand_x = np.clip(px[c] + eta * direction[:d], lo, hi)
-                cand_y = float(np.clip(py[c] + eta * direction[d], lo, hi))
-                trial_px = px.copy()
-                trial_py = py.copy()
-                trial_px[c] = cand_x
-                trial_py[c] = cand_y
-                trial_merged = merged_with(trial_px, trial_py)
-                trial_theta = fit(trial_merged, family, lam, rho=rho, warm_start=theta).model
+                cand_y = min(max(float(py[c] + eta * direction[d]), lo), hi)
+                trial = merged.replace_row(px[c], py[c], cand_x, cand_y)
+                report = fit(trial, family, lam, rho=rho, warm_start=theta)
                 refits += 1
-                trial_obj = objective(trial_merged, trial_theta)
-                if trial_obj >= obj + ARMIJO_C * eta * norm:
-                    px, py = trial_px, trial_py
-                    theta, obj = trial_theta, trial_obj
-                    break
+                # a fit that did not converge is rejected like a failed Armijo test
+                if report.converged:
+                    trial_obj = objective(trial, report.model)
+                    if trial_obj >= obj + ARMIJO_C * eta * norm:
+                        px[c], py[c] = cand_x, cand_y
+                        merged, theta, obj = trial, report.model, trial_obj
+                        break
                 eta *= cfg.shrink
             # all backtracks rejected: the point stays where it was
         trace.append(record(outer, theta, obj))
@@ -385,9 +347,8 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
             converged = True
             break
 
-    poison_final = Dataset(px.copy(), py.copy(), clean.feature_names, "poisoned")
     return AttackState(
-        poison=poison_final,
+        poison=Dataset(px.copy(), py.copy(), clean.feature_names, "poisoned"),
         model=theta,
         clean_ref_loss=ref_loss,
         trace=tuple(trace),

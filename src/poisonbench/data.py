@@ -166,6 +166,12 @@ def _try_float(cell: str):
         return None
 
 
+def _require_finite(path, name, cells, values) -> None:
+    for i, (cell, v) in enumerate(zip(cells, values)):
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"{path}: non-finite value {cell!r} in column {name!r}, row {i + 2}")
+
+
 def load_csv(path, target_column, schema_hints=None):
     """Load a headered CSV into a normalized Dataset.
 
@@ -173,6 +179,7 @@ def load_csv(path, target_column, schema_hints=None):
     as a number) are one-hot encoded with levels in sorted order; numeric
     columns and the response are min-max normalized to [0, 1]. Constant
     columns are dropped and recorded in the returned NormalizationSpec.
+    Non-finite numbers (nan, inf) are rejected with their row and column.
 
     Returns (Dataset, NormalizationSpec).
     """
@@ -202,9 +209,11 @@ def load_csv(path, target_column, schema_hints=None):
         target_name = target_column
     target_idx = header.index(target_name)
 
-    raw_target = [_try_float(row[target_idx].strip()) for row in body]
+    target_cells = [row[target_idx].strip() for row in body]
+    raw_target = [_try_float(c) for c in target_cells]
     if any(v is None for v in raw_target):
         raise ValueError(f"non-numeric cell in target column {target_name!r}")
+    _require_finite(path, target_name, target_cells, raw_target)
     responses = np.array(raw_target, dtype=float)
 
     columns: list[tuple[str, float, float]] = []
@@ -234,6 +243,7 @@ def load_csv(path, target_column, schema_hints=None):
                 columns.append((col_name, 0.0, 1.0))
                 out_cols.append(col)
         else:
+            _require_finite(path, name, cells, parsed)
             col = np.array(parsed, dtype=float)
             lo, hi = float(col.min()), float(col.max())
             if lo == hi:

@@ -6,8 +6,13 @@ The training objective is
 
 with Omega = 0 (OLS), 1/2 ||w||_2^2 (Ridge), ||w||_1 (LASSO), and
 rho ||w||_1 + (1 - rho)/2 ||w||_2^2 (Elastic-net). The bias is never
-regularized. OLS/Ridge are solved in closed form; LASSO/Elastic-net by
-cyclic coordinate descent with soft-thresholding.
+regularized.
+
+Every solver reads the data through its `Moments` (G = A^T A for A = [X 1],
+c = A^T y and y^T y): OLS/Ridge solve the normal equations, with a
+minimum-norm least-squares fallback when they are ill-conditioned;
+LASSO/Elastic-net run cyclic coordinate descent with soft-thresholding in
+covariance-update form, O(d^2) a sweep whatever N is.
 """
 
 from __future__ import annotations
@@ -24,7 +29,14 @@ FAMILIES = ("ols", "ridge", "lasso", "enet")
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 10_000
+MIN_RCOND = 1e-8  # below this eigenvalue ratio the normal equations lose too many digits
 LAMBDA_GRID = tuple(np.logspace(-4, 0, 9))
+
+
+def _penalty_mix(family: str, rho: float) -> tuple[float, float]:
+    """(l1, l2) with Omega(w) = l1 ||w||_1 + l2/2 ||w||_2^2."""
+    mixes = {"ols": (0.0, 0.0), "ridge": (0.0, 1.0), "lasso": (1.0, 0.0)}
+    return mixes.get(family, (rho, 1.0 - rho))
 
 
 @dataclass(frozen=True)
@@ -51,27 +63,17 @@ class RegressionModel:
 
     def penalty(self) -> float:
         """lambda * Omega(w) for this model's family."""
+        l1, l2 = _penalty_mix(self.family, self.rho)
         w = self.weights
-        if self.family == "ols":
-            return 0.0
-        if self.family == "ridge":
-            return self.lam * 0.5 * float(w @ w)
-        if self.family == "lasso":
-            return self.lam * float(np.sum(np.abs(w)))
-        return self.lam * (
-            self.rho * float(np.sum(np.abs(w))) + (1.0 - self.rho) * 0.5 * float(w @ w)
-        )
+        l1_part = l1 * float(np.abs(w).sum()) if l1 else 0.0
+        return self.lam * (l1_part + l2 * 0.5 * float(w @ w))
 
     def curvature_scale(self) -> float:
         """Second derivative of Omega's smooth part: 0, 1, 0, (1 - rho).
 
         The l1 penalty contributes zero curvature almost everywhere.
         """
-        if self.family == "ridge":
-            return 1.0
-        if self.family == "enet":
-            return 1.0 - self.rho
-        return 0.0
+        return _penalty_mix(self.family, self.rho)[1]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -107,80 +109,141 @@ class FitReport:
     fallback: bool = False  # minimum-norm least-squares used on a singular system
 
 
-def loss(ds: Dataset, model: RegressionModel, include_regularizer: bool = True) -> float:
-    """1/2 sum of squared residuals, plus lambda*Omega(w) when the flag is on."""
+@dataclass(frozen=True)
+class Moments:
+    """Sufficient statistics of n rows for the squared loss.
+
+    With B = [X 1 y], stats = B^T B packs the Gram matrix G = A^T A of
+    A = [X 1], the cross moments c = A^T y and y^T y.
+    """
+
+    stats: np.ndarray
+    n: int
+
+    @classmethod
+    def from_rows(cls, x: np.ndarray, y: np.ndarray) -> "Moments":
+        n, d = x.shape
+        b = np.empty((n, d + 2))
+        b[:, :d], b[:, d], b[:, d + 1] = x, 1.0, y
+        return cls(b.T @ b, n)
+
+    @classmethod
+    def of(cls, data: "Dataset | Moments") -> "Moments":
+        return data if isinstance(data, Moments) else cls.from_rows(data.features, data.responses)
+
+    @property
+    def d(self) -> int:
+        return self.stats.shape[0] - 2
+
+    @property
+    def gram(self) -> np.ndarray:
+        return self.stats[:-1, :-1]
+
+    @property
+    def cross(self) -> np.ndarray:
+        return self.stats[:-1, -1]
+
+    def __add__(self, other: "Moments") -> "Moments":
+        return Moments(self.stats + other.stats, self.n + other.n)
+
+    def replace_row(self, x_old, y_old: float, x_new, y_new: float) -> "Moments":
+        """Row (x_old, y_old) swapped for (x_new, y_new): a rank-two update."""
+        old = np.concatenate((x_old, (1.0, y_old)))
+        new = np.concatenate((x_new, (1.0, y_new)))
+        return Moments(self.stats + new[:, None] * new - old[:, None] * old, self.n)
+
+    def penalized_gram(self, lam: float) -> np.ndarray:
+        """G + lam diag(1, ..., 1, 0): G plus a weight penalty's curvature."""
+        h = self.gram.copy()
+        for j in range(self.d):
+            h[j, j] += lam
+        return h
+
+    def residual_loss(self, model: RegressionModel) -> float:
+        """1/2 sum of squared residuals: 1/2 u^T stats u with u = (w, b, -1)."""
+        u = np.concatenate((model.weights, (model.bias, -1.0)))
+        return max(0.5 * float(u @ self.stats @ u), 0.0)  # cancellation can dip below 0
+
+    def residual_gradient(self, model: RegressionModel) -> np.ndarray:
+        """Gradient of residual_loss w.r.t. (w, b): G theta - c."""
+        return (self.stats @ np.concatenate((model.weights, (model.bias, -1.0))))[:-1]
+
+
+def _residuals(ds: Dataset, model: RegressionModel) -> np.ndarray:
     if ds.d != model.weights.shape[0]:
         raise ValueError(f"dimension mismatch: data d={ds.d}, model d={model.weights.shape[0]}")
-    r = model.predict(ds.features) - ds.responses
-    value = 0.5 * float(r @ r)
-    if include_regularizer:
-        value += model.penalty()
-    return value
+    return model.predict(ds.features) - ds.responses
+
+
+def loss(ds: Dataset, model: RegressionModel, include_regularizer: bool = True) -> float:
+    """1/2 sum of squared residuals, plus lambda*Omega(w) when the flag is on."""
+    r = _residuals(ds, model)
+    return 0.5 * float(r @ r) + (model.penalty() if include_regularizer else 0.0)
 
 
 def mse(ds: Dataset, model: RegressionModel) -> float:
     """Mean squared error over the dataset; equals 2 * loss(off) / N."""
     if ds.n == 0:
         raise ValueError("mse of an empty dataset")
-    if ds.d != model.weights.shape[0]:
-        raise ValueError(f"dimension mismatch: data d={ds.d}, model d={model.weights.shape[0]}")
-    r = model.predict(ds.features) - ds.responses
+    r = _residuals(ds, model)
     return float(r @ r) / ds.n
 
 
-def _fit_closed_form(x, y, lam):
-    """OLS / Ridge via least squares on the bias-augmented design matrix.
-
-    Ridge appends sqrt(lam) rows penalizing the weights only, so the solve
-    minimizes ||r||^2 + lam ||w||^2, which has the same argmin as
-    1/2 ||r||^2 + lam/2 ||w||^2.
-    """
-    n, d = x.shape
-    a = np.hstack([x, np.ones((n, 1))])
-    rhs = y
-    if lam > 0:
-        a = np.vstack([a, np.sqrt(lam) * np.hstack([np.eye(d), np.zeros((d, 1))])])
-        rhs = np.concatenate([y, np.zeros(d)])
-    theta, _, rank, _ = np.linalg.lstsq(a, rhs, rcond=None)
-    fallback = rank < d + 1
+def _solve_normal_equations(m: Moments, lam, rows):
+    """OLS / Ridge: (G + lam diag(1, ..., 1, 0)) theta = c. An ill-conditioned
+    system goes to minimum-norm least squares: on the rows when at hand,
+    with Ridge's sqrt(lam) [I 0] rows appended, else on the system itself."""
+    d = m.d
+    h = m.penalized_gram(lam)
+    eig = np.linalg.eigvalsh(h)
+    if eig[0] > MIN_RCOND * eig[-1]:
+        theta, fallback = np.linalg.solve(h, m.cross), False
+    else:
+        a, rhs = h, m.cross
+        if rows is not None:
+            a = np.column_stack([rows.features, np.ones(rows.n)])
+            a = np.vstack([a, np.sqrt(lam) * np.eye(d, d + 1)])
+            rhs = np.concatenate([rows.responses, np.zeros(d)])
+        theta, _, rank, _ = np.linalg.lstsq(a, rhs, rcond=None)
+        fallback = rank < d + 1
     return theta[:d], float(theta[d]), fallback
 
 
-def _fit_coordinate_descent(x, y, lam, rho, tol, max_iters, w0=None, b0=None):
-    """Cyclic coordinate descent with soft-thresholding, bias unpenalized.
-
-    Stops when the largest coordinate change in a sweep is below tol.
-    """
-    n, d = x.shape
-    w = np.zeros(d) if w0 is None else np.array(w0, dtype=float)
-    b = float(np.mean(y)) if b0 is None else float(b0)
-    col_sq = np.einsum("ij,ij->j", x, x)
-    l1 = lam * rho
-    l2 = lam * (1.0 - rho)
-    resid = y - x @ w - b  # y - prediction
+def _coordinate_descent(m: Moments, l1, l2, tol, max_iters, w0=None, b0=None):
+    """Cyclic coordinate descent with soft-thresholding, bias unpenalized, in
+    covariance-update form (Friedman, Hastie & Tibshirani, 2010): with
+    q = G theta, x_j . residual = c_j - q_j. Plain floats beat numpy calls at
+    this size. Stops when the largest coordinate change in a sweep is < tol."""
+    d, n = m.d, m.n
+    g, c = m.gram.tolist(), m.cross.tolist()
+    w = [0.0] * d if w0 is None else [float(v) for v in w0]
+    b = c[d] / n if b0 is None else float(b0)
+    q = [sum(gk * tk for gk, tk in zip(row, w + [b])) for row in g]
     for it in range(1, max_iters + 1):
         max_delta = 0.0
         for j in range(d):
-            if col_sq[j] == 0.0:
+            gj = g[j]
+            if gj[j] == 0.0:
                 continue
             wj = w[j]
-            rho_j = x[:, j] @ resid + col_sq[j] * wj
-            new = math.copysign(max(abs(rho_j) - l1, 0.0), rho_j) / (col_sq[j] + l2)
+            rho_j = c[j] - q[j] + gj[j] * wj
+            new = math.copysign(max(abs(rho_j) - l1, 0.0), rho_j) / (gj[j] + l2)
             if new != wj:
-                resid += x[:, j] * (wj - new)
+                delta = new - wj
+                q = [qk + gk * delta for qk, gk in zip(q, gj)]
                 w[j] = new
-                max_delta = max(max_delta, abs(new - wj))
-        b_new = b + float(np.mean(resid))
-        max_delta = max(max_delta, abs(b_new - b))
-        resid -= b_new - b
-        b = b_new
+                max_delta = max(max_delta, abs(delta))
+        step = (c[d] - q[d]) / n  # mean residual
+        q = [qk + gk * step for qk, gk in zip(q, g[d])]
+        b += step
+        max_delta = max(max_delta, abs(step))
         if max_delta < tol:
-            return w, b, it, True
-    return w, b, max_iters, False
+            return np.array(w), b, it, True
+    return np.array(w), b, max_iters, False
 
 
 def fit(
-    ds: Dataset,
+    data: Dataset | Moments,
     family: str = "ols",
     lam: float = 0.0,
     rho: float = 0.5,
@@ -188,42 +251,43 @@ def fit(
     max_iters: int = DEFAULT_MAX_ITERS,
     warm_start: RegressionModel | None = None,
 ) -> FitReport:
-    """Minimize the regularized training loss; deterministic.
+    """Minimize the regularized training loss on a Dataset or its Moments;
+    deterministic.
 
     warm_start seeds the coordinate-descent families only; closed-form
-    families ignore it.
+    families ignore it. A Dataset's train_loss and train_mse are summed over
+    its rows: moments would lose an exact fit's zero to cancellation.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    if ds.n < ds.d + 1:
-        raise ValueError(f"need N >= d+1 rows to fit, got N={ds.n}, d={ds.d}")
+    m = Moments.of(data)
+    if m.n < m.d + 1:
+        raise ValueError(f"need N >= d+1 rows to fit, got N={m.n}, d={m.d}")
     if family == "ols":
         lam = 0.0  # OLS has no penalty by definition
 
-    x, y = ds.features, ds.responses
-    fallback = False
+    rows = data if isinstance(data, Dataset) else None
     if family in ("ols", "ridge"):
-        w, b, fallback = _fit_closed_form(x, y, lam)
+        w, b, fallback = _solve_normal_equations(m, lam, rows)
         iterations, converged = 1, True
     else:
-        cd_rho = 1.0 if family == "lasso" else rho
+        l1, l2 = _penalty_mix(family, rho)
         w0 = b0 = None
-        if warm_start is not None and warm_start.weights.shape[0] == ds.d:
+        if warm_start is not None and warm_start.weights.shape[0] == m.d:
             w0, b0 = warm_start.weights, warm_start.bias
-        w, b, iterations, converged = _fit_coordinate_descent(
-            x, y, lam, cd_rho, tol, max_iters, w0, b0
+        w, b, iterations, converged = _coordinate_descent(
+            m, lam * l1, lam * l2, tol, max_iters, w0, b0
         )
+        fallback = False
     model = RegressionModel(w, b, family, lam, rho)
-    return FitReport(
-        model=model,
-        train_loss=loss(ds, model, include_regularizer=True),
-        train_mse=mse(ds, model),
-        iterations=iterations,
-        converged=converged,
-        fallback=fallback,
-    )
+    if rows is None:
+        residual = m.residual_loss(model)
+        train_loss, train_mse = residual + model.penalty(), 2.0 * residual / m.n
+    else:
+        train_loss, train_mse = loss(rows, model, include_regularizer=True), mse(rows, model)
+    return FitReport(model, train_loss, train_mse, iterations, converged, fallback)
 
 
 def select_lambda(

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from poisonbench import attack as attack_module
 from poisonbench.attack import (
     AttackConfig,
     DegenerateCleanLossError,
@@ -15,7 +17,7 @@ from poisonbench.attack import (
     theta_jacobian,
 )
 from poisonbench.data import Dataset, merge
-from poisonbench.regress import fit, loss, mse
+from poisonbench.regress import DEFAULT_TOL, fit, loss, mse
 
 from conftest import make_noisy_dataset
 
@@ -315,6 +317,47 @@ class TestAttackLoop:
         assert len(rows) == state.poison.n + 1
         values = [float(v) for v in rows[1].split(",")]
         assert values[:2] == state.poison.features[0].tolist()
+
+    @pytest.mark.parametrize("attack", [nopt_attack, opt_attack])
+    @pytest.mark.parametrize(
+        "family,lam", [("ols", 0.0), ("ridge", 0.1), ("lasso", 0.01), ("enet", 0.01)]
+    )
+    def test_final_model_is_the_fit_of_the_final_rows(self, attack, family, lam):
+        # the loop tracks the merged set by rank-two updates of its moments;
+        # a bookkeeping error or drift would leave state.model fitted to
+        # other rows than the final clean + poison set
+        clean = make_noisy_dataset(n=60, d=3, seed=93)
+        state = attack(clean, AttackConfig(alpha=0.2, seed=4, max_outer_iters=5), family, lam)
+        merged, _ = merge(clean, state.poison)
+        theta = np.append(state.model.weights, state.model.bias)
+        if family in ("ols", "ridge"):
+            refit = fit(merged, family, lam).model
+            assert np.max(np.abs(np.append(refit.weights, refit.bias) - theta)) <= 1e-9
+        else:
+            # coordinate descent stops once a sweep moves no coordinate by
+            # tol, so a refit started at state.model must stop in one sweep
+            report = fit(merged, family, lam, warm_start=state.model)
+            assert report.iterations == 1
+            refit = report.model
+            assert np.max(np.abs(np.append(refit.weights, refit.bias) - theta)) < DEFAULT_TOL
+
+    def test_nonconverged_trial_fit_is_rejected(self, monkeypatch):
+        real_fit = attack_module.fit
+
+        def trials_never_converge(data, *args, warm_start=None, **kwargs):
+            report = real_fit(data, *args, warm_start=warm_start, **kwargs)
+            # only line-search trials are warm-started
+            return report if warm_start is None else dataclasses.replace(report, converged=False)
+
+        monkeypatch.setattr(attack_module, "fit", trials_never_converge)
+        clean = make_noisy_dataset(n=40, d=2, seed=94)
+        cfg = AttackConfig(alpha=0.2, seed=5, max_outer_iters=3)
+        state = nopt_attack(clean, cfg, "ols")
+        px, py = attack_module._initial_poison(clean, state.poison.n, np.random.default_rng(5))
+        assert state.refit_count > 2
+        assert np.array_equal(state.poison.features, px)
+        assert np.array_equal(state.poison.responses, py)
+        assert len(set(state.e_trace)) == 1
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="alpha"):

@@ -86,6 +86,23 @@ class TestLoadCsv:
         ds, _ = load_csv(p, 1)
         assert ds.responses.tolist() == [0.0, 1.0]
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN"])
+    @pytest.mark.parametrize("column", ["a", "y"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell, column):
+        rows = {"a": ["1", "2", "3"], "y": ["0", "1", "2"]}
+        rows[column][1] = cell
+        text = "a,y\n" + "".join(f"{a},{y}\n" for a, y in zip(rows["a"], rows["y"]))
+        p = write_csv(tmp_path / "a.csv", text)
+        message = f"non-finite value '{cell}' in column '{column}', row 3"
+        with pytest.raises(ValueError, match=message):
+            load_csv(p, "y")
+
+    def test_non_finite_label_in_categorical_column_is_a_level(self, tmp_path):
+        p = write_csv(tmp_path / "a.csv", "c,y\nnan,0\nred,1\nnan,2\n")
+        ds, spec = load_csv(p, "y", schema_hints=["c"])
+        assert spec.onehot == (("c", ("nan", "red")),)
+        assert np.isfinite(ds.features).all()
+
 
 class TestNormalizationSpec:
     def test_round_trip(self, tmp_path):

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisonbench.data import Dataset
-from poisonbench.regress import RegressionModel, fit, loss, mse, select_lambda
+from poisonbench.regress import FAMILIES, Moments, RegressionModel, fit, loss, mse, select_lambda
 
 from conftest import make_noisy_dataset
 
@@ -47,6 +49,21 @@ class TestFit:
         report = fit(ds, "ols")
         assert report.fallback
         assert report.train_mse <= 1e-20
+
+    @pytest.mark.parametrize("spread", [1e-3, 1e-7])
+    def test_near_collinear_full_rank_matches_lstsq(self, spread):
+        # the second column is the first plus a sliver: full rank, but the
+        # normal equations square a condition number of about 1/spread
+        rng = np.random.default_rng(12)
+        x1 = rng.uniform(size=40)
+        x = np.column_stack([x1, x1 + spread * rng.uniform(size=40)])
+        y = 0.3 * x[:, 0] - 0.2 * x[:, 1] + 0.5 + rng.normal(0.0, 0.01, size=40)
+        report = fit(Dataset(x, y), "ols")
+        expected, _, rank, _ = np.linalg.lstsq(np.column_stack([x, np.ones(40)]), y, rcond=None)
+        assert rank == 3
+        assert not report.fallback
+        got = np.append(report.model.weights, report.model.bias)
+        np.testing.assert_allclose(got, expected, rtol=1e-6)
 
     def test_ols_forces_zero_lambda(self):
         ds = make_noisy_dataset(seed=2)
@@ -102,6 +119,76 @@ class TestFit:
         ds = make_noisy_dataset(n=35, seed=4)
         report = fit(ds, "ols")
         assert report.train_loss == pytest.approx(ds.n / 2 * report.train_mse, rel=1e-12)
+
+
+def random_rows(seed, d, n):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(n, d))
+    y = np.clip(x @ rng.uniform(-0.5, 0.5, size=d) + 0.4 + rng.normal(0.0, 0.1, size=n), 0.0, 1.0)
+    return x, y
+
+
+class TestMoments:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 5),
+        extra=st.integers(0, 40),
+        family=st.sampled_from(FAMILIES),
+        lam=st.floats(1e-4, 1.0),
+    )
+    def test_fit_on_moments_equals_fit_on_rows(self, seed, d, extra, family, lam):
+        n = 2 * (d + 1) + extra
+        x, y = random_rows(seed, d, n)
+        ds = Dataset(x, y)
+        by_rows = fit(ds, family, lam, rho=0.3)
+        by_moments = fit(Moments.of(ds), family, lam, rho=0.3)
+        assert np.array_equal(by_moments.model.weights, by_rows.model.weights)
+        assert by_moments.model.bias == by_rows.model.bias
+        assert by_moments.iterations == by_rows.iterations
+        assert by_moments.converged == by_rows.converged
+        assert by_moments.train_loss == pytest.approx(by_rows.train_loss, rel=1e-9, abs=1e-12)
+        assert by_moments.train_mse == pytest.approx(by_rows.train_mse, rel=1e-9, abs=1e-12)
+        if family in ("ols", "ridge"):
+            # least squares on the rows; Ridge appends sqrt(lam) [I 0] rows
+            a = np.column_stack([x, np.ones(n)])
+            rhs = y
+            if family == "ridge":
+                a = np.vstack([a, np.sqrt(lam) * np.eye(d, d + 1)])
+                rhs = np.concatenate([y, np.zeros(d)])
+            expected = np.linalg.lstsq(a, rhs, rcond=None)[0]
+            got = np.append(by_moments.model.weights, by_moments.model.bias)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), n=st.integers(2, 30))
+    def test_replace_row_is_the_moments_of_the_new_rows(self, seed, d, n):
+        x, y = random_rows(seed, d, n)
+        rng = np.random.default_rng(seed + 1)
+        i = int(rng.integers(n))
+        x_new, y_new = rng.uniform(size=d), float(rng.uniform())
+        updated = Moments.from_rows(x, y).replace_row(x[i], y[i], x_new, y_new)
+        x2, y2 = x.copy(), y.copy()
+        x2[i], y2[i] = x_new, y_new
+        rebuilt = Moments.from_rows(x2, y2)
+        assert updated.n == rebuilt.n == n
+        np.testing.assert_allclose(updated.stats, rebuilt.stats, rtol=0, atol=1e-12 * n)
+
+    def test_sum_is_the_moments_of_the_stacked_rows(self):
+        x, y = random_rows(13, 3, 20)
+        both = Moments.from_rows(x[:12], y[:12]) + Moments.from_rows(x[12:], y[12:])
+        assert both.n == 20
+        np.testing.assert_allclose(both.stats, Moments.from_rows(x, y).stats, rtol=1e-14)
+
+    def test_residual_loss_and_gradient_match_the_rows(self):
+        x, y = random_rows(14, 4, 30)
+        ds = Dataset(x, y)
+        model = RegressionModel(np.array([0.1, -0.2, 0.3, 0.05]), 0.2)
+        m = Moments.of(ds)
+        assert m.residual_loss(model) == pytest.approx(loss(ds, model, False), rel=1e-12)
+        r = model.predict(x) - y
+        expected = np.append(x.T @ r, r.sum())
+        np.testing.assert_allclose(m.residual_gradient(model), expected, atol=1e-12)
 
 
 class TestLossAndMse:
