@@ -1,8 +1,9 @@
 """Command-line entry point: fit, attack, defend, sweep, and report.
 
 Precedence for every option: command-line flag > config file (key=value
-lines with section prefixes, e.g. attack.alpha=0.2) > environment > built-in
-default. All randomness flows from --seed (default 1337, never wall clock).
+lines, optionally with a command prefix, e.g. attack.alpha=0.2) > built-in
+default; --out alone falls back to $POISONBENCH_OUT before its default. All
+randomness flows from --seed (default 1337, never wall clock).
 
 Exit codes: 0 success, 1 computational failure, 2 usage error. Diagnostics
 go to stderr; data goes to files under the output directory.
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,12 +45,6 @@ class UsageError(ValueError):
 class CliConfig:
     command: str
     options: dict
-
-    def __getattr__(self, name):
-        try:
-            return self.options[name]
-        except KeyError as exc:
-            raise AttributeError(name) from exc
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -128,81 +124,86 @@ def build_synthetic_spec(fields: dict) -> SyntheticSpec:
     )
 
 
-_CONVERTERS = {
-    "alpha": float,
-    "alphas": _parse_float_list,
-    "alpha_assumed": float,
-    "gamma": int,
-    "gammas": _parse_int_list,
-    "epsilon": float,
-    "epsilon_conv": float,
-    "lam": str,
-    "rho": float,
-    "family": str,
-    "families": _parse_families,
-    "attack": str,
-    "defense": str,
-    "method": str,
-    "csv": str,
-    "target": str,
-    "categorical": lambda s: tuple(p.strip() for p in s.split(",")),
-    "synthetic": _parse_synthetic,
-    "seed": int,
-    "out": str,
-    "max_iters": int,
-    "repeats": int,
-    "jobs": int,
-    "max_features": int,
-    "train_subsample": int,
-    "surrogate_fraction": float,
-    "records": str,
-    "verbose": lambda s: s.lower() in ("1", "true", "yes"),
-}
-
-_DEFAULTS = {
-    "seed": DEFAULT_SEED,
-    "lam": "0.0",
-    "rho": 0.5,
-    "family": "ols",
-    "families": ("ols",),
-    "epsilon": 1e-5,
-    "epsilon_conv": 1e-6,
-    "max_iters": 100,
-    "alphas": harness.DEFAULT_ALPHA_GRID,
-    "repeats": 5,
-    "jobs": 1,
-    "attack": "none",
-    "defense": "none",
-    "verbose": False,
-}
+def _parse_bool(text: str) -> bool:
+    value = text.strip().lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise argparse.ArgumentTypeError(f"expected 1/true/yes or 0/false/no, got {text!r}")
+    return value in ("1", "true", "yes")
 
 
-def _add_dataset_args(sub):
-    group = sub.add_argument_group("dataset")
-    group.add_argument("--csv", help="path to a headered CSV dataset")
-    group.add_argument("--target", help="target column name (required with --csv)")
-    group.add_argument(
-        "--categorical", type=_CONVERTERS["categorical"], help="comma list of categorical columns"
-    )
-    group.add_argument(
-        "--synthetic",
-        type=_parse_synthetic,
-        help="synthetic spec, e.g. d=5,n=300,noise=0.1[,seed=0][,w=..;..][,b=..]",
-    )
+@dataclass(frozen=True)
+class Option:
+    """One flag of `commands`, also read as a config-file key (the flag name
+    or `dest`, with '-' or '_'). A config value goes through the same `type`
+    and `choices` as the flag; a `_parse_bool` option is a store_true flag."""
+
+    flag: str
+    help: str
+    commands: tuple[str, ...]
+    group: str | None = None
+    type: Callable = str
+    choices: tuple | None = None
+    default: object = None
+    dest: str = ""
+
+    def __post_init__(self):
+        if not self.dest:
+            object.__setattr__(self, "dest", self.flag[2:].replace("-", "_"))
 
 
-def _add_model_args(sub, multi=False):
-    group = sub.add_argument_group("model")
-    if multi:
-        group.add_argument(
-            "--families", type=_parse_families, help=f"comma list from {FAMILIES} (default ols)"
-        )
-    else:
-        group.add_argument("--family", choices=FAMILIES, help="model family (default ols)")
-    group.add_argument(
-        "--lambda", dest="lam", help="regularization strength, or 'auto' for validation-grid selection"
-    )
-    group.add_argument("--rho", type=float, help="elastic-net l1 mix in [0, 1] (default 0.5)")
+_DATA = ("fit", "attack", "defend", "sweep")
+_ONE = ("fit", "attack", "defend")
+_ALL = (*_DATA, "report")
+
+# Each command's rows, in table order, give its usage line and help.
+OPTIONS = (
+    Option("--csv", "path to a headered CSV dataset", _DATA, "dataset"),
+    Option("--target", "target column name (required with --csv)", _DATA, "dataset"),
+    Option("--categorical", "comma list of categorical columns", _DATA, "dataset",
+           lambda s: tuple(p.strip() for p in s.split(","))),
+    Option("--synthetic", "synthetic spec, e.g. d=5,n=300,noise=0.1[,seed=0][,w=..;..][,b=..]",
+           _DATA, "dataset", _parse_synthetic),
+    Option("--family", "model family (default ols)", _ONE, "model", choices=FAMILIES, default="ols"),
+    Option("--families", f"comma list from {FAMILIES} (default ols)", ("sweep",), "model",
+           _parse_families, default=("ols",)),
+    Option("--lambda", "regularization strength, or 'auto' for validation-grid selection", _DATA,
+           "model", default="0.0", dest="lam"),
+    Option("--rho", "elastic-net l1 mix in [0, 1] (default 0.5)", _DATA, "model", float, default=0.5),
+    Option("--method", "attack algorithm (default nopt)", ("attack",), choices=("opt", "nopt"),
+           default="nopt"),
+    Option("--alpha", "poisoning rate in (0, 0.2]", ("attack",), type=float),
+    Option("--epsilon-conv", "attack stopping threshold (default 1e-6)", ("attack",), type=float,
+           default=1e-6),
+    Option("--max-iters", "max outer iterations (default 100)", ("attack",), type=int, default=100),
+    Option("--attack", "attack to sweep (default none)", ("sweep",), choices=harness.ATTACKS,
+           default="none"),
+    Option("--defense", "defense to sweep (default none)", ("sweep",), choices=harness.DEFENSES,
+           default="none"),
+    Option("--alphas", "alpha grid: comma list or start:stop:step (default 0.04:0.20:0.04)",
+           ("sweep",), type=_parse_float_list, default=harness.DEFAULT_ALPHA_GRID),
+    Option("--gammas", "gamma grid for proda", ("sweep",), type=_parse_int_list),
+    Option("--alpha-assumed", "fixed assumed alpha (default: the cell's real alpha)", ("sweep",),
+           type=float),
+    Option("--method", "defense algorithm (required)", ("defend",), choices=("proda", "trim")),
+    Option("--gamma", "proda group size (>= d+1)", ("defend",), type=int),
+    Option("--epsilon", "proda failure budget (default 1e-5)", ("defend", "sweep"), type=float,
+           default=1e-5),
+    Option("--alpha-assumed", "defender's poisoning-rate estimate (default 0.2)", ("defend",),
+           type=float),
+    Option("--alpha", "alias for --alpha-assumed", ("defend",), type=float),
+    Option("--max-iters", "trim iteration cap (default 100)", ("defend", "sweep"), type=int,
+           default=100),
+    Option("--repeats", "repeats per cell (default 5)", ("sweep",), type=int, default=5),
+    Option("--jobs", "parallel cell workers (default 1)", ("sweep",), type=int, default=1),
+    Option("--max-features", "keep only the first K feature columns", ("sweep",), type=int),
+    Option("--train-subsample", "subsample the training fold to this size", ("sweep",), type=int),
+    Option("--surrogate-fraction", "grey-box attacker view as a fraction of the training fold",
+           ("sweep",), type=float),
+    Option("--records", "records.jsonl produced by sweep (required)", ("report",)),
+    Option("--seed", f"master seed (default {DEFAULT_SEED})", _ALL, type=int, default=DEFAULT_SEED),
+    Option("--out", "output directory (default $POISONBENCH_OUT or ./poisonbench-out)", _ALL),
+    Option("--verbose", "chatty progress on stderr", _ALL, type=_parse_bool, default=False),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,67 +214,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="key=value config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = dict(argument_default=argparse.SUPPRESS)
-
-    p_fit = sub.add_parser("fit", help="fit one model and write it as JSON", **common)
-    _add_dataset_args(p_fit)
-    _add_model_args(p_fit)
-
-    p_attack = sub.add_parser("attack", help="poison a dataset with nopt or opt", **common)
-    _add_dataset_args(p_attack)
-    _add_model_args(p_attack)
-    p_attack.add_argument("--method", choices=("opt", "nopt"), help="attack algorithm (default nopt)")
-    p_attack.add_argument("--alpha", type=float, help="poisoning rate in (0, 0.2]")
-    p_attack.add_argument("--epsilon-conv", dest="epsilon_conv", type=float,
-                          help="attack stopping threshold (default 1e-6)")
-    p_attack.add_argument("--max-iters", dest="max_iters", type=int,
-                          help="max outer iterations (default 100)")
-
-    p_defend = sub.add_parser("defend", help="run the proda or trim defense", **common)
-    _add_dataset_args(p_defend)
-    _add_model_args(p_defend)
-    p_defend.add_argument("--method", choices=("proda", "trim"), help="defense algorithm (required)")
-    p_defend.add_argument("--gamma", type=int, help="proda group size (>= d+1)")
-    p_defend.add_argument("--epsilon", type=float, help="proda failure budget (default 1e-5)")
-    p_defend.add_argument("--alpha-assumed", dest="alpha_assumed", type=float,
-                          help="defender's poisoning-rate estimate (default 0.2)")
-    p_defend.add_argument("--alpha", type=float, help="alias for --alpha-assumed")
-    p_defend.add_argument("--max-iters", dest="max_iters", type=int,
-                          help="trim iteration cap (default 100)")
-
-    p_sweep = sub.add_parser("sweep", help="run a seeded experiment grid", **common)
-    _add_dataset_args(p_sweep)
-    _add_model_args(p_sweep, multi=True)
-    p_sweep.add_argument("--attack", choices=harness.ATTACKS, help="attack to sweep (default none)")
-    p_sweep.add_argument("--defense", choices=harness.DEFENSES, help="defense to sweep (default none)")
-    p_sweep.add_argument("--alphas", type=_parse_float_list,
-                         help="alpha grid: comma list or start:stop:step (default 0.04:0.20:0.04)")
-    p_sweep.add_argument("--gammas", type=_parse_int_list, help="gamma grid for proda")
-    p_sweep.add_argument("--alpha-assumed", dest="alpha_assumed", type=float,
-                         help="fixed assumed alpha (default: the cell's real alpha)")
-    p_sweep.add_argument("--epsilon", type=float, help="proda failure budget (default 1e-5)")
-    p_sweep.add_argument("--repeats", type=int, help="repeats per cell (default 5)")
-    p_sweep.add_argument("--jobs", type=int, help="parallel cell workers (default 1)")
-    p_sweep.add_argument("--max-features", dest="max_features", type=int,
-                         help="keep only the first K feature columns")
-    p_sweep.add_argument("--train-subsample", dest="train_subsample", type=int,
-                         help="subsample the training fold to this size")
-    p_sweep.add_argument("--surrogate-fraction", dest="surrogate_fraction", type=float,
-                         help="grey-box attacker view as a fraction of the training fold")
-
-    p_report = sub.add_parser("report", help="aggregate a records file into CSV + SVGs", **common)
-    p_report.add_argument("--records", help="records.jsonl produced by sweep (required)")
-
-    for p in (p_fit, p_attack, p_defend, p_sweep, p_report):
-        p.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
-        p.add_argument("--out", help="output directory (default $POISONBENCH_OUT or ./poisonbench-out)")
-        p.add_argument("--verbose", action="store_true", help="chatty progress on stderr")
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        groups = {None: p}
+        for o in (row for row in OPTIONS if command in row.commands):
+            if o.group not in groups:
+                groups[o.group] = p.add_argument_group(o.group)
+            kind = dict(type=o.type, choices=o.choices)
+            if o.type is _parse_bool:
+                kind = dict(action="store_true")
+            groups[o.group].add_argument(o.flag, dest=o.dest, help=o.help, **kind)
     return parser
 
 
-def _load_config_file(path) -> dict:
-    values = {}
+def _load_config_file(path, command: str) -> dict:
+    """Read key=value lines. `section.key` is checked against that command's
+    option and applies only when it is running; a bare key applies to every
+    command that has the option. A section key wins over a bare one."""
+    bare, sectioned = {}, {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -285,27 +243,31 @@ def _load_config_file(path) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        dest = key.split(".")[-1].replace("-", "_")
-        if dest == "lambda":
-            dest = "lam"
-        if dest not in _CONVERTERS:
+        section, _, name = key.rpartition(".")
+        known = [o for o in OPTIONS if name.replace("-", "_") in (o.dest, o.flag[2:].replace("-", "_"))]
+        option = next((o for o in known if (section or command) in o.commands), None)
+        if not known or (section and option is None):
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if option is None:
+            continue
         try:
-            values[dest] = _CONVERTERS[dest](value)
+            converted = option.type(value)
+            if option.choices is not None and converted not in option.choices:
+                raise ValueError(f"{value!r} not in {option.choices}")
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    return values
+        if section in ("", command):
+            (sectioned if section else bare)[option.dest] = converted
+    return {**bare, **sectioned}
 
 
 def parse_args(argv) -> CliConfig:
     """Resolve the full configuration: flags > config file > defaults."""
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    explicit = vars(ns)
+    explicit = vars(build_parser().parse_args(argv))
     command = explicit.pop("command")
-    options = dict(_DEFAULTS)
+    options = {o.dest: o.default for o in OPTIONS if command in o.commands and o.default is not None}
     if "config" in explicit:
-        options.update(_load_config_file(explicit.pop("config")))
+        options.update(_load_config_file(explicit.pop("config"), command))
     options.update(explicit)
     options.setdefault("out", os.environ.get("POISONBENCH_OUT", DEFAULT_OUT))
     cfg = CliConfig(command=command, options=options)
@@ -324,17 +286,14 @@ def _validate(cfg: CliConfig):
             raise UsageError("--target is required with --csv")
     if cfg.command == "attack" and "alpha" not in opts:
         raise UsageError("--alpha is required for attack")
-    if cfg.command == "attack":
-        opts.setdefault("method", "nopt")
     if cfg.command == "defend":
         if "method" not in opts:
             raise UsageError("--method is required for defend (proda or trim)")
         if opts["method"] == "proda" and "gamma" not in opts:
             raise UsageError("--gamma is required for the proda defense")
         opts.setdefault("alpha_assumed", opts.get("alpha", 0.2))
-    if cfg.command == "sweep":
-        if opts.get("defense") == "proda" and "gammas" not in opts:
-            raise UsageError("--gammas is required when sweeping the proda defense")
+    if cfg.command == "sweep" and opts["defense"] == "proda" and "gammas" not in opts:
+        raise UsageError("--gammas is required when sweeping the proda defense")
     if cfg.command == "report" and "records" not in opts:
         raise UsageError("--records is required for report")
     if "lam" in opts and opts["lam"] != "auto":
@@ -362,7 +321,7 @@ def _load_dataset(cfg: CliConfig):
 
 def _resolve_lambda_cli(cfg, ds):
     opts = cfg.options
-    family = opts.get("family", "ols")
+    family = opts["family"]
     if opts["lam"] == "auto":
         if family == "ols":
             return 0.0
@@ -380,7 +339,7 @@ def _out_dir(cfg: CliConfig) -> Path:
 def _cmd_fit(cfg: CliConfig) -> int:
     ds, norm, name, _ = _load_dataset(cfg)
     lam = _resolve_lambda_cli(cfg, ds)
-    family = cfg.options.get("family", "ols")
+    family = cfg.options["family"]
     report = fit(ds, family, lam, rho=cfg.options["rho"])
     out = _out_dir(cfg)
     (out / f"{name}_model.json").write_text(report.model.to_json(), encoding="utf-8")
@@ -405,7 +364,7 @@ def _cmd_attack(cfg: CliConfig) -> int:
     opts = cfg.options
     ds, _, name, target = _load_dataset(cfg)
     lam = _resolve_lambda_cli(cfg, ds)
-    family = opts.get("family", "ols")
+    family = opts["family"]
     attack_cfg = AttackConfig(
         alpha=opts["alpha"],
         eps_conv=opts["epsilon_conv"],
@@ -439,7 +398,7 @@ def _cmd_defend(cfg: CliConfig) -> int:
     opts = cfg.options
     ds, _, name, _ = _load_dataset(cfg)
     lam = _resolve_lambda_cli(cfg, ds)
-    family = opts.get("family", "ols")
+    family = opts["family"]
     alpha_assumed = opts["alpha_assumed"]
     if opts["method"] == "proda":
         dcfg = ProdaConfig(
@@ -557,19 +516,20 @@ def _cmd_report(cfg: CliConfig) -> int:
     return 0
 
 
-_COMMANDS = {
-    "fit": _cmd_fit,
-    "attack": _cmd_attack,
-    "defend": _cmd_defend,
-    "sweep": _cmd_sweep,
-    "report": _cmd_report,
+_COMMANDS = {  # name: (handler, help)
+    "fit": (_cmd_fit, "fit one model and write it as JSON"),
+    "attack": (_cmd_attack, "poison a dataset with nopt or opt"),
+    "defend": (_cmd_defend, "run the proda or trim defense"),
+    "sweep": (_cmd_sweep, "run a seeded experiment grid"),
+    "report": (_cmd_report, "aggregate a records file into CSV + SVGs"),
 }
 
 
 def dispatch(cfg: CliConfig) -> int:
     """Run the configured subcommand; exceptions map to exit codes."""
     try:
-        return _COMMANDS[cfg.command](cfg)
+        handler, _ = _COMMANDS[cfg.command]
+        return handler(cfg)
     except UsageError:
         raise
     except Exception as exc:  # noqa: BLE001 - computational failure -> exit 1

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .regress import RegressionModel, fit, mse
+from .regress import RegressionModel, fit
 
 
 @dataclass(frozen=True)
@@ -142,11 +142,11 @@ def proda_defend(
         group = np.sort(rng.choice(n_rows, size=cfg.gamma, replace=False))
         group_model = fit(ds.take(group), family, lam, rho=rho).model
         subset = _closest_rows(ds, group_model, n)
-        refit = fit(ds.take(subset), family, lam, rho=rho).model
-        m = mse(ds.take(subset), refit)
+        refit = fit(ds.take(subset), family, lam, rho=rho)
+        m = refit.train_mse
         group_mses.append(m)
         if best is None or m < best[0]:
-            best = (m, i, subset, refit, group)
+            best = (m, i, subset, refit.model, group)
     elapsed = time.perf_counter() - start
 
     best_mse, _, subset, model, group = best

@@ -379,9 +379,7 @@ def summary_csv(summary: list[dict]) -> str:
     for row in summary:
         out = []
         for col in SUMMARY_COLUMNS:
-            if col in ("dataset", "family", "attack", "defense"):
-                v = row.get(col)
-            elif col in ("alpha", "alpha_assumed", "gamma"):
+            if col in ("dataset", "family", "attack", "defense", "alpha", "alpha_assumed", "gamma"):
                 v = row.get(col)
             else:
                 v = row.get(f"{col}_mean")
@@ -453,18 +451,5 @@ def emit_plot(summary, kind: str, path):
             raise ValueError("summary has no plottable gamma series")
         return svgplot.write_line_chart(series, "group size gamma", "MSE", path)
     if kind == "scatter_fit":
-        from pathlib import Path
-
-        points = summary["points"]
-        lines = summary.get("lines", ())
-        svg = svgplot.render_scatter_fit(points, lines, "x", "y")
-        svg_path = Path(path)
-        svg_path.write_text(svg, encoding="utf-8")
-        csv_path = svg_path.with_suffix(".csv")
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["series", "x", "y"])
-            for x, y in points:
-                writer.writerow(["data", repr(float(x)), repr(float(y))])
-        return svg_path, csv_path
+        return svgplot.write_scatter_fit(summary["points"], summary.get("lines", ()), "x", "y", path)
     raise ValueError(f"unknown plot kind {kind!r}")

@@ -147,19 +147,30 @@ def render_scatter_fit(points, lines, x_label: str, y_label: str, title: str = "
     return "\n".join(parts)
 
 
-def write_line_chart(series: dict, x_label: str, y_label: str, path, title: str = ""):
+def _write_with_csv(svg: str, rows, path):
     """Write the SVG and a companion CSV (columns series,x,y with exact
     repr values). Returns (svg_path, csv_path)."""
     svg_path = Path(path)
-    svg_path.write_text(render_line_chart(series, x_label, y_label, title), encoding="utf-8")
+    svg_path.write_text(svg, encoding="utf-8")
     csv_path = svg_path.with_suffix(".csv")
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["series", "x", "y"])
-        for name, pts in series.items():
-            for x, y in sorted(pts):
-                writer.writerow([name, repr(float(x)), repr(float(y))])
+        for name, x, y in rows:
+            writer.writerow([name, repr(float(x)), repr(float(y))])
     return svg_path, csv_path
+
+
+def write_line_chart(series: dict, x_label: str, y_label: str, path, title: str = ""):
+    """Write the line chart with its companion CSV, each series' points in x order."""
+    rows = [(name, x, y) for name, pts in series.items() for x, y in sorted(pts)]
+    return _write_with_csv(render_line_chart(series, x_label, y_label, title), rows, path)
+
+
+def write_scatter_fit(points, lines, x_label: str, y_label: str, path, title: str = ""):
+    """Write the scatter+fit chart with its companion CSV, the points as series `data`."""
+    rows = [("data", x, y) for x, y in points]
+    return _write_with_csv(render_scatter_fit(points, lines, x_label, y_label, title), rows, path)
 
 
 def read_companion_csv(path) -> dict:

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from poisonbench.cli import (
+    OPTIONS,
     UsageError,
+    _parse_bool,
+    _parse_families,
     _parse_float_list,
+    _parse_int_list,
     _parse_synthetic,
     build_synthetic_spec,
     main,
@@ -216,3 +220,86 @@ class TestSweepAndReport:
     def test_report_requires_records(self):
         with pytest.raises(UsageError, match="--records"):
             parse_args(["report"])
+
+
+def _write_config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("line,argv", [
+        ("attack.method=bogus", ["attack", "--alpha", "0.2", "--max-iters", "1"]),
+        ("defend.method=bogus", ["defend"]),
+        ("family=foo", ["fit"]),
+    ])
+    def test_bad_choice_exits_2_before_output(self, tmp_path, line, argv):
+        out = tmp_path / "out"
+        code = main(["--config", _write_config(tmp_path, line + "\n"), *argv,
+                     "--synthetic", "d=1,n=20,noise=0.1", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    def test_sections_apply_to_their_command_only(self, tmp_path):
+        path = _write_config(tmp_path, "attack.method=nopt\ndefend.method=proda\ndefend.gamma=6\n"
+                                       "attack.alpha=0.15\nalpha=0.1\n")
+        data = ["--synthetic", "d=1,n=20,noise=0.1"]
+        attack = parse_args(["--config", path, "attack", *data]).options
+        defend = parse_args(["--config", path, "defend", *data]).options
+        assert (attack["method"], attack["alpha"]) == ("nopt", 0.15)  # the section beats a bare key
+        assert (defend["method"], defend["gamma"], defend["alpha_assumed"]) == ("proda", 6, 0.1)
+
+    @pytest.mark.parametrize("line,match", [
+        ("verbose=maybe", "verbose"),
+        ("nosuchcommand.alpha=0.1", "unknown config key"),
+        ("fit.alpha=0.1", "unknown config key"),
+    ])
+    def test_usage_errors(self, tmp_path, line, match):
+        with pytest.raises(UsageError, match=match):
+            parse_args(["--config", _write_config(tmp_path, line + "\n"), "fit",
+                        "--synthetic", "d=1,n=10,noise=0.1"])
+
+
+_SAMPLE_TEXT = {
+    str: "0.25", float: "0.15", int: "7", _parse_bool: "true",
+    _parse_float_list: "0.1,0.2", _parse_int_list: "6,8", _parse_families: "ridge,lasso",
+    _parse_synthetic: "d=2,n=30,noise=0.2",
+}
+
+
+def _sample_text(option):
+    """A valid value for the option that differs from its default."""
+    if option.choices:
+        return next(c for c in option.choices if c != option.default)
+    if option.dest == "categorical":
+        return "a,b"
+    return _SAMPLE_TEXT[option.type]
+
+
+def _base_argv(command, dest):
+    """The fewest arguments `command` accepts, leaving `dest` unset."""
+    if command == "report":
+        base = {"records": "r.jsonl"}
+    elif dest in ("csv", "target"):
+        base = {"csv": "a.csv", "target": "y"}
+    else:
+        base = {"synthetic": "d=1,n=10,noise=0.1"}
+    base.update({"attack": {"alpha": "0.1"}, "defend": {"method": "trim", "gamma": "6"}}.get(command, {}))
+    base.pop(dest, None)
+    return [command] + [arg for key, value in base.items() for arg in (f"--{key}", value)]
+
+
+@pytest.mark.parametrize(
+    "option,command",
+    [(o, c) for o in OPTIONS for c in o.commands],
+    ids=[f"{c}{o.flag}" for o in OPTIONS for c in o.commands],
+)
+def test_flag_and_config_key_give_the_same_option(tmp_path, option, command):
+    base = _base_argv(command, option.dest)
+    text = _sample_text(option)
+    flag = [option.flag] if option.type is _parse_bool else [option.flag, text]
+    by_flag = parse_args(base + flag).options
+    path = _write_config(tmp_path, f"{command}.{option.flag[2:]}={text}\n")
+    assert parse_args(["--config", path] + base).options == by_flag
+    assert by_flag[option.dest] != option.default
