@@ -200,9 +200,9 @@ OPTIONS = (
     Option("--surrogate-fraction", "grey-box attacker view as a fraction of the training fold",
            ("sweep",), type=float),
     Option("--records", "records.jsonl produced by sweep (required)", ("report",)),
-    Option("--seed", f"master seed (default {DEFAULT_SEED})", _ALL, type=int, default=DEFAULT_SEED),
+    Option("--seed", f"master seed (default {DEFAULT_SEED})", _DATA, type=int, default=DEFAULT_SEED),
     Option("--out", "output directory (default $POISONBENCH_OUT or ./poisonbench-out)", _ALL),
-    Option("--verbose", "chatty progress on stderr", _ALL, type=_parse_bool, default=False),
+    Option("--verbose", "chatty progress on stderr", ("sweep",), type=_parse_bool, default=False),
 )
 
 
@@ -230,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path, command: str) -> dict:
     """Read key=value lines. `section.key` is checked against that command's
     option and applies only when it is running; a bare key applies to every
-    command that has the option. A section key wins over a bare one."""
+    command that has the option, and for the others must be a valid value
+    of some command's option. A section key wins over a bare one."""
     bare, sectioned = {}, {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -248,15 +249,17 @@ def _load_config_file(path, command: str) -> dict:
         option = next((o for o in known if (section or command) in o.commands), None)
         if not known or (section and option is None):
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        if option is None:
-            continue
-        try:
-            converted = option.type(value)
-            if option.choices is not None and converted not in option.choices:
-                raise ValueError(f"{value!r} not in {option.choices}")
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-        if section in ("", command):
+        for candidate in [option] if option else known:
+            try:
+                converted = candidate.type(value)
+                if candidate.choices is not None and converted not in candidate.choices:
+                    raise ValueError(f"{value!r} not in {candidate.choices}")
+                break
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                error = exc
+        else:
+            raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {error}") from error
+        if option is not None and section in ("", command):
             (sectioned if section else bare)[option.dest] = converted
     return {**bare, **sectioned}
 

@@ -12,7 +12,10 @@ Every solver reads the data through its `Moments` (G = A^T A for A = [X 1],
 c = A^T y and y^T y): OLS/Ridge solve the normal equations, with a
 minimum-norm least-squares fallback when they are ill-conditioned;
 LASSO/Elastic-net run cyclic coordinate descent with soft-thresholding in
-covariance-update form, O(d^2) a sweep whatever N is.
+covariance-update form on the centred Gram, O(d^2) a sweep whatever N is:
+the bias is minimized out exactly, so the sweeps cycle over the weights
+alone, and a column of zero centred variance (a constant feature) keeps
+weight 0.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ FAMILIES = ("ols", "ridge", "lasso", "enet")
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 10_000
 MIN_RCOND = 1e-8  # below this eigenvalue ratio the normal equations lose too many digits
+# a column whose centred variance is <= this times G_jj is constant; rounding
+# leaves up to 140 ulps there (measured on 40 to 100,000 rows)
+ZERO_VARIANCE_RTOL = 1024 * 2.0**-52
 LAMBDA_GRID = tuple(np.logspace(-4, 0, 9))
 
 
@@ -210,33 +216,40 @@ def _solve_normal_equations(m: Moments, lam, rows):
 
 
 def _coordinate_descent(m: Moments, l1, l2, tol, max_iters, w0=None, b0=None):
-    """Cyclic coordinate descent with soft-thresholding, bias unpenalized, in
-    covariance-update form (Friedman, Hastie & Tibshirani, 2010): with
-    q = G theta, x_j . residual = c_j - q_j. Plain floats beat numpy calls at
-    this size. Stops when the largest coordinate change in a sweep is < tol."""
+    """Cyclic coordinate descent with soft-thresholding on the centred Gram
+    (Friedman, Hastie & Tibshirani, 2010): the unpenalized bias is minimized
+    out, b = (sum y - s.w) / n with s = X^T 1, and the sweeps cycle over w
+    alone on Sigma = G_xx - s s^T / n and r = c_x - s sum(y) / n, keeping
+    q = Sigma w. A column of rounding-level centred variance is collinear with
+    the bias and keeps weight 0, the exact optimum for lambda > 0. Plain
+    floats beat numpy calls at this size. Stops when the largest weight change
+    or implied bias change in a sweep is < tol."""
     d, n = m.d, m.n
-    g, c = m.gram.tolist(), m.cross.tolist()
-    w = [0.0] * d if w0 is None else [float(v) for v in w0]
-    b = c[d] / n if b0 is None else float(b0)
-    q = [sum(gk * tk for gk, tk in zip(row, w + [b])) for row in g]
+    g = m.stats.tolist()  # rows x_1..x_d, 1, y; g[d] = (s, n, sum y)
+    s, sy = g[d][:d], g[d][d + 1]
+    sig = [[gjk - sj * sk / n for gjk, sk in zip(gj, s)] for gj, sj in zip(g, s)]
+    r = [gj[d + 1] - sj * sy / n for gj, sj in zip(g, s)]
+    free = [j for j in range(d) if sig[j][j] > ZERO_VARIANCE_RTOL * g[j][j]]
+    w = [0.0] * d
+    if w0 is not None:
+        for j in free:
+            w[j] = float(w0[j])
+    q = [sum(sk * wk for sk, wk in zip(row, w)) for row in sig]
+    b = sy / n if b0 is None else float(b0)
     for it in range(1, max_iters + 1):
         max_delta = 0.0
-        for j in range(d):
-            gj = g[j]
-            if gj[j] == 0.0:
-                continue
-            wj = w[j]
-            rho_j = c[j] - q[j] + gj[j] * wj
-            new = math.copysign(max(abs(rho_j) - l1, 0.0), rho_j) / (gj[j] + l2)
+        for j in free:
+            sj, wj = sig[j], w[j]
+            rho_j = r[j] - q[j] + sj[j] * wj
+            new = math.copysign(max(abs(rho_j) - l1, 0.0), rho_j) / (sj[j] + l2)
             if new != wj:
                 delta = new - wj
-                q = [qk + gk * delta for qk, gk in zip(q, gj)]
+                q = [qk + sk * delta for qk, sk in zip(q, sj)]
                 w[j] = new
                 max_delta = max(max_delta, abs(delta))
-        step = (c[d] - q[d]) / n  # mean residual
-        q = [qk + gk * step for qk, gk in zip(q, g[d])]
-        b += step
-        max_delta = max(max_delta, abs(step))
+        b_next = (sy - sum(sk * wk for sk, wk in zip(s, w))) / n
+        max_delta = max(max_delta, abs(b_next - b))
+        b = b_next
         if max_delta < tol:
             return np.array(w), b, it, True
     return np.array(w), b, max_iters, False

@@ -119,6 +119,22 @@ class TestMainExitCodes:
             main(["fit", "--nonsense"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        # only sweep reports progress
+        ["fit", "--synthetic", "d=1,n=20,noise=0.1", "--verbose"],
+        ["attack", "--synthetic", "d=1,n=20,noise=0.1", "--alpha", "0.1", "--max-iters", "1",
+         "--verbose"],
+        ["defend", "--synthetic", "d=1,n=20,noise=0.1", "--method", "trim", "--verbose"],
+        ["report", "--records", "r.jsonl", "--verbose"],
+        # report draws no random numbers
+        ["report", "--records", "r.jsonl", "--seed", "1"],
+    ])
+    def test_flag_the_command_never_reads_exits_2(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
     def test_computational_failure_exits_1(self, tmp_path, capsys):
         # proda gamma below d+1 passes usage validation, fails in the defense
         csv = write_poisoned_csv(tmp_path / "p.csv")
@@ -249,6 +265,13 @@ class TestConfigFile:
         defend = parse_args(["--config", path, "defend", *data]).options
         assert (attack["method"], attack["alpha"]) == ("nopt", 0.15)  # the section beats a bare key
         assert (defend["method"], defend["gamma"], defend["alpha_assumed"]) == ("proda", 6, 0.1)
+
+    def test_bare_key_of_another_command_is_checked_then_ignored(self, tmp_path):
+        path = _write_config(tmp_path, "verbose=yes\nseed=9\n")
+        assert parse_args(["--config", path, "sweep", "--synthetic", "d=1,n=10,noise=0.1"]
+                          ).options["verbose"] is True
+        report = parse_args(["--config", path, "report", "--records", "r.jsonl"]).options
+        assert "verbose" not in report and "seed" not in report
 
     @pytest.mark.parametrize("line,match", [
         ("verbose=maybe", "verbose"),

@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisonbench.data import Dataset
-from poisonbench.regress import FAMILIES, Moments, RegressionModel, fit, loss, mse, select_lambda
+from poisonbench.data import Dataset, SyntheticSpec, generate_synthetic
+from poisonbench.regress import (
+    DEFAULT_TOL,
+    FAMILIES,
+    Moments,
+    RegressionModel,
+    fit,
+    loss,
+    mse,
+    select_lambda,
+)
 
 from conftest import make_noisy_dataset
 
@@ -189,6 +198,79 @@ class TestMoments:
         r = model.predict(x) - y
         expected = np.append(x.T @ r, r.sum())
         np.testing.assert_allclose(m.residual_gradient(model), expected, atol=1e-12)
+
+
+def assert_stationary(x, y, report, l1, l2, tol=DEFAULT_TOL):
+    """First-order optimality of a converged CD fit, checked on the rows.
+
+    The bias is minimized out exactly, so the mean residual is 0. Each
+    weight was optimal when last updated; the later weights of that sweep
+    moved by < tol each, which leaves its gradient off by at most
+    tol * sum_k |Sigma_jk| on the centred Gram Sigma.
+    """
+    model = report.model
+    r = model.predict(x) - y
+    xc = x - x.mean(axis=0)
+    slack = tol * np.abs(xc.T @ xc).sum(axis=1).max() + 1e-12 * len(y)
+    assert abs(r.mean()) <= tol
+    for j, wj in enumerate(model.weights):
+        g = float(x[:, j] @ r) + l2 * wj
+        if wj != 0.0:
+            assert abs(g + l1 * np.sign(wj)) <= slack
+        else:
+            assert abs(g) <= l1 + slack
+
+
+class TestCoordinateDescent:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 5),
+        extra=st.integers(0, 40),
+        family=st.sampled_from(("lasso", "enet")),
+        lam=st.sampled_from((0.0, 1e-4, 1e-2, 0.1, 1.0)),
+        constant=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    )
+    def test_fit_is_stationary(self, seed, d, extra, family, lam, constant):
+        n = 2 * (d + 1) + extra
+        x, y = random_rows(seed, d, n)
+        if constant is not None:
+            x[:, seed % d] = constant
+        report = fit(Dataset(x, y), family, lam, rho=0.3)
+        assert report.converged
+        l1 = lam * (0.3 if family == "enet" else 1.0)
+        l2 = lam * 0.7 if family == "enet" else 0.0
+        assert_stationary(x, y, report, l1, l2)
+        if constant is not None:
+            # collinear with the bias: 0 is the optimum, and the min-norm one at lambda = 0
+            assert report.model.weights[seed % d] == 0.0
+
+    def test_constant_column_at_small_lambda_converges(self):
+        rng = np.random.default_rng(0)
+        x = rng.uniform(size=(40, 3))
+        x[:, 1] = 0.7  # centred variance about 1e-14 after rounding
+        y = x @ np.array([0.3, 0.0, -0.2]) + 0.4 + rng.normal(0.0, 0.05, size=40)
+        report = fit(Dataset(x, y), "lasso", 1e-4)
+        assert report.converged
+        assert report.model.weights[1] == 0.0
+        assert_stationary(x, y, report, 1e-4, 0.0)
+
+    @pytest.mark.parametrize("family", ["lasso", "enet"])
+    def test_warm_refit_after_moving_one_row_takes_few_sweeps(self, family):
+        # the attack's line-search trial on the acceptance protocol's rows:
+        # one row moved, then a refit warm-started from the fitted model
+        clean, _ = generate_synthetic(SyntheticSpec(
+            d=5, n=300, true_weights=(0.4, -0.3, 0.2, 0.5, -0.2), true_bias=0.4,
+            noise_std=0.1, seed=3))
+        x, y = clean.features, clean.responses
+        m = Moments.of(clean)
+        model = fit(m, family, 1e-2).model
+        rng = np.random.default_rng(5)
+        for i in rng.choice(clean.n, size=5, replace=False):
+            trial = m.replace_row(x[i], y[i], rng.uniform(size=5), float(rng.uniform()))
+            report = fit(trial, family, 1e-2, warm_start=model)
+            assert report.converged
+            assert report.iterations <= 10
 
 
 class TestLossAndMse:
