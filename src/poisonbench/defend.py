@@ -8,6 +8,15 @@ at least 1 - epsilon some group is entirely clean:
 
 Each group is fit, all rows are ranked by absolute residual to the group's
 model, the n closest rows are refit, and the minimum-MSE subset wins.
+
+The trials run in blocks of max(1, BLOCK_FLOATS // N), so no (trials x rows)
+array exceeds BLOCK_FLOATS floats. A block gathers its groups' rows once and
+builds their moments in one batched product, takes every trial's residuals
+to its group model in one (k x N) product, and builds the subset moments as
+mask @ outer, with outer holding the N per-row outer products; only the two
+fits of each trial run one at a time. A subset takes the n smallest absolute
+residuals, ties at the n-th value going to the lowest row indices, which is
+the first n of a stable sort. TRIM selects its subsets the same way.
 """
 
 from __future__ import annotations
@@ -20,7 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .regress import RegressionModel, fit
+from .regress import Moments, RegressionModel, fit
+
+BLOCK_FLOATS = 2**15  # bounds every (trials x rows) array of a Proda block
 
 
 @dataclass(frozen=True)
@@ -61,6 +72,7 @@ class DefenseResult:
                 "group_mses": list(self.group_mse_trace),
                 "wall_time_s": self.wall_time_s,
                 "iterations": self.iterations,
+                "converged": self.converged,
             },
             indent=2,
         )
@@ -107,12 +119,15 @@ def subset_size(n_rows: int, alpha_assumed: float) -> int:
     return math.ceil((1.0 - alpha_assumed) * n_rows)
 
 
-def _closest_rows(ds: Dataset, model: RegressionModel, n: int) -> np.ndarray:
-    """Indices of the n rows with smallest absolute residual; ties break by
-    row index (stable sort)."""
-    resid = np.abs(model.predict(ds.features) - ds.responses)
-    order = np.argsort(resid, kind="stable")
-    return np.sort(order[:n])
+def _smallest(resid: np.ndarray, n: int) -> np.ndarray:
+    """Boolean mask of the n smallest entries along the last axis; ties at
+    the n-th value go to the lowest indices, as in the first n of a stable
+    sort."""
+    kth = np.partition(resid, n - 1, axis=-1)[..., n - 1 : n]
+    below = resid < kth
+    ties = resid == kth
+    room = n - below.sum(axis=-1, keepdims=True)
+    return below | (ties & (np.cumsum(ties, axis=-1) <= room))
 
 
 def proda_defend(
@@ -124,41 +139,71 @@ def proda_defend(
 ) -> DefenseResult:
     """Probabilistic defense: beta seeded group trials, each expanded to its
     n closest rows, keeping the minimum-MSE refit (ties to the lowest trial
-    index)."""
-    n_rows = ds.n
-    if cfg.gamma < ds.d + 1:
-        raise ValueError(f"gamma must be >= d+1 = {ds.d + 1}, got {cfg.gamma}")
+    index).
+
+    Trial i draws its group from the i-th child of SeedSequence(cfg.seed).
+    The trials run in blocks (see the module docstring); each still makes
+    one group fit and one subset refit on moments, and its subset MSE is
+    summed over the subset's rows. `converged` is False when the winning
+    trial's group fit or subset refit did not converge.
+    """
+    n_rows, d = ds.n, ds.d
+    if cfg.gamma < d + 1:
+        raise ValueError(f"gamma must be >= d+1 = {d + 1}, got {cfg.gamma}")
     n = subset_size(n_rows, cfg.alpha_assumed)
     if n < cfg.gamma:
         raise ValueError(f"subset size n={n} smaller than gamma={cfg.gamma}; dataset too small")
     beta = compute_beta(cfg.alpha_assumed, cfg.gamma, cfg.epsilon)
 
     start = time.perf_counter()
-    seeds = np.random.SeedSequence(cfg.seed).spawn(beta)
-    best = None  # (mse, trial index, subset, model, group)
-    group_mses = []
-    for i in range(beta):
-        rng = np.random.default_rng(seeds[i])
-        group = np.sort(rng.choice(n_rows, size=cfg.gamma, replace=False))
-        group_model = fit(ds.take(group), family, lam, rho=rho).model
-        subset = _closest_rows(ds, group_model, n)
-        refit = fit(ds.take(subset), family, lam, rho=rho)
-        m = refit.train_mse
-        group_mses.append(m)
-        if best is None or m < best[0]:
-            best = (m, i, subset, refit.model, group)
+    rows = np.empty((n_rows, d + 2))  # [X 1 y]
+    rows[:, :d], rows[:, d], rows[:, d + 1] = ds.features, 1.0, ds.responses
+    outer = (rows[:, :, None] * rows[:, None, :]).reshape(n_rows, -1)
+    root = np.random.SeedSequence(cfg.seed)
+    block = min(beta, max(1, BLOCK_FLOATS // n_rows))
+    coef = np.empty((block, d + 2))  # rows (w, b, -1): coef @ rows.T are residuals
+    coef[:, d + 1] = -1.0
+    group_mses = np.empty(beta)
+    best = None  # (trial index, subset mask, model, group, converged)
+    for lo in range(0, beta, block):
+        k = min(block, beta - lo)
+        groups = np.array(
+            [np.sort(np.random.default_rng(s).choice(n_rows, size=cfg.gamma, replace=False))
+             for s in root.spawn(k)]
+        )
+        picked = rows[groups]
+        group_stats = picked.transpose(0, 2, 1) @ picked
+        ok = np.empty(k, dtype=bool)
+        for i in range(k):
+            report = fit(Moments(group_stats[i], cfg.gamma), family, lam, rho=rho)
+            coef[i, :d], coef[i, d], ok[i] = report.model.weights, report.model.bias, report.converged
+        mask = _smallest(np.abs(coef[:k] @ rows.T), n)
+        subset_stats = (mask @ outer).reshape(k, d + 2, d + 2)
+        models = []
+        for i in range(k):
+            report = fit(Moments(subset_stats[i], n), family, lam, rho=rho)
+            coef[i, :d], coef[i, d] = report.model.weights, report.model.bias
+            ok[i] &= report.converged
+            models.append(report.model)
+        resid = coef[:k] @ rows.T
+        mses = np.einsum("ij,ij->i", resid * resid, mask) / n
+        group_mses[lo : lo + k] = mses
+        i = int(np.argmin(mses))
+        if best is None or mses[i] < group_mses[best[0]]:
+            best = (lo + i, mask[i], models[i], groups[i], bool(ok[i]))
     elapsed = time.perf_counter() - start
 
-    best_mse, _, subset, model, group = best
+    trial, subset, model, group, converged = best
     return DefenseResult(
-        subset_indices=tuple(int(i) for i in subset),
+        subset_indices=tuple(int(i) for i in np.flatnonzero(subset)),
         model=model,
-        subset_mse=best_mse,
-        group_mse_trace=tuple(group_mses),
+        subset_mse=float(group_mses[trial]),
+        group_mse_trace=tuple(group_mses.tolist()),
         beta_used=beta,
         wall_time_s=elapsed,
         iterations=beta,
         winning_group_indices=tuple(int(i) for i in group),
+        converged=converged,
     )
 
 
@@ -190,7 +235,8 @@ def trim_defend(
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
-        new_subset = _closest_rows(ds, model, n)
+        resid = np.abs(model.predict(ds.features) - ds.responses)
+        new_subset = np.flatnonzero(_smallest(resid, n))
         report = fit(ds.take(new_subset), family, lam, rho=rho)
         same_subset = np.array_equal(new_subset, subset)
         subset, model = new_subset, report.model
@@ -209,7 +255,7 @@ def trim_defend(
         beta_used=it,
         wall_time_s=elapsed,
         iterations=it,
-        converged=converged,
+        converged=converged and report.converged,
     )
 
 

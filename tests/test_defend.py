@@ -1,10 +1,17 @@
+import dataclasses
 import itertools
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from poisonbench import defend
 from poisonbench.data import Dataset, merge
 from poisonbench.defend import (
+    DefenseResult,
     ProdaConfig,
     compute_beta,
     estimate_complexity,
@@ -13,7 +20,7 @@ from poisonbench.defend import (
     trim_defend,
     trim_worst_case_iterations,
 )
-from poisonbench.regress import fit, loss, mse
+from poisonbench.regress import FAMILIES, fit, loss, mse
 
 from conftest import make_noisy_dataset
 
@@ -74,6 +81,24 @@ class TestComputeBeta:
                 assert p_dirty**beta <= 1e-5
                 if beta > 1:
                     assert p_dirty ** (beta - 1) > 1e-5
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=st.floats(0.0, 0.5, exclude_min=True),
+        gamma=st.integers(1, 60),
+        epsilon=st.floats(1e-9, 0.5),
+    )
+    @example(alpha=0.5, gamma=60, epsilon=1e-5)
+    def test_guarantee_and_minimality_property(self, alpha, gamma, epsilon):
+        p_dirty = 1.0 - (1.0 - alpha) ** gamma
+        if p_dirty >= 1.0:  # (1-alpha)^gamma is lost to rounding
+            with pytest.raises(ValueError, match="underflowed"):
+                compute_beta(alpha, gamma, epsilon)
+            return
+        beta = compute_beta(alpha, gamma, epsilon)
+        assert beta >= 1
+        assert p_dirty**beta <= epsilon
+        assert p_dirty ** (beta - 1) > epsilon
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -272,3 +297,167 @@ class TestSubsetOptimality:
                 sub = merged.take(list(result.subset_indices))
                 value = loss(sub, fit(sub, "ols").model, include_regularizer=False)
                 assert value <= 1.05 * best + 1e-18
+
+
+def reference_proda(ds, cfg, family="ols", lam=0.0, rho=0.5):
+    """Proda as one trial at a time: row copies, a fit on each, a stable
+    argsort of every residual. The block pass must choose as this does."""
+    n_rows = ds.n
+    n = subset_size(n_rows, cfg.alpha_assumed)
+    beta = compute_beta(cfg.alpha_assumed, cfg.gamma, cfg.epsilon)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(beta)
+    best = None  # (mse, trial index, subset, model, group)
+    group_mses = []
+    for i in range(beta):
+        rng = np.random.default_rng(seeds[i])
+        group = np.sort(rng.choice(n_rows, size=cfg.gamma, replace=False))
+        group_model = fit(ds.take(group), family, lam, rho=rho).model
+        resid = np.abs(group_model.predict(ds.features) - ds.responses)
+        subset = np.sort(np.argsort(resid, kind="stable")[:n])
+        refit = fit(ds.take(subset), family, lam, rho=rho)
+        m = refit.train_mse
+        group_mses.append(m)
+        if best is None or m < best[0]:
+            best = (m, i, subset, refit.model, group)
+    best_mse, _, subset, model, group = best
+    return DefenseResult(
+        subset_indices=tuple(int(i) for i in subset),
+        model=model,
+        subset_mse=best_mse,
+        group_mse_trace=tuple(group_mses),
+        beta_used=beta,
+        wall_time_s=0.0,
+        iterations=beta,
+        winning_group_indices=tuple(int(i) for i in group),
+    )
+
+
+# the block pass sums in another order than the row copies; CD stops at a
+# 1e-8 step, so LASSO/Elastic-net traces may move by more than rounding
+TRACE_RTOL = {"ols": 1e-12, "ridge": 1e-12, "lasso": 1e-6, "enet": 1e-6}
+
+
+def assert_matches_reference(ds, cfg, family):
+    lam = 0.0 if family == "ols" else 1e-2
+    got = proda_defend(ds, cfg, family, lam)
+    want = reference_proda(ds, cfg, family, lam)
+    assert got.subset_indices == want.subset_indices
+    assert got.winning_group_indices == want.winning_group_indices
+    assert got.beta_used == want.beta_used
+    np.testing.assert_allclose(
+        got.group_mse_trace, want.group_mse_trace, rtol=TRACE_RTOL[family], atol=0
+    )
+    assert got.subset_mse == min(got.group_mse_trace)
+
+
+def duplicate_tie_dataset():
+    """16 rows on a line and 6 copies of one row 0.4 above it. With n = 18
+    every fit near the line ranks the copies 17th to 22nd, tied."""
+    copies = [2, 5, 9, 12, 15, 20]
+    on_line = np.ones(22, dtype=bool)
+    on_line[copies] = False
+    x = np.full(22, 0.5)
+    x[on_line] = np.linspace(0.0, 1.0, 16)
+    y = 0.5 * x + 0.25 + np.where(on_line, 0.0, 0.4)
+    return Dataset(x[:, None], y), copies
+
+
+class TestProdaBlocks:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("gamma", (3, 6))
+    def test_matches_reference_loop(self, family, gamma):
+        for seed in range(4):
+            _, merged, _ = planted_outlier_dataset(48, 12, seed=seed)
+            cfg = ProdaConfig(gamma=gamma, alpha_assumed=0.2, seed=seed)
+            assert_matches_reference(merged, cfg, family)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_reference_loop_across_blocks(self, monkeypatch, family):
+        _, merged, _ = planted_outlier_dataset(48, 12, seed=7)
+        monkeypatch.setattr(defend, "BLOCK_FLOATS", 7 * merged.n)  # blocks of 7 trials
+        cfg = ProdaConfig(gamma=6, alpha_assumed=0.2, seed=3)
+        beta = compute_beta(cfg.alpha_assumed, cfg.gamma, cfg.epsilon)
+        assert beta > 14 and beta % 7 != 0
+        assert_matches_reference(merged, cfg, family)
+
+    def test_selector_matches_stable_argsort(self):
+        rng = np.random.default_rng(0)
+        resid = np.round(rng.uniform(size=(64, 40)), 1)  # about 4 ties per value
+        for n in range(1, 41):
+            mask = defend._smallest(resid, n)
+            for row, chosen in zip(resid, mask):
+                want = np.sort(np.argsort(row, kind="stable")[:n])
+                assert np.array_equal(np.flatnonzero(chosen), want)
+            assert np.array_equal(defend._smallest(resid[5], n), mask[5])
+
+    def test_duplicate_ties_go_to_the_lowest_rows(self):
+        ds, copies = duplicate_tie_dataset()
+        assert subset_size(ds.n, 0.19) == 18
+        want = tuple(i for i in range(ds.n) if i not in copies[2:])
+        for seed in range(4):
+            cfg = ProdaConfig(gamma=2, alpha_assumed=0.19, seed=seed)
+            assert proda_defend(ds, cfg, "ols").subset_indices == want
+            assert trim_defend(ds, 0.19, "ols", seed=seed).subset_indices == want
+
+    @pytest.mark.parametrize("block_trials", (None, 3))
+    def test_tied_trials_go_to_the_first(self, monkeypatch, block_trials):
+        # every group that misses both outliers keeps the same 10 rows
+        x = np.linspace(0.0, 1.0, 12)
+        y = 0.5 * x + 0.25
+        y[[3, 8]] = (1.0, 0.0)
+        ds = Dataset(x[:, None], y)
+        if block_trials:
+            monkeypatch.setattr(defend, "BLOCK_FLOATS", block_trials * ds.n)
+        for seed in range(4):
+            cfg = ProdaConfig(gamma=2, alpha_assumed=0.17, seed=seed)
+            result = proda_defend(ds, cfg, "ols")
+            trace = np.array(result.group_mse_trace)
+            tied = np.flatnonzero(trace == trace.min())
+            assert len(tied) > 1
+            child = np.random.SeedSequence(seed).spawn(result.beta_used)[tied[0]]
+            group = np.sort(np.random.default_rng(child).choice(ds.n, size=2, replace=False))
+            assert result.winning_group_indices == tuple(group)
+
+    def test_memory_stays_below_one_trials_by_rows_matrix(self):
+        # gamma = 30 gives beta = 9,295: one (beta x N) float matrix is 27.9 MB
+        ds = make_noisy_dataset(n=375, d=5, seed=1)
+        cfg = ProdaConfig(gamma=30, alpha_assumed=0.2, seed=3)
+        tracemalloc.start()
+        try:
+            result = proda_defend(ds, cfg, "ols")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.beta_used == 9_295
+        assert peak <= 8 * 2**20
+
+
+class TestFitStatus:
+    @staticmethod
+    def stall(monkeypatch, which):
+        """Report the fits that `which` accepts as not converged."""
+        real = defend.fit
+
+        def stalled(data, *args, **kwargs):
+            report = real(data, *args, **kwargs)
+            return dataclasses.replace(report, converged=False) if which(data) else report
+
+        monkeypatch.setattr(defend, "fit", stalled)
+
+    @pytest.mark.parametrize("stalled_fit", ("group", "subset"))
+    def test_proda_reports_a_stalled_winning_fit(self, monkeypatch, stalled_fit):
+        ds = make_noisy_dataset(n=40, d=2, seed=0)
+        cfg = ProdaConfig(gamma=3, alpha_assumed=0.1, seed=1)
+        assert proda_defend(ds, cfg, "lasso", 1e-2).converged
+        self.stall(monkeypatch, lambda data: (data.n == cfg.gamma) == (stalled_fit == "group"))
+        result = proda_defend(ds, cfg, "lasso", 1e-2)
+        assert not result.converged
+        assert json.loads(result.to_json())["converged"] is False
+
+    def test_trim_reports_a_stalled_final_refit(self, monkeypatch):
+        _, merged, _ = planted_outlier_dataset(30, 6, seed=41)
+        assert trim_defend(merged, 0.2, "lasso", 1e-2, seed=5).converged
+        self.stall(monkeypatch, lambda data: True)
+        result = trim_defend(merged, 0.2, "lasso", 1e-2, seed=5)
+        assert not result.converged
+        assert json.loads(result.to_json())["converged"] is False
