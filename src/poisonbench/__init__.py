@@ -4,7 +4,6 @@ from .attack import (
     AttackConfig,
     AttackState,
     DegenerateCleanLossError,
-    KktSystem,
     dispersion_objective,
     nopt_attack,
     objective_gradient,
@@ -44,7 +43,6 @@ __all__ = [
     "DegenerateCleanLossError",
     "ExperimentSpec",
     "FitReport",
-    "KktSystem",
     "Moments",
     "NormalizationSpec",
     "ProdaConfig",

@@ -38,6 +38,11 @@ logger = logging.getLogger(__name__)
 
 KKT_JITTER = 1e-8
 ARMIJO_C = 1e-4
+# line search: first step, backtracking factor and backtracks per point; the
+# poison points stay in the unit box [0, 1] that every dataset lives in
+STEP0 = 0.1
+SHRINK = 0.5
+MAX_BACKTRACKS = 20
 # training MSE at or below this is "zero" (noiseless data up to rounding)
 DEGENERATE_MSE = 1e-18
 
@@ -55,10 +60,6 @@ class AttackConfig:
     alpha: float
     eps_conv: float = 1e-6
     max_outer_iters: int = 100
-    step0: float = 0.1
-    shrink: float = 0.5
-    max_backtracks: int = 20
-    box: tuple[float, float] = (0.0, 1.0)
     seed: int = 0
     n_poison: int | None = None  # overrides floor(alpha*n_o/(1-alpha)) when set
     reference_loss: str = "clean_fit"
@@ -72,29 +73,6 @@ class AttackConfig:
             raise ValueError("max_outer_iters must be >= 1")
         if self.reference_loss not in REFERENCE_MODES:
             raise ValueError(f"reference_loss must be one of {REFERENCE_MODES}")
-        if self.box[0] >= self.box[1]:
-            raise ValueError("box must be (lo, hi) with lo < hi")
-
-
-@dataclass(frozen=True)
-class KktSystem:
-    """Blocks of the stationarity system for one training point z_c = (x_c, y_c)."""
-
-    moments: Moments  # of the training rows
-    m: np.ndarray     # w x_c^T + (f(x_c) - y_c) I
-    reg: float        # lambda * penalty curvature
-
-    @property
-    def n(self) -> int:
-        return self.moments.n
-
-    @property
-    def sigma(self) -> np.ndarray:  # (1/n) sum x x^T
-        return self.moments.gram[:-1, :-1] / self.n
-
-    def matrix(self) -> np.ndarray:
-        """[[Sigma + reg/n, mu], [mu^T, 1]]: the training Hessian over n."""
-        return self.moments.penalized_gram(self.reg) / self.n
 
 
 @dataclass(frozen=True)
@@ -153,14 +131,6 @@ def dispersion_objective(
     return abs(_dispersion(total, ref_loss, clean.n + poison.n, clean.n))
 
 
-def build_kkt(
-    training: Dataset | Moments, model: RegressionModel, x_c: np.ndarray, y_c: float
-) -> KktSystem:
-    r_c = float(model.weights @ x_c + model.bias - y_c)
-    m = np.outer(model.weights, x_c) + r_c * np.eye(len(model.weights))
-    return KktSystem(Moments.of(training), m, model.lam * model.curvature_scale())
-
-
 def _solve_kkt(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(h, rhs)
@@ -184,12 +154,14 @@ def theta_jacobian(
     if training.n < training.d + 1:
         raise ValueError("need n >= d+1 training rows for the KKT system")
     x_c = np.asarray(x_c, dtype=float)
-    kkt = build_kkt(training, model, x_c, y_c)
-    # explicit = [[M, w], [-x_c^T, -1]]: (w, -1) (x_c, 1)^T with M in the top-left block
+    moments = Moments.of(training)
+    r_c = float(model.weights @ x_c + model.bias - y_c)
+    # explicit = [[M, w], [-x_c^T, -1]]: (w, -1) (x_c, 1)^T plus r_c I in the top-left block
     explicit = np.outer(np.concatenate((model.weights, (-1.0,))), np.concatenate((x_c, (1.0,))))
-    explicit[:-1, :-1] = kkt.m
-    # J = -(1/n) explicit @ H^-1; H is symmetric so solve on the transpose.
-    return -(1.0 / kkt.n) * _solve_kkt(kkt.matrix(), explicit.T).T
+    explicit[:-1, :-1] += r_c * np.eye(len(x_c))
+    # J = -(1/n) explicit @ H^-1, H = training Hessian / n; H is symmetric: solve on the transpose
+    h = moments.penalized_gram(model.lam * model.curvature_scale()) / moments.n
+    return -(1.0 / moments.n) * _solve_kkt(h, explicit.T).T
 
 
 def _sign(value: float) -> float:
@@ -278,7 +250,6 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
         _require_reference(ref_loss, clean.n)
 
     px, py = _initial_poison(clean, p, np.random.default_rng(cfg.seed))
-    lo, hi = cfg.box
     d = clean.d
     # every row sum the loop needs is read off these moments; a trial step
     # is a rank-two update of the merged ones
@@ -326,10 +297,10 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
             if norm == 0.0 or not math.isfinite(norm):
                 continue
             direction = grad / norm
-            eta = cfg.step0
-            for _ in range(cfg.max_backtracks):
-                cand_x = np.clip(px[c] + eta * direction[:d], lo, hi)
-                cand_y = min(max(float(py[c] + eta * direction[d]), lo), hi)
+            eta = STEP0
+            for _ in range(MAX_BACKTRACKS):
+                cand_x = np.clip(px[c] + eta * direction[:d], 0.0, 1.0)
+                cand_y = min(max(float(py[c] + eta * direction[d]), 0.0), 1.0)
                 trial = merged.replace_row(px[c], py[c], cand_x, cand_y)
                 report = fit(trial, family, lam, rho=rho, warm_start=theta)
                 refits += 1
@@ -340,7 +311,7 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
                         px[c], py[c] = cand_x, cand_y
                         merged, theta, obj = trial, report.model, trial_obj
                         break
-                eta *= cfg.shrink
+                eta *= SHRINK
             # all backtracks rejected: the point stays where it was
         trace.append(record(outer, theta, obj))
         if abs(obj - sweep_start) < cfg.eps_conv:

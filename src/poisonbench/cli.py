@@ -21,16 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness
+from . import harness, svgplot
 from .attack import AttackConfig, nopt_attack, opt_attack, poison_to_csv
 from .data import SyntheticSpec, generate_synthetic, load_csv, split_three
-from .defend import (
-    ProdaConfig,
-    proda_defend,
-    subset_size,
-    trim_defend,
-    trim_worst_case_iterations,
-)
+from .defend import ProdaConfig, proda_defend, subset_size, trim_defend, trim_worst_case_text
 from .regress import FAMILIES, fit, mse, select_lambda
 
 DEFAULT_SEED = 1337
@@ -297,6 +291,8 @@ def _validate(cfg: CliConfig):
         opts.setdefault("alpha_assumed", opts.get("alpha", 0.2))
     if cfg.command == "sweep" and opts["defense"] == "proda" and "gammas" not in opts:
         raise UsageError("--gammas is required when sweeping the proda defense")
+    if cfg.command == "sweep" and opts["jobs"] < 1:
+        raise UsageError("--jobs must be >= 1")
     if cfg.command == "report" and "records" not in opts:
         raise UsageError("--records is required for report")
     if "lam" in opts and opts["lam"] != "auto":
@@ -349,16 +345,9 @@ def _cmd_fit(cfg: CliConfig) -> int:
     (out / f"{name}_normalization.json").write_text(norm.to_json(), encoding="utf-8")
     print(f"family={family} lambda={lam} train_mse={report.train_mse}")
     if ds.d == 1:
-        harness.emit_plot(
-            {
-                "points": list(zip(ds.features[:, 0], ds.responses)),
-                "lines": [
-                    {"name": family, "weight": float(report.model.weights[0]),
-                     "bias": report.model.bias}
-                ],
-            },
-            "scatter_fit",
-            out / f"{name}_fit.svg",
+        line = {"name": family, "weight": float(report.model.weights[0]), "bias": report.model.bias}
+        svgplot.write_scatter_fit(
+            list(zip(ds.features[:, 0], ds.responses)), [line], "x", "y", out / f"{name}_fit.svg"
         )
     return 0
 
@@ -421,7 +410,7 @@ def _cmd_defend(cfg: CliConfig) -> int:
     doc["method"] = opts["method"]
     doc["alpha_assumed"] = alpha_assumed
     n = subset_size(ds.n, alpha_assumed)
-    doc["trim_worst_case_iterations"] = str(trim_worst_case_iterations(ds.n, n))
+    doc["trim_worst_case_iterations"] = trim_worst_case_text(ds.n, n)
     doc["trim_worst_case_note"] = (
         f"iterative trimming may traverse C({ds.n}, {n}) subsets in the worst case"
     )

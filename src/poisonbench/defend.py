@@ -264,6 +264,16 @@ def trim_worst_case_iterations(n_rows: int, n_subset: int) -> int:
     return math.comb(n_rows, n_subset)
 
 
+def trim_worst_case_text(n_rows: int, n_subset: int) -> str:
+    """C(N, n) as exact digits, or as 10^X.XXX past about 4,000 digits,
+    where str() hits Python's int-to-str digit limit and comb gets slow."""
+    lg = math.lgamma
+    log10 = (lg(n_rows + 1) - lg(n_subset + 1) - lg(n_rows - n_subset + 1)) / math.log(10)
+    if log10 < 4000:
+        return str(trim_worst_case_iterations(n_rows, n_subset))
+    return f"10^{log10:.3f}"
+
+
 def estimate_complexity(
     alpha: float, gamma: int, epsilon: float, n: int, rate_iters_per_s: float
 ) -> ComplexityEstimate:

@@ -8,7 +8,7 @@ MSEs are computed on the clean training fold (the poison is excluded from
 evaluation); test-fold MSEs are recorded alongside.
 
 The summary's time columns follow the iteration-count timing convention
-(work units divided by a configurable iterations-per-second rate), which is
+(work units divided by a fixed 1e9 iterations per second), which is
 deterministic; raw wall-clock measurements stay in the per-cell records.
 """
 
@@ -35,10 +35,11 @@ from .data import (
     poison_count,
     split_three,
 )
-from .defend import ProdaConfig, proda_defend, subset_size, trim_defend, trim_worst_case_iterations
+from .defend import ProdaConfig, proda_defend, subset_size, trim_defend, trim_worst_case_text
 from .regress import fit, mse, select_lambda
 
 SCHEMA_VERSION = 1
+RATE_ITERS_PER_S = 1e9  # iteration-count timing conversion
 
 ATTACKS = ("none", "opt", "nopt")
 DEFENSES = ("none", "trim", "proda")
@@ -88,7 +89,6 @@ class ExperimentSpec:
     attack_max_outer: int = 30
     defense_epsilon: float = 1e-5
     defense_max_iters: int = 100
-    rate_iters_per_s: float = 1e9  # iteration-count timing conversion
 
     def __post_init__(self):
         if (self.csv_path is None) == (self.synthetic is None):
@@ -214,7 +214,7 @@ def _fill_cell(record, spec, family, alpha, gamma, alpha_assumed, seed, base):
         record["attack_iterations"] = state.iterations
         record["attack_converged"] = state.converged
         record["attack_refits"] = state.refit_count
-        record["time_attack_s"] = state.refit_count * train.n / spec.rate_iters_per_s
+        record["time_attack_s"] = state.refit_count * train.n / RATE_ITERS_PER_S
         poisoned, _ = merge(train, state.poison)
         poisoned_report = fit(poisoned, family, lam, rho=spec.rho)
         record["mse_poisoned"] = mse(train, poisoned_report.model)
@@ -249,11 +249,11 @@ def _fill_cell(record, spec, family, alpha, gamma, alpha_assumed, seed, base):
             )
             record["wall_time_defense_s"] = time.perf_counter() - t0
             work = result.iterations * training_pool.n
-            record["trim_worst_case_iterations"] = str(
-                trim_worst_case_iterations(training_pool.n, subset_size(training_pool.n, alpha_assumed))
+            record["trim_worst_case_iterations"] = trim_worst_case_text(
+                training_pool.n, subset_size(training_pool.n, alpha_assumed)
             )
         record["defense_iterations"] = result.iterations
-        record["time_defense_s"] = work / spec.rate_iters_per_s
+        record["time_defense_s"] = work / RATE_ITERS_PER_S
         record["mse_defended"] = mse(train, result.model)
         record["mse_defended_test"] = mse(test, result.model)
 
@@ -267,22 +267,22 @@ def _cells(spec: ExperimentSpec):
                     yield family, alpha, gamma, repeat
 
 
-def _run_cell_star(args):
-    spec, family, alpha, gamma, repeat = args
-    return run_cell(spec, family, alpha, gamma, repeat)
+def _run_task(task):
+    return run_cell(*task)  # looked up at call time, so a wrapper patched onto run_cell runs
 
 
 def run_sweep(spec: ExperimentSpec, jobs: int = 1):
     """Iterate the full Cartesian product of grids x repeats, yielding one
-    record per cell in deterministic order."""
-    cells = list(_cells(spec))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(_run_cell_star, [(spec,) + c for c in cells], chunksize=1)
-        return
+    record per cell in deterministic order. The base dataset is loaded once,
+    here, so a load failure raises; `jobs` >= 2 runs the cells in at most
+    min(jobs, cells) worker processes."""
     base = load_base_dataset(spec)
-    for family, alpha, gamma, repeat in cells:
-        yield run_cell(spec, family, alpha, gamma, repeat, base=base)
+    tasks = [(spec, *cell, base) for cell in _cells(spec)]
+    if jobs < 2 or len(tasks) < 2:
+        yield from map(_run_task, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        yield from pool.map(_run_task, tasks, chunksize=1)
 
 
 def header_record(spec: ExperimentSpec) -> dict:
@@ -379,7 +379,7 @@ def summary_csv(summary: list[dict]) -> str:
     for row in summary:
         out = []
         for col in SUMMARY_COLUMNS:
-            if col in ("dataset", "family", "attack", "defense", "alpha", "alpha_assumed", "gamma"):
+            if col in _CELL_KEYS:
                 v = row.get(col)
             else:
                 v = row.get(f"{col}_mean")
@@ -436,9 +436,7 @@ def _series_for(summary, x_key):
 def emit_plot(summary, kind: str, path):
     """Render an aggregated summary as an SVG chart plus companion CSV.
 
-    kind: mse_vs_alpha | mse_vs_gamma | scatter_fit. For scatter_fit,
-    summary is {"points": [(x, y), ...], "lines": [{name, weight, bias}]}.
-    Returns (svg_path, csv_path).
+    kind: mse_vs_alpha | mse_vs_gamma. Returns (svg_path, csv_path).
     """
     if kind == "mse_vs_alpha":
         series = _series_for(summary, "alpha")
@@ -450,6 +448,4 @@ def emit_plot(summary, kind: str, path):
         if not series:
             raise ValueError("summary has no plottable gamma series")
         return svgplot.write_line_chart(series, "group size gamma", "MSE", path)
-    if kind == "scatter_fit":
-        return svgplot.write_scatter_fit(summary["points"], summary.get("lines", ()), "x", "y", path)
     raise ValueError(f"unknown plot kind {kind!r}")

@@ -17,7 +17,7 @@ from poisonbench.attack import (
     theta_jacobian,
 )
 from poisonbench.data import Dataset, merge
-from poisonbench.regress import DEFAULT_TOL, fit, loss, mse
+from poisonbench.regress import DEFAULT_TOL, Moments, fit, loss, mse
 
 from conftest import make_noisy_dataset
 
@@ -370,13 +370,13 @@ class TestAttackLoop:
 
 class TestKktSystem:
     def test_blocks_symmetric_and_psd(self):
-        from poisonbench.attack import build_kkt
-
+        # the system theta_jacobian solves is the training Hessian over n
         for seed in range(5):
             clean, poison, merged, model, _ = make_attack_instance(seed + 100, family="ridge",
                                                                    lam=0.2)
-            kkt = build_kkt(merged, model, poison.features[0], float(poison.responses[0]))
-            assert np.allclose(kkt.sigma, kkt.sigma.T)
-            assert np.min(np.linalg.eigvalsh(kkt.sigma)) >= -1e-12
-            h = kkt.matrix()
+            moments = Moments.of(merged)
+            sigma = moments.gram[:-1, :-1] / moments.n
+            assert np.allclose(sigma, sigma.T)
+            assert np.min(np.linalg.eigvalsh(sigma)) >= -1e-12
+            h = moments.penalized_gram(model.lam * model.curvature_scale()) / moments.n
             assert np.allclose(h, h.T)

@@ -210,6 +210,14 @@ class TestDefendCommand:
         assert doc["max_iters"] == 100
         assert doc["iterations"] <= 100
 
+    def test_trim_bound_past_the_digit_limit(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(["defend", "--synthetic", "d=1,n=20000,noise=0.1", "--method", "trim",
+                     "--out", str(out)])
+        assert code == 0
+        doc = json.loads((out / "synthetic_defense.json").read_text())
+        assert doc["trim_worst_case_iterations"].startswith("10^4344.")
+
 
 class TestSweepAndReport:
     def test_sweep_writes_records_summary_and_plot(self, tmp_path, capsys):
@@ -236,6 +244,19 @@ class TestSweepAndReport:
     def test_report_requires_records(self):
         with pytest.raises(UsageError, match="--records"):
             parse_args(["report"])
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, jobs):
+        assert main(["sweep", "--synthetic", "d=2,n=45,noise=0.1", "--jobs", jobs,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failing_load_exits_1_for_any_jobs(self, tmp_path, jobs, capsys):
+        code = main(["sweep", "--csv", str(tmp_path / "missing.csv"), "--target", "y",
+                     "--repeats", "2", "--jobs", jobs, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "FileNotFoundError" in capsys.readouterr().err
 
 
 def _write_config(tmp_path, text):

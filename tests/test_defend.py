@@ -19,6 +19,7 @@ from poisonbench.defend import (
     subset_size,
     trim_defend,
     trim_worst_case_iterations,
+    trim_worst_case_text,
 )
 from poisonbench.regress import FAMILIES, fit, loss, mse
 
@@ -262,6 +263,14 @@ class TestTrim:
     def test_worst_case_bound(self):
         assert trim_worst_case_iterations(12, 9) == 220
         assert trim_worst_case_iterations(5, 5) == 1
+
+    def test_worst_case_text(self):
+        for n in range(1, 31):
+            assert trim_worst_case_text(30, n) == str(trim_worst_case_iterations(30, n))
+        # C(20000, 16000) has 4,344 digits, past str()'s default limit of 4,300
+        text = trim_worst_case_text(20000, 16000)
+        assert text.startswith("10^4344.")
+        assert 4344 < float(text[3:]) < 4345
 
 
 def tiny_oracle_instance(seed):

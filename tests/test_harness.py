@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from poisonbench import harness
 from poisonbench.data import SyntheticSpec
 from poisonbench.harness import (
     ExperimentSpec,
@@ -16,7 +17,7 @@ from poisonbench.harness import (
     summary_csv,
     write_records,
 )
-from poisonbench.svgplot import read_companion_csv
+from poisonbench.svgplot import read_companion_csv, write_scatter_fit
 
 SYN = SyntheticSpec(
     d=2, n=60, true_weights=(0.3, -0.2), true_bias=0.5, noise_std=0.08, seed=12
@@ -194,7 +195,9 @@ class TestEmitPlot:
             "points": [(0.0, 0.1), (0.5, 0.4), (1.0, 0.9)],
             "lines": [{"name": "ols", "weight": 0.8, "bias": 0.05}],
         }
-        svg_path, csv_path = emit_plot(payload, "scatter_fit", tmp_path / "s.svg")
+        svg_path, csv_path = write_scatter_fit(
+            payload["points"], payload["lines"], "x", "y", tmp_path / "s.svg"
+        )
         svg = svg_path.read_text()
         assert svg.count("<circle") == 3
         assert csv_path.exists()
@@ -254,3 +257,30 @@ class TestParallelJobs:
         drop = ("wall_time_attack_s", "wall_time_defense_s")
         strip = lambda rs: [{k: v for k, v in r.items() if k not in drop} for r in rs]
         assert strip(serial) == strip(parallel)
+
+    @pytest.mark.parametrize(
+        "jobs, repeats, workers", [(64, 3, [3]), (2, 3, [2]), (1, 3, []), (4, 1, [])]
+    )
+    def test_pool_capped_at_cell_count(self, monkeypatch, jobs, repeats, workers):
+        # a stand-in executor records its size and maps in this process
+        opened = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakeExecutor)
+        spec = small_spec(repeats=repeats)
+        records = list(run_sweep(spec, jobs=jobs))
+        assert opened == workers
+        assert [r["repeat"] for r in records] == list(range(repeats))
+        assert all("error" not in r for r in records)

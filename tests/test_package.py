@@ -1,3 +1,5 @@
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -16,3 +18,24 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_traced_bench_targets_resolve():
+    # perfbench/tracer.py wraps these (layer, attribute) pairs; read them
+    # without importing the tracer, so a deleted function fails here
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(encoding="utf-8"))
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    )
+    assert targets
+    for layer, attrs in targets.items():
+        module = importlib.import_module(f"poisonbench.{layer}")
+        for attr in attrs:
+            owner = module
+            for part in attr.split("."):
+                assert hasattr(owner, part), f"poisonbench.{layer}.{attr}"
+                owner = getattr(owner, part)
+            assert callable(owner), f"poisonbench.{layer}.{attr}"
