@@ -299,7 +299,7 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
             direction = grad / norm
             eta = STEP0
             for _ in range(MAX_BACKTRACKS):
-                cand_x = np.clip(px[c] + eta * direction[:d], 0.0, 1.0)
+                cand_x = np.minimum(np.maximum(px[c] + eta * direction[:d], 0.0), 1.0)
                 cand_y = min(max(float(py[c] + eta * direction[d]), 0.0), 1.0)
                 trial = merged.replace_row(px[c], py[c], cand_x, cand_y)
                 report = fit(trial, family, lam, rho=rho, warm_start=theta)

@@ -289,6 +289,8 @@ def _validate(cfg: CliConfig):
         if opts["method"] == "proda" and "gamma" not in opts:
             raise UsageError("--gamma is required for the proda defense")
         opts.setdefault("alpha_assumed", opts.get("alpha", 0.2))
+    if opts.get("alpha_assumed") is not None and not 0.0 <= opts["alpha_assumed"] < 1.0:
+        raise UsageError(f"--alpha-assumed must be in [0, 1), got {opts['alpha_assumed']}")
     if cfg.command == "sweep" and opts["defense"] == "proda" and "gammas" not in opts:
         raise UsageError("--gammas is required when sweeping the proda defense")
     if cfg.command == "sweep" and opts["jobs"] < 1:

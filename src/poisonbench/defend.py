@@ -9,14 +9,21 @@ at least 1 - epsilon some group is entirely clean:
 Each group is fit, all rows are ranked by absolute residual to the group's
 model, the n closest rows are refit, and the minimum-MSE subset wins.
 
+The groups come from one generator, default_rng(seed): trial i reads
+uniforms i*gamma to (i+1)*gamma - 1 of its stream and turns them into gamma
+distinct rows by Floyd's algorithm (Bentley & Floyd, "A Sample of
+Brilliance", CACM 1987), so a trial's group does not depend on how the
+trials are blocked.
+
 The trials run in blocks of max(1, BLOCK_FLOATS // N), so no (trials x rows)
-array exceeds BLOCK_FLOATS floats. A block gathers its groups' rows once and
-builds their moments in one batched product, takes every trial's residuals
-to its group model in one (k x N) product, and builds the subset moments as
-mask @ outer, with outer holding the N per-row outer products; only the two
-fits of each trial run one at a time. A subset takes the n smallest absolute
-residuals, ties at the n-th value going to the lowest row indices, which is
-the first n of a stable sort. TRIM selects its subsets the same way.
+array exceeds BLOCK_FLOATS floats. A block draws its groups in gamma vector
+steps, gathers their rows once and builds their moments in one batched
+product, takes every trial's residuals to its group model in one (k x N)
+product, and builds the subset moments as mask @ outer, with outer holding
+the N per-row outer products; only the two fits of each trial run one at a
+time. A subset takes the n smallest absolute residuals, ties at the n-th
+value going to the lowest row indices, which is the first n of a stable
+sort. TRIM selects its subsets the same way.
 """
 
 from __future__ import annotations
@@ -130,6 +137,22 @@ def _smallest(resid: np.ndarray, n: int) -> np.ndarray:
     return below | (ties & (np.cumsum(ties, axis=-1) <= room))
 
 
+def _floyd_groups(u: np.ndarray, n_rows: int) -> np.ndarray:
+    """One sorted group of gamma distinct rows of range(n_rows) per row of
+    the (k x gamma) uniforms u, by Floyd's algorithm: step j takes
+    t = floor(u[:, j] (m + 1)), uniform on 0..m with m = n_rows - gamma + j,
+    and keeps t, or m when t is already in the group."""
+    k, gamma = u.shape
+    groups = np.empty((k, gamma), dtype=np.intp)
+    for j in range(gamma):
+        m = n_rows - gamma + j
+        t = (u[:, j] * (m + 1)).astype(np.intp)
+        taken = (groups[:, :j] == t[:, None]).any(axis=1)
+        groups[:, j] = np.where(taken, m, t)
+    groups.sort(axis=1)
+    return groups
+
+
 def proda_defend(
     ds: Dataset,
     cfg: ProdaConfig,
@@ -141,10 +164,11 @@ def proda_defend(
     n closest rows, keeping the minimum-MSE refit (ties to the lowest trial
     index).
 
-    Trial i draws its group from the i-th child of SeedSequence(cfg.seed).
-    The trials run in blocks (see the module docstring); each still makes
-    one group fit and one subset refit on moments, and its subset MSE is
-    summed over the subset's rows. `converged` is False when the winning
+    Trial i draws its group from uniforms i*gamma to (i+1)*gamma - 1 of
+    default_rng(cfg.seed) by Floyd's algorithm. The trials run in blocks
+    (see the module docstring); each still makes one group fit and one
+    subset refit on moments, and its subset MSE is summed over the subset's
+    rows. `converged` is False when the winning
     trial's group fit or subset refit did not converge.
     """
     n_rows, d = ds.n, ds.d
@@ -159,7 +183,7 @@ def proda_defend(
     rows = np.empty((n_rows, d + 2))  # [X 1 y]
     rows[:, :d], rows[:, d], rows[:, d + 1] = ds.features, 1.0, ds.responses
     outer = (rows[:, :, None] * rows[:, None, :]).reshape(n_rows, -1)
-    root = np.random.SeedSequence(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     block = min(beta, max(1, BLOCK_FLOATS // n_rows))
     coef = np.empty((block, d + 2))  # rows (w, b, -1): coef @ rows.T are residuals
     coef[:, d + 1] = -1.0
@@ -167,10 +191,7 @@ def proda_defend(
     best = None  # (trial index, subset mask, model, group, converged)
     for lo in range(0, beta, block):
         k = min(block, beta - lo)
-        groups = np.array(
-            [np.sort(np.random.default_rng(s).choice(n_rows, size=cfg.gamma, replace=False))
-             for s in root.spawn(k)]
-        )
+        groups = _floyd_groups(rng.random((k, cfg.gamma)), n_rows)
         picked = rows[groups]
         group_stats = picked.transpose(0, 2, 1) @ picked
         ok = np.empty(k, dtype=bool)

@@ -105,6 +105,8 @@ class ExperimentSpec:
             raise ValueError("alpha_grid must be nonempty")
         if self.defense == "proda" and not self.gamma_grid:
             raise ValueError("gamma_grid must be nonempty for the proda defense")
+        if self.alpha_assumed is not None and not 0.0 <= self.alpha_assumed < 1.0:
+            raise ValueError(f"alpha_assumed must be in [0, 1), got {self.alpha_assumed}")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,12 +107,32 @@ class RegressionModel:
 
 @dataclass(frozen=True)
 class FitReport:
+    """A fit's model and status. train_loss (the regularized training loss)
+    and train_mse are computed from `data`, the fitted Dataset or Moments, on
+    first read: summed over the rows for a Dataset, read off the moments for
+    Moments. `data` must not change before then."""
+
     model: RegressionModel
-    train_loss: float
-    train_mse: float
+    train_loss: float = field(init=False)
+    train_mse: float = field(init=False)
     iterations: int
     converged: bool
+    data: Dataset | Moments = field(compare=False, repr=False)
     fallback: bool = False  # minimum-norm least-squares used on a singular system
+
+    def __getattr__(self, name):
+        # reached only while train_loss and train_mse are unset
+        if name not in ("train_loss", "train_mse"):
+            raise AttributeError(name)
+        data, model = self.data, self.model
+        if isinstance(data, Dataset):
+            train_loss, train_mse = loss(data, model, include_regularizer=True), mse(data, model)
+        else:
+            residual = data.residual_loss(model)
+            train_loss, train_mse = residual + model.penalty(), 2.0 * residual / data.n
+        object.__setattr__(self, "train_loss", train_loss)
+        object.__setattr__(self, "train_mse", train_mse)
+        return train_loss if name == "train_loss" else train_mse
 
 
 @dataclass(frozen=True)
@@ -161,8 +181,9 @@ class Moments:
     def penalized_gram(self, lam: float) -> np.ndarray:
         """G + lam diag(1, ..., 1, 0): G plus a weight penalty's curvature."""
         h = self.gram.copy()
-        for j in range(self.d):
-            h[j, j] += lam
+        if lam:
+            d = self.d
+            h.ravel()[: d * (d + 2) : d + 2] += lam  # the first d diagonal entries
         return h
 
     def residual_loss(self, model: RegressionModel) -> float:
@@ -269,7 +290,8 @@ def fit(
 
     warm_start seeds the coordinate-descent families only; closed-form
     families ignore it. A Dataset's train_loss and train_mse are summed over
-    its rows: moments would lose an exact fit's zero to cancellation.
+    its rows: moments would lose an exact fit's zero to cancellation. Both
+    are computed when first read (see FitReport).
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -295,12 +317,7 @@ def fit(
         )
         fallback = False
     model = RegressionModel(w, b, family, lam, rho)
-    if rows is None:
-        residual = m.residual_loss(model)
-        train_loss, train_mse = residual + model.penalty(), 2.0 * residual / m.n
-    else:
-        train_loss, train_mse = loss(rows, model, include_regularizer=True), mse(rows, model)
-    return FitReport(model, train_loss, train_mse, iterations, converged, fallback)
+    return FitReport(model, iterations, converged, data, fallback)
 
 
 def select_lambda(

@@ -135,6 +135,20 @@ class TestMainExitCodes:
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("alpha_assumed", ["-0.5", "1.5"])
+    @pytest.mark.parametrize("argv", [
+        ["defend", "--method", "trim"],
+        ["defend", "--method", "proda", "--gamma", "3"],
+        ["sweep", "--defense", "trim"],
+        ["sweep", "--defense", "proda", "--gammas", "3"],
+    ])
+    def test_alpha_assumed_out_of_range_exits_2(self, tmp_path, capsys, argv, alpha_assumed):
+        code = main([*argv, "--synthetic", "d=2,n=40,noise=0.1",
+                     "--alpha-assumed", alpha_assumed, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "--alpha-assumed must be in [0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_computational_failure_exits_1(self, tmp_path, capsys):
         # proda gamma below d+1 passes usage validation, fails in the defense
         csv = write_poisoned_csv(tmp_path / "p.csv")

@@ -308,18 +308,28 @@ class TestSubsetOptimality:
                 assert value <= 1.05 * best + 1e-18
 
 
+def floyd_group(rng, n_rows, gamma):
+    """One group as a scalar Floyd loop: gamma uniforms from rng, step j
+    keeps t = floor(u_j (m + 1)) or, when t is taken, m = n_rows - gamma + j."""
+    group = []
+    for j, u in enumerate(rng.random(gamma)):
+        m = n_rows - gamma + j
+        t = int(u * (m + 1))
+        group.append(m if t in group else t)
+    return np.sort(group)
+
+
 def reference_proda(ds, cfg, family="ols", lam=0.0, rho=0.5):
     """Proda as one trial at a time: row copies, a fit on each, a stable
     argsort of every residual. The block pass must choose as this does."""
     n_rows = ds.n
     n = subset_size(n_rows, cfg.alpha_assumed)
     beta = compute_beta(cfg.alpha_assumed, cfg.gamma, cfg.epsilon)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(beta)
+    rng = np.random.default_rng(cfg.seed)
     best = None  # (mse, trial index, subset, model, group)
     group_mses = []
     for i in range(beta):
-        rng = np.random.default_rng(seeds[i])
-        group = np.sort(rng.choice(n_rows, size=cfg.gamma, replace=False))
+        group = floyd_group(rng, n_rows, cfg.gamma)
         group_model = fit(ds.take(group), family, lam, rho=rho).model
         resid = np.abs(group_model.predict(ds.features) - ds.responses)
         subset = np.sort(np.argsort(resid, kind="stable")[:n])
@@ -423,8 +433,9 @@ class TestProdaBlocks:
             trace = np.array(result.group_mse_trace)
             tied = np.flatnonzero(trace == trace.min())
             assert len(tied) > 1
-            child = np.random.SeedSequence(seed).spawn(result.beta_used)[tied[0]]
-            group = np.sort(np.random.default_rng(child).choice(ds.n, size=2, replace=False))
+            rng = np.random.default_rng(seed)
+            for _ in range(tied[0] + 1):
+                group = floyd_group(rng, ds.n, 2)
             assert result.winning_group_indices == tuple(group)
 
     def test_memory_stays_below_one_trials_by_rows_matrix(self):
@@ -439,6 +450,83 @@ class TestProdaBlocks:
             tracemalloc.stop()
         assert result.beta_used == 9_295
         assert peak <= 8 * 2**20
+
+
+def record_groups(monkeypatch):
+    """Patch the Proda draw to keep every block's groups; returns the list."""
+    blocks = []
+    real = defend._floyd_groups
+
+    def recording(u, n_rows):
+        blocks.append(real(u, n_rows))
+        return blocks[-1]
+
+    monkeypatch.setattr(defend, "_floyd_groups", recording)
+    return blocks
+
+
+class TestProdaDraw:
+    def test_blocks_do_not_change_the_groups(self, monkeypatch):
+        _, merged, _ = planted_outlier_dataset(48, 12, seed=7)
+        cfg = ProdaConfig(gamma=6, alpha_assumed=0.2, seed=3)
+        blocks = record_groups(monkeypatch)
+        whole = proda_defend(merged, cfg, "ols")
+        assert len(blocks) == 1
+        one_block = blocks.pop()
+        monkeypatch.setattr(defend, "BLOCK_FLOATS", 7 * merged.n)  # blocks of 7 trials
+        split = proda_defend(merged, cfg, "ols")
+        assert len(blocks) > 2 and whole.beta_used % 7 != 0
+        assert np.array_equal(np.concatenate(blocks), one_block)
+        assert split.winning_group_indices == whole.winning_group_indices
+        assert split.subset_indices == whole.subset_indices
+
+    @pytest.mark.parametrize("n_rows, gamma", [(40, 40), (40, 3), (375, 24), (7, 1), (1, 1)])
+    def test_groups_are_distinct_rows_in_range(self, n_rows, gamma):
+        u = np.random.default_rng(gamma).random((500, gamma))
+        u[0], u[1] = 0.0, np.nextafter(1.0, 0.0)  # the extreme uniforms
+        groups = defend._floyd_groups(u, n_rows)
+        assert groups.shape == (500, gamma)
+        assert np.all(np.diff(groups, axis=1) > 0)  # sorted, so distinct
+        assert groups.min() >= 0 and groups.max() < n_rows
+        if gamma == n_rows:
+            assert np.array_equal(groups, np.broadcast_to(np.arange(n_rows), groups.shape))
+
+    @pytest.mark.parametrize("gamma", (3, 40))  # d + 1 and N
+    def test_proda_groups_at_the_size_limits(self, monkeypatch, gamma):
+        ds = make_noisy_dataset(n=40, d=2, seed=0)
+        blocks = record_groups(monkeypatch)
+        result = proda_defend(ds, ProdaConfig(gamma=gamma, alpha_assumed=0.0, seed=5), "ols")
+        groups = np.concatenate(blocks)
+        assert groups.shape == (result.beta_used, gamma)
+        assert np.all(np.diff(groups, axis=1) > 0)
+        assert groups.min() >= 0 and groups.max() < ds.n
+        assert len(result.winning_group_indices) == gamma
+
+    def test_row_frequencies_are_uniform(self):
+        # 40,000 groups of 24 from 375 rows: each row is expected 2,560 times
+        n_rows, gamma, draws = 375, 24, 40_000
+        groups = defend._floyd_groups(np.random.default_rng(0).random((draws, gamma)), n_rows)
+        counts = np.bincount(groups.ravel(), minlength=n_rows)
+        expected = draws * gamma / n_rows
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        # Wilson-Hilferty 99.9th percentile of chi-square with 374 df: 464
+        df = n_rows - 1
+        bound = df * (1 - 2 / (9 * df) + 3.09 * (2 / (9 * df)) ** 0.5) ** 3
+        assert 460 < bound < 470
+        assert chi2 < bound
+
+    def test_first_groups_are_pinned(self, monkeypatch):
+        # a change to the seeded draw has to change this literal
+        ds = make_noisy_dataset(n=40, d=2, seed=0)
+        blocks = record_groups(monkeypatch)
+        proda_defend(ds, ProdaConfig(gamma=6, seed=1234), "ols")
+        assert np.concatenate(blocks)[:5].tolist() == [
+            [4, 9, 12, 13, 34, 36],
+            [8, 10, 11, 17, 24, 35],
+            [8, 24, 25, 28, 30, 31],
+            [2, 6, 24, 25, 26, 31],
+            [0, 2, 10, 16, 20, 35],
+        ]
 
 
 class TestFitStatus:

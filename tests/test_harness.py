@@ -56,6 +56,17 @@ def fake_record(**kwargs):
     return base
 
 
+class TestExperimentSpec:
+    @pytest.mark.parametrize("alpha_assumed", [-0.5, 1.0, 1.5])
+    def test_alpha_assumed_outside_zero_one_rejected(self, alpha_assumed):
+        with pytest.raises(ValueError, match="alpha_assumed"):
+            small_spec(defense="trim", alpha_assumed=alpha_assumed)
+
+    def test_alpha_assumed_zero_and_unset_accepted(self):
+        assert small_spec(defense="trim", alpha_assumed=0.0).alpha_assumed == 0.0
+        assert small_spec(defense="trim").alpha_assumed is None
+
+
 class TestRunCell:
     def test_passthrough_without_attack_or_defense(self):
         spec = small_spec()

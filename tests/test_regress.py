@@ -1,14 +1,17 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from poisonbench.data import Dataset, SyntheticSpec, generate_synthetic
 from poisonbench.regress import (
     DEFAULT_TOL,
     FAMILIES,
+    FitReport,
     Moments,
     RegressionModel,
     fit,
@@ -198,6 +201,56 @@ class TestMoments:
         r = model.predict(x) - y
         expected = np.append(x.T @ r, r.sum())
         np.testing.assert_allclose(m.residual_gradient(model), expected, atol=1e-12)
+
+
+def penalized_gram_by_loop(m, lam):
+    """G + lam diag(1, ..., 1, 0) one diagonal entry at a time."""
+    h = m.gram.copy()
+    for j in range(m.d):
+        h[j, j] += lam
+    return h
+
+
+class TestLeanFit:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(1, 8),
+        lam=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+    )
+    def test_penalized_gram_is_the_loop_bit_for_bit(self, data, d, lam):
+        n = data.draw(st.integers(1, 12))
+        rows = data.draw(hnp.arrays(float, (n, d + 1), elements=st.floats(-1e3, 1e3)))
+        m = Moments.from_rows(rows[:, :d], rows[:, d])
+        stats = m.stats.copy()
+        assert m.penalized_gram(lam).tobytes() == penalized_gram_by_loop(m, lam).tobytes()
+        assert m.stats.tobytes() == stats.tobytes()  # the moments are left as they were
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_lazy_train_stats_equal_the_eager_formulas(self, family):
+        ds = make_noisy_dataset(n=40, d=3, seed=2)
+        m = Moments.of(ds)
+        lam = 0.0 if family == "ols" else 0.05
+        on_rows, on_moments = fit(ds, family, lam, rho=0.3), fit(m, family, lam, rho=0.3)
+        assert on_rows.train_mse == mse(ds, on_rows.model)  # read before train_loss
+        assert on_rows.train_loss == loss(ds, on_rows.model, include_regularizer=True)
+        residual = m.residual_loss(on_moments.model)
+        assert on_moments.train_loss == residual + on_moments.model.penalty()
+        assert on_moments.train_mse == 2.0 * residual / m.n
+        assert on_moments.train_loss == on_moments.train_loss  # a second read is the same
+
+    def test_stored_input_is_left_out_of_equality_and_repr(self):
+        ds = make_noisy_dataset(n=30, d=1, seed=3)
+        report = fit(ds, "ridge", 0.1)
+        assert report.data is ds
+        data_field = {f.name: f for f in dataclasses.fields(FitReport)}["data"]
+        assert not data_field.compare and not data_field.repr
+        # comparing two Datasets would raise: their arrays have no single truth value
+        assert dataclasses.replace(report, data=ds.take(np.arange(ds.n))) == report
+        assert repr(report) == (
+            f"FitReport(model={report.model!r}, train_loss={report.train_loss!r}, "
+            f"train_mse={report.train_mse!r}, iterations=1, converged=True, fallback=False)"
+        )
 
 
 def assert_stationary(x, y, report, l1, l2, tol=DEFAULT_TOL):
