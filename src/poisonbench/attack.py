@@ -9,17 +9,22 @@ attack by default) and theta re-solves the training problem after every point
 update. The Opt baseline runs the same machinery but maximizes the residual
 loss on the clean points only.
 
-Gradients flow through the trained parameters via the implicit function
-theorem applied to the training stationarity condition: with n training rows,
-Sigma = (1/n) sum_i x_i x_i^T and mu = (1/n) sum_i x_i,
+Gradients flow through the trained parameters theta = (w, b) via the
+implicit function theorem applied to the training stationarity condition:
 
-    d theta / d z_c (transposed) =
-        -(1/n) [[M, w], [-x_c^T, -1]] @ [[Sigma + reg, mu], [mu^T, 1]]^-1
+    d theta / d z_c (transposed) = J = -E H^-1,
+    E = [[w x_c^T + r_c I, w], [-x_c^T, -1]],  r_c = f(x_c) - y_c,
 
-with M = w x_c^T + (f(x_c) - y_c) I. The reg block is the curvature of the
-penalty scaled by lambda/n so the system is the exact Hessian of the
+with H = G + lambda * curvature * diag(1, ..., 1, 0) the Hessian of the
 training objective (1/2 sum r^2 + lambda Omega); the l1 part contributes
-zero curvature almost everywhere.
+zero curvature almost everywhere. A gradient needs only J @ g for one vector
+g, so it solves H v = g once (the adjoint form, Pedregosa 2016).
+
+The line search backtracks on the step eta of a projected step along the
+normalized gradient and accepts a trial when the objective rises by at
+least ARMIJO_C * g . (z_trial - z_c), the first-order gain of the clipped
+step (the Armijo rule along the projection arc, Bertsekas 1976). A trial
+that does not move the point has no gain and is rejected.
 """
 
 from __future__ import annotations
@@ -131,15 +136,34 @@ def dispersion_objective(
     return abs(_dispersion(total, ref_loss, clean.n + poison.n, clean.n))
 
 
-def _solve_kkt(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_kkt(h: np.ndarray, rhs: np.ndarray, jitter: float) -> np.ndarray:
+    """h^-1 rhs; a singular h is retried once with `jitter` added to its diagonal."""
     try:
         return np.linalg.solve(h, rhs)
     except np.linalg.LinAlgError:
-        logger.warning("KKT matrix singular; retrying with diagonal jitter %.0e", KKT_JITTER)
+        logger.warning("KKT matrix singular; retrying with diagonal jitter %.0e", jitter)
         try:
-            return np.linalg.solve(h + KKT_JITTER * np.eye(h.shape[0]), rhs)
+            return np.linalg.solve(h + jitter * np.eye(h.shape[0]), rhs)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("KKT matrix singular even after jitter") from exc
+
+
+def _implicit_product(
+    moments: Moments, model: RegressionModel, x_c: np.ndarray, y_c: float, rhs: np.ndarray
+) -> np.ndarray:
+    """J @ rhs for the Jacobian J of theta_jacobian from one solve v = H^-1 rhs:
+    J @ rhs = -E v = -[(w, -1) ((x_c, 1) . v) + r_c (v_x, 0)]. rhs is a
+    (d+1,) vector or a (d+1, k) matrix."""
+    n = moments.n
+    if n < moments.d + 1:
+        raise ValueError("need n >= d+1 training rows for the KKT system")
+    r_c = float(model.weights @ x_c + model.bias - y_c)
+    h = moments.penalized_gram(model.lam * model.curvature_scale())
+    # KKT_JITTER is on the Hessian over n, the mean of the per-row Hessians
+    v = -_solve_kkt(h, rhs, KKT_JITTER * n)
+    ev = np.multiply.outer(np.concatenate((model.weights, (-1.0,))), x_c @ v[:-1] + v[-1])
+    ev[:-1] += r_c * v[:-1]
+    return ev
 
 
 def theta_jacobian(
@@ -151,17 +175,9 @@ def theta_jacobian(
     parameters (weights then bias). model must (approximately) minimize the
     training loss on `training` (rows or Moments), which must contain z_c.
     """
-    if training.n < training.d + 1:
-        raise ValueError("need n >= d+1 training rows for the KKT system")
-    x_c = np.asarray(x_c, dtype=float)
     moments = Moments.of(training)
-    r_c = float(model.weights @ x_c + model.bias - y_c)
-    # explicit = [[M, w], [-x_c^T, -1]]: (w, -1) (x_c, 1)^T plus r_c I in the top-left block
-    explicit = np.outer(np.concatenate((model.weights, (-1.0,))), np.concatenate((x_c, (1.0,))))
-    explicit[:-1, :-1] += r_c * np.eye(len(x_c))
-    # J = -(1/n) explicit @ H^-1, H = training Hessian / n; H is symmetric: solve on the transpose
-    h = moments.penalized_gram(model.lam * model.curvature_scale()) / moments.n
-    return -(1.0 / moments.n) * _solve_kkt(h, explicit.T).T
+    x_c = np.asarray(x_c, dtype=float)
+    return _implicit_product(moments, model, x_c, y_c, np.eye(moments.d + 1))
 
 
 def _sign(value: float) -> float:
@@ -190,23 +206,23 @@ def objective_gradient(
     clean = Moments.of(clean)
     merged = merged if merged is not None else clean + Moments.of(poison)
     x_c, y_c = poison.features[index], float(poison.responses[index])
-    total = merged.residual_loss(model)
+    # q = stats u with u = (w, b, -1): the residual loss is u.q / 2, its gradient q[:-1]
+    u = np.concatenate((model.weights, (model.bias, -1.0)))
+    q = merged.stats @ u
+    total = max(0.5 * float(u @ q), 0.0)
     if reference == "current_theta":
-        ref_loss = clean.residual_loss(model)
+        q_ref = clean.stats @ u
+        ref_loss = max(0.5 * float(u @ q_ref), 0.0)
     s = _sign(_dispersion(total, ref_loss, merged.n, clean.n))
 
-    grad_total = merged.residual_gradient(model)
     if reference == "clean_fit":
-        grad_theta = grad_total / ref_loss
+        grad_theta = q[:-1] / ref_loss
     else:
-        grad_ref = clean.residual_gradient(model)
-        grad_theta = (grad_total * ref_loss - total * grad_ref) / ref_loss**2
+        grad_theta = (q[:-1] * ref_loss - total * q_ref[:-1]) / ref_loss**2
 
     r_c = float(model.weights @ x_c + model.bias - y_c)
-    explicit = r_c * np.concatenate((model.weights, (-1.0,))) / ref_loss
-
-    jac = theta_jacobian(merged, model, x_c, y_c)
-    return s * (jac @ grad_theta + explicit)
+    explicit = (r_c / ref_loss) * np.concatenate((model.weights, (-1.0,)))
+    return s * (_implicit_product(merged, model, x_c, y_c, grad_theta) + explicit)
 
 
 def opt_objective_gradient(
@@ -223,8 +239,8 @@ def opt_objective_gradient(
     """
     clean = Moments.of(clean)
     merged = merged if merged is not None else clean + Moments.of(poison)
-    jac = theta_jacobian(merged, model, poison.features[index], float(poison.responses[index]))
-    return jac @ clean.residual_gradient(model)
+    x_c, y_c = poison.features[index], float(poison.responses[index])
+    return _implicit_product(merged, model, x_c, y_c, clean.residual_gradient(model))
 
 
 def _initial_poison(clean: Dataset, p: int, rng: np.random.Generator):
@@ -249,10 +265,12 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
     if kind == "nopt":
         _require_reference(ref_loss, clean.n)
 
-    px, py = _initial_poison(clean, p, np.random.default_rng(cfg.seed))
     d = clean.d
-    # every row sum the loop needs is read off these moments; a trial step
-    # is a rank-two update of the merged ones
+    # the poison points z = (x, y), moved in place; px and py are views of z
+    z = np.column_stack(_initial_poison(clean, p, np.random.default_rng(cfg.seed)))
+    px, py = z[:, :d], z[:, d]
+    # every row sum the loop needs is read off these moments; a trial adds
+    # the candidate row to the merged ones less the point's current row
     clean_m = Moments.of(clean)
 
     def objective(merged, model):
@@ -287,7 +305,7 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
     outer = 0
     for outer in range(1, cfg.max_outer_iters + 1):
         sweep_start = obj
-        # rebuilt from the rows once a sweep, so rank-two updates cannot drift
+        # rebuilt from the rows once a sweep, so row swaps cannot drift
         merged = clean_m + Moments.from_rows(px, py)
         # point c only moves in its own turn, so this snapshot holds its current row
         poison_ds = Dataset(px.copy(), py.copy(), clean.feature_names, "poisoned")
@@ -297,18 +315,21 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
             if norm == 0.0 or not math.isfinite(norm):
                 continue
             direction = grad / norm
+            z_c = z[c]
+            rest = merged - Moments.from_rows(px[c : c + 1], py[c : c + 1])
             eta = STEP0
             for _ in range(MAX_BACKTRACKS):
-                cand_x = np.minimum(np.maximum(px[c] + eta * direction[:d], 0.0), 1.0)
-                cand_y = min(max(float(py[c] + eta * direction[d]), 0.0), 1.0)
-                trial = merged.replace_row(px[c], py[c], cand_x, cand_y)
+                cand = np.minimum(np.maximum(z_c + eta * direction, 0.0), 1.0)
+                # first-order gain of the clipped step: Armijo along the projection arc
+                gain = float(grad @ (cand - z_c))
+                trial = rest + Moments.from_rows(cand[None, :d], cand[d:])
                 report = fit(trial, family, lam, rho=rho, warm_start=theta)
                 refits += 1
-                # a fit that did not converge is rejected like a failed Armijo test
-                if report.converged:
+                # a step that did not move, or a fit that did not converge, is rejected
+                if gain > 0.0 and report.converged:
                     trial_obj = objective(trial, report.model)
-                    if trial_obj >= obj + ARMIJO_C * eta * norm:
-                        px[c], py[c] = cand_x, cand_y
+                    if trial_obj >= obj + ARMIJO_C * gain:
+                        z[c] = cand
                         merged, theta, obj = trial, report.model, trial_obj
                         break
                 eta *= SHRINK

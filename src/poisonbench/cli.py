@@ -291,6 +291,13 @@ def _validate(cfg: CliConfig):
         opts.setdefault("alpha_assumed", opts.get("alpha", 0.2))
     if opts.get("alpha_assumed") is not None and not 0.0 <= opts["alpha_assumed"] < 1.0:
         raise UsageError(f"--alpha-assumed must be in [0, 1), got {opts['alpha_assumed']}")
+    try:  # the configs the command builds check their own ranges
+        if cfg.command == "attack":
+            AttackConfig(opts["alpha"], opts["epsilon_conv"], opts["max_iters"])
+        if cfg.command == "defend" and opts["method"] == "proda":
+            ProdaConfig(opts["gamma"], opts["epsilon"], opts["alpha_assumed"])
+    except ValueError as exc:
+        raise UsageError(f"invalid {cfg.command} settings: {exc}") from exc
     if cfg.command == "sweep" and opts["defense"] == "proda" and "gammas" not in opts:
         raise UsageError("--gammas is required when sweeping the proda defense")
     if cfg.command == "sweep" and opts["jobs"] < 1:

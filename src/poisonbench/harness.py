@@ -109,6 +109,16 @@ class ExperimentSpec:
             raise ValueError(f"alpha_assumed must be in [0, 1), got {self.alpha_assumed}")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        # the cells build these configs; building them here rejects a bad
+        # grid value before any cell runs
+        if self.attack != "none":
+            for alpha in self.alpha_grid:
+                AttackConfig(
+                    alpha, eps_conv=self.attack_eps_conv, max_outer_iters=self.attack_max_outer
+                )
+        if self.defense == "proda":
+            for gamma in self.gamma_grid:
+                ProdaConfig(gamma, epsilon=self.defense_epsilon)
 
 
 def cell_seed(master_seed: int, *coords) -> int:

@@ -172,11 +172,8 @@ class Moments:
     def __add__(self, other: "Moments") -> "Moments":
         return Moments(self.stats + other.stats, self.n + other.n)
 
-    def replace_row(self, x_old, y_old: float, x_new, y_new: float) -> "Moments":
-        """Row (x_old, y_old) swapped for (x_new, y_new): a rank-two update."""
-        old = np.concatenate((x_old, (1.0, y_old)))
-        new = np.concatenate((x_new, (1.0, y_new)))
-        return Moments(self.stats + new[:, None] * new - old[:, None] * old, self.n)
+    def __sub__(self, other: "Moments") -> "Moments":
+        return Moments(self.stats - other.stats, self.n - other.n)
 
     def penalized_gram(self, lam: float) -> np.ndarray:
         """G + lam diag(1, ..., 1, 0): G plus a weight penalty's curvature."""

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -204,6 +205,97 @@ class TestObjectiveGradient:
         assert np.allclose(g2, 2.0 * g1, rtol=1e-12)
 
 
+def full_jacobian_gradient(clean, poison, model, ref, index, kind, reference="clean_fit"):
+    """The attack gradient through the whole Jacobian,
+    J = -(1/n) solve(h, E^T)^T with h the training Hessian over n, and the
+    sums over rows taken on the rows."""
+    merged, _ = merge(clean, poison)
+    moments = Moments.of(merged)
+    x_c, y_c = poison.features[index], float(poison.responses[index])
+    w = model.weights
+    r_c = float(w @ x_c + model.bias - y_c)
+    e = np.outer(np.append(w, -1.0), np.append(x_c, 1.0))
+    e[:-1, :-1] += r_c * np.eye(len(w))
+    h = moments.penalized_gram(model.lam * model.curvature_scale()) / moments.n
+    jac = -(1.0 / moments.n) * np.linalg.solve(h, e.T).T
+
+    def residual_gradient(ds):
+        r = model.predict(ds.features) - ds.responses
+        return np.append(ds.features.T @ r, r.sum())
+
+    if kind == "opt":
+        return jac @ residual_gradient(clean)
+    total = loss(merged, model, include_regularizer=False)
+    if reference == "current_theta":
+        ref = loss(clean, model, include_regularizer=False)
+        g = (residual_gradient(merged) * ref - total * residual_gradient(clean)) / ref**2
+    else:
+        g = residual_gradient(merged) / ref
+    s = -1.0 if total / ref - merged.n / clean.n < 0 else 1.0
+    return s * (jac @ g + r_c * np.append(w, -1.0) / ref)
+
+
+FAMILY_LAMBDAS = [("ols", 0.0), ("ridge", 0.1), ("lasso", 0.01), ("enet", 0.01)]
+
+
+class TestAdjointGradient:
+    """Both gradients solve the KKT system once, against a vector."""
+
+    @pytest.mark.parametrize("family,lam", FAMILY_LAMBDAS)
+    @pytest.mark.parametrize("kind,reference", [
+        ("nopt", "clean_fit"), ("nopt", "current_theta"), ("opt", None),
+    ])
+    def test_matches_the_full_jacobian_product(self, family, lam, kind, reference):
+        for seed in range(4):
+            clean, poison, merged, model, ref = make_attack_instance(seed + 120, family=family,
+                                                                     lam=lam)
+            want = full_jacobian_gradient(clean, poison, model, ref, 0, kind, reference)
+            if kind == "opt":
+                got = opt_objective_gradient(clean, poison, model, 0)
+            else:
+                got = objective_gradient(clean, poison, model, ref, 0, reference=reference)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("family,lam", FAMILY_LAMBDAS)
+    def test_one_solve_with_a_vector_per_gradient(self, monkeypatch, family, lam):
+        real_solve = attack_module._solve_kkt
+        shapes = []
+
+        def counting_solve(h, rhs, *args):
+            shapes.append(np.shape(rhs))
+            return real_solve(h, rhs, *args)
+
+        monkeypatch.setattr(attack_module, "_solve_kkt", counting_solve)
+        clean, poison, merged, model, ref = make_attack_instance(130, d=3, family=family, lam=lam)
+        for reference in ("clean_fit", "current_theta"):
+            objective_gradient(clean, poison, model, ref, 0, reference=reference)
+            assert shapes == [(4,)]
+            shapes.clear()
+        opt_objective_gradient(clean, poison, model, 0)
+        assert shapes == [(4,)]
+
+    def test_singular_system_is_retried_once_with_jitter(self, monkeypatch, caplog):
+        clean, poison, merged, model, ref = make_attack_instance(131, d=2)
+        real_solve = np.linalg.solve
+        failures = []
+
+        def failing_solve(a, b):
+            if failures:
+                failures.pop()
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        failures[:] = [1]
+        with caplog.at_level(logging.WARNING, logger="poisonbench.attack"):
+            grad = objective_gradient(clean, poison, model, ref, 0)
+        assert np.all(np.isfinite(grad))
+        assert "jitter" in caplog.text
+        failures[:] = [1, 1]
+        with pytest.raises(RuntimeError, match="even after jitter"):
+            opt_objective_gradient(clean, poison, model, 0)
+
+
 class TestOptGradient:
     def test_matches_finite_differences(self):
         for seed in range(4):
@@ -358,6 +450,60 @@ class TestAttackLoop:
         assert np.array_equal(state.poison.features, px)
         assert np.array_equal(state.poison.responses, py)
         assert len(set(state.e_trace)) == 1
+
+    @pytest.mark.parametrize("attack", [nopt_attack, opt_attack])
+    @pytest.mark.parametrize("family,lam", FAMILY_LAMBDAS)
+    def test_every_refit_is_one_fit_call(self, monkeypatch, attack, family, lam):
+        real_fit = attack_module.fit
+        calls = []
+
+        def counting_fit(*args, **kwargs):
+            calls.append(1)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(attack_module, "fit", counting_fit)
+        clean = make_noisy_dataset(n=60, d=3, seed=95)
+        state = attack(clean, AttackConfig(alpha=0.2, seed=6, max_outer_iters=3), family, lam)
+        assert len(calls) == state.refit_count
+
+    @staticmethod
+    def _one_point_opt_attack(monkeypatch, point, fake_gradient):
+        """One sweep of Opt with a single poison point started at `point`
+        and the line search fed fake_gradient(true gradient, point)."""
+        clean = make_noisy_dataset(n=30, d=1, seed=96)
+        monkeypatch.setattr(attack_module, "_initial_poison",
+                            lambda clean, p, rng: (point[None, :-1].copy(), point[-1:].copy()))
+        real_gradient = attack_module.opt_objective_gradient
+        monkeypatch.setattr(attack_module, "opt_objective_gradient",
+                            lambda *a, **k: fake_gradient(real_gradient(*a, **k)))
+        cfg = AttackConfig(alpha=0.2, seed=0, max_outer_iters=1, n_poison=1)
+        return opt_attack(clean, cfg, "ols")
+
+    def test_clipped_step_is_accepted_by_its_own_gain(self, monkeypatch):
+        # on the face y = 1 the response coordinate pushes outward, 1000
+        # times harder than the true x derivative: the clipped step moves x
+        # only, and its gain is far below eta * |g|
+        point = np.array([0.4, 1.0])
+
+        def outward(g):
+            assert g[0] != 0.0
+            return np.array([g[0], 1000.0 * abs(g[0])])
+
+        state = self._one_point_opt_attack(monkeypatch, point, outward)
+        assert state.refit_count == 3  # the two fits before the loop, one trial
+        assert state.e_trace[1] > state.e_trace[0]
+        assert state.poison.responses[0] == 1.0
+        x_step = attack_module.STEP0 / np.sqrt(1.0 + 1000.0**2)
+        assert abs(state.poison.features[0, 0] - 0.4) == pytest.approx(x_step, rel=1e-9)
+
+    def test_step_that_clips_back_to_the_point_is_rejected_and_counted(self, monkeypatch):
+        # a corner with the gradient pointing out of the box everywhere
+        point = np.array([1.0, 0.0])
+        state = self._one_point_opt_attack(monkeypatch, point, lambda g: np.array([1.0, -1.0]))
+        assert state.refit_count == 2 + attack_module.MAX_BACKTRACKS
+        assert np.array_equal(state.poison.features[0], point[:1])
+        assert state.poison.responses[0] == point[1]
+        assert state.e_trace[1] == state.e_trace[0]
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="alpha"):

@@ -149,6 +149,26 @@ class TestMainExitCodes:
         assert "--alpha-assumed must be in [0, 1)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["defend", "--method", "proda", "--gamma", "3", "--epsilon", "1.5"], "epsilon"),
+        (["defend", "--method", "proda", "--gamma", "0"], "gamma"),
+        (["attack", "--alpha", "0"], "alpha"),
+        (["attack", "--alpha", "0.5"], "alpha"),
+        (["attack", "--alpha", "0.1", "--epsilon-conv", "0"], "eps_conv"),
+        (["sweep", "--defense", "proda", "--gammas", "3", "--epsilon", "1.5", "--alphas", "0.2",
+          "--repeats", "1"], "epsilon"),
+        (["sweep", "--defense", "proda", "--gammas", "0", "--alphas", "0.2", "--repeats", "1"],
+         "gamma"),
+        (["sweep", "--attack", "nopt", "--alphas", "0.5", "--repeats", "1"], "alpha"),
+    ])
+    def test_out_of_range_setting_exits_2_before_output(self, tmp_path, capsys, argv, message):
+        code = main([*argv, "--synthetic", "d=2,n=40,noise=0.1", "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert message in err
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_computational_failure_exits_1(self, tmp_path, capsys):
         # proda gamma below d+1 passes usage validation, fails in the defense
         csv = write_poisoned_csv(tmp_path / "p.csv")

@@ -62,6 +62,17 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="alpha_assumed"):
             small_spec(defense="trim", alpha_assumed=alpha_assumed)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(attack="nopt", alpha_grid=(0.1, 0.5)), "alpha"),
+        (dict(attack="opt", alpha_grid=(0.0,)), "alpha"),
+        (dict(attack="nopt", attack_eps_conv=0.0), "eps_conv"),
+        (dict(defense="proda", gamma_grid=(3, 0)), "gamma"),
+        (dict(defense="proda", gamma_grid=(3,), defense_epsilon=1.5), "epsilon"),
+    ])
+    def test_grid_value_a_cell_would_reject_is_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            small_spec(**kwargs)
+
     def test_alpha_assumed_zero_and_unset_accepted(self):
         assert small_spec(defense="trim", alpha_assumed=0.0).alpha_assumed == 0.0
         assert small_spec(defense="trim").alpha_assumed is None

@@ -179,7 +179,9 @@ class TestMoments:
         rng = np.random.default_rng(seed + 1)
         i = int(rng.integers(n))
         x_new, y_new = rng.uniform(size=d), float(rng.uniform())
-        updated = Moments.from_rows(x, y).replace_row(x[i], y[i], x_new, y_new)
+        # replace row i: its moments out, the new row's in
+        updated = (Moments.from_rows(x, y) - Moments.from_rows(x[i : i + 1], y[i : i + 1])
+                   + Moments.from_rows(x_new[None], [y_new]))
         x2, y2 = x.copy(), y.copy()
         x2[i], y2[i] = x_new, y_new
         rebuilt = Moments.from_rows(x2, y2)
@@ -320,7 +322,8 @@ class TestCoordinateDescent:
         model = fit(m, family, 1e-2).model
         rng = np.random.default_rng(5)
         for i in rng.choice(clean.n, size=5, replace=False):
-            trial = m.replace_row(x[i], y[i], rng.uniform(size=5), float(rng.uniform()))
+            trial = (m - Moments.from_rows(x[i : i + 1], y[i : i + 1])
+                     + Moments.from_rows(rng.uniform(size=(1, 5)), [rng.uniform()]))
             report = fit(trial, family, 1e-2, warm_start=model)
             assert report.converged
             assert report.iterations <= 10
