@@ -17,7 +17,10 @@ implicit function theorem applied to the training stationarity condition:
 
 with H = G + lambda * curvature * diag(1, ..., 1, 0) the Hessian of the
 training objective (1/2 sum r^2 + lambda Omega); the l1 part contributes
-zero curvature almost everywhere. A gradient needs only J @ g for one vector
+zero curvature. Under an l1 penalty (LASSO, Elastic-net) a zero weight stays
+at zero while the point moves a little, so the system is restricted to the
+active set: the nonzero weights and the bias, with zero columns of J for the
+others (Xiao et al., ICML 2015). A gradient needs only J @ g for one vector
 g, so it solves H v = g once (the adjoint form, Pedregosa 2016).
 
 The line search backtracks on the step eta of a projected step along the
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, poison_count
-from .regress import Moments, RegressionModel, fit, loss, mse
+from .regress import Moments, RegressionModel, _penalty_mix, fit, loss, mse
 
 logger = logging.getLogger(__name__)
 
@@ -152,13 +155,22 @@ def _implicit_product(
     moments: Moments, model: RegressionModel, x_c: np.ndarray, y_c: float, rhs: np.ndarray
 ) -> np.ndarray:
     """J @ rhs for the Jacobian J of theta_jacobian from one solve v = H^-1 rhs:
-    J @ rhs = -E v = -[(w, -1) ((x_c, 1) . v) + r_c (v_x, 0)]. rhs is a
+    J @ rhs = -E v = -[(w, -1) ((x_c, 1) . v) + r_c (v_x, 0)]. Under an l1
+    penalty v solves on the active set and is 0 at a zero weight. rhs is a
     (d+1,) vector or a (d+1, k) matrix."""
     n = moments.n
     if n < moments.d + 1:
         raise ValueError("need n >= d+1 training rows for the KKT system")
     r_c = float(model.weights @ x_c + model.bias - y_c)
     h = moments.penalized_gram(model.lam * model.curvature_scale())
+    if model.lam * _penalty_mix(model.family, model.rho)[0] > 0.0:
+        # an identity row and column for each weight the l1 penalty holds at
+        # zero solve the system on the active set and leave v = 0 there
+        rhs = rhs.copy()
+        for j, w_j in enumerate(model.weights.tolist()):
+            if w_j == 0.0:
+                h[j, :] = h[:, j] = rhs[j] = 0.0
+                h[j, j] = 1.0
     # KKT_JITTER is on the Hessian over n, the mean of the per-row Hessians
     v = -_solve_kkt(h, rhs, KKT_JITTER * n)
     ev = np.multiply.outer(np.concatenate((model.weights, (-1.0,))), x_c @ v[:-1] + v[-1])

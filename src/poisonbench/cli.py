@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -309,8 +310,10 @@ def _validate(cfg: CliConfig):
             lam = float(opts["lam"])
         except ValueError as exc:
             raise UsageError(f"--lambda must be a number or 'auto', got {opts['lam']!r}") from exc
-        if lam < 0:
-            raise UsageError("--lambda must be >= 0")
+        if not 0.0 <= lam < math.inf:
+            raise UsageError(f"--lambda must be finite and >= 0, got {opts['lam']}")
+    if "rho" in opts and not 0.0 <= opts["rho"] <= 1.0:
+        raise UsageError(f"--rho must be in [0, 1], got {opts['rho']}")
 
 
 def _load_dataset(cfg: CliConfig):
@@ -492,21 +495,26 @@ def _write_report(out: Path, records) -> None:
 def _cmd_sweep(cfg: CliConfig) -> int:
     spec = _build_experiment_spec(cfg)
     out = _out_dir(cfg)
-    records = []
-    verbose = cfg.options["verbose"]
-    for record in harness.run_sweep(spec, jobs=cfg.options["jobs"]):
-        records.append(record)
-        if verbose:
-            print(
-                f"[{len(records)}] {record['family']} alpha={record['alpha']} "
-                f"gamma={record['gamma']} repeat={record['repeat']} "
-                f"{'error=' + record['error'] if 'error' in record else 'ok'}",
-                file=sys.stderr,
-            )
-    harness.write_records(out / "records.jsonl", spec, records)
-    _write_report(out, records)
-    print(f"wrote {len(records)} records to {out / 'records.jsonl'}")
+    path = out / "records.jsonl"
+    records = harness.run_sweep(spec, jobs=cfg.options["jobs"])
+    if cfg.options["verbose"]:
+        records = _echo(records)
+    count = harness.write_records(path, spec, records)
+    _write_report(out, harness.read_records(path))
+    print(f"wrote {count} records to {path}")
     return 0
+
+
+def _echo(records):
+    """Pass records through, printing a progress line for each on stderr."""
+    for i, record in enumerate(records, 1):
+        print(
+            f"[{i}] {record['family']} alpha={record['alpha']} "
+            f"gamma={record['gamma']} repeat={record['repeat']} "
+            f"{'error=' + record['error'] if 'error' in record else 'ok'}",
+            file=sys.stderr,
+        )
+        yield record
 
 
 def _cmd_report(cfg: CliConfig) -> int:
@@ -526,29 +534,18 @@ _COMMANDS = {  # name: (handler, help)
 }
 
 
-def dispatch(cfg: CliConfig) -> int:
-    """Run the configured subcommand; exceptions map to exit codes."""
+def main(argv=None) -> int:
+    """Run one command: 2 on a usage error, 1 on any other failure."""
     try:
+        cfg = parse_args(argv if argv is not None else sys.argv[1:])
         handler, _ = _COMMANDS[cfg.command]
         return handler(cfg)
-    except UsageError:
-        raise
+    except UsageError as exc:
+        print(f"poisonbench: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # noqa: BLE001 - computational failure -> exit 1
         print(f"poisonbench: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
-
-def main(argv=None) -> int:
-    try:
-        cfg = parse_args(argv if argv is not None else sys.argv[1:])
-    except UsageError as exc:
-        print(f"poisonbench: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return dispatch(cfg)
-    except UsageError as exc:
-        print(f"poisonbench: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

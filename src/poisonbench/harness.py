@@ -18,6 +18,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -109,6 +110,11 @@ class ExperimentSpec:
             raise ValueError(f"alpha_assumed must be in [0, 1), got {self.alpha_assumed}")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        lam = self.lambda_policy
+        if lam != "select" and not (isinstance(lam, (int, float)) and 0.0 <= lam < math.inf):
+            raise ValueError(f"lambda_policy must be 'select' or a finite float >= 0, got {lam!r}")
+        if not 0.0 <= self.rho <= 1.0:
+            raise ValueError(f"rho must be in [0, 1], got {self.rho}")
         # the cells build these configs; building them here rejects a bad
         # grid value before any cell runs
         if self.attack != "none":
@@ -236,36 +242,26 @@ def _fill_cell(record, spec, family, alpha, gamma, alpha_assumed, seed, base):
         training_pool = poisoned
 
     if spec.defense != "none":
+        defense_seed = cell_seed(seed, "defense")
+        t0 = time.perf_counter()
         if spec.defense == "proda":
-            dcfg = ProdaConfig(
-                gamma=int(gamma),
-                epsilon=spec.defense_epsilon,
-                alpha_assumed=alpha_assumed,
-                seed=cell_seed(seed, "defense"),
-            )
-            t0 = time.perf_counter()
+            dcfg = ProdaConfig(int(gamma), spec.defense_epsilon, alpha_assumed, defense_seed)
             result = proda_defend(training_pool, dcfg, family, lam, rho=spec.rho)
-            record["wall_time_defense_s"] = time.perf_counter() - t0
-            record["beta_used"] = result.beta_used
-            work = result.beta_used * training_pool.n
         else:
-            t0 = time.perf_counter()
             result = trim_defend(
-                training_pool,
-                alpha_assumed,
-                family,
-                lam,
-                rho=spec.rho,
-                max_iters=spec.defense_max_iters,
-                seed=cell_seed(seed, "defense"),
+                training_pool, alpha_assumed, family, lam, rho=spec.rho,
+                max_iters=spec.defense_max_iters, seed=defense_seed,
             )
-            record["wall_time_defense_s"] = time.perf_counter() - t0
-            work = result.iterations * training_pool.n
+        record["wall_time_defense_s"] = time.perf_counter() - t0
+        if spec.defense == "proda":
+            record["beta_used"] = result.beta_used
+        else:
             record["trim_worst_case_iterations"] = trim_worst_case_text(
                 training_pool.n, subset_size(training_pool.n, alpha_assumed)
             )
         record["defense_iterations"] = result.iterations
-        record["time_defense_s"] = work / RATE_ITERS_PER_S
+        # Proda's iterations are its beta trials, TRIM's its C-steps
+        record["time_defense_s"] = result.iterations * training_pool.n / RATE_ITERS_PER_S
         record["mse_defended"] = mse(train, result.model)
         record["mse_defended_test"] = mse(test, result.model)
 
@@ -313,12 +309,17 @@ def header_record(spec: ExperimentSpec) -> dict:
 
 
 def write_records(path, spec: ExperimentSpec, records) -> int:
-    """JSON-lines file: header record first, then one record per line."""
+    """JSON-lines file: header record first, then one record per line,
+    dropping None values. Each line is flushed as it is written, so when
+    `records` is a running sweep, a sweep stopped at any point leaves the
+    header and every record it finished. Returns the record count."""
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header_record(spec)) + "\n")
+        fh.flush()
         for record in records:
             fh.write(json.dumps({k: v for k, v in record.items() if v is not None}) + "\n")
+            fh.flush()
             count += 1
     return count
 

@@ -59,8 +59,8 @@ class RegressionModel:
         object.__setattr__(self, "weights", w)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must be in [0, 1]")
 
@@ -292,8 +292,8 @@ def fit(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     m = Moments.of(data)
     if m.n < m.d + 1:
         raise ValueError(f"need N >= d+1 rows to fit, got N={m.n}, d={m.d}")
@@ -317,19 +317,13 @@ def fit(
     return FitReport(model, iterations, converged, data, fallback)
 
 
-def select_lambda(
-    train: Dataset,
-    validation: Dataset,
-    family: str,
-    grid=LAMBDA_GRID,
-    rho: float = 0.5,
-) -> float:
-    """Pick lambda from a log grid by validation MSE; ties go to the
+def select_lambda(train: Dataset, validation: Dataset, family: str, rho: float = 0.5) -> float:
+    """Pick lambda from LAMBDA_GRID by validation MSE; ties go to the
     smallest candidate. OLS always gets 0."""
     if family == "ols":
         return 0.0
     best_lam, best_mse = None, None
-    for lam in grid:
+    for lam in LAMBDA_GRID:
         model = fit(train, family, float(lam), rho=rho).model
         v = mse(validation, model)
         if best_mse is None or v < best_mse:

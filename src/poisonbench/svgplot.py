@@ -43,7 +43,7 @@ class _Scale:
         return MARGIN_T + self.plot_h - (y - self.y_lo) / (self.y_hi - self.y_lo) * self.plot_h
 
 
-def _chrome(scale, x_label, y_label, title):
+def _chrome(scale, x_label, y_label):
     s = scale
     x0, x1 = MARGIN_L, WIDTH - MARGIN_R
     y0, y1 = MARGIN_T, HEIGHT - MARGIN_B
@@ -54,11 +54,6 @@ def _chrome(scale, x_label, y_label, title):
         f'<line x1="{x0}" y1="{y1}" x2="{x1}" y2="{y1}" stroke="black"/>',
         f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{(x0 + x1) / 2:.1f}" y="{MARGIN_T - 10}" text-anchor="middle" '
-            f'font-size="14">{title}</text>'
-        )
     for tx in _ticks(s.x_lo, s.x_hi):
         px = s.px(tx)
         parts.append(f'<line x1="{px:.2f}" y1="{y1}" x2="{px:.2f}" y2="{y1 + 5}" stroke="black"/>')
@@ -92,7 +87,7 @@ def _legend(names):
     return parts
 
 
-def render_line_chart(series: dict, x_label: str, y_label: str, title: str = "") -> str:
+def render_line_chart(series: dict, x_label: str, y_label: str) -> str:
     """series maps a name to a list of (x, y) pairs; one polyline (or a lone
     circle for a single point) per series."""
     if not series or all(len(pts) == 0 for pts in series.values()):
@@ -100,7 +95,7 @@ def render_line_chart(series: dict, x_label: str, y_label: str, title: str = "")
     xs = [x for pts in series.values() for x, _ in pts]
     ys = [y for pts in series.values() for _, y in pts]
     scale = _Scale(xs, ys)
-    parts = _chrome(scale, x_label, y_label, title)
+    parts = _chrome(scale, x_label, y_label)
     for i, (name, pts) in enumerate(series.items()):
         color = PALETTE[i % len(PALETTE)]
         pts = sorted(pts)
@@ -117,7 +112,7 @@ def render_line_chart(series: dict, x_label: str, y_label: str, title: str = "")
     return "\n".join(parts)
 
 
-def render_scatter_fit(points, lines, x_label: str, y_label: str, title: str = "") -> str:
+def render_scatter_fit(points, lines, x_label: str, y_label: str) -> str:
     """Scatter of (x, y) points plus straight fit lines given as
     {name, weight, bias} dicts; for one-feature data."""
     if not points:
@@ -125,7 +120,7 @@ def render_scatter_fit(points, lines, x_label: str, y_label: str, title: str = "
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     scale = _Scale(xs, ys)
-    parts = _chrome(scale, x_label, y_label, title)
+    parts = _chrome(scale, x_label, y_label)
     for x, y in points:
         parts.append(
             f'<circle cx="{scale.px(x):.2f}" cy="{scale.py(y):.2f}" r="2.5" '
@@ -161,16 +156,16 @@ def _write_with_csv(svg: str, rows, path):
     return svg_path, csv_path
 
 
-def write_line_chart(series: dict, x_label: str, y_label: str, path, title: str = ""):
+def write_line_chart(series: dict, x_label: str, y_label: str, path):
     """Write the line chart with its companion CSV, each series' points in x order."""
     rows = [(name, x, y) for name, pts in series.items() for x, y in sorted(pts)]
-    return _write_with_csv(render_line_chart(series, x_label, y_label, title), rows, path)
+    return _write_with_csv(render_line_chart(series, x_label, y_label), rows, path)
 
 
-def write_scatter_fit(points, lines, x_label: str, y_label: str, path, title: str = ""):
+def write_scatter_fit(points, lines, x_label: str, y_label: str, path):
     """Write the scatter+fit chart with its companion CSV, the points as series `data`."""
     rows = [("data", x, y) for x, y in points]
-    return _write_with_csv(render_scatter_fit(points, lines, x_label, y_label, title), rows, path)
+    return _write_with_csv(render_scatter_fit(points, lines, x_label, y_label), rows, path)
 
 
 def read_companion_csv(path) -> dict:

@@ -21,6 +21,7 @@ from poisonbench.defend import ProdaConfig, compute_beta, estimate_complexity, p
 from poisonbench.harness import ExperimentSpec, aggregate, run_cell, run_sweep, summary_csv
 from poisonbench.regress import fit, loss, mse, select_lambda
 
+from test_attack import SPARSE_TOL, fd_gradient, refit_dispersion, sparse_instances
 from test_defend import brute_force_beta, tiny_oracle_instance
 
 SYNTHETIC_300 = SyntheticSpec(
@@ -101,6 +102,26 @@ class TestCriterion1GradientCorrectness:
         assert elapsed <= 60.0
         print(f"\nPASS criterion 1: gradient max rel err {worst:.2e} over 50 instances "
               f"({elapsed:.1f}s)")
+
+
+    def test_lasso_enet_gradient_matches_refit_finite_differences(self):
+        # instances with a weight the l1 penalty holds at zero, with margin
+        start = time.perf_counter()
+        worst = {}
+        for family in ("lasso", "enet"):
+            for clean, poison, merged, model, ref in sparse_instances(family, 5):
+                grad = objective_gradient(clean, poison, model, ref, 0)
+                fd = fd_gradient(
+                    lambda px, py: refit_dispersion(clean, px, py, family, 0.5, ref, SPARSE_TOL),
+                    poison.features, poison.responses,
+                )
+                rel = np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-12)
+                worst[family] = max(worst.get(family, 0.0), rel)
+        elapsed = time.perf_counter() - start
+        assert max(worst.values()) <= 1e-3, f"worst relative errors {worst}"
+        assert elapsed <= 60.0
+        print(f"\nPASS criterion 1: LASSO/Enet gradient max rel err {worst['lasso']:.2e} / "
+              f"{worst['enet']:.2e} over 5 + 5 instances ({elapsed:.1f}s)")
 
 
 class TestCriterion2DuplicationIdentity:

@@ -46,19 +46,65 @@ def make_attack_instance(seed, d=None, n=50, family="ols", lam=0.0):
     return clean, poison, merged, model, ref
 
 
-def refit_dispersion(clean, px, py, family, lam, ref):
+# CD tolerance of the LASSO/Enet fits behind a finite difference
+SPARSE_TOL = 1e-13
+
+
+def make_sparse_instance(seed, family, lam=0.5, n=60, d=4, p=5):
+    """Clean rows whose last feature has true weight 0, p poison points on
+    the far response boundary, and the merged fit at SPARSE_TOL, returned
+    as by make_attack_instance. None unless some weight is 0 with margin:
+    |x_j . r| <= 0.9 lam l1 for every zero weight j, so a finite-difference
+    step keeps it at 0."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(n, d))
+    w = rng.uniform(-1.0, 1.0, size=d)
+    w[-1] = 0.0
+    y = np.clip(x @ w + 0.3 + rng.normal(0.0, 0.05, size=n), 0.0, 1.0)
+    px = rng.uniform(size=(p, d))
+    py = np.round(1.0 - np.clip(px @ w + 0.3, 0.0, 1.0))
+    clean, poison = Dataset(x, y), Dataset(px, py, provenance="poisoned")
+    merged, _ = merge(clean, poison)
+    model = fit(merged, family, lam, tol=SPARSE_TOL).model
+    zero = model.weights == 0.0
+    pull = np.abs(merged.features.T @ (model.predict(merged.features) - merged.responses))
+    l1 = 1.0 if family == "lasso" else model.rho
+    if not zero.any() or np.any(pull[zero] > 0.9 * lam * l1):
+        return None
+    ref = loss(clean, fit(clean, family, lam, tol=SPARSE_TOL).model, include_regularizer=False)
+    return clean, poison, merged, model, ref
+
+
+def sparse_instances(family, count, lam=0.5):
+    """make_sparse_instance for the first `count` seeds 0, 1, ... that give one."""
+    found = []
+    for seed in range(10 * count):
+        instance = make_sparse_instance(seed, family, lam)
+        if instance is not None:
+            found.append(instance)
+            if len(found) == count:
+                return found
+    raise AssertionError(f"fewer than {count} {family} instances hold a weight at zero")
+
+
+def refit_model(clean, px, py, family, lam, tol=DEFAULT_TOL):
     merged = Dataset(
         np.vstack([clean.features, px]), np.concatenate([clean.responses, py]),
         provenance="mixed",
     )
-    model = fit(merged, family, lam).model
+    return fit(merged, family, lam, tol=tol).model
+
+
+def refit_dispersion(clean, px, py, family, lam, ref, tol=DEFAULT_TOL):
+    model = refit_model(clean, px, py, family, lam, tol)
     return dispersion_objective(clean, Dataset(px, py, provenance="poisoned"), model, ref)
 
 
 def fd_gradient(objective, px, py, h=1e-5):
-    """Central finite differences over the (x_c, y_c) coordinates."""
+    """Central finite differences over the (x_c, y_c) coordinates; row k
+    for coordinate k when the objective returns a vector."""
     d = px.shape[1]
-    out = np.zeros(d + 1)
+    out = []
     for k in range(d + 1):
         plus_x, plus_y = px.copy(), py.copy()
         minus_x, minus_y = px.copy(), py.copy()
@@ -68,8 +114,8 @@ def fd_gradient(objective, px, py, h=1e-5):
         else:
             plus_y[0] += h
             minus_y[0] -= h
-        out[k] = (objective(plus_x, plus_y) - objective(minus_x, minus_y)) / (2 * h)
-    return out
+        out.append((objective(plus_x, plus_y) - objective(minus_x, minus_y)) / (2 * h))
+    return np.array(out)
 
 
 class TestDispersionObjective:
@@ -136,6 +182,20 @@ class TestThetaJacobian:
             rel = np.max(np.abs(jac - fd)) / max(np.max(np.abs(fd)), 1e-12)
             assert rel <= 1e-3
 
+    @pytest.mark.parametrize("family", ["lasso", "enet"])
+    def test_active_set_matches_refit_finite_differences(self, family):
+        for clean, poison, merged, model, _ in sparse_instances(family, 3):
+            jac = theta_jacobian(merged, model, poison.features[0], float(poison.responses[0]))
+            # a weight the l1 penalty holds at zero does not move
+            assert np.all(jac[:, :-1][:, model.weights == 0.0] == 0.0)
+
+            def theta(px, py):
+                mdl = refit_model(clean, px, py, family, 0.5, SPARSE_TOL)
+                return np.append(mdl.weights, mdl.bias)
+
+            fd = fd_gradient(theta, poison.features, poison.responses)
+            assert np.max(np.abs(jac - fd)) <= 1e-3 * np.max(np.abs(fd))
+
     def test_lambda_continuity_at_zero(self):
         clean, poison, merged, _, _ = make_attack_instance(11, d=3)
         m0 = fit(merged, "ridge", 0.0).model
@@ -158,6 +218,16 @@ class TestObjectiveGradient:
             )
             rel = np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-12)
             assert rel <= 1e-3
+
+    @pytest.mark.parametrize("family", ["lasso", "enet"])
+    def test_active_set_matches_finite_differences(self, family):
+        for clean, poison, merged, model, ref in sparse_instances(family, 3):
+            grad = objective_gradient(clean, poison, model, ref, 0)
+            fd = fd_gradient(
+                lambda px, py: refit_dispersion(clean, px, py, family, 0.5, ref, SPARSE_TOL),
+                poison.features, poison.responses,
+            )
+            assert np.max(np.abs(grad - fd)) <= 1e-3 * np.max(np.abs(fd))
 
     def test_current_theta_reference_matches_finite_differences(self):
         clean, poison, merged, model, ref = make_attack_instance(31, d=2)
@@ -310,6 +380,18 @@ class TestOptGradient:
             fd = fd_gradient(objective, poison.features, poison.responses)
             rel = np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-12)
             assert rel <= 1e-3
+
+    @pytest.mark.parametrize("family", ["lasso", "enet"])
+    def test_active_set_matches_finite_differences(self, family):
+        for clean, poison, merged, model, _ in sparse_instances(family, 3):
+            grad = opt_objective_gradient(clean, poison, model, 0)
+
+            def objective(px, py):
+                mdl = refit_model(clean, px, py, family, 0.5, SPARSE_TOL)
+                return loss(clean, mdl, include_regularizer=False)
+
+            fd = fd_gradient(objective, poison.features, poison.responses)
+            assert np.max(np.abs(grad - fd)) <= 1e-3 * np.max(np.abs(fd))
 
     def test_empty_poison_objective_equals_clean_loss(self):
         clean = make_noisy_dataset(n=30, d=2, seed=50)
@@ -504,6 +586,36 @@ class TestAttackLoop:
         assert np.array_equal(state.poison.features[0], point[:1])
         assert state.poison.responses[0] == point[1]
         assert state.e_trace[1] == state.e_trace[0]
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_skipped_gradient_leaves_the_point_and_refits_nothing(self, monkeypatch, bad):
+        point = np.array([0.4, 1.0])
+        state = self._one_point_opt_attack(monkeypatch, point, lambda g: np.full_like(g, bad))
+        assert state.refit_count == 2  # the two fits before the loop
+        assert np.array_equal(state.poison.features[0], point[:1])
+        assert state.poison.responses[0] == point[1]
+        assert state.e_trace[1] == state.e_trace[0]
+
+    def test_current_theta_reference_loop(self, monkeypatch):
+        real_fit = attack_module.fit
+        calls = []
+
+        def counting_fit(*args, **kwargs):
+            calls.append(1)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(attack_module, "fit", counting_fit)
+        clean = make_noisy_dataset(n=60, d=3, seed=97)
+        cfg = AttackConfig(alpha=0.2, seed=7, max_outer_iters=3, reference_loss="current_theta")
+        state = nopt_attack(clean, cfg, "ols")
+        assert len(calls) == state.refit_count
+        # the final E is the dispersion with the clean loss at the final theta as reference
+        merged, _ = merge(clean, state.poison)
+        total = loss(merged, state.model, include_regularizer=False)
+        denom = loss(clean, state.model, include_regularizer=False)
+        want = abs(total / denom - merged.n / clean.n)
+        assert state.e_trace[-1] == pytest.approx(want, rel=1e-9)
+        assert state.e_trace[-1] > state.e_trace[0]
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="alpha"):

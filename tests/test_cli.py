@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from poisonbench import harness
 from poisonbench.cli import (
     OPTIONS,
     UsageError,
@@ -160,6 +161,18 @@ class TestMainExitCodes:
         (["sweep", "--defense", "proda", "--gammas", "0", "--alphas", "0.2", "--repeats", "1"],
          "gamma"),
         (["sweep", "--attack", "nopt", "--alphas", "0.5", "--repeats", "1"], "alpha"),
+        (["fit", "--lambda", "nan"], "--lambda must be finite"),
+        (["fit", "--lambda", "inf"], "--lambda must be finite"),
+        (["fit", "--family", "enet", "--rho", "1.5"], "--rho must be in [0, 1]"),
+        (["fit", "--family", "enet", "--rho", "nan"], "--rho must be in [0, 1]"),
+        (["attack", "--alpha", "0.1", "--lambda", "inf"], "--lambda must be finite"),
+        (["attack", "--alpha", "0.1", "--rho", "-0.5"], "--rho must be in [0, 1]"),
+        (["defend", "--method", "trim", "--lambda", "nan"], "--lambda must be finite"),
+        (["defend", "--method", "trim", "--family", "enet", "--rho", "1.5"], "--rho must be in"),
+        (["sweep", "--lambda", "inf", "--alphas", "0.2", "--repeats", "1"],
+         "--lambda must be finite"),
+        (["sweep", "--families", "enet", "--lambda", "0.1", "--rho", "1.5", "--alphas", "0.2",
+          "--repeats", "1"], "--rho must be in [0, 1]"),
     ])
     def test_out_of_range_setting_exits_2_before_output(self, tmp_path, capsys, argv, message):
         code = main([*argv, "--synthetic", "d=2,n=40,noise=0.1", "--out", str(tmp_path / "out")])
@@ -274,6 +287,47 @@ class TestSweepAndReport:
         assert code == 0
         assert (out2 / "summary.csv").read_text() == (out1 / "summary.csv").read_text()
         assert (out2 / "report.txt").exists()
+
+    def test_verbose_prints_one_stderr_line_per_record(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["sweep", "--synthetic", "d=2,n=45,noise=0.1", "--defense", "proda",
+                     "--gammas", "2,3", "--alphas", "0.1", "--repeats", "2", "--verbose",
+                     "--out", str(out), "--seed", "3"])
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 4
+        # gamma=2 is below d+1, so its cells carry an error
+        for i, line in enumerate(lines[:2]):
+            assert line.startswith(f"[{i + 1}] ols alpha=0.1 gamma=2 repeat={i} error=ValueError: ")
+            assert "d+1" in line
+        assert lines[2:] == ["[3] ols alpha=0.1 gamma=3 repeat=0 ok",
+                             "[4] ols alpha=0.1 gamma=3 repeat=1 ok"]
+        cells = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()[1:]]
+        assert len(cells) == len(lines)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_interrupted_sweep_keeps_finished_records(self, tmp_path, monkeypatch, k):
+        run_cell = harness.run_cell
+        calls = []
+
+        def interrupt_at_k(*args):
+            calls.append(args)
+            if len(calls) == k:
+                raise KeyboardInterrupt
+            return run_cell(*args)
+
+        monkeypatch.setattr(harness, "run_cell", interrupt_at_k)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--synthetic", "d=2,n=45,noise=0.1", "--alphas", "0.1,0.2",
+                  "--repeats", "2", "--jobs", "1", "--out", str(out), "--seed", "3"])
+        text = (out / "records.jsonl").read_text()
+        assert text.endswith("\n")
+        records = [json.loads(line) for line in text.splitlines()]
+        assert records[0]["record_type"] == "header"
+        assert [(r["alpha"], r["repeat"]) for r in records[1:]] == \
+            [(0.1, 0), (0.1, 1), (0.2, 0)][: k - 1]
+        assert not (out / "summary.csv").exists()
 
     def test_report_requires_records(self):
         with pytest.raises(UsageError, match="--records"):

@@ -11,6 +11,7 @@ from poisonbench.harness import (
     cell_seed,
     emit_plot,
     header_record,
+    load_base_dataset,
     read_records,
     run_cell,
     run_sweep,
@@ -68,6 +69,13 @@ class TestExperimentSpec:
         (dict(attack="nopt", attack_eps_conv=0.0), "eps_conv"),
         (dict(defense="proda", gamma_grid=(3, 0)), "gamma"),
         (dict(defense="proda", gamma_grid=(3,), defense_epsilon=1.5), "epsilon"),
+        (dict(families=("ridge",), lambda_policy=-1.0), "lambda_policy"),
+        (dict(families=("ridge",), lambda_policy="auto"), "lambda_policy"),
+        (dict(families=("ridge",), lambda_policy=float("nan")), "lambda_policy"),
+        (dict(families=("ridge",), lambda_policy=float("inf")), "lambda_policy"),
+        (dict(families=("enet",), rho=1.5), "rho"),
+        (dict(families=("enet",), rho=-0.1), "rho"),
+        (dict(families=("enet",), rho=float("nan")), "rho"),
     ])
     def test_grid_value_a_cell_would_reject_is_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -120,6 +128,33 @@ class TestRunCell:
         record = run_cell(spec, "ols", 0.2, None, 0)
         assert "error" not in record
         assert record["mse_poisoned"] > 0
+
+    def test_train_subsample_sets_the_fold_size(self):
+        # SYN's training fold holds 20 rows; time_attack_s counts refits x fold rows
+        for subsample, rows in ((12, 12), (None, 20), (50, 20)):
+            spec = small_spec(attack="nopt", train_subsample=subsample, attack_max_outer=1)
+            record = run_cell(spec, "ols", 0.2, None, 0)
+            assert "error" not in record
+            assert round(record["time_attack_s"] * 1e9 / record["attack_refits"]) == rows
+
+    def test_max_features_keeps_the_first_columns(self):
+        syn = SyntheticSpec(d=3, n=60, true_weights=(0.3, -0.2, 0.1), true_bias=0.5,
+                            noise_std=0.08, seed=12)
+        full = load_base_dataset(small_spec(synthetic=syn))
+        cut = load_base_dataset(small_spec(synthetic=syn, max_features=2))
+        assert cut.d == 2 and cut.feature_names == full.feature_names[:2]
+        assert np.array_equal(cut.features, full.features[:, :2])
+        assert np.array_equal(cut.responses, full.responses)
+        assert load_base_dataset(small_spec(synthetic=syn, max_features=5)).d == 3
+        record = run_cell(small_spec(synthetic=syn, max_features=2), "ols", 0.2, None, 0)
+        assert "error" not in record
+
+    @pytest.mark.parametrize("family", ["ridge", "lasso", "enet"])
+    def test_fixed_lambda_policy_is_the_cells_lambda(self, family):
+        record = run_cell(small_spec(families=(family,), lambda_policy=0.05), family, 0.2, None, 0)
+        assert "error" not in record
+        assert record["lambda"] == 0.05
+        assert run_cell(small_spec(lambda_policy=0.05), "ols", 0.2, None, 0)["lambda"] == 0.0
 
     def test_cell_seed_stable(self):
         assert cell_seed(1, "a", 0.2) == cell_seed(1, "a", 0.2)

@@ -81,6 +81,15 @@ class TestFit:
         ds = make_noisy_dataset(seed=2)
         assert fit(ds, "ols", lam=5.0).model.lam == 0.0
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_rejects_a_lambda_that_is_not_finite(self, family, lam):
+        ds = make_noisy_dataset(seed=2)
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            fit(ds, family, lam)
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            RegressionModel(np.zeros(3), 0.0, family, lam)
+
     def test_rejects_underdetermined(self):
         ds = Dataset(np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(ValueError, match="d\\+1"):
