@@ -21,7 +21,10 @@ zero curvature. Under an l1 penalty (LASSO, Elastic-net) a zero weight stays
 at zero while the point moves a little, so the system is restricted to the
 active set: the nonzero weights and the bias, with zero columns of J for the
 others (Xiao et al., ICML 2015). A gradient needs only J @ g for one vector
-g, so it solves H v = g once (the adjoint form, Pedregosa 2016).
+g, so it solves H v = g once (the adjoint form, Pedregosa 2016); after an
+accepted OLS/Ridge trial it multiplies g by the H^-1 that trial's refit
+computed, so a step factors H once. The poison points are stored as rows
+(x, 1, y), and a trial swaps one in the merged moments by two rank-one updates.
 
 The line search backtracks on the step eta of a projected step along the
 normalized gradient and accepts a trial when the objective rises by at
@@ -152,29 +155,36 @@ def _solve_kkt(h: np.ndarray, rhs: np.ndarray, jitter: float) -> np.ndarray:
 
 
 def _implicit_product(
-    moments: Moments, model: RegressionModel, x_c: np.ndarray, y_c: float, rhs: np.ndarray
+    moments: Moments, model: RegressionModel, x_c: np.ndarray, r_c: float, rhs: np.ndarray,
+    h_inv: np.ndarray | None = None, explicit: float = 0.0,
 ) -> np.ndarray:
-    """J @ rhs for the Jacobian J of theta_jacobian from one solve v = H^-1 rhs:
-    J @ rhs = -E v = -[(w, -1) ((x_c, 1) . v) + r_c (v_x, 0)]. Under an l1
-    penalty v solves on the active set and is 0 at a zero weight. rhs is a
-    (d+1,) vector or a (d+1, k) matrix."""
+    """J @ rhs + explicit (w, -1) for the Jacobian J of theta_jacobian and
+    the point's residual r_c, from one solve v = H^-1 rhs:
+    J @ rhs = -E v = -[(w, -1) ((x_c, 1) . v) + r_c (v_x, 0)]. h_inv, when
+    given, is H^-1 of a closed-form fit on `moments`, and v is a product
+    with it. Under an l1 penalty v solves on the active set and is 0 at a
+    zero weight. rhs is a (d+1,) vector or a (d+1, k) matrix."""
     n = moments.n
     if n < moments.d + 1:
         raise ValueError("need n >= d+1 training rows for the KKT system")
-    r_c = float(model.weights @ x_c + model.bias - y_c)
-    h = moments.penalized_gram(model.lam * model.curvature_scale())
-    if model.lam * _penalty_mix(model.family, model.rho)[0] > 0.0:
-        # an identity row and column for each weight the l1 penalty holds at
-        # zero solve the system on the active set and leave v = 0 there
-        rhs = rhs.copy()
-        for j, w_j in enumerate(model.weights.tolist()):
-            if w_j == 0.0:
-                h[j, :] = h[:, j] = rhs[j] = 0.0
-                h[j, j] = 1.0
-    # KKT_JITTER is on the Hessian over n, the mean of the per-row Hessians
-    v = -_solve_kkt(h, rhs, KKT_JITTER * n)
-    ev = np.multiply.outer(np.concatenate((model.weights, (-1.0,))), x_c @ v[:-1] + v[-1])
-    ev[:-1] += r_c * v[:-1]
+    if h_inv is not None:
+        v = h_inv @ rhs
+    else:
+        h = moments.penalized_gram(model.lam * model.curvature_scale())
+        if model.lam * _penalty_mix(model.family, model.rho)[0] > 0.0:
+            # an identity row and column for each weight the l1 penalty holds
+            # at zero solve the system on the active set and leave v = 0 there
+            rhs = rhs.copy()
+            for j, w_j in enumerate(model.weights.tolist()):
+                if w_j == 0.0:
+                    h[j, :] = h[:, j] = rhs[j] = 0.0
+                    h[j, j] = 1.0
+        # KKT_JITTER is on the Hessian over n, the mean of the per-row Hessians
+        v = _solve_kkt(h, rhs, KKT_JITTER * n)
+    ev = np.multiply.outer(
+        np.concatenate((model.weights, (-1.0,))), explicit - (x_c @ v[:-1] + v[-1])
+    )
+    ev[:-1] -= r_c * v[:-1]
     return ev
 
 
@@ -189,7 +199,8 @@ def theta_jacobian(
     """
     moments = Moments.of(training)
     x_c = np.asarray(x_c, dtype=float)
-    return _implicit_product(moments, model, x_c, y_c, np.eye(moments.d + 1))
+    r_c = float(model.weights @ x_c + model.bias - y_c)
+    return _implicit_product(moments, model, x_c, r_c, np.eye(moments.d + 1))
 
 
 def _sign(value: float) -> float:
@@ -204,6 +215,7 @@ def objective_gradient(
     index: int,
     reference: str = "clean_fit",
     merged: Moments | None = None,
+    h_inv: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of the dispersion objective w.r.t. poison point `index`.
 
@@ -211,7 +223,9 @@ def objective_gradient(
     residual term. With reference="current_theta" the denominator is the
     clean-set loss at the current parameters and its theta-dependence is
     differentiated as a quotient. Every sum over rows is read off the
-    moments; `merged`, the moments of clean plus poison, saves adding them.
+    moments; `merged`, the moments of clean plus poison, saves adding them,
+    and `h_inv`, the FitReport.h_inv of model's closed-form fit on `merged`,
+    saves the KKT solve.
     """
     if reference not in REFERENCE_MODES:
         raise ValueError(f"reference must be one of {REFERENCE_MODES}")
@@ -225,16 +239,17 @@ def objective_gradient(
     if reference == "current_theta":
         q_ref = clean.stats @ u
         ref_loss = max(0.5 * float(u @ q_ref), 0.0)
-    s = _sign(_dispersion(total, ref_loss, merged.n, clean.n))
+    # the sign of the dispersion, folded into the scale of both terms
+    scale = _sign(_dispersion(total, ref_loss, merged.n, clean.n)) / ref_loss
 
     if reference == "clean_fit":
-        grad_theta = q[:-1] / ref_loss
+        grad_theta = scale * q[:-1]
     else:
-        grad_theta = (q[:-1] * ref_loss - total * q_ref[:-1]) / ref_loss**2
+        grad_theta = scale * (q[:-1] - (total / ref_loss) * q_ref[:-1])
 
     r_c = float(model.weights @ x_c + model.bias - y_c)
-    explicit = (r_c / ref_loss) * np.concatenate((model.weights, (-1.0,)))
-    return s * (_implicit_product(merged, model, x_c, y_c, grad_theta) + explicit)
+    # the explicit term r_c (w, -1) / ref_loss rides on J's (w, -1) column
+    return _implicit_product(merged, model, x_c, r_c, grad_theta, h_inv, scale * r_c)
 
 
 def opt_objective_gradient(
@@ -243,6 +258,7 @@ def opt_objective_gradient(
     model: RegressionModel,
     index: int,
     merged: Moments | None = None,
+    h_inv: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of the clean-points residual loss w.r.t. poison point `index`.
 
@@ -252,7 +268,8 @@ def opt_objective_gradient(
     clean = Moments.of(clean)
     merged = merged if merged is not None else clean + Moments.of(poison)
     x_c, y_c = poison.features[index], float(poison.responses[index])
-    return _implicit_product(merged, model, x_c, y_c, clean.residual_gradient(model))
+    r_c = float(model.weights @ x_c + model.bias - y_c)
+    return _implicit_product(merged, model, x_c, r_c, clean.residual_gradient(model), h_inv)
 
 
 def _initial_poison(clean: Dataset, p: int, rng: np.random.Generator):
@@ -278,27 +295,30 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
         _require_reference(ref_loss, clean.n)
 
     d = clean.d
-    # the poison points z = (x, y), moved in place; px and py are views of z
-    z = np.column_stack(_initial_poison(clean, p, np.random.default_rng(cfg.seed)))
-    px, py = z[:, :d], z[:, d]
-    # every row sum the loop needs is read off these moments; a trial adds
-    # the candidate row to the merged ones less the point's current row
+    # the poison points as rows (x, 1, y), moved in place; px and py are views
+    # of them, and a step moves the x and y columns only
+    rows = np.ones((p, d + 2))
+    px, py = rows[:, :d], rows[:, d + 1]
+    px[:], py[:] = _initial_poison(clean, p, np.random.default_rng(cfg.seed))
+    xy = np.r_[:d, d + 1]
+    # every row sum the loop needs is read off these moments; a trial swaps
+    # the point's current row for the candidate by two rank-one updates
     clean_m = Moments.of(clean)
+    n_total = clean.n + p
 
     def objective(merged, model):
         if kind == "opt":
             return clean_m.residual_loss(model)
         denom = clean_m.residual_loss(model) if cfg.reference_loss == "current_theta" else ref_loss
-        return abs(_dispersion(merged.residual_loss(model), denom, merged.n, clean.n))
+        return abs(_dispersion(merged.residual_loss(model), denom, n_total, clean.n))
 
-    def gradient(merged, poison_ds, model, c):
+    def gradient(merged, poison_ds, model, c, h_inv):
         if kind == "opt":
-            return opt_objective_gradient(clean_m, poison_ds, model, c, merged=merged)
-        return objective_gradient(
-            clean_m, poison_ds, model, ref_loss, c, reference=cfg.reference_loss, merged=merged
-        )
+            return opt_objective_gradient(clean_m, poison_ds, model, c, merged=merged, h_inv=h_inv)
+        return objective_gradient(clean_m, poison_ds, model, ref_loss, c, cfg.reference_loss,
+                                  merged, h_inv)
 
-    merged = clean_m + Moments.from_rows(px, py)
+    merged = clean_m + Moments(rows.T @ rows, p)
     theta = fit(merged, family, lam, rho=rho).model
     refits = 2  # the clean reference fit and this one
     obj = objective(merged, theta)
@@ -315,34 +335,38 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
     trace = [record(0, theta, obj)]
     converged = False
     outer = 0
+    ascent = np.zeros(d + 2)  # the gradient over (x, 1, y), 0 on the constant 1
     for outer in range(1, cfg.max_outer_iters + 1):
         sweep_start = obj
-        # rebuilt from the rows once a sweep, so row swaps cannot drift
-        merged = clean_m + Moments.from_rows(px, py)
+        # rebuilt from the rows once a sweep, so row swaps cannot drift; the
+        # gradient solves its KKT system until a trial fit hands it H^-1
+        merged = clean_m + Moments(rows.T @ rows, p)
+        h_inv = None
         # point c only moves in its own turn, so this snapshot holds its current row
         poison_ds = Dataset(px.copy(), py.copy(), clean.feature_names, "poisoned")
         for c in range(p):
-            grad = gradient(merged, poison_ds, theta, c)
-            norm = float(np.linalg.norm(grad))
+            grad = gradient(merged, poison_ds, theta, c, h_inv)
+            norm = math.sqrt(grad @ grad)
             if norm == 0.0 or not math.isfinite(norm):
                 continue
-            direction = grad / norm
-            z_c = z[c]
-            rest = merged - Moments.from_rows(px[c : c + 1], py[c : c + 1])
+            ascent[xy] = grad
+            step = ascent / norm
+            row_c = rows[c]
+            rest = merged.stats - np.multiply.outer(row_c, row_c)
             eta = STEP0
             for _ in range(MAX_BACKTRACKS):
-                cand = np.minimum(np.maximum(z_c + eta * direction, 0.0), 1.0)
+                cand = np.minimum(np.maximum(row_c + eta * step, 0.0), 1.0)
                 # first-order gain of the clipped step: Armijo along the projection arc
-                gain = float(grad @ (cand - z_c))
-                trial = rest + Moments.from_rows(cand[None, :d], cand[d:])
+                gain = float(ascent @ (cand - row_c))
+                trial = Moments(rest + np.multiply.outer(cand, cand), n_total)
                 report = fit(trial, family, lam, rho=rho, warm_start=theta)
                 refits += 1
                 # a step that did not move, or a fit that did not converge, is rejected
                 if gain > 0.0 and report.converged:
                     trial_obj = objective(trial, report.model)
                     if trial_obj >= obj + ARMIJO_C * gain:
-                        z[c] = cand
-                        merged, theta, obj = trial, report.model, trial_obj
+                        rows[c] = cand
+                        merged, theta, obj, h_inv = trial, report.model, trial_obj, report.h_inv
                         break
                 eta *= SHRINK
             # all backtracks rejected: the point stays where it was

@@ -521,7 +521,8 @@ def _cmd_report(cfg: CliConfig) -> int:
     records = harness.read_records(cfg.options["records"])
     out = _out_dir(cfg)
     _write_report(out, records)
-    print(f"wrote summary for {len(records)} records to {out / 'summary.csv'}")
+    cells = sum(r.get("record_type") == "cell" for r in records)
+    print(f"wrote summary for {cells} records to {out / 'summary.csv'}")
     return 0
 
 

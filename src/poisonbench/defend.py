@@ -185,12 +185,17 @@ def proda_defend(
     outer = (rows[:, :, None] * rows[:, None, :]).reshape(n_rows, -1)
     rng = np.random.default_rng(cfg.seed)
     block = min(beta, max(1, BLOCK_FLOATS // n_rows))
-    coef = np.empty((block, d + 2))  # rows (w, b, -1): coef @ rows.T are residuals
+    # rows (w, b, -1): coef @ rows.T are residuals. A product with one row
+    # takes numpy's matrix-vector path, which rounds differently, so a block of
+    # one trial runs its products on two rows and keeps the first: a trial's
+    # numbers then do not depend on the size of its block.
+    coef = np.zeros((max(block, 2), d + 2))
     coef[:, d + 1] = -1.0
     group_mses = np.empty(beta)
     best = None  # (trial index, subset mask, model, group, converged)
     for lo in range(0, beta, block):
         k = min(block, beta - lo)
+        k2 = max(k, 2)
         groups = _floyd_groups(rng.random((k, cfg.gamma)), n_rows)
         picked = rows[groups]
         group_stats = picked.transpose(0, 2, 1) @ picked
@@ -198,16 +203,16 @@ def proda_defend(
         for i in range(k):
             report = fit(Moments(group_stats[i], cfg.gamma), family, lam, rho=rho)
             coef[i, :d], coef[i, d], ok[i] = report.model.weights, report.model.bias, report.converged
-        mask = _smallest(np.abs(coef[:k] @ rows.T), n)
-        subset_stats = (mask @ outer).reshape(k, d + 2, d + 2)
+        mask = _smallest(np.abs(coef[:k2] @ rows.T), n)
+        subset_stats = (mask @ outer)[:k].reshape(k, d + 2, d + 2)
         models = []
         for i in range(k):
             report = fit(Moments(subset_stats[i], n), family, lam, rho=rho)
             coef[i, :d], coef[i, d] = report.model.weights, report.model.bias
             ok[i] &= report.converged
             models.append(report.model)
-        resid = coef[:k] @ rows.T
-        mses = np.einsum("ij,ij->i", resid * resid, mask) / n
+        resid = (coef[:k2] @ rows.T)[:k]
+        mses = np.einsum("ij,ij->i", resid * resid, mask[:k]) / n
         group_mses[lo : lo + k] = mses
         i = int(np.argmin(mses))
         if best is None or mses[i] < group_mses[best[0]]:

@@ -9,13 +9,14 @@ rho ||w||_1 + (1 - rho)/2 ||w||_2^2 (Elastic-net). The bias is never
 regularized.
 
 Every solver reads the data through its `Moments` (G = A^T A for A = [X 1],
-c = A^T y and y^T y): OLS/Ridge solve the normal equations, with a
-minimum-norm least-squares fallback when they are ill-conditioned;
-LASSO/Elastic-net run cyclic coordinate descent with soft-thresholding in
-covariance-update form on the centred Gram, O(d^2) a sweep whatever N is:
-the bias is minimized out exactly, so the sweeps cycle over the weights
-alone, and a column of zero centred variance (a constant feature) keeps
-weight 0.
+c = A^T y and y^T y): OLS/Ridge invert the penalized Gram H once and take
+theta = H^-1 c (the fit's report keeps H^-1 for the attack's gradient), with
+a minimum-norm least-squares fallback when ||H||_F ||H^-1||_F, an upper bound
+on the eigenvalue ratio, reaches 1/MIN_RCOND; LASSO/Elastic-net run cyclic
+coordinate descent with soft-thresholding in covariance-update form on the
+centred Gram, O(d^2) a sweep whatever N is: the bias is minimized out
+exactly, so the sweeps cycle over the weights alone, and a column of zero
+centred variance (a constant feature) keeps weight 0.
 """
 
 from __future__ import annotations
@@ -119,6 +120,8 @@ class FitReport:
     converged: bool
     data: Dataset | Moments = field(compare=False, repr=False)
     fallback: bool = False  # minimum-norm least-squares used on a singular system
+    # H^-1 of a closed-form fit that did not fall back, for the attack's gradient
+    h_inv: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __getattr__(self, name):
         # reached only while train_loss and train_mse are unset
@@ -214,23 +217,31 @@ def mse(ds: Dataset, model: RegressionModel) -> float:
 
 
 def _solve_normal_equations(m: Moments, lam, rows):
-    """OLS / Ridge: (G + lam diag(1, ..., 1, 0)) theta = c. An ill-conditioned
-    system goes to minimum-norm least squares: on the rows when at hand,
-    with Ridge's sqrt(lam) [I 0] rows appended, else on the system itself."""
+    """OLS / Ridge: theta = H^-1 c for H = G + lam diag(1, ..., 1, 0), from
+    one inverse. ||H||_F ||H^-1||_F bounds the eigenvalue ratio of H from
+    above, within a factor d+1, so a system whose bound reaches 1/MIN_RCOND
+    (or whose inverse fails) goes to minimum-norm least squares: on the rows
+    when at hand, with Ridge's sqrt(lam) [I 0] rows appended, else on the
+    system itself. Returns (w, b, fallback, H^-1 or None on a fallback)."""
     d = m.d
     h = m.penalized_gram(lam)
-    eig = np.linalg.eigvalsh(h)
-    if eig[0] > MIN_RCOND * eig[-1]:
-        theta, fallback = np.linalg.solve(h, m.cross), False
-    else:
-        a, rhs = h, m.cross
-        if rows is not None:
-            a = np.column_stack([rows.features, np.ones(rows.n)])
-            a = np.vstack([a, np.sqrt(lam) * np.eye(d, d + 1)])
-            rhs = np.concatenate([rows.responses, np.zeros(d)])
-        theta, _, rank, _ = np.linalg.lstsq(a, rhs, rcond=None)
-        fallback = rank < d + 1
-    return theta[:d], float(theta[d]), fallback
+    try:
+        h_inv = np.linalg.inv(h)
+        hf, inv_f = h.ravel(), h_inv.ravel()
+        # written so that a NaN bound falls back too
+        well_posed = MIN_RCOND**2 * float(hf @ hf) * float(inv_f @ inv_f) < 1.0
+    except np.linalg.LinAlgError:
+        well_posed = False
+    if well_posed:
+        theta = h_inv @ m.cross
+        return theta[:d], float(theta[d]), False, h_inv
+    a, rhs = h, m.cross
+    if rows is not None:
+        a = np.column_stack([rows.features, np.ones(rows.n)])
+        a = np.vstack([a, np.sqrt(lam) * np.eye(d, d + 1)])
+        rhs = np.concatenate([rows.responses, np.zeros(d)])
+    theta, _, rank, _ = np.linalg.lstsq(a, rhs, rcond=None)
+    return theta[:d], float(theta[d]), rank < d + 1, None
 
 
 def _coordinate_descent(m: Moments, l1, l2, tol, max_iters, w0=None, b0=None):
@@ -302,7 +313,7 @@ def fit(
 
     rows = data if isinstance(data, Dataset) else None
     if family in ("ols", "ridge"):
-        w, b, fallback = _solve_normal_equations(m, lam, rows)
+        w, b, fallback, h_inv = _solve_normal_equations(m, lam, rows)
         iterations, converged = 1, True
     else:
         l1, l2 = _penalty_mix(family, rho)
@@ -312,9 +323,9 @@ def fit(
         w, b, iterations, converged = _coordinate_descent(
             m, lam * l1, lam * l2, tol, max_iters, w0, b0
         )
-        fallback = False
+        fallback, h_inv = False, None
     model = RegressionModel(w, b, family, lam, rho)
-    return FitReport(model, iterations, converged, data, fallback)
+    return FitReport(model, iterations, converged, data, fallback, h_inv)
 
 
 def select_lambda(train: Dataset, validation: Dataset, family: str, rho: float = 0.5) -> float:

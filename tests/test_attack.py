@@ -4,8 +4,11 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisonbench import attack as attack_module
+from poisonbench import harness
 from poisonbench.attack import (
     AttackConfig,
     DegenerateCleanLossError,
@@ -17,7 +20,7 @@ from poisonbench.attack import (
     poison_to_csv,
     theta_jacobian,
 )
-from poisonbench.data import Dataset, merge
+from poisonbench.data import Dataset, SyntheticSpec, merge
 from poisonbench.regress import DEFAULT_TOL, Moments, fit, loss, mse
 
 from conftest import make_noisy_dataset
@@ -624,6 +627,88 @@ class TestAttackLoop:
             AttackConfig(alpha=0.1, eps_conv=0.0)
         with pytest.raises(ValueError, match="reference_loss"):
             AttackConfig(alpha=0.1, reference_loss="other")
+
+
+CLOSED_FORM = [("ols", 0.0), ("ridge", 0.1)]
+
+
+class TestGradientFromTheFitInverse:
+    """The loop hands a gradient the H^-1 of the trial fit it accepted."""
+
+    @pytest.mark.parametrize("family,lam", CLOSED_FORM)
+    @pytest.mark.parametrize("kind,reference", [
+        ("nopt", "clean_fit"), ("nopt", "current_theta"), ("opt", None),
+    ])
+    def test_matches_the_kkt_solve(self, family, lam, kind, reference):
+        for seed in range(6):
+            clean, poison, merged, _, ref = make_attack_instance(seed + 140, family=family, lam=lam)
+            moments = Moments.of(merged)
+            report = fit(moments, family, lam)
+            args = (clean, poison, report.model)
+            if kind == "opt":
+                want = opt_objective_gradient(*args, 0, merged=moments)
+                got = opt_objective_gradient(*args, 0, merged=moments, h_inv=report.h_inv)
+            else:
+                want = objective_gradient(*args, ref, 0, reference=reference, merged=moments)
+                got = objective_gradient(*args, ref, 0, reference=reference, merged=moments,
+                                         h_inv=report.h_inv)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_no_kkt_solve_when_the_inverse_is_given(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("KKT solve with H^-1 at hand")
+
+        clean, poison, merged, _, ref = make_attack_instance(150, d=3, family="ridge", lam=0.1)
+        moments = Moments.of(merged)
+        report = fit(moments, "ridge", 0.1)
+        monkeypatch.setattr(attack_module, "_solve_kkt", no_solve)
+        objective_gradient(clean, poison, report.model, ref, 0, merged=moments, h_inv=report.h_inv)
+        opt_objective_gradient(clean, poison, report.model, 0, merged=moments, h_inv=report.h_inv)
+
+
+class TestWorkCount:
+    def test_one_factorization_per_trial(self, monkeypatch):
+        # every refit inverts its H once and a gradient reuses the accepted
+        # fit's H^-1, so only a sweep's first gradient solves; the two extra
+        # systems are the cell's clean fit and its fit on the poisoned set
+        calls = []
+        for name in ("inv", "solve", "eigvalsh", "eigh"):
+            real = getattr(np.linalg, name)
+
+            def counted(*args, real=real, **kwargs):
+                calls.append(1)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        spec = harness.ExperimentSpec(
+            synthetic=SyntheticSpec(d=3, n=120, true_weights=(0.3, -0.2, 0.1), true_bias=0.4,
+                                    noise_std=0.08, seed=5),
+            families=("ols",), lambda_policy=0.0, attack="nopt", alpha_grid=(0.2,), repeats=1,
+            master_seed=3, attack_max_outer=5,
+        )
+        record = harness.run_cell(spec, "ols", 0.2, None, 0)
+        assert "error" not in record
+        refits, iterations = record["attack_refits"], record["attack_iterations"]
+        assert refits > 10 * iterations
+        assert len(calls) <= refits + iterations + 2
+
+
+FAMILY_LAMBDA = dict(FAMILY_LAMBDAS)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    family=st.sampled_from(sorted(FAMILY_LAMBDA)),
+    alpha=st.floats(0.05, 0.2),
+    seed=st.integers(0, 2**31 - 1),
+    attack=st.sampled_from([nopt_attack, opt_attack]),
+)
+def test_poison_points_stay_in_the_unit_box(family, alpha, seed, attack):
+    clean = make_noisy_dataset(n=30, d=2, seed=seed % 1000)
+    state = attack(clean, AttackConfig(alpha=alpha, seed=seed, max_outer_iters=2), family,
+                   FAMILY_LAMBDA[family])
+    for values in (state.poison.features, state.poison.responses):
+        assert np.all((values >= 0.0) & (values <= 1.0))
 
 
 class TestKktSystem:

@@ -288,6 +288,15 @@ class TestSweepAndReport:
         assert (out2 / "summary.csv").read_text() == (out1 / "summary.csv").read_text()
         assert (out2 / "report.txt").exists()
 
+    def test_report_counts_the_cell_records_not_the_header(self, tmp_path, capsys):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        main(["sweep", "--synthetic", "d=2,n=45,noise=0.1", "--alphas", "0.1,0.2",
+              "--repeats", "1", "--out", str(out1), "--seed", "3"])
+        assert "wrote 2 records" in capsys.readouterr().out
+        code = main(["report", "--records", str(out1 / "records.jsonl"), "--out", str(out2)])
+        assert code == 0
+        assert "wrote summary for 2 records" in capsys.readouterr().out
+
     def test_verbose_prints_one_stderr_line_per_record(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["sweep", "--synthetic", "d=2,n=45,noise=0.1", "--defense", "proda",

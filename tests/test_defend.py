@@ -438,6 +438,37 @@ class TestProdaBlocks:
                 group = floyd_group(rng, ds.n, 2)
             assert result.winning_group_indices == tuple(group)
 
+    @pytest.mark.parametrize("block_trials", (3, 9))
+    def test_trials_with_one_subset_score_bit_for_bit_alike(self, monkeypatch, block_trials):
+        # beta = 10, so both block sizes leave a last block of one trial
+        x = np.linspace(0.0, 1.0, 12)
+        y = 0.5 * x + 0.25
+        y[[3, 8]] = (1.0, 0.0)
+        ds = Dataset(x[:, None], y)
+        monkeypatch.setattr(defend, "BLOCK_FLOATS", block_trials * ds.n)
+        blocks, masks = record_groups(monkeypatch), []
+        real_smallest = defend._smallest
+
+        def recording(resid, n):
+            masks.append(real_smallest(resid, n))
+            return masks[-1]
+
+        monkeypatch.setattr(defend, "_smallest", recording)
+        last_trial_tied = False
+        for seed in range(4):
+            blocks.clear()
+            masks.clear()
+            result = proda_defend(ds, ProdaConfig(gamma=2, alpha_assumed=0.17, seed=seed), "ols")
+            assert result.beta_used == 10 and len(blocks[-1]) == 1
+            # a block's masks may hold padding rows past its trials
+            subsets = np.concatenate([m[: len(b)] for m, b in zip(masks, blocks)])
+            trace = np.array(result.group_mse_trace)
+            for subset in np.unique(subsets, axis=0):
+                same = np.flatnonzero((subsets == subset).all(axis=1))
+                assert len(set(trace[same].tolist())) == 1, (seed, same, trace[same])
+                last_trial_tied |= len(same) > 1 and same[-1] == 9
+        assert last_trial_tied
+
     def test_memory_stays_below_one_trials_by_rows_matrix(self):
         # gamma = 30 gives beta = 9,295: one (beta x N) float matrix is 27.9 MB
         ds = make_noisy_dataset(n=375, d=5, seed=1)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisonbench import harness
 from poisonbench.data import SyntheticSpec
@@ -103,6 +105,25 @@ class TestRunCell:
         drop = ("wall_time_attack_s", "wall_time_defense_s")
         assert {k: v for k, v in a.items() if k not in drop} == {
             k: v for k, v in b.items() if k not in drop
+        }
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        family=st.sampled_from(["ols", "ridge", "lasso", "enet"]),
+        alpha=st.floats(0.05, 0.2),
+        seed=st.integers(0, 2**31 - 1),
+        attack=st.sampled_from(["nopt", "opt"]),
+    )
+    def test_two_runs_agree_apart_from_wall_times(self, family, alpha, seed, attack):
+        spec = small_spec(attack=attack, defense="trim", families=(family,), alpha_grid=(alpha,),
+                          lambda_policy=0.01, master_seed=seed, attack_max_outer=2)
+        a = run_cell(spec, family, alpha, None, 0)
+        b = run_cell(spec, family, alpha, None, 0)
+        assert "error" not in a
+        wall = {k for k in a if k.startswith("wall_time_")}
+        assert wall == {"wall_time_attack_s", "wall_time_defense_s"}
+        assert {k: v for k, v in a.items() if k not in wall} == {
+            k: v for k, v in b.items() if k not in wall
         }
 
     def test_attack_and_defense_metrics_present(self):

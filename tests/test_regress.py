@@ -11,6 +11,7 @@ from poisonbench.data import Dataset, SyntheticSpec, generate_synthetic
 from poisonbench.regress import (
     DEFAULT_TOL,
     FAMILIES,
+    MIN_RCOND,
     FitReport,
     Moments,
     RegressionModel,
@@ -262,6 +263,75 @@ class TestLeanFit:
             f"FitReport(model={report.model!r}, train_loss={report.train_loss!r}, "
             f"train_mse={report.train_mse!r}, iterations=1, converged=True, fallback=False)"
         )
+
+
+def near_collinear(spread, n=40, seed=12):
+    """Two columns that differ by spread * uniform noise, and a response."""
+    rng = np.random.default_rng(seed)
+    x1 = rng.uniform(size=n)
+    x = np.column_stack([x1, x1 + spread * rng.uniform(size=n)])
+    return Dataset(x, 0.3 * x[:, 0] - 0.2 * x[:, 1] + 0.5 + rng.normal(0.0, 0.01, size=n))
+
+
+class TestInverseFactor:
+    """A closed-form fit inverts its penalized Gram H once; the condition
+    test reads ||H||_F ||H^-1||_F, which bounds the eigenvalue ratio."""
+
+    @pytest.mark.parametrize("family,lam", [("ols", 0.0), ("ridge", 0.3)])
+    def test_report_carries_the_inverse_of_the_penalized_gram(self, family, lam):
+        m = Moments.of(make_noisy_dataset(n=50, d=3, seed=4))
+        report = fit(m, family, lam)
+        np.testing.assert_allclose(report.h_inv @ m.penalized_gram(lam), np.eye(4), atol=1e-10)
+        h_inv_field = {f.name: f for f in dataclasses.fields(FitReport)}["h_inv"]
+        assert not h_inv_field.compare and not h_inv_field.repr
+
+    def test_no_inverse_from_coordinate_descent_or_a_fallback(self):
+        ds = make_noisy_dataset(n=50, d=3, seed=4)
+        assert fit(ds, "lasso", 0.01).h_inv is None
+        assert fit(ds, "enet", 0.01).h_inv is None
+        x = np.array([[0.1, 0.1], [0.4, 0.4], [0.9, 0.9]])  # duplicated column
+        report = fit(Dataset(x, np.array([0.1, 0.4, 0.9])), "ols")
+        assert report.fallback and report.h_inv is None
+
+    @pytest.mark.parametrize("on_rows", [True, False])
+    @pytest.mark.parametrize("spread", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 0.0])
+    def test_every_system_the_eigenvalue_test_flags_falls_back(self, monkeypatch, spread,
+                                                              on_rows):
+        ds = near_collinear(spread)
+        h = Moments.of(ds).penalized_gram(0.0)
+        eig = np.linalg.eigvalsh(h)
+        real_lstsq, calls = np.linalg.lstsq, []
+
+        def counting_lstsq(*args, **kwargs):
+            calls.append(1)
+            return real_lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        report = fit(ds if on_rows else Moments.of(ds), "ols")
+        if eig[0] <= MIN_RCOND * eig[-1]:
+            assert calls == [1] and report.h_inv is None
+        elif eig[0] > h.shape[0] * MIN_RCOND * eig[-1]:
+            # outside the band of width d+1 where the Frobenius bound can differ
+            assert calls == [] and report.h_inv is not None
+        if spread == 0.0:  # exactly singular
+            assert report.fallback
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["ols", "ridge"]),
+    lam=st.floats(1e-4, 1.0),
+    d=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_fit_on_moments_is_stationary(family, lam, d, seed):
+    rng = np.random.default_rng(seed)
+    n = 10 * (d + 1)
+    x = rng.uniform(size=(n, d))
+    m = Moments.from_rows(x, np.clip(x @ rng.uniform(-1, 1, d) + rng.normal(0, 0.1, n), 0, 1))
+    model = fit(m, family, lam).model
+    residual = m.penalized_gram(model.lam) @ np.append(model.weights, model.bias) - m.cross
+    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(m.cross)
 
 
 def assert_stationary(x, y, report, l1, l2, tol=DEFAULT_TOL):
