@@ -155,11 +155,11 @@ def _solve_kkt(h: np.ndarray, rhs: np.ndarray, jitter: float) -> np.ndarray:
 
 
 def _implicit_product(
-    moments: Moments, model: RegressionModel, x_c: np.ndarray, r_c: float, rhs: np.ndarray,
-    h_inv: np.ndarray | None = None, explicit: float = 0.0,
+    moments: Moments, model: RegressionModel, x_c: np.ndarray, y_c: float, rhs: np.ndarray,
+    h_inv: np.ndarray | None = None, scale: float = 0.0,
 ) -> np.ndarray:
-    """J @ rhs + explicit (w, -1) for the Jacobian J of theta_jacobian and
-    the point's residual r_c, from one solve v = H^-1 rhs:
+    """J @ rhs + scale r_c (w, -1) for the Jacobian J of theta_jacobian at
+    the point (x_c, y_c) with residual r_c, from one solve v = H^-1 rhs:
     J @ rhs = -E v = -[(w, -1) ((x_c, 1) . v) + r_c (v_x, 0)]. h_inv, when
     given, is H^-1 of a closed-form fit on `moments`, and v is a product
     with it. Under an l1 penalty v solves on the active set and is 0 at a
@@ -181,8 +181,9 @@ def _implicit_product(
                     h[j, j] = 1.0
         # KKT_JITTER is on the Hessian over n, the mean of the per-row Hessians
         v = _solve_kkt(h, rhs, KKT_JITTER * n)
+    r_c = float(model.weights @ x_c + model.bias - y_c)
     ev = np.multiply.outer(
-        np.concatenate((model.weights, (-1.0,))), explicit - (x_c @ v[:-1] + v[-1])
+        np.concatenate((model.weights, (-1.0,))), scale * r_c - (x_c @ v[:-1] + v[-1])
     )
     ev[:-1] -= r_c * v[:-1]
     return ev
@@ -199,8 +200,7 @@ def theta_jacobian(
     """
     moments = Moments.of(training)
     x_c = np.asarray(x_c, dtype=float)
-    r_c = float(model.weights @ x_c + model.bias - y_c)
-    return _implicit_product(moments, model, x_c, r_c, np.eye(moments.d + 1))
+    return _implicit_product(moments, model, x_c, y_c, np.eye(moments.d + 1))
 
 
 def _sign(value: float) -> float:
@@ -247,9 +247,8 @@ def objective_gradient(
     else:
         grad_theta = scale * (q[:-1] - (total / ref_loss) * q_ref[:-1])
 
-    r_c = float(model.weights @ x_c + model.bias - y_c)
     # the explicit term r_c (w, -1) / ref_loss rides on J's (w, -1) column
-    return _implicit_product(merged, model, x_c, r_c, grad_theta, h_inv, scale * r_c)
+    return _implicit_product(merged, model, x_c, y_c, grad_theta, h_inv, scale)
 
 
 def opt_objective_gradient(
@@ -268,8 +267,7 @@ def opt_objective_gradient(
     clean = Moments.of(clean)
     merged = merged if merged is not None else clean + Moments.of(poison)
     x_c, y_c = poison.features[index], float(poison.responses[index])
-    r_c = float(model.weights @ x_c + model.bias - y_c)
-    return _implicit_product(merged, model, x_c, r_c, clean.residual_gradient(model), h_inv)
+    return _implicit_product(merged, model, x_c, y_c, clean.residual_gradient(model), h_inv)
 
 
 def _initial_poison(clean: Dataset, p: int, rng: np.random.Generator):
@@ -281,10 +279,7 @@ def _initial_poison(clean: Dataset, p: int, rng: np.random.Generator):
 
 
 def _run_attack(clean, cfg, family, lam, rho, kind):
-    objective_name = {"nopt": "dispersion", "opt": "clean_loss"}.get(kind)
-    if objective_name is None:
-        raise ValueError(f"unknown attack kind {kind!r}")
-
+    objective_name = {"nopt": "dispersion", "opt": "clean_loss"}[kind]
     p = cfg.n_poison if cfg.n_poison is not None else poison_count(clean.n, cfg.alpha)
     if p < 1:
         raise ValueError(f"poison budget rounds to zero points (alpha={cfg.alpha}, n={clean.n})")

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,8 @@ class UsageError(ValueError):
 class CliConfig:
     command: str
     options: dict
+    # the library objects `_validate` builds from the options, each once
+    built: dict = field(default_factory=dict)
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -103,13 +105,10 @@ def _parse_synthetic(text: str) -> dict:
 
 def build_synthetic_spec(fields: dict) -> SyntheticSpec:
     d, n = fields["d"], fields["n"]
-    if "w" in fields:
-        w = fields["w"]
-        if len(w) != d:
-            raise UsageError(f"--synthetic w has {len(w)} entries, expected d={d}")
-    else:
+    w = fields.get("w")
+    if w is None:
         rng = np.random.default_rng(np.random.SeedSequence([fields["seed"], 0xC0FFEE]))
-        w = tuple(rng.uniform(-1.0, 1.0, size=d))
+        w = tuple(rng.uniform(-1.0, 1.0, size=max(d, 0)))
     b = fields.get("b")
     if b is None:
         rng = np.random.default_rng(np.random.SeedSequence([fields["seed"], 0xB1A5]))
@@ -275,7 +274,7 @@ def parse_args(argv) -> CliConfig:
 
 def _validate(cfg: CliConfig):
     opts = cfg.options
-    if cfg.command in ("fit", "attack", "defend", "sweep"):
+    if cfg.command in _DATA:
         has_csv = "csv" in opts
         has_syn = "synthetic" in opts
         if has_csv == has_syn:
@@ -292,13 +291,6 @@ def _validate(cfg: CliConfig):
         opts.setdefault("alpha_assumed", opts.get("alpha", 0.2))
     if opts.get("alpha_assumed") is not None and not 0.0 <= opts["alpha_assumed"] < 1.0:
         raise UsageError(f"--alpha-assumed must be in [0, 1), got {opts['alpha_assumed']}")
-    try:  # the configs the command builds check their own ranges
-        if cfg.command == "attack":
-            AttackConfig(opts["alpha"], opts["epsilon_conv"], opts["max_iters"])
-        if cfg.command == "defend" and opts["method"] == "proda":
-            ProdaConfig(opts["gamma"], opts["epsilon"], opts["alpha_assumed"])
-    except ValueError as exc:
-        raise UsageError(f"invalid {cfg.command} settings: {exc}") from exc
     if cfg.command == "sweep" and opts["defense"] == "proda" and "gammas" not in opts:
         raise UsageError("--gammas is required when sweeping the proda defense")
     if cfg.command == "sweep" and opts["jobs"] < 1:
@@ -314,20 +306,39 @@ def _validate(cfg: CliConfig):
             raise UsageError(f"--lambda must be finite and >= 0, got {opts['lam']}")
     if "rho" in opts and not 0.0 <= opts["rho"] <= 1.0:
         raise UsageError(f"--rho must be in [0, 1], got {opts['rho']}")
+    built = cfg.built
+    try:  # the library objects check their own ranges; the commands use these
+        if cfg.command in _DATA:
+            built["source"] = _dataset_source(opts)
+        if cfg.command == "attack":
+            built["config"] = AttackConfig(
+                opts["alpha"], opts["epsilon_conv"], opts["max_iters"], opts["seed"]
+            )
+        if cfg.command == "defend" and opts["method"] == "proda":
+            built["config"] = ProdaConfig(
+                opts["gamma"], opts["epsilon"], opts["alpha_assumed"], opts["seed"]
+            )
+        if cfg.command == "sweep":
+            built["spec"] = _build_experiment_spec(opts, built["source"])
+    except ValueError as exc:
+        raise UsageError(f"invalid {cfg.command} settings: {exc}") from exc
+
+
+def _dataset_source(opts) -> dict:
+    """The dataset name and the CSV fields or synthetic spec, as ExperimentSpec fields."""
+    if "csv" in opts:
+        return dict(dataset_name=Path(opts["csv"]).stem, csv_path=opts["csv"],
+                    target_column=opts["target"], categorical=opts.get("categorical", ()))
+    return dict(dataset_name="synthetic", synthetic=build_synthetic_spec(opts["synthetic"]))
 
 
 def _load_dataset(cfg: CliConfig):
-    opts = cfg.options
-    if "csv" in opts:
-        ds, norm = load_csv(opts["csv"], opts["target"], opts.get("categorical"))
-        name = Path(opts["csv"]).stem
-        target = opts["target"]
+    source = cfg.built["source"]
+    if "csv_path" in source:
+        ds, norm = load_csv(source["csv_path"], source["target_column"], source["categorical"])
     else:
-        spec = build_synthetic_spec(opts["synthetic"])
-        ds, norm = generate_synthetic(spec)
-        name = "synthetic"
-        target = "y"
-    return ds, norm, name, target
+        ds, norm = generate_synthetic(source["synthetic"])
+    return ds, norm, source["dataset_name"], source.get("target_column", "y")
 
 
 def _resolve_lambda_cli(cfg, ds):
@@ -355,7 +366,7 @@ def _cmd_fit(cfg: CliConfig) -> int:
     out = _out_dir(cfg)
     (out / f"{name}_model.json").write_text(report.model.to_json(), encoding="utf-8")
     (out / f"{name}_normalization.json").write_text(norm.to_json(), encoding="utf-8")
-    print(f"family={family} lambda={lam} train_mse={report.train_mse}")
+    print(f"family={family} lambda={report.model.lam} train_mse={report.train_mse}")
     if ds.d == 1:
         line = {"name": family, "weight": float(report.model.weights[0]), "bias": report.model.bias}
         svgplot.write_scatter_fit(
@@ -368,15 +379,8 @@ def _cmd_attack(cfg: CliConfig) -> int:
     opts = cfg.options
     ds, _, name, target = _load_dataset(cfg)
     lam = _resolve_lambda_cli(cfg, ds)
-    family = opts["family"]
-    attack_cfg = AttackConfig(
-        alpha=opts["alpha"],
-        eps_conv=opts["epsilon_conv"],
-        max_outer_iters=opts["max_iters"],
-        seed=opts["seed"],
-    )
     attack_fn = nopt_attack if opts["method"] == "nopt" else opt_attack
-    state = attack_fn(ds, attack_cfg, family, lam, rho=opts["rho"])
+    state = attack_fn(ds, cfg.built["config"], opts["family"], lam, rho=opts["rho"])
     out = _out_dir(cfg)
     (out / f"{name}_poison.csv").write_text(poison_to_csv(state, target), encoding="utf-8")
     (out / f"{name}_attack_trace.jsonl").write_text(state.to_jsonl(), encoding="utf-8")
@@ -405,13 +409,7 @@ def _cmd_defend(cfg: CliConfig) -> int:
     family = opts["family"]
     alpha_assumed = opts["alpha_assumed"]
     if opts["method"] == "proda":
-        dcfg = ProdaConfig(
-            gamma=opts["gamma"],
-            epsilon=opts["epsilon"],
-            alpha_assumed=alpha_assumed,
-            seed=opts["seed"],
-        )
-        result = proda_defend(ds, dcfg, family, lam, rho=opts["rho"])
+        result = proda_defend(ds, cfg.built["config"], family, lam, rho=opts["rho"])
     else:
         result = trim_defend(
             ds, alpha_assumed, family, lam, rho=opts["rho"],
@@ -436,9 +434,9 @@ def _cmd_defend(cfg: CliConfig) -> int:
     return 0
 
 
-def _build_experiment_spec(cfg: CliConfig) -> harness.ExperimentSpec:
-    opts = cfg.options
-    kwargs = dict(
+def _build_experiment_spec(opts, source: dict) -> harness.ExperimentSpec:
+    return harness.ExperimentSpec(
+        **source,
         families=opts["families"],
         lambda_policy="select" if opts["lam"] == "auto" else float(opts["lam"]),
         rho=opts["rho"],
@@ -455,19 +453,6 @@ def _build_experiment_spec(cfg: CliConfig) -> harness.ExperimentSpec:
         defense_epsilon=opts["epsilon"],
         defense_max_iters=opts["max_iters"],
     )
-    if "csv" in opts:
-        kwargs.update(
-            dataset_name=Path(opts["csv"]).stem,
-            csv_path=opts["csv"],
-            target_column=opts["target"],
-            categorical=opts.get("categorical", ()),
-        )
-    else:
-        kwargs.update(dataset_name="synthetic", synthetic=build_synthetic_spec(opts["synthetic"]))
-    try:
-        return harness.ExperimentSpec(**kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _write_report(out: Path, records) -> None:
@@ -493,7 +478,7 @@ def _write_report(out: Path, records) -> None:
 
 
 def _cmd_sweep(cfg: CliConfig) -> int:
-    spec = _build_experiment_spec(cfg)
+    spec = cfg.built["spec"]
     out = _out_dir(cfg)
     path = out / "records.jsonl"
     records = harness.run_sweep(spec, jobs=cfg.options["jobs"])

@@ -147,9 +147,16 @@ class SyntheticSpec:
         if self.n < self.d + 1:
             raise ValueError(f"need n >= d+1 samples, got n={self.n}, d={self.d}")
         if len(self.true_weights) != self.d:
-            raise ValueError("true_weights length must equal d")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+            raise ValueError(
+                f"true_weights has {len(self.true_weights)} entries, expected d={self.d}"
+            )
+        if not all(map(math.isfinite, (*self.true_weights, self.true_bias))):
+            raise ValueError("true_weights and true_bias must be finite")
+        # NaN fails every comparison, so it would pass a plain `< 0` test
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -304,11 +311,7 @@ def split_three(ds: Dataset, seed: int) -> SplitTriple:
     if n < 3:
         raise ValueError(f"need at least 3 rows to split, got {n}")
     perm = np.random.default_rng(seed).permutation(n)
-    base, rem = divmod(n, 3)
-    sizes = [base + (1 if i < rem else 0) for i in range(3)]
-    bounds = np.cumsum([0] + sizes)
-    parts = [ds.take(perm[bounds[i]:bounds[i + 1]]) for i in range(3)]
-    return SplitTriple(*parts)
+    return SplitTriple(*(ds.take(part) for part in np.array_split(perm, 3)))
 
 
 def merge(clean: Dataset, poison: Dataset):

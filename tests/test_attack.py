@@ -723,3 +723,24 @@ class TestKktSystem:
             assert np.min(np.linalg.eigvalsh(sigma)) >= -1e-12
             h = moments.penalized_gram(model.lam * model.curvature_scale()) / moments.n
             assert np.allclose(h, h.T)
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("max_outer_iters", [0, -1])
+    def test_max_outer_iters_below_one(self, max_outer_iters):
+        with pytest.raises(ValueError, match="max_outer_iters"):
+            AttackConfig(alpha=0.1, max_outer_iters=max_outer_iters)
+
+    @pytest.mark.parametrize("attack", [nopt_attack, opt_attack])
+    @pytest.mark.parametrize("cfg", [AttackConfig(alpha=0.01), AttackConfig(alpha=0.1, n_poison=0)])
+    def test_poison_budget_rounding_to_zero(self, attack, cfg):
+        # floor(0.01 * 30 / 0.99) = 0 points
+        with pytest.raises(ValueError, match="rounds to zero"):
+            attack(make_noisy_dataset(n=30, d=2, seed=17), cfg)
+
+    def test_unknown_gradient_reference(self):
+        clean = make_noisy_dataset(n=30, d=2, seed=18)
+        poison = Dataset(np.full((1, 2), 0.5), np.ones(1), provenance="poisoned")
+        model = fit(clean, "ols").model
+        with pytest.raises(ValueError, match="reference"):
+            objective_gradient(clean, poison, model, 1.0, 0, reference="frozen")

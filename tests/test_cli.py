@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from poisonbench import harness
+from poisonbench import cli, harness
 from poisonbench.cli import (
     OPTIONS,
     UsageError,
@@ -197,6 +197,103 @@ class TestMainExitCodes:
         assert code == 2  # --method missing
         assert not out.exists()
 
+    @pytest.mark.parametrize("synthetic", [
+        "d=0,n=10,noise=0.1",
+        "d=3,n=3,noise=0.1",
+        "d=2,n=40,noise=0.1,w=0.5",
+        "d=2,n=40,noise=-0.1",
+        "d=2,n=40,noise=nan",
+        "d=2,n=40,noise=inf",
+        "d=2,n=40,noise=0.1,w=nan;0.5",
+        "d=2,n=40,noise=0.1,w=0.5;inf",
+        "d=2,n=40,noise=0.1,b=nan",
+        "d=2,n=40,noise=0.1,b=-inf",
+        "d=2,n=40,noise=0.1,seed=-1,w=0.1;0.2,b=0.3",
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["fit"], ["attack", "--alpha", "0.1"], ["defend", "--method", "trim"], ["sweep"],
+    ])
+    def test_synthetic_spec_the_generator_rejects_exits_2(self, tmp_path, capsys, argv, synthetic):
+        code = main([*argv, "--synthetic", synthetic, "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert f"invalid {argv[0]} settings" in err
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--alphas", "0.1:0.2"],
+        ["sweep", "--alphas", "0.2:0.1:0.05"],
+        ["sweep", "--alphas", "0.1:0.2:0"],
+        ["sweep", "--defense", "proda", "--gammas", "3,4.5"],
+        ["sweep", "--families", "ols,bogus"],
+        ["fit", "--synthetic", "d=2,n=40,noise"],
+        ["fit", "--synthetic", "n=40,noise=0.1"],
+        ["fit", "--synthetic", "d=two,n=40"],
+        ["fit", "--synthetic", "d=2,n=40,colour=red"],
+    ])
+    def test_bad_flag_value_exits_2(self, tmp_path, argv):
+        if "--synthetic" not in argv:
+            argv = [*argv, "--synthetic", "d=2,n=40,noise=0.1"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["attack"], "--alpha is required"),
+        (["sweep", "--defense", "proda"], "--gammas is required"),
+        (["fit", "--lambda", "small"], "--lambda must be a number or 'auto'"),
+    ])
+    def test_missing_or_malformed_setting_exits_2(self, tmp_path, capsys, argv, message):
+        code = main([*argv, "--synthetic", "d=2,n=40,noise=0.1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text,message", [
+        (None, "cannot read --config file"),
+        ("seed 9\n", "expected key=value"),
+    ])
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "run.cfg"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        code = main(["--config", str(path), "fit", "--synthetic", "d=2,n=40,noise=0.1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+_BUILT = ("AttackConfig", "ProdaConfig", "build_synthetic_spec", "ExperimentSpec")
+
+
+@pytest.mark.parametrize("argv,built", [
+    (["fit"], ("build_synthetic_spec",)),
+    (["attack", "--alpha", "0.2", "--max-iters", "1"], ("build_synthetic_spec", "AttackConfig")),
+    (["defend", "--method", "proda", "--gamma", "3"], ("build_synthetic_spec", "ProdaConfig")),
+    (["defend", "--method", "trim"], ("build_synthetic_spec",)),
+    (["sweep", "--alphas", "0.2", "--repeats", "1"], ("build_synthetic_spec", "ExperimentSpec")),
+])
+def test_each_library_object_is_built_once(tmp_path, monkeypatch, argv, built):
+    calls = dict.fromkeys(_BUILT, 0)
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in _BUILT[:3]:
+        count(cli, name)
+    count(cli.harness, "ExperimentSpec")
+    assert main([*argv, "--synthetic", "d=2,n=40,noise=0.1", "--out", str(tmp_path / "out")]) == 0
+    assert calls == {name: int(name in built) for name in _BUILT}
+
 
 class TestFitCommand:
     def test_noiseless_line_prints_zero_mse(self, tmp_path, capsys):
@@ -211,6 +308,15 @@ class TestFitCommand:
         assert model["family"] == "ols"
         assert abs(model["weights"][0] - 1.0) <= 1e-8
         assert (out / "line_fit.svg").exists()  # d=1 scatter+line view
+
+    @pytest.mark.parametrize("lam", ["0.5", "auto"])
+    def test_ols_prints_the_lambda_it_fits_with(self, tmp_path, capsys, lam):
+        out = tmp_path / "out"
+        code = main(["fit", "--synthetic", "d=2,n=40,noise=0.1", "--family", "ols",
+                     "--lambda", lam, "--out", str(out)])
+        assert code == 0
+        assert "family=ols lambda=0.0 " in capsys.readouterr().out
+        assert json.loads((out / "synthetic_model.json").read_text())["lambda"] == 0.0
 
     def test_auto_lambda(self, tmp_path, capsys):
         code = main(["fit", "--synthetic", "d=2,n=60,noise=0.1", "--family", "ridge",

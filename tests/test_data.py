@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -244,3 +246,71 @@ class TestMerge:
         assert poison_count(240, 0.2) == 60
         assert poison_count(288, 0.04) == 12
         assert poison_count(100, 0.2) == 25
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(d=0, true_weights=()), "d must be >= 1"),
+        (dict(true_weights=(0.1,)), "true_weights has 1 entries, expected d=2"),
+        (dict(true_weights=(0.1, 0.2, 0.3)), "true_weights has 3 entries"),
+        (dict(true_weights=(float("nan"), 0.2)), "finite"),
+        (dict(true_weights=(0.1, float("inf"))), "finite"),
+        (dict(true_bias=float("nan")), "finite"),
+        (dict(true_bias=float("-inf")), "finite"),
+        (dict(noise_std=-0.1), "noise_std"),
+        (dict(noise_std=float("nan")), "noise_std"),
+        (dict(noise_std=float("inf")), "noise_std"),
+        (dict(seed=-1), "seed must be >= 0"),
+    ])
+    def test_synthetic_spec(self, kwargs, message):
+        fields = dict(d=2, n=40, true_weights=(0.1, 0.2), true_bias=0.3, noise_std=0.1)
+        with pytest.raises(ValueError, match=message):
+            SyntheticSpec(**{**fields, **kwargs})
+
+    def test_constant_responses_outside_the_box(self):
+        spec = SyntheticSpec(d=1, n=5, true_weights=(0.0,), true_bias=2.0, noise_std=0.0)
+        with pytest.raises(ValueError, match="constant responses"):
+            generate_synthetic(spec)
+
+    @pytest.mark.parametrize("features,responses,kwargs,message", [
+        (np.zeros(3), np.zeros(3), {}, "2-D"),
+        (np.zeros((3, 1)), np.zeros((3, 1)), {}, "1-D"),
+        (np.zeros((3, 1)), np.zeros(4), {}, "row mismatch"),
+        (np.zeros((3, 1)), np.zeros(3), dict(provenance="dirty"), "provenance"),
+        (np.zeros((3, 2)), np.zeros(3), dict(feature_names=("a",)), "feature_names"),
+    ])
+    def test_dataset(self, features, responses, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(features, responses, **kwargs)
+
+    def test_normalization_constant_response(self):
+        with pytest.raises(ValueError, match="response has min >= max"):
+            NormalizationSpec(columns=(("a", 0.0, 1.0),), response=(2.0, 2.0))
+
+    @pytest.mark.parametrize("text,target,message", [
+        ("", "y", "empty file"),
+        ("a,y\n1,0\n2\n3,1\n", "y", "row 3 has 1 cells, expected 2"),
+        ("a,y\n1,0\n2,1\n", 2, "index 2 out of range"),
+        ("a,y\n1,0\n2,1\n", -1, "index -1 out of range"),
+        ("a,y\n1,low\n2,1\n", "y", "non-numeric cell in target column 'y'"),
+    ])
+    def test_load_csv(self, tmp_path, text, target, message):
+        with pytest.raises(ValueError, match=message):
+            load_csv(write_csv(tmp_path / "a.csv", text), target)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_poison_count_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            poison_count(100, alpha)
+
+
+def test_split_three_folds_match_hand_built_bounds():
+    # train gets the first of the n % 3 extra rows, then validation
+    for n, seed in itertools.product(range(3, 40), (0, 7)):
+        ds = Dataset(np.arange(n, dtype=float).reshape(-1, 1), np.zeros(n))
+        perm = np.random.default_rng(seed).permutation(n)
+        base, rem = divmod(n, 3)
+        bounds = np.cumsum([0] + [base + (i < rem) for i in range(3)])
+        split = split_three(ds, seed)
+        for i, fold in enumerate((split.train, split.validation, split.test)):
+            assert fold.features[:, 0].tolist() == perm[bounds[i]:bounds[i + 1]].tolist()

@@ -589,3 +589,20 @@ class TestFitStatus:
         result = trim_defend(merged, 0.2, "lasso", 1e-2, seed=5)
         assert not result.converged
         assert json.loads(result.to_json())["converged"] is False
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("alpha_assumed", [-0.1, 1.0, 1.5, float("nan")])
+    def test_proda_config_alpha_assumed(self, alpha_assumed):
+        with pytest.raises(ValueError, match="alpha_assumed"):
+            ProdaConfig(gamma=3, alpha_assumed=alpha_assumed)
+
+    def test_proda_subset_smaller_than_gamma(self):
+        ds = make_noisy_dataset(n=10, d=1, seed=15)
+        with pytest.raises(ValueError, match="smaller than gamma"):
+            proda_defend(ds, ProdaConfig(gamma=8, alpha_assumed=0.5))
+
+    def test_trim_subset_smaller_than_d_plus_one(self):
+        ds = make_noisy_dataset(n=5, d=3, seed=16)
+        with pytest.raises(ValueError, match="smaller than d\\+1"):
+            trim_defend(ds, 0.5)

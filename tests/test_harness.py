@@ -362,3 +362,36 @@ class TestParallelJobs:
         assert opened == workers
         assert [r["repeat"] for r in records] == list(range(repeats))
         assert all("error" not in r for r in records)
+
+
+class TestRejectedSpecs:
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(synthetic=None), "exactly one of csv_path and synthetic"),
+        (dict(csv_path="a.csv"), "exactly one of csv_path and synthetic"),
+        (dict(synthetic=None, csv_path="a.csv"), "target_column is required"),
+        (dict(attack="flip"), "attack must be one of"),
+        (dict(defense="sever"), "defense must be one of"),
+        (dict(families=()), "families must be nonempty"),
+        (dict(alpha_grid=()), "alpha_grid must be nonempty"),
+        (dict(defense="proda"), "gamma_grid must be nonempty"),
+        (dict(repeats=0), "repeats must be >= 1"),
+    ])
+    def test_spec(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            small_spec(**kwargs)
+
+    @pytest.mark.parametrize("kind", ["alpha", "gamma"])
+    def test_emit_plot_with_nothing_to_plot(self, tmp_path, kind):
+        # a row with no x value draws no point
+        summary = [{"family": "ols", "alpha": None, "gamma": None, "mse_clean_mean": 0.01}]
+        with pytest.raises(ValueError, match=f"no plottable {kind} series"):
+            emit_plot(summary, f"mse_vs_{kind}", tmp_path / "p.svg")
+
+    @pytest.mark.parametrize("series", [{}, {"a": []}])
+    def test_line_chart_with_nothing_to_plot(self, tmp_path, series):
+        with pytest.raises(ValueError, match="nothing to plot"):
+            harness.svgplot.write_line_chart(series, "x", "y", tmp_path / "p.svg")
+
+    def test_scatter_with_nothing_to_plot(self, tmp_path):
+        with pytest.raises(ValueError, match="nothing to plot"):
+            write_scatter_fit([], [], "x", "y", tmp_path / "s.svg")

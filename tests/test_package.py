@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -39,3 +40,24 @@ def test_traced_bench_targets_resolve():
                 assert hasattr(owner, part), f"poisonbench.{layer}.{attr}"
                 owner = getattr(owner, part)
             assert callable(owner), f"poisonbench.{layer}.{attr}"
+
+
+def test_bench_tracer_patches_every_target():
+    # load perfbench/tracer.py by its path and run its own patching over
+    # every target, so a renamed traced function fails here, not in the bench
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    importlib.import_module("poisonbench.cli")  # loads every traced layer
+    spans = {f"{layer}.{attr.split('.')[-1]}" for layer, attrs in tracer.TARGETS.items()
+             for attr in attrs}
+    assert set(tracer.ATTACK_ENTRIES + tracer.GRADIENTS) <= spans
+    done = []
+    try:
+        for layer, attrs in tracer.TARGETS.items():
+            for attr in attrs:
+                done += tracer.patch(layer, attr, lambda fn: lambda *a, **k: fn(*a, **k))
+        assert tracer.unpatched(done) == []
+    finally:
+        tracer.restore(done)

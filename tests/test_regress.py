@@ -483,3 +483,25 @@ class TestConvergenceFlag:
         report = fit(ds, "lasso", 0.001, max_iters=1)
         assert not report.converged
         assert report.iterations == 1
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(family="lars"), "unknown family"),
+        (dict(family="enet", rho=1.5), "rho"),
+        (dict(family="enet", rho=-0.5), "rho"),
+        (dict(family="enet", rho=float("nan")), "rho"),
+    ])
+    def test_model_settings(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RegressionModel(np.array([0.5]), 0.1, **kwargs)
+
+    def test_fit_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family"):
+            fit(make_noisy_dataset(n=20, d=2, seed=13), "lars")
+
+    @pytest.mark.parametrize("d_model", [1, 3])
+    def test_loss_dimension_mismatch(self, d_model):
+        model = RegressionModel(np.full(d_model, 0.1), 0.0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            loss(make_noisy_dataset(n=20, d=2, seed=14), model)
