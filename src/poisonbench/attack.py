@@ -27,10 +27,13 @@ computed, so a step factors H once. The poison points are stored as rows
 (x, 1, y), and a trial swaps one in the merged moments by two rank-one updates.
 
 The line search backtracks on the step eta of a projected step along the
-normalized gradient and accepts a trial when the objective rises by at
-least ARMIJO_C * g . (z_trial - z_c), the first-order gain of the clipped
-step (the Armijo rule along the projection arc, Bertsekas 1976). A trial
-that does not move the point has no gain and is rejected.
+normalized gradient from eta = sqrt(d+1), the diameter of the box the
+point's moving coordinates (x, y) live in (Nocedal & Wright 2006, 3.5). A
+trial is accepted when the objective rises by ARMIJO_C * g . (z_trial - z_c)
+or more, the first-order gain of the clipped step (the Armijo rule along the
+projection arc, Bertsekas 1976). A trial that does not move the point has
+no gain and is rejected. A sweep that changes the objective by less than
+eps_conv ends the attack: E for Nopt, the mean clean loss for Opt.
 """
 
 from __future__ import annotations
@@ -49,9 +52,8 @@ logger = logging.getLogger(__name__)
 
 KKT_JITTER = 1e-8
 ARMIJO_C = 1e-4
-# line search: first step, backtracking factor and backtracks per point; the
-# poison points stay in the unit box [0, 1] that every dataset lives in
-STEP0 = 0.1
+# line search: backtracking factor and backtracks per point; the first step
+# spans the unit box [0, 1] that every dataset lives in: sqrt(d+1) across
 SHRINK = 0.5
 MAX_BACKTRACKS = 20
 # training MSE at or below this is "zero" (noiseless data up to rounding)
@@ -300,6 +302,9 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
     # the point's current row for the candidate by two rank-one updates
     clean_m = Moments.of(clean)
     n_total = clean.n + p
+    # Opt's objective sums n_o clean losses; its stop test is on their mean
+    box = math.sqrt(d + 1)
+    tol = cfg.eps_conv * (clean.n if kind == "opt" else 1)
 
     def objective(merged, model):
         if kind == "opt":
@@ -348,7 +353,7 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
             step = ascent / norm
             row_c = rows[c]
             rest = merged.stats - np.multiply.outer(row_c, row_c)
-            eta = STEP0
+            eta = box
             for _ in range(MAX_BACKTRACKS):
                 cand = np.minimum(np.maximum(row_c + eta * step, 0.0), 1.0)
                 # first-order gain of the clipped step: Armijo along the projection arc
@@ -366,7 +371,7 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
                 eta *= SHRINK
             # all backtracks rejected: the point stays where it was
         trace.append(record(outer, theta, obj))
-        if abs(obj - sweep_start) < cfg.eps_conv:
+        if abs(obj - sweep_start) < tol:
             converged = True
             break
 

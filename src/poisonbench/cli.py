@@ -166,8 +166,8 @@ OPTIONS = (
     Option("--method", "attack algorithm (default nopt)", ("attack",), choices=("opt", "nopt"),
            default="nopt"),
     Option("--alpha", "poisoning rate in (0, 0.2]", ("attack",), type=float),
-    Option("--epsilon-conv", "attack stopping threshold (default 1e-6)", ("attack",), type=float,
-           default=1e-6),
+    Option("--epsilon-conv", "stop when a sweep changes E (nopt) or the mean clean loss (opt) "
+           "by less than this (default 1e-6)", ("attack",), type=float, default=1e-6),
     Option("--max-iters", "max outer iterations (default 100)", ("attack",), type=int, default=100),
     Option("--attack", "attack to sweep (default none)", ("sweep",), choices=harness.ATTACKS,
            default="none"),
@@ -455,7 +455,8 @@ def _build_experiment_spec(opts, source: dict) -> harness.ExperimentSpec:
     )
 
 
-def _write_report(out: Path, records) -> None:
+def _write_report(out: Path, records) -> int:
+    """Write summary.csv, report.txt and the charts; return the cell count."""
     summary = harness.aggregate(records)
     (out / "summary.csv").write_text(harness.summary_csv(summary), encoding="utf-8")
     alphas = {r.get("alpha") for r in summary if r.get("alpha") is not None}
@@ -464,8 +465,20 @@ def _write_report(out: Path, records) -> None:
         harness.emit_plot(summary, "mse_vs_alpha", out / "mse_vs_alpha.svg")
     if len(gammas) > 1:
         harness.emit_plot(summary, "mse_vs_gamma", out / "mse_vs_gamma.svg")
-    lines = ["poisonbench report", f"cells: {len(summary)}"]
-    trims = [r for r in records if r.get("record_type") == "cell" and r.get("defense") == "trim"]
+    cells = [r for r in records if r.get("record_type") == "cell"]
+    failed = sum("error" in r for r in cells)
+    lines = ["poisonbench report", f"cells: {len(cells)} ({failed} failed)"]
+    attacked = {}
+    for r in cells:
+        if "attack_converged" in r:
+            attacked.setdefault((r["attack"], r["family"]), []).append(r)
+    for (attack, family), group in sorted(attacked.items()):
+        lines.append(
+            f"attack {attack} {family}: {sum(r['attack_converged'] for r in group)}/{len(group)} "
+            f"converged; median {np.median([r['attack_iterations'] for r in group]):g} sweeps, "
+            f"{np.median([r['attack_refits'] for r in group]):g} refits"
+        )
+    trims = [r for r in cells if r.get("defense") == "trim"]
     if trims:
         iters = [r.get("defense_iterations", 0) for r in trims if "defense_iterations" in r]
         bound = next((r["trim_worst_case_iterations"] for r in trims
@@ -475,6 +488,7 @@ def _write_report(out: Path, records) -> None:
             f"worst case C(N, n) = {bound} subset traversals"
         )
     (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return len(cells)
 
 
 def _cmd_sweep(cfg: CliConfig) -> int:
@@ -505,8 +519,7 @@ def _echo(records):
 def _cmd_report(cfg: CliConfig) -> int:
     records = harness.read_records(cfg.options["records"])
     out = _out_dir(cfg)
-    _write_report(out, records)
-    cells = sum(r.get("record_type") == "cell" for r in records)
+    cells = _write_report(out, records)
     print(f"wrote summary for {cells} records to {out / 'summary.csv'}")
     return 0
 

@@ -195,6 +195,21 @@ class TestCriterion4AttackEfficacy:
               f"{inversions} inversions ({elapsed:.0f}s)")
 
 
+class TestAttackConvergence:
+    @pytest.mark.parametrize("attack", ["nopt", "opt"])
+    def test_cells_stop_on_eps_conv_before_the_cap(self, attack):
+        # a cap that binds on most cells would hide an attack that never converges
+        start = time.perf_counter()
+        spec = protocol_spec(families=FOUR_FAMILIES, attack=attack, alpha_grid=(0.04, 0.2))
+        records = collect(spec)
+        assert len(records) == 40
+        converged = sum(r["attack_converged"] for r in records)
+        elapsed = time.perf_counter() - start
+        assert converged >= 0.9 * len(records), f"{converged}/{len(records)} cells converged"
+        print(f"\nPASS attack convergence ({attack}): {converged}/{len(records)} cells stopped "
+              f"on eps_conv within {spec.attack_max_outer} sweeps ({elapsed:.1f}s)")
+
+
 class TestCriterion5DefenseEfficacy:
     @pytest.mark.parametrize("defense", ["proda", "trim"])
     def test_defense_recovers_clean_fit(self, defense):

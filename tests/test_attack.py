@@ -578,7 +578,7 @@ class TestAttackLoop:
         assert state.refit_count == 3  # the two fits before the loop, one trial
         assert state.e_trace[1] > state.e_trace[0]
         assert state.poison.responses[0] == 1.0
-        x_step = attack_module.STEP0 / np.sqrt(1.0 + 1000.0**2)
+        x_step = np.sqrt(2.0) / np.sqrt(1.0 + 1000.0**2)
         assert abs(state.poison.features[0, 0] - 0.4) == pytest.approx(x_step, rel=1e-9)
 
     def test_step_that_clips_back_to_the_point_is_rejected_and_counted(self, monkeypatch):
@@ -691,6 +691,40 @@ class TestWorkCount:
         refits, iterations = record["attack_refits"], record["attack_iterations"]
         assert refits > 10 * iterations
         assert len(calls) <= refits + iterations + 2
+
+
+class TestConvergence:
+    """A fixed OLS instance, attacked to convergence from the box-wide first step."""
+
+    @staticmethod
+    def _attack(attack, max_outer_iters=100):
+        clean = make_noisy_dataset(n=80, d=3, noise=0.1, seed=200)
+        cfg = AttackConfig(alpha=0.2, seed=0, max_outer_iters=max_outer_iters)
+        return clean, attack(clean, cfg, "ols")
+
+    def test_nopt_converges_in_few_sweeps_to_no_lower_objective(self):
+        _, state = self._attack(nopt_attack)
+        assert state.converged
+        assert state.iterations <= 10
+        # E reached with a first step of 0.1 along the normalized gradient, the
+        # line search's old start: converged after 43 sweeps and 862 refits
+        assert state.e_trace[-1] >= 6.934424585416108 * (1 - 1e-9)
+
+    def test_opt_converges_to_no_lower_clean_loss(self):
+        _, state = self._attack(opt_attack, max_outer_iters=200)
+        assert state.converged
+        # clean loss after 200 sweeps from a first step of 0.1, stopped by an
+        # absolute eps_conv on the summed clean loss: not converged at the cap
+        assert state.e_trace[-1] >= 1.5137745809947232 * (1 - 1e-9)
+
+    def test_opt_stops_on_the_mean_clean_loss(self):
+        clean, state = self._attack(opt_attack, max_outer_iters=200)
+        eps = AttackConfig(alpha=0.2).eps_conv
+        changes = np.abs(np.diff(state.e_trace))
+        assert state.converged
+        # the last sweep moved the summed loss by more than eps_conv, so only
+        # the test on its mean (the sum over n_o) could stop there
+        assert eps < changes[-1] < eps * clean.n
 
 
 FAMILY_LAMBDA = dict(FAMILY_LAMBDAS)

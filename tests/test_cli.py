@@ -403,6 +403,40 @@ class TestSweepAndReport:
         assert code == 0
         assert "wrote summary for 2 records" in capsys.readouterr().out
 
+    def test_report_counts_every_cell_record_and_the_failed_ones(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(["sweep", "--synthetic", "d=2,n=45,noise=0.1", "--alphas", "0.1,0.2",
+                     "--repeats", "3", "--out", str(out), "--seed", "3"])
+        assert code == 0
+        assert (out / "report.txt").read_text().splitlines()[1] == "cells: 6 (0 failed)"
+        # gamma=2 is below d+1, so its two cells carry an error
+        out = tmp_path / "proda"
+        code = main(["sweep", "--synthetic", "d=2,n=45,noise=0.1", "--defense", "proda",
+                     "--gammas", "2,3", "--alphas", "0.1", "--repeats", "2",
+                     "--out", str(out), "--seed", "3"])
+        assert code == 0
+        assert (out / "report.txt").read_text().splitlines()[1] == "cells: 4 (2 failed)"
+
+    def test_report_says_how_each_attack_ended(self, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        code = main(["sweep", "--synthetic", "d=2,n=60,noise=0.1", "--attack", "opt",
+                     "--families", "ols,ridge", "--alphas", "0.1,0.2", "--repeats", "2",
+                     "--out", str(out1), "--seed", "3"])
+        assert code == 0
+        assert main(["report", "--records", str(out1 / "records.jsonl"), "--out", str(out2)]) == 0
+        cells = [json.loads(line) for line in (out1 / "records.jsonl").read_text().splitlines()[1:]]
+        want = []
+        for family in ("ols", "ridge"):
+            group = [r for r in cells if r["family"] == family]
+            assert len(group) == 4
+            converged = sum(r["attack_converged"] for r in group)
+            sweeps = np.median([r["attack_iterations"] for r in group])
+            refits = np.median([r["attack_refits"] for r in group])
+            want.append(f"attack opt {family}: {converged}/4 converged; "
+                        f"median {sweeps:g} sweeps, {refits:g} refits")
+        for out in (out1, out2):
+            assert (out / "report.txt").read_text().splitlines()[2:] == want
+
     def test_verbose_prints_one_stderr_line_per_record(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["sweep", "--synthetic", "d=2,n=45,noise=0.1", "--defense", "proda",
