@@ -31,9 +31,9 @@ normalized gradient from eta = sqrt(d+1), the diameter of the box the
 point's moving coordinates (x, y) live in (Nocedal & Wright 2006, 3.5). A
 trial is accepted when the objective rises by ARMIJO_C * g . (z_trial - z_c)
 or more, the first-order gain of the clipped step (the Armijo rule along the
-projection arc, Bertsekas 1976). A trial that does not move the point has
-no gain and is rejected. A sweep that changes the objective by less than
-eps_conv ends the attack: E for Nopt, the mean clean loss for Opt.
+projection arc, Bertsekas 1976). A point whose first clipped step has no
+gain is skipped with no refit. A sweep that moves the objective by less
+than eps_conv ends the attack: E for Nopt, the mean clean loss for Opt.
 """
 
 from __future__ import annotations
@@ -338,10 +338,7 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
     ascent = np.zeros(d + 2)  # the gradient over (x, 1, y), 0 on the constant 1
     for outer in range(1, cfg.max_outer_iters + 1):
         sweep_start = obj
-        # rebuilt from the rows once a sweep, so row swaps cannot drift; the
-        # gradient solves its KKT system until a trial fit hands it H^-1
-        merged = clean_m + Moments(rows.T @ rows, p)
-        h_inv = None
+        h_inv = None  # the gradient solves its KKT system until a trial fit hands it H^-1
         # point c only moves in its own turn, so this snapshot holds its current row
         poison_ds = Dataset(px.copy(), py.copy(), clean.feature_names, "poisoned")
         for c in range(p):
@@ -358,11 +355,12 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
                 cand = np.minimum(np.maximum(row_c + eta * step, 0.0), 1.0)
                 # first-order gain of the clipped step: Armijo along the projection arc
                 gain = float(ascent @ (cand - row_c))
+                if not gain > 0.0:
+                    break  # clipped moves keep their sign and shrink with eta: no shorter one gains
                 trial = Moments(rest + np.multiply.outer(cand, cand), n_total)
                 report = fit(trial, family, lam, rho=rho, warm_start=theta)
                 refits += 1
-                # a step that did not move, or a fit that did not converge, is rejected
-                if gain > 0.0 and report.converged:
+                if report.converged:
                     trial_obj = objective(trial, report.model)
                     if trial_obj >= obj + ARMIJO_C * gain:
                         rows[c] = cand
@@ -374,6 +372,8 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
         if abs(obj - sweep_start) < tol:
             converged = True
             break
+        # rebuilt from the rows once a sweep, so row swaps cannot drift
+        merged = clean_m + Moments(rows.T @ rows, p)
 
     return AttackState(
         poison=Dataset(px.copy(), py.copy(), clean.feature_names, "poisoned"),

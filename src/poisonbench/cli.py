@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -408,6 +409,7 @@ def _cmd_defend(cfg: CliConfig) -> int:
     lam = _resolve_lambda_cli(cfg, ds)
     family = opts["family"]
     alpha_assumed = opts["alpha_assumed"]
+    start = time.perf_counter()
     if opts["method"] == "proda":
         result = proda_defend(ds, cfg.built["config"], family, lam, rho=opts["rho"])
     else:
@@ -415,8 +417,9 @@ def _cmd_defend(cfg: CliConfig) -> int:
             ds, alpha_assumed, family, lam, rho=opts["rho"],
             max_iters=opts["max_iters"], seed=opts["seed"],
         )
+    elapsed = time.perf_counter() - start
     out = _out_dir(cfg)
-    doc = json.loads(result.to_json())
+    doc = json.loads(result.to_json()) | {"wall_time_s": elapsed}
     doc["method"] = opts["method"]
     doc["alpha_assumed"] = alpha_assumed
     n = subset_size(ds.n, alpha_assumed)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +62,13 @@ class DefenseResult:
     model: RegressionModel
     subset_mse: float
     group_mse_trace: tuple[float, ...]
-    beta_used: int
-    wall_time_s: float
-    iterations: int
+    iterations: int  # Proda's beta trials, TRIM's C-steps
     winning_group_indices: tuple[int, ...] = ()
     converged: bool = True
+
+    @property
+    def beta_used(self) -> int:
+        return self.iterations
 
     def to_json(self) -> str:
         return json.dumps(
@@ -77,7 +78,6 @@ class DefenseResult:
                 "subset_mse": self.subset_mse,
                 "beta_used": self.beta_used,
                 "group_mses": list(self.group_mse_trace),
-                "wall_time_s": self.wall_time_s,
                 "iterations": self.iterations,
                 "converged": self.converged,
             },
@@ -179,7 +179,6 @@ def proda_defend(
         raise ValueError(f"subset size n={n} smaller than gamma={cfg.gamma}; dataset too small")
     beta = compute_beta(cfg.alpha_assumed, cfg.gamma, cfg.epsilon)
 
-    start = time.perf_counter()
     rows = np.empty((n_rows, d + 2))  # [X 1 y]
     rows[:, :d], rows[:, d], rows[:, d + 1] = ds.features, 1.0, ds.responses
     outer = (rows[:, :, None] * rows[:, None, :]).reshape(n_rows, -1)
@@ -217,7 +216,6 @@ def proda_defend(
         i = int(np.argmin(mses))
         if best is None or mses[i] < group_mses[best[0]]:
             best = (lo + i, mask[i], models[i], groups[i], bool(ok[i]))
-    elapsed = time.perf_counter() - start
 
     trial, subset, model, group, converged = best
     return DefenseResult(
@@ -225,8 +223,6 @@ def proda_defend(
         model=model,
         subset_mse=float(group_mses[trial]),
         group_mse_trace=tuple(group_mses.tolist()),
-        beta_used=beta,
-        wall_time_s=elapsed,
         iterations=beta,
         winning_group_indices=tuple(int(i) for i in group),
         converged=converged,
@@ -252,7 +248,6 @@ def trim_defend(
     if n < ds.d + 1:
         raise ValueError(f"subset size n={n} smaller than d+1 = {ds.d + 1}")
 
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     subset = np.sort(rng.choice(n_rows, size=n, replace=False))
     report = fit(ds.take(subset), family, lam, rho=rho)
@@ -271,15 +266,12 @@ def trim_defend(
             converged = True
             break
         last_loss = report.train_loss
-    elapsed = time.perf_counter() - start
 
     return DefenseResult(
         subset_indices=tuple(int(i) for i in subset),
         model=model,
         subset_mse=mse_trace[-1],
         group_mse_trace=tuple(mse_trace),
-        beta_used=it,
-        wall_time_s=elapsed,
         iterations=it,
         converged=converged and report.converged,
     )

@@ -86,7 +86,6 @@ class ExperimentSpec:
     max_features: int | None = None
     train_subsample: int | None = None
     surrogate_fraction: float | None = None
-    attack_eps_conv: float = 1e-6
     attack_max_outer: int = 30
     defense_epsilon: float = 1e-5
     defense_max_iters: int = 100
@@ -119,9 +118,7 @@ class ExperimentSpec:
         # grid value before any cell runs
         if self.attack != "none":
             for alpha in self.alpha_grid:
-                AttackConfig(
-                    alpha, eps_conv=self.attack_eps_conv, max_outer_iters=self.attack_max_outer
-                )
+                AttackConfig(alpha, max_outer_iters=self.attack_max_outer)
         if self.defense == "proda":
             for gamma in self.gamma_grid:
                 ProdaConfig(gamma, epsilon=self.defense_epsilon)
@@ -220,7 +217,6 @@ def _fill_cell(record, spec, family, alpha, gamma, alpha_assumed, seed, base):
             n_poison = poison_count(train.n, alpha)
         cfg = AttackConfig(
             alpha=alpha,
-            eps_conv=spec.attack_eps_conv,
             max_outer_iters=spec.attack_max_outer,
             seed=cell_seed(seed, "attack"),
             n_poison=n_poison,
@@ -451,14 +447,12 @@ def emit_plot(summary, kind: str, path):
 
     kind: mse_vs_alpha | mse_vs_gamma. Returns (svg_path, csv_path).
     """
-    if kind == "mse_vs_alpha":
-        series = _series_for(summary, "alpha")
-        if not series:
-            raise ValueError("summary has no plottable alpha series")
-        return svgplot.write_line_chart(series, "poisoning rate alpha", "MSE", path)
-    if kind == "mse_vs_gamma":
-        series = _series_for([r for r in summary if r.get("gamma") is not None], "gamma")
-        if not series:
-            raise ValueError("summary has no plottable gamma series")
-        return svgplot.write_line_chart(series, "group size gamma", "MSE", path)
-    raise ValueError(f"unknown plot kind {kind!r}")
+    axes = {"mse_vs_alpha": ("alpha", "poisoning rate alpha"),  # kind: (x key, x axis label)
+            "mse_vs_gamma": ("gamma", "group size gamma")}
+    if kind not in axes:
+        raise ValueError(f"unknown plot kind {kind!r}")
+    x_key, x_label = axes[kind]
+    series = _series_for([r for r in summary if r.get(x_key) is not None], x_key)
+    if not series:
+        raise ValueError(f"summary has no plottable {x_key} series")
+    return svgplot.write_line_chart(series, x_label, "MSE", path)

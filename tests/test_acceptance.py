@@ -44,7 +44,6 @@ def protocol_spec(**kwargs):
         repeats=5,
         master_seed=20,
         attack_max_outer=30,
-        attack_eps_conv=1e-6,
     )
     defaults.update(kwargs)
     return ExperimentSpec(**defaults)

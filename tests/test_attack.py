@@ -581,11 +581,12 @@ class TestAttackLoop:
         x_step = np.sqrt(2.0) / np.sqrt(1.0 + 1000.0**2)
         assert abs(state.poison.features[0, 0] - 0.4) == pytest.approx(x_step, rel=1e-9)
 
-    def test_step_that_clips_back_to_the_point_is_rejected_and_counted(self, monkeypatch):
-        # a corner with the gradient pointing out of the box everywhere
+    def test_step_that_clips_back_to_the_point_is_skipped_without_a_refit(self, monkeypatch):
+        # a corner with the gradient pointing out of the box everywhere: the
+        # first clipped step has no gain, so no shorter step has any either
         point = np.array([1.0, 0.0])
         state = self._one_point_opt_attack(monkeypatch, point, lambda g: np.array([1.0, -1.0]))
-        assert state.refit_count == 2 + attack_module.MAX_BACKTRACKS
+        assert state.refit_count == 2  # the two fits before the loop
         assert np.array_equal(state.poison.features[0], point[:1])
         assert state.poison.responses[0] == point[1]
         assert state.e_trace[1] == state.e_trace[0]
@@ -771,6 +772,13 @@ class TestRejectedInputs:
         # floor(0.01 * 30 / 0.99) = 0 points
         with pytest.raises(ValueError, match="rounds to zero"):
             attack(make_noisy_dataset(n=30, d=2, seed=17), cfg)
+
+    def test_jacobian_on_fewer_than_d_plus_one_rows(self):
+        clean = make_noisy_dataset(n=30, d=3, seed=19)
+        model = fit(clean, "ols").model
+        few = clean.take(np.arange(3))
+        with pytest.raises(ValueError, match="need n >= d\\+1"):
+            theta_jacobian(few, model, few.features[0], float(few.responses[0]))
 
     def test_unknown_gradient_reference(self):
         clean = make_noisy_dataset(n=30, d=2, seed=18)

@@ -363,6 +363,16 @@ class TestDefendCommand:
         assert doc["max_iters"] == 100
         assert doc["iterations"] <= 100
 
+    @pytest.mark.parametrize("method", ["proda", "trim"])
+    def test_writes_the_defense_wall_time(self, tmp_path, method):
+        csv = write_poisoned_csv(tmp_path / "p.csv")
+        out = tmp_path / "out"
+        code = main(["defend", "--csv", str(csv), "--target", "y", "--method", method,
+                     "--gamma", "6", "--alpha", "0.2", "--out", str(out)])
+        assert code == 0
+        doc = json.loads((out / "p_defense.json").read_text())
+        assert isinstance(doc["wall_time_s"], float) and doc["wall_time_s"] >= 0.0
+
     def test_trim_bound_past_the_digit_limit(self, tmp_path):
         out = tmp_path / "out"
         code = main(["defend", "--synthetic", "d=1,n=20000,noise=0.1", "--method", "trim",

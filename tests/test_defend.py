@@ -204,6 +204,13 @@ class TestProda:
         assert holds >= 95
 
 
+def test_result_stores_one_count_and_no_clock():
+    # beta_used is read through to iterations; the caller times the defense
+    names = {f.name for f in dataclasses.fields(DefenseResult)}
+    assert "iterations" in names
+    assert not names & {"beta_used", "wall_time_s"}
+
+
 class TestTrim:
     def test_noiseless_line_converges_fast(self, line_dataset):
         result = trim_defend(line_dataset, 0.1, "ols", seed=0)
@@ -230,6 +237,12 @@ class TestTrim:
         result = trim_defend(ds, 0.05, "ols", seed=1)
         assert len(result.subset_indices) == 19
         assert outlier not in result.subset_indices
+
+    def test_beta_used_is_the_iteration_count(self):
+        _, merged, _ = planted_outlier_dataset(30, 6, seed=1)
+        result = trim_defend(merged, 0.2, "ols", seed=1)
+        assert result.beta_used == result.iterations
+        assert len(result.group_mse_trace) == result.iterations + 1
 
     def test_loss_trace_nonincreasing(self):
         for seed in range(6):
@@ -344,8 +357,6 @@ def reference_proda(ds, cfg, family="ols", lam=0.0, rho=0.5):
         model=model,
         subset_mse=best_mse,
         group_mse_trace=tuple(group_mses),
-        beta_used=beta,
-        wall_time_s=0.0,
         iterations=beta,
         winning_group_indices=tuple(int(i) for i in group),
     )

@@ -68,7 +68,6 @@ class TestExperimentSpec:
     @pytest.mark.parametrize("kwargs,message", [
         (dict(attack="nopt", alpha_grid=(0.1, 0.5)), "alpha"),
         (dict(attack="opt", alpha_grid=(0.0,)), "alpha"),
-        (dict(attack="nopt", attack_eps_conv=0.0), "eps_conv"),
         (dict(defense="proda", gamma_grid=(3, 0)), "gamma"),
         (dict(defense="proda", gamma_grid=(3,), defense_epsilon=1.5), "epsilon"),
         (dict(families=("ridge",), lambda_policy=-1.0), "lambda_policy"),

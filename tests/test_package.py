@@ -6,7 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import poisonbench
+from poisonbench import harness
+from poisonbench.data import SyntheticSpec
 
 
 def test_import_loads_no_scipy():
@@ -61,3 +65,27 @@ def test_bench_tracer_patches_every_target():
         assert tracer.unpatched(done) == []
     finally:
         tracer.restore(done)
+
+
+# the cell-record keys perfbench/workloads.py reads (`_from_record` and
+# `_run_cli_group`); `_from_record` skips a count whose key is missing, so a
+# renamed key would zero the bench's work counts without failing it
+BENCH_RECORD_KEYS = (
+    "attack_refits", "attack_iterations", "wall_time_attack_s", "wall_time_defense_s",
+    "mse_clean", "mse_poisoned", "mse_poisoned_trainset", "mse_defended",
+)
+
+
+@pytest.mark.parametrize(
+    "defense,count_key", [("proda", "beta_used"), ("trim", "defense_iterations")]
+)
+def test_cell_records_carry_the_keys_the_bench_reads(defense, count_key):
+    spec = harness.ExperimentSpec(
+        synthetic=SyntheticSpec(2, 60, (0.3, -0.2), 0.5, 0.1, seed=5), lambda_policy=0.0,
+        attack="nopt", defense=defense, alpha_grid=(0.1,), gamma_grid=(3,), repeats=1,
+        attack_max_outer=2,
+    )
+    record = harness.run_cell(spec, "ols", 0.1, 3 if defense == "proda" else None, 0)
+    assert "error" not in record
+    missing = [k for k in BENCH_RECORD_KEYS + (count_key,) if k not in record]
+    assert missing == []

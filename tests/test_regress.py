@@ -264,6 +264,10 @@ class TestLeanFit:
             f"train_mse={report.train_mse!r}, iterations=1, converged=True, fallback=False)"
         )
 
+    def test_unknown_attribute_is_not_a_lazy_statistic(self):
+        report = fit(make_noisy_dataset(n=20, d=1, seed=4), "ols")
+        assert not hasattr(report, "no_such_field")
+
 
 def near_collinear(spread, n=40, seed=12):
     """Two columns that differ by spread * uniform noise, and a response."""
