@@ -5,7 +5,7 @@ Nopt maximizes the dispersion objective
     E = | loss_off(clean u poison, theta) / L_o  -  N / n_o |
 
 where L_o is the clean-fit residual loss on the clean set (frozen before the
-attack by default) and theta re-solves the training problem after every point
+attack) and theta re-solves the training problem after every point
 update. The Opt baseline runs the same machinery but maximizes the residual
 loss on the clean points only.
 
@@ -59,9 +59,6 @@ MAX_BACKTRACKS = 20
 # training MSE at or below this is "zero" (noiseless data up to rounding)
 DEGENERATE_MSE = 1e-18
 
-REFERENCE_MODES = ("clean_fit", "current_theta")
-
-
 class DegenerateCleanLossError(ValueError):
     """Clean data fits exactly, so the loss-ratio objective is undefined."""
 
@@ -75,7 +72,6 @@ class AttackConfig:
     max_outer_iters: int = 100
     seed: int = 0
     n_poison: int | None = None  # overrides floor(alpha*n_o/(1-alpha)) when set
-    reference_loss: str = "clean_fit"
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 0.2:
@@ -84,8 +80,6 @@ class AttackConfig:
             raise ValueError("eps_conv must be > 0")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
-        if self.reference_loss not in REFERENCE_MODES:
-            raise ValueError(f"reference_loss must be one of {REFERENCE_MODES}")
 
 
 @dataclass(frozen=True)
@@ -215,22 +209,17 @@ def objective_gradient(
     model: RegressionModel,
     ref_loss: float,
     index: int,
-    reference: str = "clean_fit",
     merged: Moments | None = None,
     h_inv: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of the dispersion objective w.r.t. poison point `index`.
 
     Chain rule through the trained parameters plus the point's own explicit
-    residual term. With reference="current_theta" the denominator is the
-    clean-set loss at the current parameters and its theta-dependence is
-    differentiated as a quotient. Every sum over rows is read off the
+    residual term. Every sum over rows is read off the
     moments; `merged`, the moments of clean plus poison, saves adding them,
     and `h_inv`, the FitReport.h_inv of model's closed-form fit on `merged`,
     saves the KKT solve.
     """
-    if reference not in REFERENCE_MODES:
-        raise ValueError(f"reference must be one of {REFERENCE_MODES}")
     clean = Moments.of(clean)
     merged = merged if merged is not None else clean + Moments.of(poison)
     x_c, y_c = poison.features[index], float(poison.responses[index])
@@ -238,19 +227,10 @@ def objective_gradient(
     u = np.concatenate((model.weights, (model.bias, -1.0)))
     q = merged.stats @ u
     total = max(0.5 * float(u @ q), 0.0)
-    if reference == "current_theta":
-        q_ref = clean.stats @ u
-        ref_loss = max(0.5 * float(u @ q_ref), 0.0)
     # the sign of the dispersion, folded into the scale of both terms
     scale = _sign(_dispersion(total, ref_loss, merged.n, clean.n)) / ref_loss
-
-    if reference == "clean_fit":
-        grad_theta = scale * q[:-1]
-    else:
-        grad_theta = scale * (q[:-1] - (total / ref_loss) * q_ref[:-1])
-
     # the explicit term r_c (w, -1) / ref_loss rides on J's (w, -1) column
-    return _implicit_product(merged, model, x_c, y_c, grad_theta, h_inv, scale)
+    return _implicit_product(merged, model, x_c, y_c, scale * q[:-1], h_inv, scale)
 
 
 def opt_objective_gradient(
@@ -309,14 +289,12 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
     def objective(merged, model):
         if kind == "opt":
             return clean_m.residual_loss(model)
-        denom = clean_m.residual_loss(model) if cfg.reference_loss == "current_theta" else ref_loss
-        return abs(_dispersion(merged.residual_loss(model), denom, n_total, clean.n))
+        return abs(_dispersion(merged.residual_loss(model), ref_loss, n_total, clean.n))
 
     def gradient(merged, poison_ds, model, c, h_inv):
         if kind == "opt":
             return opt_objective_gradient(clean_m, poison_ds, model, c, merged=merged, h_inv=h_inv)
-        return objective_gradient(clean_m, poison_ds, model, ref_loss, c, cfg.reference_loss,
-                                  merged, h_inv)
+        return objective_gradient(clean_m, poison_ds, model, ref_loss, c, merged, h_inv)
 
     merged = clean_m + Moments(rows.T @ rows, p)
     theta = fit(merged, family, lam, rho=rho).model

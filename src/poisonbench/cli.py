@@ -46,7 +46,7 @@ class CliConfig:
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    """Comma list or start:stop:step range (endpoints inclusive)."""
+    """Comma list or start:stop:step range (stop inclusive, never passed)."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -55,7 +55,9 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
         if step <= 0 or stop < start:
             raise argparse.ArgumentTypeError(f"bad range {text!r}")
-        count = int(round((stop - start) / step)) + 1
+        # a few ulps of the endpoints' size, so rounding cannot drop stop itself
+        slack = 4 * sys.float_info.epsilon * max(abs(start), abs(stop))
+        count = math.floor((stop - start + slack) / step) + 1
         return tuple(round(start + i * step, 12) for i in range(count))
     return tuple(float(p) for p in text.split(","))
 
@@ -289,11 +291,15 @@ def _validate(cfg: CliConfig):
             raise UsageError("--method is required for defend (proda or trim)")
         if opts["method"] == "proda" and "gamma" not in opts:
             raise UsageError("--gamma is required for the proda defense")
+        if opts["method"] == "trim" and opts["max_iters"] < 1:
+            raise UsageError(f"--max-iters must be >= 1, got {opts['max_iters']}")
         opts.setdefault("alpha_assumed", opts.get("alpha", 0.2))
     if opts.get("alpha_assumed") is not None and not 0.0 <= opts["alpha_assumed"] < 1.0:
         raise UsageError(f"--alpha-assumed must be in [0, 1), got {opts['alpha_assumed']}")
     if cfg.command == "sweep" and opts["defense"] == "proda" and "gammas" not in opts:
         raise UsageError("--gammas is required when sweeping the proda defense")
+    if cfg.command in _ONE and opts["seed"] < 0:
+        raise UsageError(f"--seed must be >= 0, got {opts['seed']}")
     if cfg.command == "sweep" and opts["jobs"] < 1:
         raise UsageError("--jobs must be >= 1")
     if cfg.command == "report" and "records" not in opts:

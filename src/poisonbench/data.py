@@ -215,6 +215,9 @@ def load_csv(path, target_column, schema_hints=None):
             raise ValueError(f"target column {target_column!r} not found in header {header}")
         target_name = target_column
     target_idx = header.index(target_name)
+    unknown = sorted(h for h in hints if h not in header or h == target_name)
+    if unknown:
+        raise ValueError(f"{path}: categorical columns {unknown} are not feature columns of {header}")
 
     target_cells = [row[target_idx].strip() for row in body]
     raw_target = [_try_float(c) for c in target_cells]

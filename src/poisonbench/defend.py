@@ -243,6 +243,8 @@ def trim_defend(
 
     The trimmed loss is nonincreasing across iterations.
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     n_rows = ds.n
     n = subset_size(n_rows, alpha_assumed)
     if n < ds.d + 1:

@@ -109,6 +109,13 @@ class ExperimentSpec:
             raise ValueError(f"alpha_assumed must be in [0, 1), got {self.alpha_assumed}")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if self.max_features is not None and self.max_features < 1:
+            raise ValueError(f"max_features must be >= 1, got {self.max_features}")
+        if self.train_subsample is not None and self.train_subsample < 1:
+            raise ValueError(f"train_subsample must be >= 1, got {self.train_subsample}")
+        fraction = self.surrogate_fraction
+        if fraction is not None and not 0.0 < fraction <= 1.0:
+            raise ValueError(f"surrogate_fraction must be in (0, 1], got {fraction}")
         lam = self.lambda_policy
         if lam != "select" and not (isinstance(lam, (int, float)) and 0.0 <= lam < math.inf):
             raise ValueError(f"lambda_policy must be 'select' or a finite float >= 0, got {lam!r}")
@@ -122,6 +129,8 @@ class ExperimentSpec:
         if self.defense == "proda":
             for gamma in self.gamma_grid:
                 ProdaConfig(gamma, epsilon=self.defense_epsilon)
+        if self.defense == "trim" and self.defense_max_iters < 1:
+            raise ValueError(f"defense_max_iters must be >= 1, got {self.defense_max_iters}")
 
 
 def cell_seed(master_seed: int, *coords) -> int:

@@ -232,22 +232,6 @@ class TestObjectiveGradient:
             )
             assert np.max(np.abs(grad - fd)) <= 1e-3 * np.max(np.abs(fd))
 
-    def test_current_theta_reference_matches_finite_differences(self):
-        clean, poison, merged, model, ref = make_attack_instance(31, d=2)
-
-        def objective(px, py):
-            m = Dataset(np.vstack([clean.features, px]),
-                        np.concatenate([clean.responses, py]), provenance="mixed")
-            mdl = fit(m, "ols").model
-            denom = loss(clean, mdl, include_regularizer=False)
-            total = loss(m, mdl, include_regularizer=False)
-            return abs(total / denom - m.n / clean.n)
-
-        grad = objective_gradient(clean, poison, model, ref, 0, reference="current_theta")
-        fd = fd_gradient(objective, poison.features, poison.responses)
-        rel = np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-12)
-        assert rel <= 1e-3
-
     def test_zero_residual_point_has_no_explicit_term(self):
         # symmetric d=1 data; the poison point sits exactly on the fit line
         x = np.array([[0.1], [0.3], [0.5], [0.7], [0.9]])
@@ -278,7 +262,7 @@ class TestObjectiveGradient:
         assert np.allclose(g2, 2.0 * g1, rtol=1e-12)
 
 
-def full_jacobian_gradient(clean, poison, model, ref, index, kind, reference="clean_fit"):
+def full_jacobian_gradient(clean, poison, model, ref, index, kind):
     """The attack gradient through the whole Jacobian,
     J = -(1/n) solve(h, E^T)^T with h the training Hessian over n, and the
     sums over rows taken on the rows."""
@@ -299,11 +283,7 @@ def full_jacobian_gradient(clean, poison, model, ref, index, kind, reference="cl
     if kind == "opt":
         return jac @ residual_gradient(clean)
     total = loss(merged, model, include_regularizer=False)
-    if reference == "current_theta":
-        ref = loss(clean, model, include_regularizer=False)
-        g = (residual_gradient(merged) * ref - total * residual_gradient(clean)) / ref**2
-    else:
-        g = residual_gradient(merged) / ref
+    g = residual_gradient(merged) / ref
     s = -1.0 if total / ref - merged.n / clean.n < 0 else 1.0
     return s * (jac @ g + r_c * np.append(w, -1.0) / ref)
 
@@ -315,18 +295,16 @@ class TestAdjointGradient:
     """Both gradients solve the KKT system once, against a vector."""
 
     @pytest.mark.parametrize("family,lam", FAMILY_LAMBDAS)
-    @pytest.mark.parametrize("kind,reference", [
-        ("nopt", "clean_fit"), ("nopt", "current_theta"), ("opt", None),
-    ])
-    def test_matches_the_full_jacobian_product(self, family, lam, kind, reference):
+    @pytest.mark.parametrize("kind", ["nopt", "opt"])
+    def test_matches_the_full_jacobian_product(self, family, lam, kind):
         for seed in range(4):
             clean, poison, merged, model, ref = make_attack_instance(seed + 120, family=family,
                                                                      lam=lam)
-            want = full_jacobian_gradient(clean, poison, model, ref, 0, kind, reference)
+            want = full_jacobian_gradient(clean, poison, model, ref, 0, kind)
             if kind == "opt":
                 got = opt_objective_gradient(clean, poison, model, 0)
             else:
-                got = objective_gradient(clean, poison, model, ref, 0, reference=reference)
+                got = objective_gradient(clean, poison, model, ref, 0)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("family,lam", FAMILY_LAMBDAS)
@@ -340,10 +318,9 @@ class TestAdjointGradient:
 
         monkeypatch.setattr(attack_module, "_solve_kkt", counting_solve)
         clean, poison, merged, model, ref = make_attack_instance(130, d=3, family=family, lam=lam)
-        for reference in ("clean_fit", "current_theta"):
-            objective_gradient(clean, poison, model, ref, 0, reference=reference)
-            assert shapes == [(4,)]
-            shapes.clear()
+        objective_gradient(clean, poison, model, ref, 0)
+        assert shapes == [(4,)]
+        shapes.clear()
         opt_objective_gradient(clean, poison, model, 0)
         assert shapes == [(4,)]
 
@@ -600,34 +577,11 @@ class TestAttackLoop:
         assert state.poison.responses[0] == point[1]
         assert state.e_trace[1] == state.e_trace[0]
 
-    def test_current_theta_reference_loop(self, monkeypatch):
-        real_fit = attack_module.fit
-        calls = []
-
-        def counting_fit(*args, **kwargs):
-            calls.append(1)
-            return real_fit(*args, **kwargs)
-
-        monkeypatch.setattr(attack_module, "fit", counting_fit)
-        clean = make_noisy_dataset(n=60, d=3, seed=97)
-        cfg = AttackConfig(alpha=0.2, seed=7, max_outer_iters=3, reference_loss="current_theta")
-        state = nopt_attack(clean, cfg, "ols")
-        assert len(calls) == state.refit_count
-        # the final E is the dispersion with the clean loss at the final theta as reference
-        merged, _ = merge(clean, state.poison)
-        total = loss(merged, state.model, include_regularizer=False)
-        denom = loss(clean, state.model, include_regularizer=False)
-        want = abs(total / denom - merged.n / clean.n)
-        assert state.e_trace[-1] == pytest.approx(want, rel=1e-9)
-        assert state.e_trace[-1] > state.e_trace[0]
-
     def test_config_validation(self):
         with pytest.raises(ValueError, match="alpha"):
             AttackConfig(alpha=0.5)
         with pytest.raises(ValueError, match="eps_conv"):
             AttackConfig(alpha=0.1, eps_conv=0.0)
-        with pytest.raises(ValueError, match="reference_loss"):
-            AttackConfig(alpha=0.1, reference_loss="other")
 
 
 CLOSED_FORM = [("ols", 0.0), ("ridge", 0.1)]
@@ -637,10 +591,8 @@ class TestGradientFromTheFitInverse:
     """The loop hands a gradient the H^-1 of the trial fit it accepted."""
 
     @pytest.mark.parametrize("family,lam", CLOSED_FORM)
-    @pytest.mark.parametrize("kind,reference", [
-        ("nopt", "clean_fit"), ("nopt", "current_theta"), ("opt", None),
-    ])
-    def test_matches_the_kkt_solve(self, family, lam, kind, reference):
+    @pytest.mark.parametrize("kind", ["nopt", "opt"])
+    def test_matches_the_kkt_solve(self, family, lam, kind):
         for seed in range(6):
             clean, poison, merged, _, ref = make_attack_instance(seed + 140, family=family, lam=lam)
             moments = Moments.of(merged)
@@ -650,9 +602,8 @@ class TestGradientFromTheFitInverse:
                 want = opt_objective_gradient(*args, 0, merged=moments)
                 got = opt_objective_gradient(*args, 0, merged=moments, h_inv=report.h_inv)
             else:
-                want = objective_gradient(*args, ref, 0, reference=reference, merged=moments)
-                got = objective_gradient(*args, ref, 0, reference=reference, merged=moments,
-                                         h_inv=report.h_inv)
+                want = objective_gradient(*args, ref, 0, merged=moments)
+                got = objective_gradient(*args, ref, 0, merged=moments, h_inv=report.h_inv)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_no_kkt_solve_when_the_inverse_is_given(self, monkeypatch):
@@ -779,10 +730,3 @@ class TestRejectedInputs:
         few = clean.take(np.arange(3))
         with pytest.raises(ValueError, match="need n >= d\\+1"):
             theta_jacobian(few, model, few.features[0], float(few.responses[0]))
-
-    def test_unknown_gradient_reference(self):
-        clean = make_noisy_dataset(n=30, d=2, seed=18)
-        poison = Dataset(np.full((1, 2), 0.5), np.ones(1), provenance="poisoned")
-        model = fit(clean, "ols").model
-        with pytest.raises(ValueError, match="reference"):
-            objective_gradient(clean, poison, model, 1.0, 0, reference="frozen")

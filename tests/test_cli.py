@@ -40,6 +40,14 @@ class TestParsing:
     def test_alpha_range_five_points(self):
         assert _parse_float_list("0.04:0.20:0.04") == (0.04, 0.08, 0.12, 0.16, 0.2)
 
+    @pytest.mark.parametrize("parse,text,want", [
+        (_parse_int_list, "6:13:4", (6, 10)),
+        (_parse_float_list, "0.1:0.2:0.06", (0.1, 0.16)),
+        (_parse_float_list, "1:2:0.3", (1.0, 1.3, 1.6, 1.9)),
+    ])
+    def test_range_stops_at_the_last_point_not_past_stop(self, parse, text, want):
+        assert parse(text) == want
+
     def test_alpha_comma_list(self):
         assert _parse_float_list("0.1,0.2") == (0.1, 0.2)
 
@@ -173,6 +181,19 @@ class TestMainExitCodes:
          "--lambda must be finite"),
         (["sweep", "--families", "enet", "--lambda", "0.1", "--rho", "1.5", "--alphas", "0.2",
           "--repeats", "1"], "--rho must be in [0, 1]"),
+        (["sweep", "--max-features", "0", "--repeats", "1"], "max_features must be >= 1"),
+        (["sweep", "--max-features", "-1", "--repeats", "1"], "max_features must be >= 1"),
+        (["sweep", "--train-subsample", "0", "--repeats", "1"], "train_subsample must be >= 1"),
+        (["sweep", "--surrogate-fraction", "nan", "--repeats", "1"], "surrogate_fraction"),
+        (["sweep", "--surrogate-fraction", "0", "--repeats", "1"], "surrogate_fraction"),
+        (["sweep", "--surrogate-fraction", "1.5", "--repeats", "1"], "surrogate_fraction"),
+        (["sweep", "--defense", "trim", "--max-iters", "0", "--repeats", "1"],
+         "defense_max_iters must be >= 1"),
+        (["defend", "--method", "trim", "--max-iters", "0"], "--max-iters must be >= 1"),
+        (["fit", "--lambda", "auto", "--family", "ridge", "--seed", "-1"], "--seed must be >= 0"),
+        (["attack", "--alpha", "0.1", "--seed", "-1"], "--seed must be >= 0"),
+        (["defend", "--method", "trim", "--seed", "-1"], "--seed must be >= 0"),
+        (["defend", "--method", "proda", "--gamma", "3", "--seed", "-1"], "--seed must be >= 0"),
     ])
     def test_out_of_range_setting_exits_2_before_output(self, tmp_path, capsys, argv, message):
         code = main([*argv, "--synthetic", "d=2,n=40,noise=0.1", "--out", str(tmp_path / "out")])

@@ -298,6 +298,11 @@ class TestRejectedInputs:
         with pytest.raises(ValueError, match=message):
             load_csv(write_csv(tmp_path / "a.csv", text), target)
 
+    @pytest.mark.parametrize("hint", ["nosuch", "y"])
+    def test_categorical_hint_that_is_not_a_feature_column(self, tmp_path, hint):
+        with pytest.raises(ValueError, match=f"categorical columns \\['{hint}'\\]"):
+            load_csv(write_csv(tmp_path / "a.csv", "a,y\n1,0\n2,1\n"), "y", [hint])
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, float("nan")])
     def test_poison_count_alpha(self, alpha):
         with pytest.raises(ValueError, match="alpha must be in"):

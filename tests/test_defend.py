@@ -617,3 +617,8 @@ class TestRejectedInputs:
         ds = make_noisy_dataset(n=5, d=3, seed=16)
         with pytest.raises(ValueError, match="smaller than d\\+1"):
             trim_defend(ds, 0.5)
+
+    def test_trim_max_iters_below_one(self):
+        ds = make_noisy_dataset(n=20, d=1, seed=16)
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            trim_defend(ds, 0.2, max_iters=0)

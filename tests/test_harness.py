@@ -77,6 +77,13 @@ class TestExperimentSpec:
         (dict(families=("enet",), rho=1.5), "rho"),
         (dict(families=("enet",), rho=-0.1), "rho"),
         (dict(families=("enet",), rho=float("nan")), "rho"),
+        (dict(max_features=0), "max_features"),
+        (dict(max_features=-1), "max_features"),
+        (dict(train_subsample=0), "train_subsample"),
+        (dict(surrogate_fraction=0.0), "surrogate_fraction"),
+        (dict(surrogate_fraction=1.5), "surrogate_fraction"),
+        (dict(surrogate_fraction=float("nan")), "surrogate_fraction"),
+        (dict(defense="trim", defense_max_iters=0), "defense_max_iters"),
     ])
     def test_grid_value_a_cell_would_reject_is_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

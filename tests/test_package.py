@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -10,7 +11,9 @@ import pytest
 
 import poisonbench
 from poisonbench import harness
+from poisonbench.attack import AttackConfig
 from poisonbench.data import SyntheticSpec
+from poisonbench.defend import ProdaConfig
 
 
 def test_import_loads_no_scipy():
@@ -89,3 +92,29 @@ def test_cell_records_carry_the_keys_the_bench_reads(defense, count_key):
     assert "error" not in record
     missing = [k for k in BENCH_RECORD_KEYS + (count_key,) if k not in record]
     assert missing == []
+
+
+# fields no call outside the tests sets, each with its reason: tier-1 sets
+# attack_max_outer to 1-5 to stay fast (ROADMAP aim 2)
+FIELDS_SET_ONLY_BY_TESTS = {"ExperimentSpec.attack_max_outer"}
+
+
+def test_every_config_field_has_a_caller():
+    # a config field that only the tests set is an option no user reaches. A
+    # field is set by a keyword of that name in any call (the CLI spreads a
+    # dict(csv_path=...) into the spec) or by position in a direct call of its
+    # class. perfbench is parsed, not imported.
+    configs = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+               for cls in (AttackConfig, ProdaConfig, harness.ExperimentSpec)}
+    root = Path(__file__).resolve().parents[1]
+    keywords, positional = set(), set()
+    for path in [*(root / "src").rglob("*.py"), *(root / "perfbench").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                keywords.update(k.arg for k in node.keywords)
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in configs:
+                    positional.update(f"{name}.{f}" for f in configs[name][: len(node.args)])
+    unset = {f"{cls}.{f}" for cls, names in configs.items() for f in names
+             if f not in keywords and f"{cls}.{f}" not in positional}
+    assert unset == FIELDS_SET_ONLY_BY_TESTS
