@@ -46,20 +46,24 @@ class CliConfig:
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    """Comma list or start:stop:step range (stop inclusive, never passed)."""
+    """Comma list or start:stop:step range (stop inclusive, never passed)
+    of finite values."""
     text = text.strip()
+    parts = text.split(":" if ":" in text else ",")
+    if ":" in text and len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}")
+    values = tuple(float(p) for p in parts)
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"grid values must be finite, got {text!r}")
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = values
         if step <= 0 or stop < start:
             raise argparse.ArgumentTypeError(f"bad range {text!r}")
         # a few ulps of the endpoints' size, so rounding cannot drop stop itself
         slack = 4 * sys.float_info.epsilon * max(abs(start), abs(stop))
         count = math.floor((stop - start + slack) / step) + 1
         return tuple(round(start + i * step, 12) for i in range(count))
-    return tuple(float(p) for p in text.split(","))
+    return values
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -224,11 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path, command: str) -> dict:
-    """Read key=value lines. `section.key` is checked against that command's
-    option and applies only when it is running; a bare key applies to every
-    command that has the option, and for the others must be a valid value
-    of some command's option. A section key wins over a bare one."""
+def _load_config_file(path, command: str) -> tuple[dict, dict]:
+    """Read key=value lines into (bare, sectioned) options. `section.key` is
+    checked against that command's option and applies only when it is
+    running; a bare key applies to every command that has the option, and
+    for the others must be a valid value of some command's option."""
     bare, sectioned = {}, {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -258,7 +262,7 @@ def _load_config_file(path, command: str) -> dict:
             raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {error}") from error
         if option is not None and section in ("", command):
             (sectioned if section else bare)[option.dest] = converted
-    return {**bare, **sectioned}
+    return bare, sectioned
 
 
 def parse_args(argv) -> CliConfig:
@@ -266,16 +270,18 @@ def parse_args(argv) -> CliConfig:
     explicit = vars(build_parser().parse_args(argv))
     command = explicit.pop("command")
     options = {o.dest: o.default for o in OPTIONS if command in o.commands and o.default is not None}
+    bare, sectioned = {}, {}
     if "config" in explicit:
-        options.update(_load_config_file(explicit.pop("config"), command))
-    options.update(explicit)
+        bare, sectioned = _load_config_file(explicit.pop("config"), command)
+    options.update({**bare, **sectioned, **explicit})  # a section key wins over a bare one
     options.setdefault("out", os.environ.get("POISONBENCH_OUT", DEFAULT_OUT))
     cfg = CliConfig(command=command, options=options)
-    _validate(cfg)
+    _validate(cfg, given=sectioned.keys() | explicit.keys())
     return cfg
 
 
-def _validate(cfg: CliConfig):
+def _validate(cfg: CliConfig, given: set):
+    """Check the options; `given` holds those set by a flag or a section key."""
     opts = cfg.options
     if cfg.command in _DATA:
         has_csv = "csv" in opts
@@ -289,6 +295,10 @@ def _validate(cfg: CliConfig):
     if cfg.command == "defend":
         if "method" not in opts:
             raise UsageError("--method is required for defend (proda or trim)")
+        unread = given & {"proda": {"max_iters"}, "trim": {"gamma", "epsilon"}}[opts["method"]]
+        if unread:
+            flags = ", ".join(f"--{dest.replace('_', '-')}" for dest in sorted(unread))
+            raise UsageError(f"--method {opts['method']} never reads {flags}")
         if opts["method"] == "proda" and "gamma" not in opts:
             raise UsageError("--gamma is required for the proda defense")
         if opts["method"] == "trim" and opts["max_iters"] < 1:
@@ -373,7 +383,7 @@ def _cmd_fit(cfg: CliConfig) -> int:
     out = _out_dir(cfg)
     (out / f"{name}_model.json").write_text(report.model.to_json(), encoding="utf-8")
     (out / f"{name}_normalization.json").write_text(norm.to_json(), encoding="utf-8")
-    print(f"family={family} lambda={report.model.lam} train_mse={report.train_mse}")
+    print(f"family={family} lambda={report.model.lam} train_mse={mse(ds, report.model)}")
     if ds.d == 1:
         line = {"name": family, "weight": float(report.model.weights[0]), "bias": report.model.bias}
         svgplot.write_scatter_fit(

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .regress import Moments, RegressionModel, fit
+from .regress import Moments, RegressionModel, fit, loss, mse
 
 BLOCK_FLOATS = 2**15  # bounds every (trials x rows) array of a Proda block
 
@@ -252,22 +252,24 @@ def trim_defend(
 
     rng = np.random.default_rng(seed)
     subset = np.sort(rng.choice(n_rows, size=n, replace=False))
-    report = fit(ds.take(subset), family, lam, rho=rho)
-    model, last_loss = report.model, report.train_loss
-    mse_trace = [report.train_mse]
+    rows = ds.take(subset)
+    model = fit(rows, family, lam, rho=rho).model
+    last_loss, mse_trace = loss(rows, model), [mse(rows, model)]
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
         resid = np.abs(model.predict(ds.features) - ds.responses)
         new_subset = np.flatnonzero(_smallest(resid, n))
-        report = fit(ds.take(new_subset), family, lam, rho=rho)
+        rows = ds.take(new_subset)
+        report = fit(rows, family, lam, rho=rho)
         same_subset = np.array_equal(new_subset, subset)
         subset, model = new_subset, report.model
-        mse_trace.append(report.train_mse)
-        if same_subset or abs(last_loss - report.train_loss) < 1e-12:
+        mse_trace.append(mse(rows, model))
+        new_loss = loss(rows, model)
+        if same_subset or abs(last_loss - new_loss) < 1e-12:
             converged = True
             break
-        last_loss = report.train_loss
+        last_loss = new_loss
 
     return DefenseResult(
         subset_indices=tuple(int(i) for i in subset),

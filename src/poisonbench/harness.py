@@ -211,9 +211,9 @@ def _fill_cell(record, spec, family, alpha, gamma, alpha_assumed, seed, base):
     lam = _resolve_lambda(spec, family, train, validation)
     record["lambda"] = lam
 
-    clean_report = fit(train, family, lam, rho=spec.rho)
-    record["mse_clean"] = clean_report.train_mse
-    record["mse_clean_test"] = mse(test, clean_report.model)
+    clean_model = fit(train, family, lam, rho=spec.rho).model
+    record["mse_clean"] = mse(train, clean_model)
+    record["mse_clean_test"] = mse(test, clean_model)
 
     training_pool = train
     if spec.attack != "none":

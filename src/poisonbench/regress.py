@@ -108,34 +108,16 @@ class RegressionModel:
 
 @dataclass(frozen=True)
 class FitReport:
-    """A fit's model and status. train_loss (the regularized training loss)
-    and train_mse are computed from `data`, the fitted Dataset or Moments, on
-    first read: summed over the rows for a Dataset, read off the moments for
-    Moments. `data` must not change before then."""
+    """A fit's model and status. Measure its training error with `mse` or
+    `loss` on the fitted rows: moments would lose an exact fit's zero to
+    cancellation."""
 
     model: RegressionModel
-    train_loss: float = field(init=False)
-    train_mse: float = field(init=False)
     iterations: int
     converged: bool
-    data: Dataset | Moments = field(compare=False, repr=False)
     fallback: bool = False  # minimum-norm least-squares used on a singular system
     # H^-1 of a closed-form fit that did not fall back, for the attack's gradient
     h_inv: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-    def __getattr__(self, name):
-        # reached only while train_loss and train_mse are unset
-        if name not in ("train_loss", "train_mse"):
-            raise AttributeError(name)
-        data, model = self.data, self.model
-        if isinstance(data, Dataset):
-            train_loss, train_mse = loss(data, model, include_regularizer=True), mse(data, model)
-        else:
-            residual = data.residual_loss(model)
-            train_loss, train_mse = residual + model.penalty(), 2.0 * residual / data.n
-        object.__setattr__(self, "train_loss", train_loss)
-        object.__setattr__(self, "train_mse", train_mse)
-        return train_loss if name == "train_loss" else train_mse
 
 
 @dataclass(frozen=True)
@@ -297,9 +279,7 @@ def fit(
     deterministic.
 
     warm_start seeds the coordinate-descent families only; closed-form
-    families ignore it. A Dataset's train_loss and train_mse are summed over
-    its rows: moments would lose an exact fit's zero to cancellation. Both
-    are computed when first read (see FitReport).
+    families ignore it.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -325,7 +305,7 @@ def fit(
         )
         fallback, h_inv = False, None
     model = RegressionModel(w, b, family, lam, rho)
-    return FitReport(model, iterations, converged, data, fallback, h_inv)
+    return FitReport(model, iterations, converged, fallback, h_inv)
 
 
 def select_lambda(train: Dataset, validation: Dataset, family: str, rho: float = 0.5) -> float:

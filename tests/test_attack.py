@@ -421,7 +421,7 @@ class TestAttackLoop:
         factor_wins = 0
         for seed in range(5):
             clean = make_noisy_dataset(n=60, d=2, noise=0.1, seed=70 + seed)
-            clean_mse = fit(clean, "ols").train_mse
+            clean_mse = mse(clean, fit(clean, "ols").model)
             cfg = AttackConfig(alpha=0.2, seed=seed, max_outer_iters=10)
             state = nopt_attack(clean, cfg, "ols")
             merged, _ = merge(clean, state.poison)

@@ -128,20 +128,31 @@ class TestMainExitCodes:
             main(["fit", "--nonsense"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("argv", [
+    @pytest.mark.parametrize("argv,config", [
         # only sweep reports progress
-        ["fit", "--synthetic", "d=1,n=20,noise=0.1", "--verbose"],
-        ["attack", "--synthetic", "d=1,n=20,noise=0.1", "--alpha", "0.1", "--max-iters", "1",
-         "--verbose"],
-        ["defend", "--synthetic", "d=1,n=20,noise=0.1", "--method", "trim", "--verbose"],
-        ["report", "--records", "r.jsonl", "--verbose"],
+        (["fit", "--synthetic", "d=1,n=20,noise=0.1", "--verbose"], ""),
+        (["attack", "--synthetic", "d=1,n=20,noise=0.1", "--alpha", "0.1", "--max-iters", "1",
+          "--verbose"], ""),
+        (["defend", "--synthetic", "d=1,n=20,noise=0.1", "--method", "trim", "--verbose"], ""),
+        (["report", "--records", "r.jsonl", "--verbose"], ""),
         # report draws no random numbers
-        ["report", "--records", "r.jsonl", "--seed", "1"],
+        (["report", "--records", "r.jsonl", "--seed", "1"], ""),
+        # TRIM reads no Proda setting, Proda no TRIM one
+        (["defend", "--synthetic", "d=2,n=40,noise=0.1", "--method", "proda", "--gamma", "3",
+          "--max-iters", "0"], ""),
+        (["defend", "--synthetic", "d=2,n=40,noise=0.1", "--method", "trim", "--gamma", "3"], ""),
+        (["defend", "--synthetic", "d=2,n=40,noise=0.1", "--method", "trim", "--epsilon", "0.5"],
+         ""),
+        (["defend", "--synthetic", "d=2,n=40,noise=0.1", "--method", "proda", "--gamma", "3"],
+         "defend.max_iters=5\n"),
     ])
-    def test_flag_the_command_never_reads_exits_2(self, tmp_path, argv):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--out", str(tmp_path / "out")])
-        assert exc.value.code == 2
+    def test_flag_the_command_never_reads_exits_2(self, tmp_path, argv, config):
+        try:
+            code = main(["--config", _write_config(tmp_path, config), *argv,
+                         "--out", str(tmp_path / "out")])
+        except SystemExit as exc:  # argparse: the command has no such flag
+            code = exc.code
+        assert code == 2
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("alpha_assumed", ["-0.5", "1.5"])
@@ -246,6 +257,13 @@ class TestMainExitCodes:
         ["sweep", "--alphas", "0.1:0.2"],
         ["sweep", "--alphas", "0.2:0.1:0.05"],
         ["sweep", "--alphas", "0.1:0.2:0"],
+        # grid values must be finite, list items and range ends alike
+        ["sweep", "--alphas", "0.1:inf:0.1"],
+        ["sweep", "--alphas=-inf:0.1:0.1"],
+        ["sweep", "--alphas", "nan"],
+        ["sweep", "--alphas", "inf"],
+        ["sweep", "--defense", "proda", "--gammas", "3:inf:1"],
+        ["sweep", "--defense", "proda", "--gammas", "inf"],
         ["sweep", "--defense", "proda", "--gammas", "3,4.5"],
         ["sweep", "--families", "ols,bogus"],
         ["fit", "--synthetic", "d=2,n=40,noise"],
@@ -388,8 +406,9 @@ class TestDefendCommand:
     def test_writes_the_defense_wall_time(self, tmp_path, method):
         csv = write_poisoned_csv(tmp_path / "p.csv")
         out = tmp_path / "out"
-        code = main(["defend", "--csv", str(csv), "--target", "y", "--method", method,
-                     "--gamma", "6", "--alpha", "0.2", "--out", str(out)])
+        gamma = ["--gamma", "6"] if method == "proda" else []  # TRIM never reads gamma
+        code = main(["defend", "--csv", str(csv), "--target", "y", "--method", method, *gamma,
+                     "--alpha", "0.2", "--out", str(out)])
         assert code == 0
         doc = json.loads((out / "p_defense.json").read_text())
         assert isinstance(doc["wall_time_s"], float) and doc["wall_time_s"] >= 0.0
@@ -555,6 +574,13 @@ class TestConfigFile:
         assert (attack["method"], attack["alpha"]) == ("nopt", 0.15)  # the section beats a bare key
         assert (defend["method"], defend["gamma"], defend["alpha_assumed"]) == ("proda", 6, 0.1)
 
+    @pytest.mark.parametrize("method", ["proda", "trim"])
+    def test_bare_key_the_defense_never_reads_is_ignored(self, tmp_path, method):
+        path = _write_config(tmp_path, "max_iters=5\ngamma=3\nepsilon=0.5\n")
+        opts = parse_args(["--config", path, "defend", "--method", method,
+                           "--synthetic", "d=2,n=40,noise=0.1"]).options
+        assert (opts["max_iters"], opts["gamma"], opts["epsilon"]) == (5, 3, 0.5)
+
     def test_bare_key_of_another_command_is_checked_then_ignored(self, tmp_path):
         path = _write_config(tmp_path, "verbose=yes\nseed=9\n")
         assert parse_args(["--config", path, "sweep", "--synthetic", "d=1,n=10,noise=0.1"]
@@ -597,7 +623,8 @@ def _base_argv(command, dest):
         base = {"csv": "a.csv", "target": "y"}
     else:
         base = {"synthetic": "d=1,n=10,noise=0.1"}
-    base.update({"attack": {"alpha": "0.1"}, "defend": {"method": "trim", "gamma": "6"}}.get(command, {}))
+    defend = {"method": "trim"} if dest == "max_iters" else {"method": "proda", "gamma": "6"}
+    base.update({"attack": {"alpha": "0.1"}, "defend": defend}.get(command, {}))
     base.pop(dest, None)
     return [command] + [arg for key, value in base.items() for arg in (f"--{key}", value)]
 

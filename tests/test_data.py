@@ -13,7 +13,7 @@ from poisonbench.data import (
     poison_count,
     split_three,
 )
-from poisonbench.regress import fit
+from poisonbench.regress import fit, mse
 
 
 def write_csv(path, text):
@@ -134,7 +134,7 @@ class TestGenerateSynthetic:
         # y = x stays inside [0, 1]: no rescale, slope recovered directly
         scale = norm.response[1] - norm.response[0]
         assert abs(report.model.weights[0] * scale - 1.0) <= 1e-10
-        assert report.train_mse <= 1e-18
+        assert mse(ds, report.model) <= 1e-18
 
     def test_deterministic(self):
         spec = SyntheticSpec(d=3, n=30, true_weights=(0.2, 0.3, -0.1), true_bias=0.5,
@@ -150,7 +150,7 @@ class TestGenerateSynthetic:
         ds, norm = generate_synthetic(spec)
         assert ds.responses.min() >= 0.0 and ds.responses.max() <= 1.0
         # affine rescale keeps the exact linear relation
-        assert fit(ds, "ols").train_mse <= 1e-18
+        assert mse(ds, fit(ds, "ols").model) <= 1e-18
         assert norm.response != (0.0, 1.0)
 
     def test_residual_variance_matches_noise(self):

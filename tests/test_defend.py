@@ -152,7 +152,7 @@ class TestProda:
         wins = 0
         for seed in range(5):
             clean, merged, n_clean = planted_outlier_dataset(48, 12, seed=seed)
-            clean_mse = fit(clean, "ols").train_mse
+            clean_mse = mse(clean, fit(clean, "ols").model)
             cfg = ProdaConfig(gamma=3, alpha_assumed=0.2, seed=100 + seed)
             result = proda_defend(merged, cfg, "ols")
             if mse(clean, result.model) <= 1.1 * clean_mse:
@@ -194,11 +194,11 @@ class TestProda:
         gamma = 10
         for seed in range(trials):
             ds = make_noisy_dataset(n=60, d=2, noise=0.05, seed=300 + seed)
-            full_mse = fit(ds, "ols").train_mse
+            full_mse = mse(ds, fit(ds, "ols").model)
             cfg = ProdaConfig(gamma=gamma, alpha_assumed=0.2, seed=500 + seed)
             result = proda_defend(ds, cfg, "ols")
             group = ds.take(np.array(result.winning_group_indices))
-            group_mse = fit(group, "ols").train_mse
+            group_mse = mse(group, fit(group, "ols").model)
             if full_mse <= (ds.n / gamma) * group_mse:
                 holds += 1
         assert holds >= 95
@@ -255,7 +255,7 @@ class TestTrim:
         wins = 0
         for seed in range(5):
             clean, merged, _ = planted_outlier_dataset(48, 12, seed=20 + seed)
-            clean_mse = fit(clean, "ols").train_mse
+            clean_mse = mse(clean, fit(clean, "ols").model)
             result = trim_defend(merged, 0.2, "ols", seed=seed)
             if mse(clean, result.model) <= 1.1 * clean_mse:
                 wins += 1
@@ -346,11 +346,12 @@ def reference_proda(ds, cfg, family="ols", lam=0.0, rho=0.5):
         group_model = fit(ds.take(group), family, lam, rho=rho).model
         resid = np.abs(group_model.predict(ds.features) - ds.responses)
         subset = np.sort(np.argsort(resid, kind="stable")[:n])
-        refit = fit(ds.take(subset), family, lam, rho=rho)
-        m = refit.train_mse
+        rows = ds.take(subset)
+        refit = fit(rows, family, lam, rho=rho).model
+        m = mse(rows, refit)
         group_mses.append(m)
         if best is None or m < best[0]:
-            best = (m, i, subset, refit.model, group)
+            best = (m, i, subset, refit, group)
     best_mse, _, subset, model, group = best
     return DefenseResult(
         subset_indices=tuple(int(i) for i in subset),

@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -118,3 +119,12 @@ def test_every_config_field_has_a_caller():
     unset = {f"{cls}.{f}" for cls, names in configs.items() for f in names
              if f not in keywords and f"{cls}.{f}" not in positional}
     assert unset == FIELDS_SET_ONLY_BY_TESTS
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's one Python example is the public API as users first see it
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (example,) = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
+    exec(compile(example, str(readme), "exec"), {})
+    poisoned_mse, defended_mse = (float(v) for v in capsys.readouterr().out.split())
+    assert 0.0 <= defended_mse < poisoned_mse
