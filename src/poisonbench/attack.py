@@ -89,7 +89,7 @@ class AttackState:
     poison: Dataset
     model: RegressionModel
     clean_ref_loss: float
-    trace: tuple[dict, ...]
+    trace: tuple[dict, ...]  # one record a sweep: {iter, E, mse_train, theta: {weights, bias}}
     converged: bool
     iterations: int
     objective_name: str
@@ -97,23 +97,11 @@ class AttackState:
 
     @property
     def e_trace(self) -> tuple[float, ...]:
-        return tuple(t["objective"] for t in self.trace)
+        return tuple(t["E"] for t in self.trace)
 
     def to_jsonl(self) -> str:
-        """One record per outer iteration: {iter, E, mse_train, theta}."""
-        lines = []
-        for t in self.trace:
-            lines.append(
-                json.dumps(
-                    {
-                        "iter": t["iter"],
-                        "E": t["objective"],
-                        "mse_train": t["mse_train"],
-                        "theta": {"weights": t["weights"], "bias": t["bias"]},
-                    }
-                )
-            )
-        return "\n".join(lines) + "\n"
+        """The trace, one JSON record per line."""
+        return "".join(json.dumps(t) + "\n" for t in self.trace)
 
 
 def _require_reference(ref_loss: float, n_clean: int) -> None:
@@ -255,7 +243,7 @@ def opt_objective_gradient(
 def _initial_poison(clean: Dataset, p: int, rng: np.random.Generator):
     """Sample p clean rows and flip their responses to the far boundary."""
     idx = rng.choice(clean.n, size=p, replace=False)
-    px = clean.features[idx].copy()
+    px = clean.features[idx]
     py = 1.0 - np.round(clean.responses[idx])
     return px, py
 
@@ -266,7 +254,7 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
     if p < 1:
         raise ValueError(f"poison budget rounds to zero points (alpha={cfg.alpha}, n={clean.n})")
 
-    clean_model = fit(clean, family, lam, rho=rho).model
+    clean_model = fit(clean, family, lam, rho=rho).converged_model("attack's clean reference fit")
     ref_loss = loss(clean, clean_model, include_regularizer=False)
     if kind == "nopt":
         _require_reference(ref_loss, clean.n)
@@ -297,18 +285,13 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
         return objective_gradient(clean_m, poison_ds, model, ref_loss, c, merged, h_inv)
 
     merged = clean_m + Moments(rows.T @ rows, p)
-    theta = fit(merged, family, lam, rho=rho).model
+    theta = fit(merged, family, lam, rho=rho).converged_model("attack's first merged fit")
     refits = 2  # the clean reference fit and this one
     obj = objective(merged, theta)
 
     def record(i, model, value):
-        return {
-            "iter": i,
-            "objective": value,
-            "mse_train": mse(clean, model),
-            "weights": model.weights.tolist(),
-            "bias": model.bias,
-        }
+        return {"iter": i, "E": value, "mse_train": mse(clean, model),
+                "theta": {"weights": model.weights.tolist(), "bias": model.bias}}
 
     trace = [record(0, theta, obj)]
     converged = False

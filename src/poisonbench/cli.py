@@ -31,6 +31,7 @@ from .regress import FAMILIES, fit, mse, select_lambda
 
 DEFAULT_SEED = 1337
 DEFAULT_OUT = "poisonbench-out"
+MAX_GRID_VALUES = 1000  # values one start:stop:step range may expand to
 
 
 class UsageError(ValueError):
@@ -46,8 +47,8 @@ class CliConfig:
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    """Comma list or start:stop:step range (stop inclusive, never passed)
-    of finite values."""
+    """Comma list or start:stop:step range (stop inclusive, never passed,
+    at most MAX_GRID_VALUES values) of finite values."""
     text = text.strip()
     parts = text.split(":" if ":" in text else ",")
     if ":" in text and len(parts) != 3:
@@ -61,8 +62,10 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
             raise argparse.ArgumentTypeError(f"bad range {text!r}")
         # a few ulps of the endpoints' size, so rounding cannot drop stop itself
         slack = 4 * sys.float_info.epsilon * max(abs(start), abs(stop))
-        count = math.floor((stop - start + slack) / step) + 1
-        return tuple(round(start + i * step, 12) for i in range(count))
+        steps = (stop - start + slack) / step  # inf for a subnormal step
+        if not steps < MAX_GRID_VALUES:
+            raise argparse.ArgumentTypeError(f"range {text!r} has over {MAX_GRID_VALUES} values")
+        return tuple(round(start + i * step, 12) for i in range(math.floor(steps) + 1))
     return values
 
 

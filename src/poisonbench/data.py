@@ -62,12 +62,7 @@ class Dataset:
     def take(self, indices) -> "Dataset":
         """Row subset (copy), preserving provenance."""
         idx = np.asarray(indices, dtype=int)
-        return Dataset(
-            self.features[idx].copy(),
-            self.responses[idx].copy(),
-            self.feature_names,
-            self.provenance,
-        )
+        return Dataset(self.features[idx], self.responses[idx], self.feature_names, self.provenance)
 
 
 @dataclass(frozen=True)

@@ -211,7 +211,7 @@ def _fill_cell(record, spec, family, alpha, gamma, alpha_assumed, seed, base):
     lam = _resolve_lambda(spec, family, train, validation)
     record["lambda"] = lam
 
-    clean_model = fit(train, family, lam, rho=spec.rho).model
+    clean_model = fit(train, family, lam, rho=spec.rho).converged_model("clean fit")
     record["mse_clean"] = mse(train, clean_model)
     record["mse_clean_test"] = mse(test, clean_model)
 
@@ -239,11 +239,11 @@ def _fill_cell(record, spec, family, alpha, gamma, alpha_assumed, seed, base):
         record["attack_refits"] = state.refit_count
         record["time_attack_s"] = state.refit_count * train.n / RATE_ITERS_PER_S
         poisoned, _ = merge(train, state.poison)
-        poisoned_report = fit(poisoned, family, lam, rho=spec.rho)
-        record["mse_poisoned"] = mse(train, poisoned_report.model)
+        poisoned_model = fit(poisoned, family, lam, rho=spec.rho).converged_model("poisoned fit")
+        record["mse_poisoned"] = mse(train, poisoned_model)
         # the collective-training-set MSE is the attack figure of merit
-        record["mse_poisoned_trainset"] = mse(poisoned, poisoned_report.model)
-        record["mse_poisoned_test"] = mse(test, poisoned_report.model)
+        record["mse_poisoned_trainset"] = mse(poisoned, poisoned_model)
+        record["mse_poisoned_test"] = mse(test, poisoned_model)
         training_pool = poisoned
 
     if spec.defense != "none":
@@ -339,75 +339,40 @@ def read_records(path) -> list[dict]:
     return records
 
 
-_CELL_KEYS = ("dataset", "family", "attack", "defense", "alpha", "alpha_assumed", "gamma")
-_METRICS = ("mse_clean", "mse_poisoned", "mse_poisoned_trainset", "mse_defended")
-
-
-def _stats(values):
-    arr = np.asarray(values, dtype=float)
-    return {
-        "mean": float(arr.mean()),
-        "median": float(np.median(arr)),
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-    }
+# a summary row: the cell coordinates, then the means over its repeats
+_CELL_KEYS, _AVERAGED = SUMMARY_COLUMNS[:7], SUMMARY_COLUMNS[7:]
 
 
 def aggregate(records) -> list[dict]:
-    """Group cell records by coordinates (everything but the repeat) and
-    attach mean/median/min/max per metric; deterministic row order."""
+    """The summary's rows: cell records grouped by coordinates (everything
+    but the repeat), each row the seven cell keys plus the mean of every
+    other summary column over the group's error-free records that hold it;
+    deterministic row order."""
     cells = {}
     for rec in records:
-        if rec.get("record_type") != "cell":
-            continue
-        key = tuple(rec.get(k) for k in _CELL_KEYS)
-        cells.setdefault(key, []).append(rec)
+        if rec.get("record_type") == "cell":
+            cells.setdefault(tuple(rec.get(k) for k in _CELL_KEYS), []).append(rec)
     if not cells:
         raise ValueError("no cell records to aggregate")
-
-    def sort_key(key):
-        return tuple((v is None, v) for v in key)
-
     rows = []
-    for key in sorted(cells, key=sort_key):
-        group = cells[key]
-        ok = [r for r in group if "error" not in r]
+    for key in sorted(cells, key=lambda k: tuple((v is None, v) for v in k)):
+        ok = [r for r in cells[key] if "error" not in r]
         row = dict(zip(_CELL_KEYS, key))
-        row["n_records"] = len(group)
-        row["n_errors"] = len(group) - len(ok)
-        for metric in _METRICS:
-            values = [r[metric] for r in ok if metric in r]
+        for column in _AVERAGED:
+            values = [r[column] for r in ok if column in r]
             if values:
-                for stat, v in _stats(values).items():
-                    row[f"{metric}_{stat}"] = v
-        for tkey in ("time_attack_s", "time_defense_s"):
-            values = [r[tkey] for r in ok if tkey in r]
-            if values:
-                row[f"{tkey}_mean"] = float(np.mean(values))
+                row[column] = float(np.mean(values))
         rows.append(row)
     return rows
 
 
 def summary_csv(summary: list[dict]) -> str:
-    """Fixed-column CSV of per-cell means; floats via repr for bit-exact
-    round trips."""
+    """The `aggregate` rows as fixed-column CSV, a missing value empty;
+    floats via repr for bit-exact round trips."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SUMMARY_COLUMNS)
-    for row in summary:
-        out = []
-        for col in SUMMARY_COLUMNS:
-            if col in _CELL_KEYS:
-                v = row.get(col)
-            else:
-                v = row.get(f"{col}_mean")
-            if v is None:
-                out.append("")
-            elif isinstance(v, float):
-                out.append(repr(v))
-            else:
-                out.append(str(v))
-        writer.writerow(out)
+    writer = csv.DictWriter(buf, SUMMARY_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(summary)
     return buf.getvalue()
 
 
@@ -426,18 +391,18 @@ def _series_for(summary, x_key):
 
     for row in summary:
         prefix = f"{row['family']} " if multi else ""
-        add(prefix + "Unpoison", row.get(x_key), row.get("mse_clean_mean"))
+        add(prefix + "Unpoison", row.get(x_key), row.get("mse_clean"))
         if row.get("attack") not in (None, "none"):
             add(
                 prefix + _SERIES_LABELS.get(row["attack"], row["attack"]),
                 row.get(x_key),
-                row.get("mse_poisoned_mean"),
+                row.get("mse_poisoned"),
             )
         if row.get("defense") not in (None, "none"):
             add(
                 prefix + _SERIES_LABELS.get(row["defense"], row["defense"]),
                 row.get(x_key),
-                row.get("mse_defended_mean"),
+                row.get("mse_defended"),
             )
 
     def collapse(pts):

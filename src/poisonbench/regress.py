@@ -119,6 +119,12 @@ class FitReport:
     # H^-1 of a closed-form fit that did not fall back, for the attack's gradient
     h_inv: np.ndarray | None = field(default=None, compare=False, repr=False)
 
+    def converged_model(self, what: str) -> RegressionModel:
+        """The model, or a RuntimeError naming `what` when the fit did not converge."""
+        if not self.converged:
+            raise RuntimeError(f"{what} did not converge ({self.iterations} iterations)")
+        return self.model
+
 
 @dataclass(frozen=True)
 class Moments:

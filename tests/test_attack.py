@@ -461,6 +461,7 @@ class TestAttackLoop:
         assert len(lines) == len(state.trace)
         first = json.loads(lines[0])
         assert set(first) == {"iter", "E", "mse_train", "theta"}
+        assert [json.loads(line) for line in lines] == list(state.trace)
 
     def test_poison_csv_round_trip(self):
         clean = make_noisy_dataset(n=30, d=2, seed=92)

@@ -48,6 +48,9 @@ class TestParsing:
     def test_range_stops_at_the_last_point_not_past_stop(self, parse, text, want):
         assert parse(text) == want
 
+    def test_range_of_max_grid_values_is_kept(self):
+        assert _parse_int_list("1:1000:1") == tuple(range(1, 1001))
+
     def test_alpha_comma_list(self):
         assert _parse_float_list("0.1,0.2") == (0.1, 0.2)
 
@@ -265,6 +268,11 @@ class TestMainExitCodes:
         ["sweep", "--defense", "proda", "--gammas", "3:inf:1"],
         ["sweep", "--defense", "proda", "--gammas", "inf"],
         ["sweep", "--defense", "proda", "--gammas", "3,4.5"],
+        # a range expands to at most MAX_GRID_VALUES values
+        ["sweep", "--alphas", "0.01:0.2:1e-7"],
+        ["sweep", "--defense", "proda", "--gammas", "1:1001:1"],
+        # a subnormal step: the value count overflows a float (exit 1 before)
+        ["sweep", "--alphas", "0.01:0.2:1e-320"],
         ["sweep", "--families", "ols,bogus"],
         ["fit", "--synthetic", "d=2,n=40,noise"],
         ["fit", "--synthetic", "n=40,noise=0.1"],

@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import io
 import json
 
 import numpy as np
@@ -5,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poisonbench import attack as attack_module
 from poisonbench import harness
-from poisonbench.data import SyntheticSpec
+from poisonbench.data import Dataset, SyntheticSpec, split_three
 from poisonbench.harness import (
+    SUMMARY_COLUMNS,
     ExperimentSpec,
     aggregate,
     cell_seed,
@@ -20,6 +25,7 @@ from poisonbench.harness import (
     summary_csv,
     write_records,
 )
+from poisonbench.regress import DEFAULT_MAX_ITERS, fit
 from poisonbench.svgplot import read_companion_csv, write_scatter_fit
 
 SYN = SyntheticSpec(
@@ -183,6 +189,43 @@ class TestRunCell:
         assert record["lambda"] == 0.05
         assert run_cell(small_spec(lambda_policy=0.05), "ols", 0.2, None, 0)["lambda"] == 0.0
 
+    def test_cell_whose_clean_fit_does_not_converge_fails(self):
+        # b = a + N(0, 1e-3^2): the LASSO clean fit at a small lambda does
+        # not converge; its MSEs and the attack on it used to be recorded
+        rng = np.random.default_rng(0)
+        a, c = rng.uniform(size=150), rng.uniform(size=150)
+        x = np.column_stack((a, a + rng.normal(0.0, 1e-3, size=150), c))
+        base = Dataset(x, 0.5 * a - 0.3 * c + 0.2 + rng.normal(0.0, 0.05, size=150))
+        spec = small_spec(families=("lasso",), lambda_policy=1e-4, attack="nopt", defense="trim")
+        seed = cell_seed(spec.master_seed, "synthetic", "lasso", "nopt", "trim", 0.1, None, 0)
+        assert not fit(split_three(base, seed).train, "lasso", 1e-4).converged
+        record = run_cell(spec, "lasso", 0.1, None, 0, base)
+        assert record["error"] == (
+            f"RuntimeError: clean fit did not converge ({DEFAULT_MAX_ITERS} iterations)"
+        )
+        assert "mse_clean" not in record and "attack_converged" not in record
+
+    @pytest.mark.parametrize("module,call,name", [
+        (harness, 1, "clean fit"),
+        (harness, 2, "poisoned fit"),
+        (attack_module, 1, "attack's clean reference fit"),
+        (attack_module, 2, "attack's first merged fit"),
+    ])
+    def test_nonconverged_fit_fails_the_cell(self, monkeypatch, module, call, name):
+        real_fit = module.fit
+        calls = []
+
+        def fit_failing_at_call(*args, **kwargs):
+            calls.append(1)
+            report = real_fit(*args, **kwargs)
+            return dataclasses.replace(report, converged=False) if len(calls) == call else report
+
+        spec = small_spec(attack="nopt", defense="trim")
+        assert "error" not in run_cell(spec, "ols", 0.2, None, 0)
+        monkeypatch.setattr(module, "fit", fit_failing_at_call)
+        record = run_cell(spec, "ols", 0.2, None, 0)
+        assert record["error"] == f"RuntimeError: {name} did not converge (1 iterations)"
+
     def test_cell_seed_stable(self):
         assert cell_seed(1, "a", 0.2) == cell_seed(1, "a", 0.2)
         assert cell_seed(1, "a", 0.2) != cell_seed(2, "a", 0.2)
@@ -214,25 +257,35 @@ class TestAggregate:
     def test_single_record_mean(self):
         rows = aggregate([fake_record()])
         assert len(rows) == 1
-        assert rows[0]["mse_clean_mean"] == 0.01
+        assert rows[0]["mse_clean"] == 0.01
 
     def test_two_record_mean(self):
         rows = aggregate([fake_record(mse_clean=0.02), fake_record(mse_clean=0.04, repeat=1)])
-        assert rows[0]["mse_clean_mean"] == pytest.approx(0.03)
-        assert rows[0]["mse_clean_median"] == pytest.approx(0.03)
-        assert rows[0]["mse_clean_min"] == 0.02
-        assert rows[0]["mse_clean_max"] == 0.04
+        assert rows[0]["mse_clean"] == pytest.approx(0.03)
 
     def test_sweep_rows(self):
         spec = small_spec(alpha_grid=(0.04, 0.08, 0.12, 0.16, 0.2), repeats=5)
-        rows = aggregate(list(run_sweep(spec)))
+        records = list(run_sweep(spec))
+        rows = aggregate(records)
         assert len(rows) == 5
-        assert all(r["n_records"] == 5 for r in rows)
+        for row in rows:
+            values = [r["mse_clean"] for r in records if r["alpha"] == row["alpha"]]
+            assert len(values) == 5
+            assert row["mse_clean"] == float(np.mean(values))
 
-    def test_errors_counted_not_averaged(self):
+    def test_failed_records_are_not_averaged(self):
         rows = aggregate([fake_record(), fake_record(repeat=1, error="boom", mse_clean=None)])
-        assert rows[0]["n_errors"] == 1
-        assert rows[0]["mse_clean_mean"] == 0.01
+        assert rows[0]["mse_clean"] == 0.01
+
+    def test_rows_are_the_summary_csv_rows(self):
+        spec = small_spec(attack="nopt", defense="proda", gamma_grid=(3, 4), repeats=2,
+                          attack_max_outer=2)
+        rows = aggregate(list(run_sweep(spec)))
+        assert len(rows) == 2
+        # an attack and a defense fill every column, and a row holds nothing else
+        assert all(set(row) == set(SUMMARY_COLUMNS) for row in rows)
+        back = list(csv.DictReader(io.StringIO(summary_csv(rows))))
+        assert back == [{k: "" if v is None else str(v) for k, v in row.items()} for row in rows]
 
     def test_empty_raises(self):
         with pytest.raises(ValueError, match="no cell records"):
@@ -389,7 +442,7 @@ class TestRejectedSpecs:
     @pytest.mark.parametrize("kind", ["alpha", "gamma"])
     def test_emit_plot_with_nothing_to_plot(self, tmp_path, kind):
         # a row with no x value draws no point
-        summary = [{"family": "ols", "alpha": None, "gamma": None, "mse_clean_mean": 0.01}]
+        summary = [{"family": "ols", "alpha": None, "gamma": None, "mse_clean": 0.01}]
         with pytest.raises(ValueError, match=f"no plottable {kind} series"):
             emit_plot(summary, f"mse_vs_{kind}", tmp_path / "p.svg")
 

@@ -128,3 +128,10 @@ def test_readme_library_example_runs(capsys):
     exec(compile(example, str(readme), "exec"), {})
     poisoned_mse, defended_mse = (float(v) for v in capsys.readouterr().out.split())
     assert 0.0 <= defended_mse < poisoned_mse
+
+
+def test_readme_summary_columns_are_the_harness_columns():
+    # the columns README lists for summary.csv are the keys of aggregate's rows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (listed,) = re.findall(r"`summary\.csv`: fixed columns `([^`]*)`", readme)
+    assert tuple(c.strip() for c in listed.split(",")) == harness.SUMMARY_COLUMNS
