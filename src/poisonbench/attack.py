@@ -21,10 +21,10 @@ zero curvature. Under an l1 penalty (LASSO, Elastic-net) a zero weight stays
 at zero while the point moves a little, so the system is restricted to the
 active set: the nonzero weights and the bias, with zero columns of J for the
 others (Xiao et al., ICML 2015). A gradient needs only J @ g for one vector
-g, so it solves H v = g once (the adjoint form, Pedregosa 2016); after an
-accepted OLS/Ridge trial it multiplies g by the H^-1 that trial's refit
-computed, so a step factors H once. The poison points are stored as rows
-(x, 1, y), and a trial swaps one in the merged moments by two rank-one updates.
+g, so it solves H v = g once (the adjoint form, Pedregosa 2016). A step reuses
+the accepted trial's u = (w, b, -1), q = stats u (g is q[:-1], scaled for
+Nopt) and OLS/Ridge H^-1, so it factors H once. The poison points are rows
+(x, 1, y); a trial swaps one in the merged moments by two rank-one updates.
 
 The line search backtracks on the step eta of a projected step along the
 normalized gradient from eta = sqrt(d+1), the diameter of the box the
@@ -139,17 +139,18 @@ def _solve_kkt(h: np.ndarray, rhs: np.ndarray, jitter: float) -> np.ndarray:
 
 
 def _implicit_product(
-    moments: Moments, model: RegressionModel, x_c: np.ndarray, y_c: float, rhs: np.ndarray,
+    moments: Moments, model: RegressionModel, row: np.ndarray, u: np.ndarray, rhs: np.ndarray,
     h_inv: np.ndarray | None = None, scale: float = 0.0,
 ) -> np.ndarray:
-    """J @ rhs + scale r_c (w, -1) for the Jacobian J of theta_jacobian at
-    the point (x_c, y_c) with residual r_c, from one solve v = H^-1 rhs:
-    J @ rhs = -E v = -[(w, -1) ((x_c, 1) . v) + r_c (v_x, 0)]. h_inv, when
-    given, is H^-1 of a closed-form fit on `moments`, and v is a product
-    with it. Under an l1 penalty v solves on the active set and is 0 at a
-    zero weight. rhs is a (d+1,) vector or a (d+1, k) matrix."""
-    n = moments.n
-    if n < moments.d + 1:
+    """J @ rhs + scale r_c (w, -1) for the Jacobian J of theta_jacobian at the
+    point row = (x_c, 1, y_c) with residual r_c, from one solve v = H^-1 rhs:
+    J @ rhs = -E v = -[u ((x_c, 1) . v) + r_c (v_x, 0, 0)] for u = (w, b, -1),
+    over (x, 1, y) with 0 at the constant. h_inv, when given, is H^-1 of a
+    closed-form fit on `moments`, and v is a product with it. Under an l1
+    penalty v solves on the active set and is 0 at a zero weight. rhs is a
+    (d+1,) vector or a (d+1, k) matrix."""
+    n, d = moments.n, moments.d
+    if n < d + 1:
         raise ValueError("need n >= d+1 training rows for the KKT system")
     if h_inv is not None:
         v = h_inv @ rhs
@@ -165,11 +166,11 @@ def _implicit_product(
                     h[j, j] = 1.0
         # KKT_JITTER is on the Hessian over n, the mean of the per-row Hessians
         v = _solve_kkt(h, rhs, KKT_JITTER * n)
-    r_c = float(model.weights @ x_c + model.bias - y_c)
-    ev = np.multiply.outer(
-        np.concatenate((model.weights, (-1.0,))), scale * r_c - (x_c @ v[:-1] + v[-1])
-    )
-    ev[:-1] -= r_c * v[:-1]
+    r_c = float(model.weights @ row[:d] + model.bias - row[d + 1])
+    s = scale * r_c - (row[:d] @ v[:-1] + v[-1])
+    ev = s * u if rhs.ndim == 1 else np.multiply.outer(u, s)
+    ev[:d] -= r_c * v[:-1]
+    ev[d] = 0.0
     return ev
 
 
@@ -183,12 +184,22 @@ def theta_jacobian(
     training loss on `training` (rows or Moments), which must contain z_c.
     """
     moments = Moments.of(training)
-    x_c = np.asarray(x_c, dtype=float)
-    return _implicit_product(moments, model, x_c, y_c, np.eye(moments.d + 1))
+    row = np.concatenate((np.asarray(x_c, dtype=float), (1.0, y_c)))
+    u = np.concatenate((model.weights, (model.bias, -1.0)))
+    return np.delete(_implicit_product(moments, model, row, u, np.eye(moments.d + 1)), -2, axis=0)
 
 
-def _sign(value: float) -> float:
-    return -1.0 if value < 0 else 1.0  # subgradient at the kink: +1
+def _objective(kind, merged, clean, model, ref_loss):
+    """(objective, u, scale) of `model` fitted on the Moments `merged`: Opt's
+    clean loss or Nopt's E, u = (w, b, -1), and the gradient's explicit-term
+    scale, 0 for Opt and sign(dispersion) / ref_loss for Nopt (+1 at 0)."""
+    u = np.concatenate((model.weights, (model.bias, -1.0)))
+    stats = clean.stats if kind == "opt" else merged.stats
+    total = max(0.5 * float(u @ stats @ u), 0.0)  # cancellation can dip below 0
+    if kind == "opt":
+        return total, u, 0.0
+    dispersion = _dispersion(total, ref_loss, merged.n, clean.n)
+    return abs(dispersion), u, (-1.0 if dispersion < 0 else 1.0) / ref_loss
 
 
 def objective_gradient(
@@ -203,22 +214,18 @@ def objective_gradient(
     """Gradient of the dispersion objective w.r.t. poison point `index`.
 
     Chain rule through the trained parameters plus the point's own explicit
-    residual term. Every sum over rows is read off the
-    moments; `merged`, the moments of clean plus poison, saves adding them,
-    and `h_inv`, the FitReport.h_inv of model's closed-form fit on `merged`,
-    saves the KKT solve.
+    residual term. Every sum over rows is read off the moments; `merged`, the
+    moments of clean plus poison, saves adding them, and `h_inv`, the
+    FitReport.h_inv of model's closed-form fit on `merged`, saves the KKT solve.
     """
     clean = Moments.of(clean)
     merged = merged if merged is not None else clean + Moments.of(poison)
-    x_c, y_c = poison.features[index], float(poison.responses[index])
-    # q = stats u with u = (w, b, -1): the residual loss is u.q / 2, its gradient q[:-1]
-    u = np.concatenate((model.weights, (model.bias, -1.0)))
-    q = merged.stats @ u
-    total = max(0.5 * float(u @ q), 0.0)
-    # the sign of the dispersion, folded into the scale of both terms
-    scale = _sign(_dispersion(total, ref_loss, merged.n, clean.n)) / ref_loss
-    # the explicit term r_c (w, -1) / ref_loss rides on J's (w, -1) column
-    return _implicit_product(merged, model, x_c, y_c, scale * q[:-1], h_inv, scale)
+    row = np.concatenate((poison.features[index], (1.0, poison.responses[index])))
+    _, u, scale = _objective("nopt", merged, clean, model, ref_loss)
+    # the residual loss is u.stats.u / 2, its gradient q[:-1] for q = stats u; the
+    # explicit term r_c (w, -1) / ref_loss rides on J's (w, -1) column
+    rhs = scale * (merged.stats @ u)[:-1]
+    return np.delete(_implicit_product(merged, model, row, u, rhs, h_inv, scale), -2)
 
 
 def opt_objective_gradient(
@@ -236,8 +243,9 @@ def opt_objective_gradient(
     """
     clean = Moments.of(clean)
     merged = merged if merged is not None else clean + Moments.of(poison)
-    x_c, y_c = poison.features[index], float(poison.responses[index])
-    return _implicit_product(merged, model, x_c, y_c, clean.residual_gradient(model), h_inv)
+    row = np.concatenate((poison.features[index], (1.0, poison.responses[index])))
+    u = np.concatenate((model.weights, (model.bias, -1.0)))
+    return np.delete(_implicit_product(merged, model, row, u, (clean.stats @ u)[:-1], h_inv), -2)
 
 
 def _initial_poison(clean: Dataset, p: int, rng: np.random.Generator):
@@ -265,29 +273,18 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
     rows = np.ones((p, d + 2))
     px, py = rows[:, :d], rows[:, d + 1]
     px[:], py[:] = _initial_poison(clean, p, np.random.default_rng(cfg.seed))
-    xy = np.r_[:d, d + 1]
     # every row sum the loop needs is read off these moments; a trial swaps
     # the point's current row for the candidate by two rank-one updates
     clean_m = Moments.of(clean)
-    n_total = clean.n + p
+    opt = kind == "opt"
     # Opt's objective sums n_o clean losses; its stop test is on their mean
     box = math.sqrt(d + 1)
-    tol = cfg.eps_conv * (clean.n if kind == "opt" else 1)
-
-    def objective(merged, model):
-        if kind == "opt":
-            return clean_m.residual_loss(model)
-        return abs(_dispersion(merged.residual_loss(model), ref_loss, n_total, clean.n))
-
-    def gradient(merged, poison_ds, model, c, h_inv):
-        if kind == "opt":
-            return opt_objective_gradient(clean_m, poison_ds, model, c, merged=merged, h_inv=h_inv)
-        return objective_gradient(clean_m, poison_ds, model, ref_loss, c, merged, h_inv)
+    tol = cfg.eps_conv * (clean.n if opt else 1)
 
     merged = clean_m + Moments(rows.T @ rows, p)
     theta = fit(merged, family, lam, rho=rho).converged_model("attack's first merged fit")
     refits = 2  # the clean reference fit and this one
-    obj = objective(merged, theta)
+    obj, u, scale = _objective(kind, merged, clean_m, theta, ref_loss)
 
     def record(i, model, value):
         return {"iter": i, "E": value, "mse_train": mse(clean, model),
@@ -296,20 +293,19 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
     trace = [record(0, theta, obj)]
     converged = False
     outer = 0
-    ascent = np.zeros(d + 2)  # the gradient over (x, 1, y), 0 on the constant 1
     for outer in range(1, cfg.max_outer_iters + 1):
         sweep_start = obj
-        h_inv = None  # the gradient solves its KKT system until a trial fit hands it H^-1
-        # point c only moves in its own turn, so this snapshot holds its current row
-        poison_ds = Dataset(px.copy(), py.copy(), clean.feature_names, "poisoned")
+        # a gradient reuses the accepted fit's u, explicit-term scale, q = S u
+        # and H^-1; a sweep's first reads the rebuilt moments and solves its KKT system
+        q, h_inv = (clean_m if opt else merged).stats @ u, None
         for c in range(p):
-            grad = gradient(merged, poison_ds, theta, c, h_inv)
-            norm = math.sqrt(grad @ grad)
+            row_c = rows[c]
+            rhs = q[:-1] if opt else scale * q[:-1]
+            ascent = _implicit_product(merged, theta, row_c, u, rhs, h_inv, scale)
+            norm = math.sqrt(ascent @ ascent)
             if norm == 0.0 or not math.isfinite(norm):
                 continue
-            ascent[xy] = grad
             step = ascent / norm
-            row_c = rows[c]
             rest = merged.stats - np.multiply.outer(row_c, row_c)
             eta = box
             for _ in range(MAX_BACKTRACKS):
@@ -318,14 +314,16 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
                 gain = float(ascent @ (cand - row_c))
                 if not gain > 0.0:
                     break  # clipped moves keep their sign and shrink with eta: no shorter one gains
-                trial = Moments(rest + np.multiply.outer(cand, cand), n_total)
+                trial = Moments(rest + np.multiply.outer(cand, cand), merged.n)
                 report = fit(trial, family, lam, rho=rho, warm_start=theta)
                 refits += 1
                 if report.converged:
-                    trial_obj = objective(trial, report.model)
-                    if trial_obj >= obj + ARMIJO_C * gain:
+                    evaluated = _objective(kind, trial, clean_m, report.model, ref_loss)
+                    if evaluated[0] >= obj + ARMIJO_C * gain:
                         rows[c] = cand
-                        merged, theta, obj, h_inv = trial, report.model, trial_obj, report.h_inv
+                        merged, theta, h_inv = trial, report.model, report.h_inv
+                        obj, u, scale = evaluated
+                        q = (clean_m if opt else merged).stats @ u
                         break
                 eta *= SHRINK
             # all backtracks rejected: the point stays where it was

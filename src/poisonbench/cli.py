@@ -382,13 +382,13 @@ def _cmd_fit(cfg: CliConfig) -> int:
     ds, norm, name, _ = _load_dataset(cfg)
     lam = _resolve_lambda_cli(cfg, ds)
     family = cfg.options["family"]
-    report = fit(ds, family, lam, rho=cfg.options["rho"])
+    model = fit(ds, family, lam, rho=cfg.options["rho"]).converged_model("fit")
     out = _out_dir(cfg)
-    (out / f"{name}_model.json").write_text(report.model.to_json(), encoding="utf-8")
+    (out / f"{name}_model.json").write_text(model.to_json(), encoding="utf-8")
     (out / f"{name}_normalization.json").write_text(norm.to_json(), encoding="utf-8")
-    print(f"family={family} lambda={report.model.lam} train_mse={mse(ds, report.model)}")
+    print(f"family={family} lambda={model.lam} train_mse={mse(ds, model)}")
     if ds.d == 1:
-        line = {"name": family, "weight": float(report.model.weights[0]), "bias": report.model.bias}
+        line = {"name": family, "weight": float(model.weights[0]), "bias": model.bias}
         svgplot.write_scatter_fit(
             list(zip(ds.features[:, 0], ds.responses)), [line], "x", "y", out / f"{name}_fit.svg"
         )

@@ -316,13 +316,18 @@ def fit(
 
 def select_lambda(train: Dataset, validation: Dataset, family: str, rho: float = 0.5) -> float:
     """Pick lambda from LAMBDA_GRID by validation MSE; ties go to the
-    smallest candidate. OLS always gets 0."""
+    smallest candidate, and a candidate whose fit did not converge is
+    skipped. OLS always gets 0."""
     if family == "ols":
         return 0.0
     best_lam, best_mse = None, None
     for lam in LAMBDA_GRID:
-        model = fit(train, family, float(lam), rho=rho).model
-        v = mse(validation, model)
+        report = fit(train, family, float(lam), rho=rho)
+        if not report.converged:
+            continue
+        v = mse(validation, report.model)
         if best_mse is None or v < best_mse:
             best_lam, best_mse = float(lam), v
+    if best_lam is None:
+        raise RuntimeError(f"no {family} fit on the lambda grid converged")
     return best_lam

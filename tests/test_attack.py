@@ -536,9 +536,15 @@ class TestAttackLoop:
         clean = make_noisy_dataset(n=30, d=1, seed=96)
         monkeypatch.setattr(attack_module, "_initial_poison",
                             lambda clean, p, rng: (point[None, :-1].copy(), point[-1:].copy()))
-        real_gradient = attack_module.opt_objective_gradient
-        monkeypatch.setattr(attack_module, "opt_objective_gradient",
-                            lambda *a, **k: fake_gradient(real_gradient(*a, **k)))
+        real_kernel = attack_module._implicit_product
+
+        def fake_kernel(*a, **k):
+            # the loop's ascent is over (x, 1, y); the fake sees (x, y)
+            ascent = real_kernel(*a, **k)
+            x, y = fake_gradient(ascent[[0, 2]])
+            return np.array([x, 0.0, y])
+
+        monkeypatch.setattr(attack_module, "_implicit_product", fake_kernel)
         cfg = AttackConfig(alpha=0.2, seed=0, max_outer_iters=1, n_poison=1)
         return opt_attack(clean, cfg, "ols")
 
@@ -606,6 +612,36 @@ class TestGradientFromTheFitInverse:
                 want = objective_gradient(*args, ref, 0, merged=moments)
                 got = objective_gradient(*args, ref, 0, merged=moments, h_inv=report.h_inv)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("attack", [nopt_attack, opt_attack])
+    @pytest.mark.parametrize("family,lam", FAMILY_LAMBDAS)
+    def test_every_loop_ascent_is_the_public_gradient(self, monkeypatch, attack, family, lam):
+        # the loop hands the kernel the accepted trial's u, q and H^-1; the
+        # public gradients rebuild them from the moments and the model
+        real_kernel = attack_module._implicit_product
+        calls = []
+
+        def recording_kernel(moments, model, row, u, rhs, h_inv=None, scale=0.0):
+            ascent = real_kernel(moments, model, row, u, rhs, h_inv, scale)
+            calls.append((moments, model, row.copy(), h_inv, ascent.copy()))
+            return ascent
+
+        monkeypatch.setattr(attack_module, "_implicit_product", recording_kernel)
+        clean = make_noisy_dataset(n=60, d=3, seed=97)
+        state = attack(clean, AttackConfig(alpha=0.2, seed=7, max_outer_iters=4), family, lam)
+        monkeypatch.undo()
+        assert len(calls) >= state.poison.n
+        assert any(h_inv is not None for *_, h_inv, _ in calls) == (family in ("ols", "ridge"))
+        ref = loss(clean, fit(clean, family, lam).model, include_regularizer=False)
+        d = clean.d
+        for moments, model, row, h_inv, ascent in calls:
+            assert ascent[d] == 0.0  # the constant 1 never moves
+            point = Dataset(row[None, :d], row[d + 1:], provenance="poisoned")
+            if attack is opt_attack:
+                want = opt_objective_gradient(clean, point, model, 0, merged=moments, h_inv=h_inv)
+            else:
+                want = objective_gradient(clean, point, model, ref, 0, merged=moments, h_inv=h_inv)
+            assert np.array_equal(np.delete(ascent, d), want)
 
     def test_no_kkt_solve_when_the_inverse_is_given(self, monkeypatch):
         def no_solve(*args):

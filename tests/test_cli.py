@@ -16,6 +16,10 @@ from poisonbench.cli import (
     main,
     parse_args,
 )
+from poisonbench.data import load_csv
+from poisonbench.regress import fit
+
+from conftest import write_collinear_csv
 
 
 def write_line_csv(path, n=12):
@@ -370,6 +374,16 @@ class TestFitCommand:
                      "--lambda", "auto", "--out", str(tmp_path / "out")])
         assert code == 0
         assert "lambda=" in capsys.readouterr().out
+
+    def test_fit_that_does_not_converge_exits_1_and_writes_no_model(self, tmp_path, capsys):
+        csv = write_collinear_csv(tmp_path / "collinear.csv")
+        assert not fit(load_csv(csv, "y")[0], "lasso", 1e-4).converged
+        out = tmp_path / "out"
+        code = main(["fit", "--csv", str(csv), "--target", "y", "--family", "lasso",
+                     "--lambda", "0.0001", "--out", str(out)])
+        assert code == 1
+        assert "fit did not converge" in capsys.readouterr().err
+        assert not (out / "collinear_model.json").exists()
 
 
 class TestAttackCommand:

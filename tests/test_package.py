@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import poisonbench
-from poisonbench import harness
+from poisonbench import attack as attack_module
+from poisonbench import defend, harness
 from poisonbench.attack import AttackConfig
-from poisonbench.data import SyntheticSpec
+from poisonbench.data import SyntheticSpec, generate_synthetic
 from poisonbench.defend import ProdaConfig
 
 
@@ -69,6 +70,38 @@ def test_bench_tracer_patches_every_target():
         assert tracer.unpatched(done) == []
     finally:
         tracer.restore(done)
+
+
+def test_traced_attacks_and_defenses_pass_the_bench_self_checks(tmp_path):
+    # the traced bench's per-call checks, run here: an attack makes exactly
+    # refit_count fit calls, and Proda makes two fits for each of its beta
+    # trials, so a loop that refits outside attack.fit or a Proda that stacks
+    # its fits fails in tier-1 too
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    importlib.import_module("poisonbench.cli")  # loads every traced layer
+    clean, _ = generate_synthetic(SyntheticSpec(3, 60, (0.3, -0.2, 0.1), 0.4, 0.08, seed=5))
+    proda_cfg = ProdaConfig(gamma=4, seed=2)
+    traced = tracer.Tracer(tmp_path)
+    traced.install()
+    try:
+        refits = 0
+        for family, lam in [("ols", 0.0), ("ridge", 0.1), ("lasso", 0.01), ("enet", 0.01)]:
+            for attack in (attack_module.nopt_attack, attack_module.opt_attack):
+                cfg = AttackConfig(alpha=0.2, seed=1, max_outer_iters=2)
+                refits += attack(clean, cfg, family, lam).refit_count
+        defend.proda_defend(clean, proda_cfg, "ols", 0.0)
+        defend.trim_defend(clean, 0.2, "ols", 0.0)
+    finally:
+        traced.uninstall()
+    assert traced.errors == []
+    assert traced.counters["attack.calls"] == 8
+    assert traced.counters["attack.refits"] == refits
+    beta = defend.compute_beta(proda_cfg.alpha_assumed, proda_cfg.gamma, proda_cfg.epsilon)
+    assert traced.counters["proda.trials"] == beta
+    assert traced.counters["trim.calls"] == 1
 
 
 # the cell-record keys perfbench/workloads.py reads (`_from_record` and

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from poisonbench.data import Dataset, SyntheticSpec, generate_synthetic
+from poisonbench import regress
+from poisonbench.data import Dataset, SyntheticSpec, generate_synthetic, load_csv, split_three
 from poisonbench.regress import (
     DEFAULT_TOL,
     FAMILIES,
@@ -23,7 +24,7 @@ from poisonbench.regress import (
     select_lambda,
 )
 
-from conftest import make_noisy_dataset
+from conftest import make_noisy_dataset, write_collinear_csv
 
 
 def grad_eq4(ds, model):
@@ -460,6 +461,21 @@ class TestSelectLambda:
         lam2 = select_lambda(train, val, "ridge")
         assert lam1 == lam2
         assert any(np.isclose(lam1, g) for g in np.logspace(-4, 0, 9))
+
+    def test_candidate_that_does_not_converge_is_skipped(self, tmp_path):
+        # lambda = 1e-4 has the lowest validation MSE (0.003437) but runs out
+        # of sweeps; the best converged candidate is 1e-2 (0.003446)
+        split = split_three(load_csv(write_collinear_csv(tmp_path / "c.csv"), "y")[0], 1337)
+        assert not fit(split.train, "lasso", 1e-4).converged
+        assert select_lambda(split.train, split.validation, "lasso") == 0.01
+
+    def test_no_converged_candidate_raises(self, monkeypatch):
+        real_fit = regress.fit
+        monkeypatch.setattr(regress, "fit", lambda *a, **k: dataclasses.replace(
+            real_fit(*a, **k), converged=False))
+        ds = make_noisy_dataset(seed=8)
+        with pytest.raises(RuntimeError, match="no ridge fit on the lambda grid converged"):
+            select_lambda(ds, ds, "ridge")
 
 
 class TestConvergenceFlag:
