@@ -302,6 +302,8 @@ def _validate(cfg: CliConfig, given: set):
         if unread:
             flags = ", ".join(f"--{dest.replace('_', '-')}" for dest in sorted(unread))
             raise UsageError(f"--method {opts['method']} never reads {flags}")
+        if {"alpha", "alpha_assumed"} <= given:
+            raise UsageError("--alpha is an alias for --alpha-assumed; give one, not both")
         if opts["method"] == "proda" and "gamma" not in opts:
             raise UsageError("--gamma is required for the proda defense")
         if opts["method"] == "trim" and opts["max_iters"] < 1:
@@ -477,42 +479,6 @@ def _build_experiment_spec(opts, source: dict) -> harness.ExperimentSpec:
     )
 
 
-def _write_report(out: Path, records) -> int:
-    """Write summary.csv, report.txt and the charts; return the cell count."""
-    summary = harness.aggregate(records)
-    (out / "summary.csv").write_text(harness.summary_csv(summary), encoding="utf-8")
-    alphas = {r.get("alpha") for r in summary if r.get("alpha") is not None}
-    gammas = {r.get("gamma") for r in summary if r.get("gamma") is not None}
-    if len(alphas) > 1:
-        harness.emit_plot(summary, "mse_vs_alpha", out / "mse_vs_alpha.svg")
-    if len(gammas) > 1:
-        harness.emit_plot(summary, "mse_vs_gamma", out / "mse_vs_gamma.svg")
-    cells = [r for r in records if r.get("record_type") == "cell"]
-    failed = sum("error" in r for r in cells)
-    lines = ["poisonbench report", f"cells: {len(cells)} ({failed} failed)"]
-    attacked = {}
-    for r in cells:
-        if "attack_converged" in r:
-            attacked.setdefault((r["attack"], r["family"]), []).append(r)
-    for (attack, family), group in sorted(attacked.items()):
-        lines.append(
-            f"attack {attack} {family}: {sum(r['attack_converged'] for r in group)}/{len(group)} "
-            f"converged; median {np.median([r['attack_iterations'] for r in group]):g} sweeps, "
-            f"{np.median([r['attack_refits'] for r in group]):g} refits"
-        )
-    trims = [r for r in cells if r.get("defense") == "trim"]
-    if trims:
-        iters = [r.get("defense_iterations", 0) for r in trims if "defense_iterations" in r]
-        bound = next((r["trim_worst_case_iterations"] for r in trims
-                      if "trim_worst_case_iterations" in r), None)
-        lines.append(
-            f"trim iterations: max {max(iters) if iters else 'n/a'} (bounded by max_iters); "
-            f"worst case C(N, n) = {bound} subset traversals"
-        )
-    (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return len(cells)
-
-
 def _cmd_sweep(cfg: CliConfig) -> int:
     spec = cfg.built["spec"]
     out = _out_dir(cfg)
@@ -521,7 +487,7 @@ def _cmd_sweep(cfg: CliConfig) -> int:
     if cfg.options["verbose"]:
         records = _echo(records)
     count = harness.write_records(path, spec, records)
-    _write_report(out, harness.read_records(path))
+    harness.write_report(out, harness.read_records(path))
     print(f"wrote {count} records to {path}")
     return 0
 
@@ -541,7 +507,7 @@ def _echo(records):
 def _cmd_report(cfg: CliConfig) -> int:
     records = harness.read_records(cfg.options["records"])
     out = _out_dir(cfg)
-    cells = _write_report(out, records)
+    cells = harness.write_report(out, records)
     print(f"wrote summary for {cells} records to {out / 'summary.csv'}")
     return 0
 

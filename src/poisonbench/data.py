@@ -186,7 +186,7 @@ def load_csv(path, target_column, schema_hints=None):
     Returns (Dataset, NormalizationSpec).
     """
     hints = set(schema_hints or ())
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a leading BOM
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"{path}: empty file")

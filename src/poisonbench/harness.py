@@ -1,6 +1,6 @@
 """Experiment orchestration: seeded sweeps over poisoning rates, group
 sizes, model families, and repeats, with JSON-lines records, aggregated
-summaries, and plot emission.
+summaries, charts and the text report.
 
 Per-cell seeds are derived by hashing the master seed with the cell
 coordinates, so any subset of a sweep reproduces bit-identically. Reported
@@ -377,43 +377,27 @@ def summary_csv(summary: list[dict]) -> str:
 
 
 _SERIES_LABELS = {"opt": "Opt", "nopt": "Nopt", "trim": "TRIM", "proda": "Proda"}
+_AXES = {"mse_vs_alpha": ("alpha", "poisoning rate alpha"),  # kind: (x key, x axis label)
+         "mse_vs_gamma": ("gamma", "group size gamma")}
 
 
 def _series_for(summary, x_key):
-    families = sorted({r["family"] for r in summary})
-    multi = len(families) > 1
-    series: dict = {}
-
-    def add(name, x, y):
-        if x is None or y is None:
-            return
-        series.setdefault(name, []).append((float(x), float(y)))
-
+    """name -> [(x, mean y), ...] in x order, names in first-appearance order.
+    Summaries from combined record files repeat an x (one clean baseline per
+    sweep), so each point averages the rows that share its x."""
+    multi = len({r["family"] for r in summary}) > 1
+    table: dict = {}
     for row in summary:
+        x = row.get(x_key)
         prefix = f"{row['family']} " if multi else ""
-        add(prefix + "Unpoison", row.get(x_key), row.get("mse_clean"))
-        if row.get("attack") not in (None, "none"):
-            add(
-                prefix + _SERIES_LABELS.get(row["attack"], row["attack"]),
-                row.get(x_key),
-                row.get("mse_poisoned"),
-            )
-        if row.get("defense") not in (None, "none"):
-            add(
-                prefix + _SERIES_LABELS.get(row["defense"], row["defense"]),
-                row.get(x_key),
-                row.get("mse_defended"),
-            )
-
-    def collapse(pts):
-        # summaries from combined record files repeat an x (one clean
-        # baseline per sweep); average them into one point
-        by_x: dict = {}
-        for x, y in pts:
-            by_x.setdefault(x, []).append(y)
-        return [(x, sum(ys) / len(ys)) for x, ys in sorted(by_x.items())]
-
-    return {name: collapse(pts) for name, pts in series.items() if pts}
+        for name, column in (("Unpoison", "mse_clean"), (row.get("attack"), "mse_poisoned"),
+                             (row.get("defense"), "mse_defended")):
+            y = row.get(column)
+            if name not in (None, "none") and x is not None and y is not None:
+                label = prefix + _SERIES_LABELS.get(name, name)
+                table.setdefault(label, {}).setdefault(float(x), []).append(float(y))
+    return {name: [(x, sum(ys) / len(ys)) for x, ys in sorted(by_x.items())]
+            for name, by_x in table.items()}
 
 
 def emit_plot(summary, kind: str, path):
@@ -421,12 +405,46 @@ def emit_plot(summary, kind: str, path):
 
     kind: mse_vs_alpha | mse_vs_gamma. Returns (svg_path, csv_path).
     """
-    axes = {"mse_vs_alpha": ("alpha", "poisoning rate alpha"),  # kind: (x key, x axis label)
-            "mse_vs_gamma": ("gamma", "group size gamma")}
-    if kind not in axes:
+    if kind not in _AXES:
         raise ValueError(f"unknown plot kind {kind!r}")
-    x_key, x_label = axes[kind]
+    x_key, x_label = _AXES[kind]
     series = _series_for([r for r in summary if r.get(x_key) is not None], x_key)
     if not series:
         raise ValueError(f"summary has no plottable {x_key} series")
     return svgplot.write_line_chart(series, x_label, "MSE", path)
+
+
+def write_report(out, records) -> int:
+    """Write summary.csv, report.txt and the charts into the directory Path
+    `out`; return the cell count. A chart is drawn when its axis has two or
+    more x values and some row on it has an MSE to plot."""
+    summary = aggregate(records)
+    (out / "summary.csv").write_text(summary_csv(summary), encoding="utf-8")
+    for kind, (x_key, _) in _AXES.items():
+        rows = [r for r in summary if r.get(x_key) is not None]
+        if len({r[x_key] for r in rows}) > 1 and _series_for(rows, x_key):
+            emit_plot(summary, kind, out / f"{kind}.svg")
+    cells = [r for r in records if r.get("record_type") == "cell"]
+    failed = sum("error" in r for r in cells)
+    lines = ["poisonbench report", f"cells: {len(cells)} ({failed} failed)"]
+    attacked = {}
+    for r in cells:
+        if "attack_converged" in r:
+            attacked.setdefault((r["attack"], r["family"]), []).append(r)
+    for (attack, family), group in sorted(attacked.items()):
+        lines.append(
+            f"attack {attack} {family}: {sum(r['attack_converged'] for r in group)}/{len(group)} "
+            f"converged; median {np.median([r['attack_iterations'] for r in group]):g} sweeps, "
+            f"{np.median([r['attack_refits'] for r in group]):g} refits"
+        )
+    trims = [r for r in cells if r.get("defense") == "trim"]
+    if trims:
+        iters = [r.get("defense_iterations", 0) for r in trims if "defense_iterations" in r]
+        bound = next((r["trim_worst_case_iterations"] for r in trims
+                      if "trim_worst_case_iterations" in r), None)
+        lines.append(
+            f"trim iterations: max {max(iters) if iters else 'n/a'} (bounded by max_iters); "
+            f"worst case C(N, n) = {bound} subset traversals"
+        )
+    (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return len(cells)

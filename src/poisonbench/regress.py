@@ -174,15 +174,6 @@ class Moments:
             h.ravel()[: d * (d + 2) : d + 2] += lam  # the first d diagonal entries
         return h
 
-    def residual_loss(self, model: RegressionModel) -> float:
-        """1/2 sum of squared residuals: 1/2 u^T stats u with u = (w, b, -1)."""
-        u = np.concatenate((model.weights, (model.bias, -1.0)))
-        return max(0.5 * float(u @ self.stats @ u), 0.0)  # cancellation can dip below 0
-
-    def residual_gradient(self, model: RegressionModel) -> np.ndarray:
-        """Gradient of residual_loss w.r.t. (w, b): G theta - c."""
-        return (self.stats @ np.concatenate((model.weights, (model.bias, -1.0))))[:-1]
-
 
 def _residuals(ds: Dataset, model: RegressionModel) -> np.ndarray:
     if ds.d != model.weights.shape[0]:

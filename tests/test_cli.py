@@ -152,6 +152,13 @@ class TestMainExitCodes:
          ""),
         (["defend", "--synthetic", "d=2,n=40,noise=0.1", "--method", "proda", "--gamma", "3"],
          "defend.max_iters=5\n"),
+        # --alpha is an alias: given beside --alpha-assumed, one of the two goes unread
+        (["defend", "--synthetic", "d=2,n=40,noise=0.1", "--method", "trim", "--alpha", "7",
+          "--alpha-assumed", "0.3"], ""),
+        (["defend", "--synthetic", "d=2,n=40,noise=0.1", "--method", "trim",
+          "--alpha-assumed", "0.3"], "defend.alpha=0.2\n"),
+        (["defend", "--synthetic", "d=2,n=40,noise=0.1", "--method", "proda", "--gamma", "3"],
+         "defend.alpha=0.2\ndefend.alpha_assumed=0.3\n"),
     ])
     def test_flag_the_command_never_reads_exits_2(self, tmp_path, argv, config):
         try:
@@ -488,6 +495,18 @@ class TestSweepAndReport:
                      "--out", str(out), "--seed", "3"])
         assert code == 0
         assert (out / "report.txt").read_text().splitlines()[1] == "cells: 4 (2 failed)"
+
+    def test_every_cell_failed_still_writes_the_summary_and_the_report(self, tmp_path):
+        # gamma=2 is below d+1, so every cell carries an error and no chart has a point
+        out, again = tmp_path / "out", tmp_path / "again"
+        code = main(["sweep", "--synthetic", "d=2,n=45,noise=0.1", "--defense", "proda",
+                     "--gammas", "2", "--alphas", "0.1,0.2", "--repeats", "1", "--out", str(out)])
+        assert code == 0
+        assert main(["report", "--records", str(out / "records.jsonl"), "--out", str(again)]) == 0
+        for path in (out, again):
+            assert (path / "report.txt").read_text().splitlines()[1] == "cells: 2 (2 failed)"
+            assert (path / "summary.csv").read_text() == (out / "summary.csv").read_text()
+            assert not list(path.glob("mse_vs_*"))
 
     def test_report_says_how_each_attack_ended(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

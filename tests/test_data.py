@@ -52,6 +52,23 @@ class TestLoadCsv:
         ds, spec = load_csv(p, "y", schema_hints=["code"])
         assert ds.feature_names == ("code=1", "code=2")
 
+    @pytest.mark.parametrize("target,hints,names", [
+        ("c", None, ("a", "y")),
+        ("y", ["c"], ("c=1", "c=2", "a")),
+    ])
+    def test_byte_order_mark_is_not_part_of_the_first_column(self, tmp_path, target, hints, names):
+        # spreadsheet tools save UTF-8 CSVs with a leading byte-order mark
+        text = "c,a,y\n1,10,0\n2,20,1\n1,30,3\n"
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        ds, spec = load_csv(marked, target, hints)
+        plain, plain_spec = load_csv(write_csv(tmp_path / "plain.csv", text), target, hints)
+        assert ds.feature_names == plain.feature_names == names
+        assert spec == plain_spec
+        assert ds.provenance == plain.provenance
+        np.testing.assert_array_equal(ds.features, plain.features)
+        np.testing.assert_array_equal(ds.responses, plain.responses)
+
     def test_constant_numeric_column_dropped(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", "a,b,y\n1,7,0\n2,7,1\n")
         ds, spec = load_csv(p, "y")

@@ -319,6 +319,32 @@ class TestEmitPlot:
         series = read_companion_csv(csv_path)
         assert series["Unpoison"] == [(0.1, 0.0123456789012345), (0.2, 0.09876543210987654)]
 
+    def test_series_prefix_order_and_means_over_the_other_axis(self, tmp_path):
+        # rows in neither family nor alpha order: series keep their first
+        # appearance, points go in x order, each the mean over both gammas
+        summary = []
+        for family, base in (("ridge", 1.0), ("ols", 2.0)):
+            for alpha, offset in ((0.2, 0.5), (0.1, 0.25)):
+                for gamma in (3, 6):
+                    summary.append(dict(
+                        family=family, attack="nopt", defense="proda", alpha=alpha, gamma=gamma,
+                        mse_clean=base, mse_poisoned=base + offset + gamma / 4,
+                        mse_defended=base + offset + gamma / 8,
+                    ))
+        del summary[-1]["mse_defended"]  # ols, alpha 0.1, gamma 6
+        _, csv_path = emit_plot(summary, "mse_vs_alpha", tmp_path / "p.svg")
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [
+            ["series", "x", "y"],
+            ["ridge Unpoison", "0.1", "1.0"], ["ridge Unpoison", "0.2", "1.0"],
+            ["ridge Nopt", "0.1", "2.375"], ["ridge Nopt", "0.2", "2.625"],
+            ["ridge Proda", "0.1", "1.8125"], ["ridge Proda", "0.2", "2.0625"],
+            ["ols Unpoison", "0.1", "2.0"], ["ols Unpoison", "0.2", "2.0"],
+            ["ols Nopt", "0.1", "3.375"], ["ols Nopt", "0.2", "3.625"],
+            ["ols Proda", "0.1", "2.625"], ["ols Proda", "0.2", "3.0625"],
+        ]
+
     def test_gamma_plot(self, tmp_path):
         records = [
             fake_record(defense="proda", gamma=g, alpha_assumed=0.2, mse_defended=0.01 / g)

@@ -168,3 +168,39 @@ def test_readme_summary_columns_are_the_harness_columns():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     (listed,) = re.findall(r"`summary\.csv`: fixed columns `([^`]*)`", readme)
     assert tuple(c.strip() for c in listed.split(",")) == harness.SUMMARY_COLUMNS
+
+
+# library readers that invert what the package writes; users call them, the package never does
+READERS_NO_CALLER_NEEDS = {
+    "NormalizationSpec.apply", "NormalizationSpec.invert", "NormalizationSpec.from_json",
+    "RegressionModel.from_json", "svgplot.read_companion_csv",
+}
+
+
+def test_every_function_has_a_caller():
+    # a package function or non-dunder method is used when its name appears
+    # in the package or perfbench as a name, an attribute or a string
+    # (perfbench's tracer names its targets in strings); perfbench is parsed,
+    # not imported
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src").rglob("*.py"))
+    defined, used = {}, set()
+    for path in [*package, *(root / "perfbench").rglob("*.py")]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body if path in package else ():
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined[f"{path.stem}.{node.name}"] = node.name
+            elif isinstance(node, ast.ClassDef):
+                defined.update((f"{node.name}.{item.name}", item.name) for item in node.body
+                               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                               and not item.name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    uncalled = {key for key, name in defined.items()
+                if name not in used and name not in poisonbench.__all__}
+    assert uncalled == READERS_NO_CALLER_NEEDS

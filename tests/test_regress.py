@@ -205,16 +205,6 @@ class TestMoments:
         assert both.n == 20
         np.testing.assert_allclose(both.stats, Moments.from_rows(x, y).stats, rtol=1e-14)
 
-    def test_residual_loss_and_gradient_match_the_rows(self):
-        x, y = random_rows(14, 4, 30)
-        ds = Dataset(x, y)
-        model = RegressionModel(np.array([0.1, -0.2, 0.3, 0.05]), 0.2)
-        m = Moments.of(ds)
-        assert m.residual_loss(model) == pytest.approx(loss(ds, model, False), rel=1e-12)
-        r = model.predict(x) - y
-        expected = np.append(x.T @ r, r.sum())
-        np.testing.assert_allclose(m.residual_gradient(model), expected, atol=1e-12)
-
 
 def penalized_gram_by_loop(m, lam):
     """G + lam diag(1, ..., 1, 0) one diagonal entry at a time."""
