@@ -7,6 +7,9 @@ randomness flows from --seed (default 1337, never wall clock).
 
 Exit codes: 0 success, 1 computational failure, 2 usage error. Diagnostics
 go to stderr; data goes to files under the output directory.
+
+numpy and the compute modules are imported by the functions that use them:
+`report`, `--help` and the CLI's own usage checks load neither.
 """
 
 from __future__ import annotations
@@ -21,13 +24,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from . import harness, svgplot
-from .attack import AttackConfig, nopt_attack, opt_attack, poison_to_csv
-from .data import SyntheticSpec, generate_synthetic, load_csv, split_three
-from .defend import ProdaConfig, proda_defend, subset_size, trim_defend, trim_worst_case_text
-from .regress import FAMILIES, fit, mse, select_lambda
+from . import records, svgplot
+from .records import FAMILIES
 
 DEFAULT_SEED = 1337
 DEFAULT_OUT = "poisonbench-out"
@@ -113,7 +111,11 @@ def _parse_synthetic(text: str) -> dict:
     return spec
 
 
-def build_synthetic_spec(fields: dict) -> SyntheticSpec:
+def build_synthetic_spec(fields: dict):
+    import numpy as np
+
+    from .data import SyntheticSpec
+
     d, n = fields["d"], fields["n"]
     w = fields.get("w")
     if w is None:
@@ -179,12 +181,12 @@ OPTIONS = (
     Option("--epsilon-conv", "stop when a sweep changes E (nopt) or the mean clean loss (opt) "
            "by less than this (default 1e-6)", ("attack",), type=float, default=1e-6),
     Option("--max-iters", "max outer iterations (default 100)", ("attack",), type=int, default=100),
-    Option("--attack", "attack to sweep (default none)", ("sweep",), choices=harness.ATTACKS,
+    Option("--attack", "attack to sweep (default none)", ("sweep",), choices=records.ATTACKS,
            default="none"),
-    Option("--defense", "defense to sweep (default none)", ("sweep",), choices=harness.DEFENSES,
+    Option("--defense", "defense to sweep (default none)", ("sweep",), choices=records.DEFENSES,
            default="none"),
     Option("--alphas", "alpha grid: comma list or start:stop:step (default 0.04:0.20:0.04)",
-           ("sweep",), type=_parse_float_list, default=harness.DEFAULT_ALPHA_GRID),
+           ("sweep",), type=_parse_float_list, default=records.DEFAULT_ALPHA_GRID),
     Option("--gammas", "gamma grid for proda", ("sweep",), type=_parse_int_list),
     Option("--alpha-assumed", "fixed assumed alpha (default: the cell's real alpha)", ("sweep",),
            type=float),
@@ -333,10 +335,14 @@ def _validate(cfg: CliConfig, given: set):
         if cfg.command in _DATA:
             built["source"] = _dataset_source(opts)
         if cfg.command == "attack":
+            from .attack import AttackConfig
+
             built["config"] = AttackConfig(
                 opts["alpha"], opts["epsilon_conv"], opts["max_iters"], opts["seed"]
             )
         if cfg.command == "defend" and opts["method"] == "proda":
+            from .defend import ProdaConfig
+
             built["config"] = ProdaConfig(
                 opts["gamma"], opts["epsilon"], opts["alpha_assumed"], opts["seed"]
             )
@@ -355,6 +361,8 @@ def _dataset_source(opts) -> dict:
 
 
 def _load_dataset(cfg: CliConfig):
+    from .data import generate_synthetic, load_csv
+
     source = cfg.built["source"]
     if "csv_path" in source:
         ds, norm = load_csv(source["csv_path"], source["target_column"], source["categorical"])
@@ -369,6 +377,9 @@ def _resolve_lambda_cli(cfg, ds):
     if opts["lam"] == "auto":
         if family == "ols":
             return 0.0
+        from .data import split_three
+        from .regress import select_lambda
+
         split = split_three(ds, opts["seed"])
         return select_lambda(split.train, split.validation, family, rho=opts["rho"])
     return float(opts["lam"])
@@ -381,6 +392,8 @@ def _out_dir(cfg: CliConfig) -> Path:
 
 
 def _cmd_fit(cfg: CliConfig) -> int:
+    from .regress import fit, mse
+
     ds, norm, name, _ = _load_dataset(cfg)
     lam = _resolve_lambda_cli(cfg, ds)
     family = cfg.options["family"]
@@ -398,6 +411,8 @@ def _cmd_fit(cfg: CliConfig) -> int:
 
 
 def _cmd_attack(cfg: CliConfig) -> int:
+    from .attack import nopt_attack, opt_attack, poison_to_csv
+
     opts = cfg.options
     ds, _, name, target = _load_dataset(cfg)
     lam = _resolve_lambda_cli(cfg, ds)
@@ -425,6 +440,8 @@ def _cmd_attack(cfg: CliConfig) -> int:
 
 
 def _cmd_defend(cfg: CliConfig) -> int:
+    from .defend import proda_defend, subset_size, trim_defend, trim_worst_case_text
+
     opts = cfg.options
     ds, _, name, _ = _load_dataset(cfg)
     lam = _resolve_lambda_cli(cfg, ds)
@@ -458,8 +475,10 @@ def _cmd_defend(cfg: CliConfig) -> int:
     return 0
 
 
-def _build_experiment_spec(opts, source: dict) -> harness.ExperimentSpec:
-    return harness.ExperimentSpec(
+def _build_experiment_spec(opts, source: dict):
+    from .harness import ExperimentSpec
+
+    return ExperimentSpec(
         **source,
         families=opts["families"],
         lambda_policy="select" if opts["lam"] == "auto" else float(opts["lam"]),
@@ -480,21 +499,23 @@ def _build_experiment_spec(opts, source: dict) -> harness.ExperimentSpec:
 
 
 def _cmd_sweep(cfg: CliConfig) -> int:
+    from . import harness
+
     spec = cfg.built["spec"]
     out = _out_dir(cfg)
     path = out / "records.jsonl"
-    records = harness.run_sweep(spec, jobs=cfg.options["jobs"])
+    cells = harness.run_sweep(spec, jobs=cfg.options["jobs"])
     if cfg.options["verbose"]:
-        records = _echo(records)
-    count = harness.write_records(path, spec, records)
-    harness.write_report(out, harness.read_records(path))
+        cells = _echo(cells)
+    count = records.write_records(path, spec, cells)
+    records.write_report(out, records.read_records(path))
     print(f"wrote {count} records to {path}")
     return 0
 
 
-def _echo(records):
-    """Pass records through, printing a progress line for each on stderr."""
-    for i, record in enumerate(records, 1):
+def _echo(cells):
+    """Pass cell records through, printing a progress line for each on stderr."""
+    for i, record in enumerate(cells, 1):
         print(
             f"[{i}] {record['family']} alpha={record['alpha']} "
             f"gamma={record['gamma']} repeat={record['repeat']} "
@@ -505,9 +526,9 @@ def _echo(records):
 
 
 def _cmd_report(cfg: CliConfig) -> int:
-    records = harness.read_records(cfg.options["records"])
+    loaded = records.read_records(cfg.options["records"])
     out = _out_dir(cfg)
-    cells = harness.write_report(out, records)
+    cells = records.write_report(out, loaded)
     print(f"wrote summary for {cells} records to {out / 'summary.csv'}")
     return 0
 

@@ -1,6 +1,6 @@
 """Experiment orchestration: seeded sweeps over poisoning rates, group
-sizes, model families, and repeats, with JSON-lines records, aggregated
-summaries, charts and the text report.
+sizes, model families, and repeats, one record per cell (`records` writes
+them and builds the summary, charts and report).
 
 Per-cell seeds are derived by hashing the master seed with the cell
 coordinates, so any subset of a sweep reproduces bit-identically. Reported
@@ -14,10 +14,7 @@ deterministic; raw wall-clock measurements stay in the per-cell records.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
-import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import svgplot
 from .attack import AttackConfig, nopt_attack, opt_attack
 from .data import (
     Dataset,
@@ -37,30 +33,12 @@ from .data import (
     split_three,
 )
 from .defend import ProdaConfig, proda_defend, subset_size, trim_defend, trim_worst_case_text
+from .records import ATTACKS, DEFAULT_ALPHA_GRID, DEFENSES
+# perfbench's tracer wraps these at harness.<name>, so harness keeps binding them
+from .records import aggregate, emit_plot, read_records, summary_csv, write_records  # noqa: F401
 from .regress import fit, mse, select_lambda
 
-SCHEMA_VERSION = 1
 RATE_ITERS_PER_S = 1e9  # iteration-count timing conversion
-
-ATTACKS = ("none", "opt", "nopt")
-DEFENSES = ("none", "trim", "proda")
-
-DEFAULT_ALPHA_GRID = (0.04, 0.08, 0.12, 0.16, 0.20)
-
-SUMMARY_COLUMNS = (
-    "dataset",
-    "family",
-    "attack",
-    "defense",
-    "alpha",
-    "alpha_assumed",
-    "gamma",
-    "mse_clean",
-    "mse_poisoned",
-    "mse_defended",
-    "time_attack_s",
-    "time_defense_s",
-)
 
 
 @dataclass(frozen=True)
@@ -296,155 +274,3 @@ def run_sweep(spec: ExperimentSpec, jobs: int = 1):
         return
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         yield from pool.map(_run_task, tasks, chunksize=1)
-
-
-def header_record(spec: ExperimentSpec) -> dict:
-    return {
-        "record_type": "header",
-        "schema_version": SCHEMA_VERSION,
-        "dataset": spec.dataset_name,
-        "attack": spec.attack,
-        "defense": spec.defense,
-        "families": list(spec.families),
-        "alpha_grid": list(spec.alpha_grid),
-        "gamma_grid": list(spec.gamma_grid),
-        "repeats": spec.repeats,
-        "master_seed": spec.master_seed,
-    }
-
-
-def write_records(path, spec: ExperimentSpec, records) -> int:
-    """JSON-lines file: header record first, then one record per line,
-    dropping None values. Each line is flushed as it is written, so when
-    `records` is a running sweep, a sweep stopped at any point leaves the
-    header and every record it finished. Returns the record count."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header_record(spec)) + "\n")
-        fh.flush()
-        for record in records:
-            fh.write(json.dumps({k: v for k, v in record.items() if v is not None}) + "\n")
-            fh.flush()
-            count += 1
-    return count
-
-
-def read_records(path) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
-# a summary row: the cell coordinates, then the means over its repeats
-_CELL_KEYS, _AVERAGED = SUMMARY_COLUMNS[:7], SUMMARY_COLUMNS[7:]
-
-
-def aggregate(records) -> list[dict]:
-    """The summary's rows: cell records grouped by coordinates (everything
-    but the repeat), each row the seven cell keys plus the mean of every
-    other summary column over the group's error-free records that hold it;
-    deterministic row order."""
-    cells = {}
-    for rec in records:
-        if rec.get("record_type") == "cell":
-            cells.setdefault(tuple(rec.get(k) for k in _CELL_KEYS), []).append(rec)
-    if not cells:
-        raise ValueError("no cell records to aggregate")
-    rows = []
-    for key in sorted(cells, key=lambda k: tuple((v is None, v) for v in k)):
-        ok = [r for r in cells[key] if "error" not in r]
-        row = dict(zip(_CELL_KEYS, key))
-        for column in _AVERAGED:
-            values = [r[column] for r in ok if column in r]
-            if values:
-                row[column] = float(np.mean(values))
-        rows.append(row)
-    return rows
-
-
-def summary_csv(summary: list[dict]) -> str:
-    """The `aggregate` rows as fixed-column CSV, a missing value empty;
-    floats via repr for bit-exact round trips."""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, SUMMARY_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(summary)
-    return buf.getvalue()
-
-
-_SERIES_LABELS = {"opt": "Opt", "nopt": "Nopt", "trim": "TRIM", "proda": "Proda"}
-_AXES = {"mse_vs_alpha": ("alpha", "poisoning rate alpha"),  # kind: (x key, x axis label)
-         "mse_vs_gamma": ("gamma", "group size gamma")}
-
-
-def _series_for(summary, x_key):
-    """name -> [(x, mean y), ...] in x order, names in first-appearance order.
-    Summaries from combined record files repeat an x (one clean baseline per
-    sweep), so each point averages the rows that share its x."""
-    multi = len({r["family"] for r in summary}) > 1
-    table: dict = {}
-    for row in summary:
-        x = row.get(x_key)
-        prefix = f"{row['family']} " if multi else ""
-        for name, column in (("Unpoison", "mse_clean"), (row.get("attack"), "mse_poisoned"),
-                             (row.get("defense"), "mse_defended")):
-            y = row.get(column)
-            if name not in (None, "none") and x is not None and y is not None:
-                label = prefix + _SERIES_LABELS.get(name, name)
-                table.setdefault(label, {}).setdefault(float(x), []).append(float(y))
-    return {name: [(x, sum(ys) / len(ys)) for x, ys in sorted(by_x.items())]
-            for name, by_x in table.items()}
-
-
-def emit_plot(summary, kind: str, path):
-    """Render an aggregated summary as an SVG chart plus companion CSV.
-
-    kind: mse_vs_alpha | mse_vs_gamma. Returns (svg_path, csv_path).
-    """
-    if kind not in _AXES:
-        raise ValueError(f"unknown plot kind {kind!r}")
-    x_key, x_label = _AXES[kind]
-    series = _series_for([r for r in summary if r.get(x_key) is not None], x_key)
-    if not series:
-        raise ValueError(f"summary has no plottable {x_key} series")
-    return svgplot.write_line_chart(series, x_label, "MSE", path)
-
-
-def write_report(out, records) -> int:
-    """Write summary.csv, report.txt and the charts into the directory Path
-    `out`; return the cell count. A chart is drawn when its axis has two or
-    more x values and some row on it has an MSE to plot."""
-    summary = aggregate(records)
-    (out / "summary.csv").write_text(summary_csv(summary), encoding="utf-8")
-    for kind, (x_key, _) in _AXES.items():
-        rows = [r for r in summary if r.get(x_key) is not None]
-        if len({r[x_key] for r in rows}) > 1 and _series_for(rows, x_key):
-            emit_plot(summary, kind, out / f"{kind}.svg")
-    cells = [r for r in records if r.get("record_type") == "cell"]
-    failed = sum("error" in r for r in cells)
-    lines = ["poisonbench report", f"cells: {len(cells)} ({failed} failed)"]
-    attacked = {}
-    for r in cells:
-        if "attack_converged" in r:
-            attacked.setdefault((r["attack"], r["family"]), []).append(r)
-    for (attack, family), group in sorted(attacked.items()):
-        lines.append(
-            f"attack {attack} {family}: {sum(r['attack_converged'] for r in group)}/{len(group)} "
-            f"converged; median {np.median([r['attack_iterations'] for r in group]):g} sweeps, "
-            f"{np.median([r['attack_refits'] for r in group]):g} refits"
-        )
-    trims = [r for r in cells if r.get("defense") == "trim"]
-    if trims:
-        iters = [r.get("defense_iterations", 0) for r in trims if "defense_iterations" in r]
-        bound = next((r["trim_worst_case_iterations"] for r in trims
-                      if "trim_worst_case_iterations" in r), None)
-        lines.append(
-            f"trim iterations: max {max(iters) if iters else 'n/a'} (bounded by max_iters); "
-            f"worst case C(N, n) = {bound} subset traversals"
-        )
-    (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return len(cells)

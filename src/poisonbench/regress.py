@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-
-FAMILIES = ("ols", "ridge", "lasso", "enet")
+from .records import FAMILIES
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 10_000

@@ -14,9 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poisonbench.attack import AttackConfig, dispersion_objective, nopt_attack, objective_gradient
+from poisonbench.attack import (
+    AttackConfig,
+    dispersion_objective,
+    nopt_attack,
+    objective_gradient,
+    opt_attack,
+)
 from poisonbench.cli import main
-from poisonbench.data import Dataset, SyntheticSpec, load_csv, merge, split_three
+from poisonbench.data import Dataset, SyntheticSpec, generate_synthetic, load_csv, merge, split_three
 from poisonbench.defend import ProdaConfig, compute_beta, estimate_complexity, proda_defend, trim_defend
 from poisonbench.harness import ExperimentSpec, aggregate, run_cell, run_sweep, summary_csv
 from poisonbench.regress import fit, loss, mse, select_lambda
@@ -249,6 +255,33 @@ class TestCriterion5DefenseEfficacy:
         assert med_def <= med_poi
         print(f"\nPASS criterion 5 (assumed alpha): defended {med_def:.4f} <= poisoned "
               f"{med_poi:.4f} at real alpha 0.04, assumed 0.2")
+
+
+class TestCriterion5cProdaWhereTrimIsTrapped:
+    @pytest.mark.parametrize("family", ["ols", "ridge"])
+    def test_proda_beats_trim_on_paired_opt_instances(self, family):
+        # Opt's poison can trap TRIM's C-steps from their one random start;
+        # Proda's seeded groups still reach a clean subset. Each seed is one
+        # instance: a train fold and one poisoned set that both defenses get.
+        start = time.perf_counter()
+        ds, _ = generate_synthetic(SYNTHETIC_300)
+        rows = []
+        for seed in range(5):
+            split = split_three(ds, seed)
+            train = split.train
+            lam = select_lambda(split.train, split.validation, family)
+            clean = mse(train, fit(train, family, lam).model)
+            state = opt_attack(train, AttackConfig(0.2, max_outer_iters=30, seed=seed), family, lam)
+            poisoned, _ = merge(train, state.poison)
+            proda = proda_defend(poisoned, ProdaConfig(6, alpha_assumed=0.2, seed=seed), family, lam)
+            trim = trim_defend(poisoned, 0.2, family, lam, seed=seed)
+            rows.append((seed, clean, mse(train, proda.model), mse(train, trim.model)))
+        failed = [r for r in rows if not r[2] <= min(r[3], 1.1 * r[1])]
+        assert failed == [], f"(seed, clean, proda, trim): {rows}"
+        trapped = sum(trim_mse > 1.1 * clean for _, clean, _, trim_mse in rows)
+        print(f"\nPASS criterion 5c ({family}): Proda <= TRIM and within 1.1x clean on 5/5 "
+              f"Opt instances; TRIM within 1.1x clean on {5 - trapped}/5 "
+              f"({time.perf_counter() - start:.1f}s)")
 
 
 class TestCriterion6ExhaustiveSubsetOracle:

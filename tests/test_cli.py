@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from poisonbench import cli, harness
+from poisonbench import attack as attack_module
+from poisonbench import cli, defend, harness
 from poisonbench.cli import (
     OPTIONS,
     UsageError,
@@ -346,9 +347,11 @@ def test_each_library_object_is_built_once(tmp_path, monkeypatch, argv, built):
 
         monkeypatch.setattr(owner, name, counted)
 
-    for name in _BUILT[:3]:
-        count(cli, name)
-    count(cli.harness, "ExperimentSpec")
+    # cli imports each at the call that builds it, from the module that owns it
+    count(attack_module, "AttackConfig")
+    count(defend, "ProdaConfig")
+    count(cli, "build_synthetic_spec")
+    count(harness, "ExperimentSpec")
     assert main([*argv, "--synthetic", "d=2,n=40,noise=0.1", "--out", str(tmp_path / "out")]) == 0
     assert calls == {name: int(name in built) for name in _BUILT}
 
@@ -507,6 +510,19 @@ class TestSweepAndReport:
             assert (path / "report.txt").read_text().splitlines()[1] == "cells: 2 (2 failed)"
             assert (path / "summary.csv").read_text() == (out / "summary.csv").read_text()
             assert not list(path.glob("mse_vs_*"))
+
+    def test_report_on_a_file_cut_off_mid_line_names_the_file_and_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--synthetic", "d=2,n=45,noise=0.1", "--attack", "nopt",
+                     "--alphas", "0.1,0.2", "--repeats", "2", "--out", str(out)]) == 0
+        text = (out / "records.jsonl").read_text()
+        last = text.splitlines()[-1]
+        assert text.count("\n") == 5  # the header and four cells
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text(text[: len(text) - 1 - len(last) // 2])  # the last line loses its second half
+        capsys.readouterr()
+        assert main(["report", "--records", str(cut), "--out", str(tmp_path / "report")]) == 1
+        assert f"poisonbench: error: ValueError: {cut}:5: " in capsys.readouterr().err
 
     def test_report_says_how_each_attack_ended(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

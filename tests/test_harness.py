@@ -7,26 +7,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from poisonbench import attack as attack_module
 from poisonbench import harness
 from poisonbench.data import Dataset, SyntheticSpec, split_three
-from poisonbench.harness import (
+from poisonbench.harness import ExperimentSpec, cell_seed, load_base_dataset, run_cell, run_sweep
+from poisonbench.records import (
     SUMMARY_COLUMNS,
-    ExperimentSpec,
+    _mean,
+    _median,
     aggregate,
-    cell_seed,
     emit_plot,
     header_record,
-    load_base_dataset,
     read_records,
-    run_cell,
-    run_sweep,
     summary_csv,
     write_records,
 )
 from poisonbench.regress import DEFAULT_MAX_ITERS, fit
-from poisonbench.svgplot import read_companion_csv, write_scatter_fit
+from poisonbench.svgplot import read_companion_csv, write_line_chart, write_scatter_fit
 
 SYN = SyntheticSpec(
     d=2, n=60, true_weights=(0.3, -0.2), true_bias=0.5, noise_std=0.08, seed=12
@@ -292,6 +291,26 @@ class TestAggregate:
             aggregate([{"record_type": "header"}])
 
 
+# the lengths where numpy's summation changes shape: 8 running sums from 8
+# values, one pairwise split above 128 and two above 256
+_MEAN_LENGTHS = st.sampled_from((7, 8, 9, 127, 128, 129, 256, 257)) | st.integers(1, 399)
+# mixed signs, subnormals to 1e300, so a sum of 399 cannot overflow
+_MEAN_VALUES = st.floats(min_value=-1e300, max_value=1e300) | st.floats(min_value=-1.0, max_value=1.0)
+
+
+class TestStdlibMeanAndMedian:
+    @settings(max_examples=300, deadline=None)
+    @given(_MEAN_LENGTHS.flatmap(lambda n: hnp.arrays(np.float64, n, elements=_MEAN_VALUES)))
+    def test_mean_is_numpys_bit_for_bit(self, values):
+        assert _mean(values.tolist()).hex() == float(np.mean(values)).hex()
+
+    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=60))
+    def test_median_is_numpys_on_report_counts(self, values):
+        # report.txt prints the median sweeps and refits with :g
+        assert _median(values) == float(np.median(values))
+        assert f"{_median(values):g}" == f"{np.median(values):g}"
+
+
 class TestEmitPlot:
     def test_single_series_two_points_one_polyline(self, tmp_path):
         summary = aggregate([fake_record(alpha=0.1), fake_record(alpha=0.2)])
@@ -475,7 +494,7 @@ class TestRejectedSpecs:
     @pytest.mark.parametrize("series", [{}, {"a": []}])
     def test_line_chart_with_nothing_to_plot(self, tmp_path, series):
         with pytest.raises(ValueError, match="nothing to plot"):
-            harness.svgplot.write_line_chart(series, "x", "y", tmp_path / "p.svg")
+            write_line_chart(series, "x", "y", tmp_path / "p.svg")
 
     def test_scatter_with_nothing_to_plot(self, tmp_path):
         with pytest.raises(ValueError, match="nothing to plot"):

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import poisonbench
 from poisonbench import attack as attack_module
-from poisonbench import defend, harness
+from poisonbench import defend, harness, records
 from poisonbench.attack import AttackConfig
 from poisonbench.data import SyntheticSpec, generate_synthetic
 from poisonbench.defend import ProdaConfig
@@ -28,6 +29,51 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+# what only the commands that compute may load: numpy and every module but
+# cli, records and svgplot
+COMPUTE_MODULES = ("numpy", "poisonbench.attack", "poisonbench.data", "poisonbench.defend",
+                   "poisonbench.regress", "poisonbench.harness")
+
+RECORDS_FOR_REPORT = [
+    {"record_type": "header", "schema_version": 1},
+    *({"record_type": "cell", "dataset": "synthetic", "family": "ols", "attack": "nopt",
+       "defense": "none", "alpha": alpha, "gamma": None, "repeat": repeat,
+       "mse_clean": 0.01 + repeat / 1000, "mse_poisoned": alpha + repeat / 100,
+       "attack_converged": True, "attack_iterations": 3 + repeat, "attack_refits": 40 + repeat}
+      for alpha in (0.1, 0.2) for repeat in (0, 1)),
+]
+
+
+def test_report_help_and_usage_errors_load_no_numpy(tmp_path):
+    # report reads JSON lines and writes CSV, text and SVG; numpy and the
+    # compute modules would cost most of its process time
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in RECORDS_FOR_REPORT), encoding="utf-8")
+    out = tmp_path / "out"
+    runs = [(["report", "--records", str(path), "--out", str(out)], 0), (["--help"], 0),
+            (["report", "--help"], 0), (["report", "--out", str(out)], 2)]
+    code = f"""
+import contextlib, io, sys
+from poisonbench import cli
+for argv, expected in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:  # argparse's --help
+            status = exc.code
+    loaded = [m for m in {COMPUTE_MODULES!r} if m in sys.modules]
+    print(argv[-1], status == expected, loaded)
+"""
+    src = str(Path(poisonbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines() == [f"{argv[-1]} True []" for argv, _ in runs]
+    assert (out / "mse_vs_alpha.svg").exists()
+    assert "median 3.5 sweeps, 40.5 refits" in (out / "report.txt").read_text(encoding="utf-8")
 
 
 def test_traced_bench_targets_resolve():
@@ -58,7 +104,8 @@ def test_bench_tracer_patches_every_target():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    importlib.import_module("poisonbench.cli")  # loads every traced layer
+    for layer in tracer.TARGETS:
+        importlib.import_module(f"poisonbench.{layer}")
     spans = {f"{layer}.{attr.split('.')[-1]}" for layer, attrs in tracer.TARGETS.items()
              for attr in attrs}
     assert set(tracer.ATTACK_ENTRIES + tracer.GRADIENTS) <= spans
@@ -81,7 +128,8 @@ def test_traced_attacks_and_defenses_pass_the_bench_self_checks(tmp_path):
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    importlib.import_module("poisonbench.cli")  # loads every traced layer
+    for layer in tracer.TARGETS:
+        importlib.import_module(f"poisonbench.{layer}")
     clean, _ = generate_synthetic(SyntheticSpec(3, 60, (0.3, -0.2, 0.1), 0.4, 0.08, seed=5))
     proda_cfg = ProdaConfig(gamma=4, seed=2)
     traced = tracer.Tracer(tmp_path)
@@ -167,7 +215,7 @@ def test_readme_summary_columns_are_the_harness_columns():
     # the columns README lists for summary.csv are the keys of aggregate's rows
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     (listed,) = re.findall(r"`summary\.csv`: fixed columns `([^`]*)`", readme)
-    assert tuple(c.strip() for c in listed.split(",")) == harness.SUMMARY_COLUMNS
+    assert tuple(c.strip() for c in listed.split(",")) == records.SUMMARY_COLUMNS
 
 
 # library readers that invert what the package writes; users call them, the package never does
@@ -178,10 +226,11 @@ READERS_NO_CALLER_NEEDS = {
 
 
 def test_every_function_has_a_caller():
-    # a package function or non-dunder method is used when its name appears
-    # in the package or perfbench as a name, an attribute or a string
-    # (perfbench's tracer names its targets in strings); perfbench is parsed,
-    # not imported
+    # a package function or method is used when its name appears in the
+    # package or perfbench as a name, an attribute or a string (perfbench's
+    # tracer names its targets in strings); perfbench is parsed, not imported.
+    # Dunders are exempt: the interpreter calls them (a module's __getattr__
+    # by PEP 562)
     root = Path(__file__).resolve().parents[1]
     package = sorted((root / "src").rglob("*.py"))
     defined, used = {}, set()
@@ -189,7 +238,8 @@ def test_every_function_has_a_caller():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body if path in package else ():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined[f"{path.stem}.{node.name}"] = node.name
+                if not node.name.startswith("__"):
+                    defined[f"{path.stem}.{node.name}"] = node.name
             elif isinstance(node, ast.ClassDef):
                 defined.update((f"{node.name}.{item.name}", item.name) for item in node.body
                                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
