@@ -71,7 +71,7 @@ class AttackConfig:
     eps_conv: float = 1e-6
     max_outer_iters: int = 100
     seed: int = 0
-    n_poison: int | None = None  # overrides floor(alpha*n_o/(1-alpha)) when set
+    n_poison: int | None = None  # overrides poison_count(n_o, alpha) when set
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 0.2:

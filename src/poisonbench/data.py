@@ -334,8 +334,17 @@ def merge(clean: Dataset, poison: Dataset):
 
 
 def poison_count(n_clean: int, alpha: float) -> int:
-    """Poison set size p with p / (n_clean + p) <= alpha, i.e.
-    floor(alpha * n_clean / (1 - alpha))."""
+    """The largest poison set size p with p / (n_clean + p) <= alpha, i.e.
+    floor(alpha * n_clean / (1 - alpha)). Computed from the closed form then
+    nudged by direct inequality checks, so a p that meets alpha exactly
+    (18 of 207 + 18 at alpha = 0.08) is not lost to rounding."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return math.floor(alpha * n_clean / (1.0 - alpha))
+    if n_clean < 0:
+        raise ValueError(f"n_clean must be >= 0, got {n_clean}")
+    p = math.floor(alpha * n_clean / (1.0 - alpha))
+    while (p + 1) / (n_clean + p + 1) <= alpha:
+        p += 1
+    while p > 0 and p / (n_clean + p) > alpha:
+        p -= 1
+    return p

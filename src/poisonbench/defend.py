@@ -17,13 +17,17 @@ trials are blocked.
 
 The trials run in blocks of max(1, BLOCK_FLOATS // N), so no (trials x rows)
 array exceeds BLOCK_FLOATS floats. A block draws its groups in gamma vector
-steps, gathers their rows once and builds their moments in one batched
-product, takes every trial's residuals to its group model in one (k x N)
-product, and builds the subset moments as mask @ outer, with outer holding
-the N per-row outer products; only the two fits of each trial run one at a
-time. A subset takes the n smallest absolute residuals, ties at the n-th
-value going to the lowest row indices, which is the first n of a stable
-sort. TRIM selects its subsets the same way.
+steps, each one lookup and one write in a (trials x rows) boolean table of
+the rows taken so far; it gathers their rows once and builds their moments
+in one batched product, takes every trial's residuals to its group model in
+one (k x N) product, and builds the subset moments as mask @ outer, with
+outer holding the N per-row outer products; only the two fits of each trial
+run one at a time. A subset takes the n smallest absolute residuals, ties
+at the n-th value going to the lowest row indices, which is the first n of
+a stable sort. When no trial has more ties at its n-th value than room for
+them (with continuous residuals the n-th value is its only tie), the rows
+at or below that value are the subset, and the running count of ties is
+skipped. TRIM selects its subsets the same way.
 """
 
 from __future__ import annotations
@@ -129,10 +133,15 @@ def subset_size(n_rows: int, alpha_assumed: float) -> int:
 def _smallest(resid: np.ndarray, n: int) -> np.ndarray:
     """Boolean mask of the n smallest entries along the last axis; ties at
     the n-th value go to the lowest indices, as in the first n of a stable
-    sort."""
+    sort. When every row has exactly n entries at or below its n-th value
+    (with continuous residuals the n-th value is its only tie), those are
+    the mask, and the running count of ties is skipped."""
     kth = np.partition(resid, n - 1, axis=-1)[..., n - 1 : n]
+    chosen = resid <= kth
+    if (chosen.sum(axis=-1) == n).all():
+        return chosen
     below = resid < kth
-    ties = resid == kth
+    ties = chosen & ~below
     room = n - below.sum(axis=-1, keepdims=True)
     return below | (ties & (np.cumsum(ties, axis=-1) <= room))
 
@@ -141,14 +150,17 @@ def _floyd_groups(u: np.ndarray, n_rows: int) -> np.ndarray:
     """One sorted group of gamma distinct rows of range(n_rows) per row of
     the (k x gamma) uniforms u, by Floyd's algorithm: step j takes
     t = floor(u[:, j] (m + 1)), uniform on 0..m with m = n_rows - gamma + j,
-    and keeps t, or m when t is already in the group."""
+    and keeps t, or m when t is already in the group. A (k x n_rows) table
+    of the rows taken so far answers "already in the group" with one
+    lookup a step, whatever j is."""
     k, gamma = u.shape
-    groups = np.empty((k, gamma), dtype=np.intp)
-    for j in range(gamma):
-        m = n_rows - gamma + j
-        t = (u[:, j] * (m + 1)).astype(np.intp)
-        taken = (groups[:, :j] == t[:, None]).any(axis=1)
-        groups[:, j] = np.where(taken, m, t)
+    groups = (u * np.arange(n_rows - gamma + 1, n_rows + 1)).astype(np.intp)
+    taken = np.zeros(k * n_rows, dtype=bool)  # row r of group i at i*n_rows + r
+    base = np.arange(0, k * n_rows, n_rows)
+    for j, m in enumerate(range(n_rows - gamma, n_rows)):
+        t = groups[:, j]
+        t[taken[base + t]] = m
+        taken[base + t] = True
     groups.sort(axis=1)
     return groups
 
@@ -198,24 +210,21 @@ def proda_defend(
         groups = _floyd_groups(rng.random((k, cfg.gamma)), n_rows)
         picked = rows[groups]
         group_stats = picked.transpose(0, 2, 1) @ picked
-        ok = np.empty(k, dtype=bool)
-        for i in range(k):
-            report = fit(Moments(group_stats[i], cfg.gamma), family, lam, rho=rho)
-            coef[i, :d], coef[i, d], ok[i] = report.model.weights, report.model.bias, report.converged
-        mask = _smallest(np.abs(coef[:k2] @ rows.T), n)
+        fits = [fit(Moments(s, cfg.gamma), family, lam, rho=rho) for s in group_stats]
+        coef[:k, :d] = [f.model.weights for f in fits]
+        coef[:k, d] = [f.model.bias for f in fits]
+        mask = _smallest(np.abs(coef[:k2].dot(rows.T)), n)
         subset_stats = (mask @ outer)[:k].reshape(k, d + 2, d + 2)
-        models = []
-        for i in range(k):
-            report = fit(Moments(subset_stats[i], n), family, lam, rho=rho)
-            coef[i, :d], coef[i, d] = report.model.weights, report.model.bias
-            ok[i] &= report.converged
-            models.append(report.model)
-        resid = (coef[:k2] @ rows.T)[:k]
+        refits = [fit(Moments(s, n), family, lam, rho=rho) for s in subset_stats]
+        coef[:k, :d] = [f.model.weights for f in refits]
+        coef[:k, d] = [f.model.bias for f in refits]
+        resid = coef[:k2].dot(rows.T)[:k]
         mses = np.einsum("ij,ij->i", resid * resid, mask[:k]) / n
         group_mses[lo : lo + k] = mses
         i = int(np.argmin(mses))
         if best is None or mses[i] < group_mses[best[0]]:
-            best = (lo + i, mask[i], models[i], groups[i], bool(ok[i]))
+            ok = fits[i].converged and refits[i].converged
+            best = (lo + i, mask[i], refits[i].model, groups[i], ok)
 
     trial, subset, model, group, converged = best
     return DefenseResult(

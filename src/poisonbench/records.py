@@ -25,6 +25,9 @@ ATTACKS = ("none", "opt", "nopt")
 DEFENSES = ("none", "trim", "proda")
 
 DEFAULT_ALPHA_GRID = (0.04, 0.08, 0.12, 0.16, 0.20)
+# report.txt counts a defended cell as recovered when its MSE is within this
+# factor of the clean model's
+RECOVERED_RATIO = 1.1
 
 SUMMARY_COLUMNS = (
     "dataset",
@@ -196,10 +199,22 @@ def emit_plot(summary, kind: str, path):
     return svgplot.write_line_chart(series, x_label, "MSE", path)
 
 
+def _bound_rank(text: str):
+    """Sort key of a `trim_worst_case_text` bound: exact digit strings by
+    length then value, and every 10^X.XXX above them, by X."""
+    if text.startswith("10^"):
+        return (1, float(text[3:]))
+    return (0, len(text), text)
+
+
 def write_report(out, records) -> int:
     """Write summary.csv, report.txt and the charts into the directory Path
     `out`; return the cell count. A chart is drawn when its axis has two or
-    more x values and some row on it has an MSE to plot."""
+    more x values and some row on it has an MSE to plot. report.txt has the
+    cell count, a line per (attack, family) on how the attacks ended, TRIM's
+    largest worst-case bound, and a recovery line per (attack, defense,
+    family): the cells whose defended MSE is within RECOVERED_RATIO of clean,
+    out of all its cells, and the median defended/poisoned MSE ratio."""
     summary = aggregate(records)
     (out / "summary.csv").write_text(summary_csv(summary), encoding="utf-8")
     for kind, (x_key, _) in _AXES.items():
@@ -222,11 +237,24 @@ def write_report(out, records) -> int:
     trims = [r for r in cells if r.get("defense") == "trim"]
     if trims:
         iters = [r.get("defense_iterations", 0) for r in trims if "defense_iterations" in r]
-        bound = next((r["trim_worst_case_iterations"] for r in trims
-                      if "trim_worst_case_iterations" in r), None)
+        bounds = [str(r["trim_worst_case_iterations"]) for r in trims
+                  if "trim_worst_case_iterations" in r]
         lines.append(
             f"trim iterations: max {max(iters) if iters else 'n/a'} (bounded by max_iters); "
-            f"worst case C(N, n) = {bound} subset traversals"
+            f"worst case C(N, n) = {max(bounds, key=_bound_rank, default=None)} subset traversals"
+        )
+    defended = {}
+    for r in cells:
+        if r.get("defense", "none") != "none":
+            defended.setdefault((r["attack"], r["defense"], r["family"]), []).append(r)
+    for (attack, defense, family), group in sorted(defended.items()):
+        done = [r for r in group if "mse_defended" in r]
+        within = sum(r["mse_defended"] <= RECOVERED_RATIO * r["mse_clean"] for r in done)
+        ratios = [r["mse_defended"] / r["mse_poisoned"] for r in done if r.get("mse_poisoned")]
+        median = f"{_median(ratios):.4g}" if ratios else "n/a"
+        lines.append(
+            f"recovery {attack} {defense} {family}: {within}/{len(group)} cells within "
+            f"{RECOVERED_RATIO:g}x clean MSE; median defended/poisoned MSE {median}"
         )
     (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return len(cells)

@@ -207,11 +207,11 @@ def _solve_normal_equations(m: Moments, lam, rows):
         h_inv = np.linalg.inv(h)
         hf, inv_f = h.ravel(), h_inv.ravel()
         # written so that a NaN bound falls back too
-        well_posed = MIN_RCOND**2 * float(hf @ hf) * float(inv_f @ inv_f) < 1.0
+        well_posed = MIN_RCOND**2 * float(hf.dot(hf)) * float(inv_f.dot(inv_f)) < 1.0
     except np.linalg.LinAlgError:
         well_posed = False
     if well_posed:
-        theta = h_inv @ m.cross
+        theta = h_inv.dot(m.cross)
         return theta[:d], float(theta[d]), False, h_inv
     a, rhs = h, m.cross
     if rows is not None:

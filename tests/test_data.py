@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poisonbench.data import (
     Dataset,
@@ -264,6 +266,17 @@ class TestMerge:
         assert poison_count(288, 0.04) == 12
         assert poison_count(100, 0.2) == 25
 
+    def test_poison_count_keeps_a_size_that_meets_alpha_exactly(self):
+        # 0.08 * 207 / 0.92 rounds to just below 18, and 18 / 225 == 0.08
+        assert poison_count(207, 0.08) == 18
+
+    @settings(max_examples=500, deadline=None)
+    @given(n_clean=st.integers(1, 100_000), alpha=st.floats(0.0, 0.5, exclude_min=True))
+    @example(n_clean=207, alpha=0.08)
+    def test_poison_count_is_the_largest_size_within_alpha(self, n_clean, alpha):
+        p = poison_count(n_clean, alpha)
+        assert p / (n_clean + p) <= alpha < (p + 1) / (n_clean + p + 1)
+
 
 class TestRejectedInputs:
     @pytest.mark.parametrize("kwargs,message", [
@@ -324,6 +337,10 @@ class TestRejectedInputs:
     def test_poison_count_alpha(self, alpha):
         with pytest.raises(ValueError, match="alpha must be in"):
             poison_count(100, alpha)
+
+    def test_poison_count_negative_clean_count(self):
+        with pytest.raises(ValueError, match="n_clean must be >= 0"):
+            poison_count(-1, 0.2)
 
 
 def test_split_three_folds_match_hand_built_bounds():

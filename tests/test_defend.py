@@ -421,6 +421,20 @@ class TestProdaBlocks:
                 assert np.array_equal(np.flatnonzero(chosen), want)
             assert np.array_equal(defend._smallest(resid[5], n), mask[5])
 
+    def test_selector_on_tie_free_and_straddling_rows_in_one_block(self):
+        # even rows hold distinct values; odd rows hold each of 6 values 5
+        # times, so at an n that is not a multiple of 5 their ties outnumber
+        # their room and the block takes the running count, else the tie-free path
+        rng = np.random.default_rng(1)
+        resid = rng.permuted(np.tile(np.arange(30.0), (8, 1)), axis=1)
+        resid[1::2] = rng.permuted(np.tile(np.repeat(np.arange(6.0), 5), (4, 1)), axis=1)
+        for n in range(1, 31):
+            mask = defend._smallest(resid, n)
+            for row, chosen in zip(resid, mask):
+                want = np.sort(np.argsort(row, kind="stable")[:n])
+                assert np.array_equal(np.flatnonzero(chosen), want)
+            assert np.array_equal(defend._smallest(resid[0], n), mask[0])
+
     def test_duplicate_ties_go_to_the_lowest_rows(self):
         ds, copies = duplicate_tie_dataset()
         assert subset_size(ds.n, 0.19) == 18
@@ -533,6 +547,23 @@ class TestProdaDraw:
         assert groups.min() >= 0 and groups.max() < n_rows
         if gamma == n_rows:
             assert np.array_equal(groups, np.broadcast_to(np.arange(n_rows), groups.shape))
+
+    @pytest.mark.parametrize("k, n_rows, gamma", [
+        (1, 40, 6), (200, 40, 1), (200, 40, 40), (200, 375, 24), (300, 7, 5), (1, 1, 1)
+    ])
+    def test_groups_match_the_pairwise_compare_draw(self, k, n_rows, gamma):
+        # the draw as it was first written: step j compares t with each row taken so far
+        u = np.random.default_rng(n_rows + gamma).random((k, gamma))
+        u[0] = 0.0
+        u[-1] = np.nextafter(1.0, 0.0)  # the extreme uniforms
+        want = np.empty((k, gamma), dtype=np.intp)
+        for j in range(gamma):
+            m = n_rows - gamma + j
+            t = (u[:, j] * (m + 1)).astype(np.intp)
+            taken = (want[:, :j] == t[:, None]).any(axis=1)
+            want[:, j] = np.where(taken, m, t)
+        want.sort(axis=1)
+        assert np.array_equal(defend._floyd_groups(u, n_rows), want)
 
     @pytest.mark.parametrize("gamma", (3, 40))  # d + 1 and N
     def test_proda_groups_at_the_size_limits(self, monkeypatch, gamma):

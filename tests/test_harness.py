@@ -23,6 +23,7 @@ from poisonbench.records import (
     read_records,
     summary_csv,
     write_records,
+    write_report,
 )
 from poisonbench.regress import DEFAULT_MAX_ITERS, fit
 from poisonbench.svgplot import read_companion_csv, write_line_chart, write_scatter_fit
@@ -406,6 +407,64 @@ class TestRecordsIO:
         head = header_record(spec)
         assert head["master_seed"] == 7
         assert head["attack"] == "none"
+
+
+class TestReportText:
+    @staticmethod
+    def report_lines(tmp_path, records):
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        write_report(tmp_path, read_records(path))
+        return (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines()
+
+    @pytest.mark.parametrize("bounds, largest", [
+        (("4598126", "131282477347802347061316958640"), "131282477347802347061316958640"),
+        (("999", "1000", "998"), "1000"),
+        (("5", "10^4000.500", "10^4100.123", "9" * 3999), "10^4100.123"),
+    ])
+    def test_trim_line_shows_the_largest_bound(self, tmp_path, bounds, largest):
+        cells = [fake_record(defense="trim", alpha=0.04 * (i + 1), defense_iterations=i + 2,
+                             trim_worst_case_iterations=b, mse_defended=0.01)
+                 for i, b in enumerate(bounds)]
+        lines = self.report_lines(tmp_path, cells)
+        assert lines[2] == (f"trim iterations: max {len(bounds) + 1} (bounded by max_iters); "
+                            f"worst case C(N, n) = {largest} subset traversals")
+
+    def test_one_recovery_line_per_attack_defense_and_family(self, tmp_path):
+        def cell(family, defense, clean, poisoned, defended, **kwargs):
+            return fake_record(family=family, attack="nopt", defense=defense, mse_clean=clean,
+                               mse_poisoned=poisoned, mse_defended=defended,
+                               attack_converged=True, attack_iterations=3, attack_refits=40,
+                               **kwargs)
+
+        cells = [
+            cell("ols", "proda", 0.010, 0.040, 0.011, gamma=3),  # at 1.1x clean: recovered
+            cell("ols", "proda", 0.010, 0.050, 0.020, gamma=3, repeat=1),
+            cell("ols", "proda", 0.010, 0.020, 0.010, gamma=4),
+            fake_record(family="ols", attack="nopt", defense="proda", gamma=4, repeat=1,
+                        error="ValueError: gamma"),
+            cell("ridge", "proda", 0.010, 0.030, 0.030, gamma=3),
+            cell("ols", "none", 0.010, 0.040, None),
+            fake_record(defense="trim", mse_defended=0.0105, defense_iterations=2,
+                        trim_worst_case_iterations="12"),
+        ]
+        lines = self.report_lines(tmp_path, [{k: v for k, v in c.items() if v is not None}
+                                             for c in cells])
+        assert lines == [
+            "poisonbench report",
+            "cells: 7 (1 failed)",
+            "attack nopt ols: 4/4 converged; median 3 sweeps, 40 refits",
+            "attack nopt ridge: 1/1 converged; median 3 sweeps, 40 refits",
+            "trim iterations: max 2 (bounded by max_iters); "
+            "worst case C(N, n) = 12 subset traversals",
+            "recovery none trim ols: 1/1 cells within 1.1x clean MSE; "
+            "median defended/poisoned MSE n/a",
+            # defended/poisoned ratios 0.275, 0.4 and 0.5; the failed cell counts as not recovered
+            "recovery nopt proda ols: 2/4 cells within 1.1x clean MSE; "
+            "median defended/poisoned MSE 0.4",
+            "recovery nopt proda ridge: 0/1 cells within 1.1x clean MSE; "
+            "median defended/poisoned MSE 1",
+        ]
 
 
 class TestSummaryCsv:
