@@ -38,6 +38,8 @@ than eps_conv ends the attack: E for Nopt, the mean clean loss for Opt.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import logging
 import math
@@ -363,9 +365,10 @@ def opt_attack(
 
 
 def poison_to_csv(state: AttackState, target_name: str = "y") -> str:
-    """Poison set as CSV text matching the input schema (features + target)."""
-    header = ",".join(list(state.poison.feature_names) + [target_name])
-    lines = [header]
-    for row, y in zip(state.poison.features, state.poison.responses):
-        lines.append(",".join(repr(float(v)) for v in row) + "," + repr(float(y)))
-    return "\n".join(lines) + "\n"
+    """Poison set as CSV text matching the input schema (features + target);
+    a name holding a comma or quote is quoted, so csv.reader reads it back."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")  # floats are written by repr
+    writer.writerow([*state.poison.feature_names, target_name])
+    writer.writerows(np.column_stack([state.poison.features, state.poison.responses]).tolist())
+    return buf.getvalue()

@@ -244,8 +244,8 @@ def _load_config_file(path, command: str) -> tuple[dict, dict]:
     except OSError as exc:
         raise UsageError(f"cannot read --config file: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):  # a value may hold a '#'
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")

@@ -87,24 +87,6 @@ class NormalizationSpec:
         if not lo < hi:
             raise ValueError(f"response has min >= max ({lo} >= {hi})")
 
-    def apply(self, features: np.ndarray, responses: np.ndarray):
-        """Raw retained-column values -> normalized [0, 1] values."""
-        feats = np.asarray(features, dtype=float).copy()
-        for j, (_, lo, hi) in enumerate(self.columns):
-            feats[:, j] = (feats[:, j] - lo) / (hi - lo)
-        lo, hi = self.response
-        resp = (np.asarray(responses, dtype=float) - lo) / (hi - lo)
-        return feats, resp
-
-    def invert(self, features: np.ndarray, responses: np.ndarray):
-        """Normalized values -> raw units (inverse of apply)."""
-        feats = np.asarray(features, dtype=float).copy()
-        for j, (_, lo, hi) in enumerate(self.columns):
-            feats[:, j] = feats[:, j] * (hi - lo) + lo
-        lo, hi = self.response
-        resp = np.asarray(responses, dtype=float) * (hi - lo) + lo
-        return feats, resp
-
     def to_json(self) -> str:
         doc = {
             "columns": [{"name": n, "min": lo, "max": hi} for n, lo, hi in self.columns],
@@ -113,16 +95,6 @@ class NormalizationSpec:
             "onehot": [{"source": s, "levels": list(ls)} for s, ls in self.onehot],
         }
         return json.dumps(doc, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "NormalizationSpec":
-        doc = json.loads(text)
-        return cls(
-            columns=tuple((c["name"], c["min"], c["max"]) for c in doc["columns"]),
-            response=(doc["response"]["min"], doc["response"]["max"]),
-            dropped=tuple(doc["dropped"]),
-            onehot=tuple((o["source"], tuple(o["levels"])) for o in doc["onehot"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,6 @@ class ComplexityEstimate:
     beta: int
     iterations_bound: int
     p_u: float
-    wallclock_estimate_s: float
 
 
 def compute_beta(alpha: float, gamma: int, epsilon: float) -> int:
@@ -290,35 +289,20 @@ def trim_defend(
     )
 
 
-def trim_worst_case_iterations(n_rows: int, n_subset: int) -> int:
-    """Worst-case subset traversals for TRIM: C(N, n), exponential in N."""
-    return math.comb(n_rows, n_subset)
-
-
 def trim_worst_case_text(n_rows: int, n_subset: int) -> str:
-    """C(N, n) as exact digits, or as 10^X.XXX past about 4,000 digits,
-    where str() hits Python's int-to-str digit limit and comb gets slow."""
+    """TRIM's worst-case subset traversals, C(N, n), as exact digits, or as
+    10^X.XXX past about 4,000 digits, where str() hits Python's int-to-str
+    digit limit and comb gets slow."""
     lg = math.lgamma
     log10 = (lg(n_rows + 1) - lg(n_subset + 1) - lg(n_rows - n_subset + 1)) / math.log(10)
     if log10 < 4000:
-        return str(trim_worst_case_iterations(n_rows, n_subset))
+        return str(math.comb(n_rows, n_subset))
     return f"10^{log10:.3f}"
 
 
-def estimate_complexity(
-    alpha: float, gamma: int, epsilon: float, n: int, rate_iters_per_s: float
-) -> ComplexityEstimate:
-    """Iteration and wall-clock bounds for the probabilistic defense: beta
-    group trials at O(n) work each, converted at a caller-supplied rate."""
-    if rate_iters_per_s <= 0:
-        raise ValueError("rate_iters_per_s must be > 0")
+def estimate_complexity(alpha: float, gamma: int, epsilon: float, n: int) -> ComplexityEstimate:
+    """Iteration bound for the probabilistic defense: beta group trials at
+    O(n) work each, and the chance p_u that some group is clean."""
     beta = compute_beta(alpha, gamma, epsilon)
-    bound = beta * n
     p_dirty = 1.0 - (1.0 - alpha) ** gamma
-    p_u = 1.0 - p_dirty**beta
-    return ComplexityEstimate(
-        beta=beta,
-        iterations_bound=bound,
-        p_u=p_u,
-        wallclock_estimate_s=bound / rate_iters_per_s,
-    )
+    return ComplexityEstimate(beta=beta, iterations_bound=beta * n, p_u=1.0 - p_dirty**beta)

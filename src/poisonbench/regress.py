@@ -93,17 +93,6 @@ class RegressionModel:
             indent=2,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "RegressionModel":
-        doc = json.loads(text)
-        return cls(
-            weights=np.array(doc["weights"], dtype=float),
-            bias=float(doc["bias"]),
-            family=doc["family"],
-            lam=float(doc["lambda"]),
-            rho=float(doc.get("rho", 0.5)),
-        )
-
 
 @dataclass(frozen=True)
 class FitReport:

@@ -167,13 +167,3 @@ def write_scatter_fit(points, lines, x_label: str, y_label: str, path):
     rows = [("data", x, y) for x, y in points]
     return _write_with_csv(render_scatter_fit(points, lines, x_label, y_label), rows, path)
 
-
-def read_companion_csv(path) -> dict:
-    """Inverse of the companion CSV written by write_line_chart."""
-    series: dict = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for name, x, y in reader:
-            series.setdefault(name, []).append((float(x), float(y)))
-    return series

@@ -323,7 +323,7 @@ class TestCriterion7ComplexityAccounting:
 
         for alpha in np.arange(0.04, 0.201, 0.04):
             for gamma in range(2, 61):
-                est = estimate_complexity(float(alpha), gamma, 1e-5, 300, 1e9)
+                est = estimate_complexity(float(alpha), gamma, 1e-5, 300)
                 assert est.p_u >= 1 - 1e-5
         print(f"\nPASS criterion 7a: proda ran exactly beta={expected_beta} trials; "
               f"p_u >= 1-eps on the full grid")

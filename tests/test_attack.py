@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import logging
 
@@ -472,6 +474,18 @@ class TestAttackLoop:
         assert len(rows) == state.poison.n + 1
         values = [float(v) for v in rows[1].split(",")]
         assert values[:2] == state.poison.features[0].tolist()
+
+    def test_poison_csv_quotes_a_name_holding_a_comma(self):
+        # a one-hot column of a categorical level "Paris, FR" must stay one cell
+        clean = make_noisy_dataset(n=30, d=2, seed=92)
+        names = ("city=Paris, FR", 'size="L"')
+        named = Dataset(clean.features, clean.responses, names)
+        state = nopt_attack(named, AttackConfig(alpha=0.1, seed=0, max_outer_iters=1), "ols")
+        header, *rows = csv.reader(io.StringIO(poison_to_csv(state, "y")))
+        assert header == [*names, "y"]
+        assert len(rows) == state.poison.n > 0
+        assert all(len(row) == len(header) for row in rows)
+        assert [float(v) for v in rows[0]] == [*state.poison.features[0], state.poison.responses[0]]
 
     @pytest.mark.parametrize("attack", [nopt_attack, opt_attack])
     @pytest.mark.parametrize(

@@ -645,6 +645,14 @@ class TestConfigFile:
         report = parse_args(["--config", path, "report", "--records", "r.jsonl"]).options
         assert "verbose" not in report and "seed" not in report
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        # only a line whose first non-blank character is '#' is a comment, so
+        # out=.../run#3 means what --out .../run#3 means
+        out = tmp_path / "run#3"
+        path = _write_config(tmp_path, f"  # where to write\nout={out}\n")
+        assert main(["--config", path, "fit", "--synthetic", "d=1,n=20,noise=0.1"]) == 0
+        assert (out / "synthetic_model.json").exists()
+
     @pytest.mark.parametrize("line,match", [
         ("verbose=maybe", "verbose"),
         ("nosuchcommand.alpha=0.1", "unknown config key"),

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -126,19 +127,28 @@ class TestLoadCsv:
 
 
 class TestNormalizationSpec:
-    def test_round_trip(self, tmp_path):
+    def test_json_min_max_map_the_raw_columns(self, tmp_path):
+        raw = {"a": [1.0, 4.0, 2.0], "b": [10.0, 20.0, 15.0], "y": [3.0, 6.0, 9.0]}
         p = write_csv(tmp_path / "a.csv", "a,b,y\n1,10,3\n4,20,6\n2,15,9\n")
         ds, spec = load_csv(p, "y")
-        raw_f, raw_r = spec.invert(ds.features, ds.responses)
-        back_f, back_r = spec.apply(raw_f, raw_r)
-        assert np.max(np.abs(back_f - ds.features)) <= 1e-12
-        assert np.max(np.abs(back_r - ds.responses)) <= 1e-12
+        doc = json.loads(spec.to_json())
+        assert doc["columns"] == [{"name": "a", "min": 1.0, "max": 4.0},
+                                  {"name": "b", "min": 10.0, "max": 20.0}]
+        assert doc["response"] == {"min": 3.0, "max": 9.0}
+        for j, col in enumerate(doc["columns"]):
+            back = ds.features[:, j] * (col["max"] - col["min"]) + col["min"]
+            assert np.max(np.abs(back - raw[col["name"]])) <= 1e-12
+        lo, hi = doc["response"]["min"], doc["response"]["max"]
+        assert np.max(np.abs(ds.responses * (hi - lo) + lo - raw["y"])) <= 1e-12
 
-    def test_json_round_trip(self, tmp_path):
+    def test_json_records_onehot_levels(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", "a,c,y\n1,u,0\n2,v,1\n3,u,2\n")
         _, spec = load_csv(p, "y")
-        again = NormalizationSpec.from_json(spec.to_json())
-        assert again == spec
+        doc = json.loads(spec.to_json())
+        assert [(c["name"], c["min"], c["max"]) for c in doc["columns"]] == [
+            ("a", 1.0, 3.0), ("c=u", 0.0, 1.0), ("c=v", 0.0, 1.0)]
+        assert doc["onehot"] == [{"source": "c", "levels": ["u", "v"]}]
+        assert doc["dropped"] == []
 
     def test_rejects_degenerate_column(self):
         with pytest.raises(ValueError, match="min >= max"):

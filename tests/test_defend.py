@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,6 @@ from poisonbench.defend import (
     proda_defend,
     subset_size,
     trim_defend,
-    trim_worst_case_iterations,
     trim_worst_case_text,
 )
 from poisonbench.regress import FAMILIES, fit, loss, mse
@@ -112,23 +112,19 @@ class TestComputeBeta:
 
 class TestEstimateComplexity:
     def test_zero_alpha_bound_is_n(self):
-        est = estimate_complexity(0.0, 5, 1e-5, 300, 1e9)
+        est = estimate_complexity(0.0, 5, 1e-5, 300)
         assert est.iterations_bound == 300
 
     def test_reference_bound(self):
-        est = estimate_complexity(0.2, 6, 1e-5, 300, 1e9)
+        est = estimate_complexity(0.2, 6, 1e-5, 300)
         assert est.beta == 38
         assert est.iterations_bound == 11_400
 
     def test_success_probability_dominates_grid(self):
         for alpha in np.arange(0.04, 0.201, 0.04):
             for gamma in range(2, 61):
-                est = estimate_complexity(float(alpha), gamma, 1e-5, 100, 1e9)
+                est = estimate_complexity(float(alpha), gamma, 1e-5, 100)
                 assert est.p_u >= 1 - 1e-5
-
-    def test_rate_validation(self):
-        with pytest.raises(ValueError, match="rate"):
-            estimate_complexity(0.1, 3, 1e-5, 10, 0.0)
 
 
 class TestProda:
@@ -274,12 +270,12 @@ class TestTrim:
         assert a.subset_mse == b.subset_mse
 
     def test_worst_case_bound(self):
-        assert trim_worst_case_iterations(12, 9) == 220
-        assert trim_worst_case_iterations(5, 5) == 1
+        assert trim_worst_case_text(12, 9) == "220"
+        assert trim_worst_case_text(5, 5) == "1"
 
     def test_worst_case_text(self):
         for n in range(1, 31):
-            assert trim_worst_case_text(30, n) == str(trim_worst_case_iterations(30, n))
+            assert trim_worst_case_text(30, n) == str(math.comb(30, n))
         # C(20000, 16000) has 4,344 digits, past str()'s default limit of 4,300
         text = trim_worst_case_text(20000, 16000)
         assert text.startswith("10^4344.")

@@ -26,7 +26,7 @@ from poisonbench.records import (
     write_report,
 )
 from poisonbench.regress import DEFAULT_MAX_ITERS, fit
-from poisonbench.svgplot import read_companion_csv, write_line_chart, write_scatter_fit
+from poisonbench.svgplot import write_line_chart, write_scatter_fit
 
 SYN = SyntheticSpec(
     d=2, n=60, true_weights=(0.3, -0.2), true_bias=0.5, noise_std=0.08, seed=12
@@ -336,8 +336,11 @@ class TestEmitPlot:
              fake_record(alpha=0.2, mse_clean=0.09876543210987654)]
         )
         _, csv_path = emit_plot(summary, "mse_vs_alpha", tmp_path / "p.svg")
-        series = read_companion_csv(csv_path)
-        assert series["Unpoison"] == [(0.1, 0.0123456789012345), (0.2, 0.09876543210987654)]
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["series", "x", "y"]
+        unpoison = [(float(x), float(y)) for name, x, y in rows if name == "Unpoison"]
+        assert unpoison == [(0.1, 0.0123456789012345), (0.2, 0.09876543210987654)]
 
     def test_series_prefix_order_and_means_over_the_other_axis(self, tmp_path):
         # rows in neither family nor alpha order: series keep their first
