@@ -399,8 +399,8 @@ def _cmd_fit(cfg: CliConfig) -> int:
     family = cfg.options["family"]
     model = fit(ds, family, lam, rho=cfg.options["rho"]).converged_model("fit")
     out = _out_dir(cfg)
-    (out / f"{name}_model.json").write_text(model.to_json(), encoding="utf-8")
-    (out / f"{name}_normalization.json").write_text(norm.to_json(), encoding="utf-8")
+    for suffix, doc in (("model", model.to_dict()), ("normalization", norm.to_dict())):
+        (out / f"{name}_{suffix}.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
     print(f"family={family} lambda={model.lam} train_mse={mse(ds, model)}")
     if ds.d == 1:
         line = {"name": family, "weight": float(model.weights[0]), "bias": model.bias}
@@ -429,7 +429,7 @@ def _cmd_attack(cfg: CliConfig) -> int:
         "iterations": state.iterations,
         "converged": state.converged,
         "n_poison": state.poison.n,
-        "model": json.loads(state.model.to_json()),
+        "model": state.model.to_dict(),
     }
     (out / f"{name}_attack.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")
     print(
@@ -457,7 +457,7 @@ def _cmd_defend(cfg: CliConfig) -> int:
         )
     elapsed = time.perf_counter() - start
     out = _out_dir(cfg)
-    doc = json.loads(result.to_json()) | {"wall_time_s": elapsed}
+    doc = result.to_dict() | {"wall_time_s": elapsed}
     doc["method"] = opts["method"]
     doc["alpha_assumed"] = alpha_assumed
     n = subset_size(ds.n, alpha_assumed)

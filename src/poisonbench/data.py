@@ -7,7 +7,6 @@ so attack projections and defense residual rankings share one feasible domain.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -87,14 +86,14 @@ class NormalizationSpec:
         if not lo < hi:
             raise ValueError(f"response has min >= max ({lo} >= {hi})")
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        """The spec as a JSON-ready dict: columns, response, dropped, onehot."""
+        return {
             "columns": [{"name": n, "min": lo, "max": hi} for n, lo, hi in self.columns],
             "response": {"min": self.response[0], "max": self.response[1]},
             "dropped": list(self.dropped),
             "onehot": [{"source": s, "levels": list(ls)} for s, ls in self.onehot],
         }
-        return json.dumps(doc, indent=2)
 
 
 @dataclass(frozen=True)
@@ -133,31 +132,40 @@ class SplitTriple:
     test: Dataset
 
 
-def _try_float(cell: str):
-    try:
-        return float(cell)
-    except ValueError:
+def _floats(path, kind, name, cells):
+    """A target or numeric column's cells as a float array, or None for a numeric
+    column with no number in it (it is categorical). Else a non-numeric cell
+    raises, then a non-finite one (nan, inf) with its row."""
+    values, text = [], []
+    for cell in cells:
+        try:
+            values.append(float(cell))
+        except ValueError:
+            text.append(cell)
+    if not values and kind == "numeric":
         return None
-
-
-def _require_finite(path, name, cells, values) -> None:
+    if text:
+        raise ValueError(f"non-numeric cell in {kind} column {name!r}: {text[0]!r}")
     for i, (cell, v) in enumerate(zip(cells, values)):
-        if v is not None and not math.isfinite(v):
+        if not math.isfinite(v):
             raise ValueError(f"{path}: non-finite value {cell!r} in column {name!r}, row {i + 2}")
+    return np.array(values)
 
 
-def load_csv(path, target_column, schema_hints=None):
+def load_csv(path, target_column: str, categorical=()):
     """Load a headered CSV into a normalized Dataset.
 
-    Categorical columns (from schema_hints, or columns where no cell parses
-    as a number) are one-hot encoded with levels in sorted order; numeric
-    columns and the response are min-max normalized to [0, 1]. Constant
-    columns are dropped and recorded in the returned NormalizationSpec.
-    Non-finite numbers (nan, inf) are rejected with their row and column.
+    target_column names the response column. Categorical columns (those
+    named in `categorical`, and those where no cell parses as a number) are
+    one-hot encoded with levels in sorted order; numeric columns and the
+    response are min-max normalized to [0, 1]. Constant columns are dropped
+    and recorded in the returned NormalizationSpec. A header that repeats a
+    name, a non-numeric cell in the target or a numeric column, and a
+    non-finite number (nan, inf; named with its row and column) are rejected.
 
     Returns (Dataset, NormalizationSpec).
     """
-    hints = set(schema_hints or ())
+    hints = set(categorical or ())
     with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a leading BOM
         rows = list(csv.reader(fh))
     if not rows:
@@ -166,83 +174,52 @@ def load_csv(path, target_column, schema_hints=None):
     body = rows[1:]
     if len(body) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(body)}")
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise ValueError(f"{path}: repeated column names {repeated} in header")
     for i, row in enumerate(body):
         if len(row) != len(header):
             raise ValueError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
-        for name, cell in zip(header, row):
-            if cell.strip() == "":
-                raise ValueError(f"{path}: missing value in column {name!r}, row {i + 2}")
-
-    if isinstance(target_column, int):
-        if not 0 <= target_column < len(header):
-            raise ValueError(f"target column index {target_column} out of range")
-        target_name = header[target_column]
-    else:
-        if target_column not in header:
-            raise ValueError(f"target column {target_column!r} not found in header {header}")
-        target_name = target_column
-    target_idx = header.index(target_name)
-    unknown = sorted(h for h in hints if h not in header or h == target_name)
+    cells = {name: [c.strip() for c in col] for name, col in zip(header, zip(*body))}
+    for name, col in cells.items():
+        if "" in col:
+            raise ValueError(f"{path}: missing value in column {name!r}, row {col.index('') + 2}")
+    if target_column not in cells:
+        raise ValueError(f"target column {target_column!r} not found in header {header}")
+    unknown = sorted(h for h in hints if h not in cells or h == target_column)
     if unknown:
         raise ValueError(f"{path}: categorical columns {unknown} are not feature columns of {header}")
-
-    target_cells = [row[target_idx].strip() for row in body]
-    raw_target = [_try_float(c) for c in target_cells]
-    if any(v is None for v in raw_target):
-        raise ValueError(f"non-numeric cell in target column {target_name!r}")
-    _require_finite(path, target_name, target_cells, raw_target)
-    responses = np.array(raw_target, dtype=float)
+    responses = _floats(path, "target", target_column, cells.pop(target_column))
 
     columns: list[tuple[str, float, float]] = []
     dropped: list[str] = []
     onehot: list[tuple[str, tuple[str, ...]]] = []
     out_cols: list[np.ndarray] = []
-
-    for j, name in enumerate(header):
-        if j == target_idx:
-            continue
-        cells = [row[j].strip() for row in body]
-        parsed = [_try_float(c) for c in cells]
-        n_numeric = sum(v is not None for v in parsed)
-        categorical = name in hints or n_numeric == 0
-        if not categorical and n_numeric != len(cells):
-            bad = next(c for c, v in zip(cells, parsed) if v is None)
-            raise ValueError(f"non-numeric cell {bad!r} in numeric column {name!r}")
-        if categorical:
-            levels = tuple(sorted(set(cells)))
+    for name, col in cells.items():
+        values = None if name in hints else _floats(path, "numeric", name, col)
+        if values is None:
+            levels = tuple(sorted(set(col)))
             onehot.append((name, levels))
-            for level in levels:
-                col_name = f"{name}={level}"
-                col = np.array([1.0 if c == level else 0.0 for c in cells])
-                if col.min() == col.max():
-                    dropped.append(col_name)
-                    continue
-                columns.append((col_name, 0.0, 1.0))
-                out_cols.append(col)
+            parts = [(f"{name}={level}", np.array([c == level for c in col], dtype=float))
+                     for level in levels]
         else:
-            _require_finite(path, name, cells, parsed)
-            col = np.array(parsed, dtype=float)
-            lo, hi = float(col.min()), float(col.max())
+            parts = [(name, values)]
+        for part_name, part in parts:
+            lo, hi = float(part.min()), float(part.max())
             if lo == hi:
-                dropped.append(name)
+                dropped.append(part_name)
                 continue
-            columns.append((name, lo, hi))
-            out_cols.append((col - lo) / (hi - lo))
+            columns.append((part_name, lo, hi))
+            out_cols.append((part - lo) / (hi - lo))
 
     r_lo, r_hi = float(responses.min()), float(responses.max())
     if r_lo == r_hi:
-        raise ValueError(f"constant response column {target_name!r} cannot be normalized")
+        raise ValueError(f"constant response column {target_column!r} cannot be normalized")
     responses = (responses - r_lo) / (r_hi - r_lo)
 
     features = np.column_stack(out_cols) if out_cols else np.empty((len(body), 0))
-    spec = NormalizationSpec(
-        columns=tuple(columns),
-        response=(r_lo, r_hi),
-        dropped=tuple(dropped),
-        onehot=tuple(onehot),
-    )
-    ds = Dataset(features, responses, tuple(n for n, _, _ in columns), "clean")
-    return ds, spec
+    spec = NormalizationSpec(tuple(columns), (r_lo, r_hi), tuple(dropped), tuple(onehot))
+    return Dataset(features, responses, tuple(n for n, _, _ in columns), "clean"), spec
 
 
 def generate_synthetic(spec: SyntheticSpec):

@@ -32,7 +32,6 @@ skipped. TRIM selects its subsets the same way.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -74,19 +73,17 @@ class DefenseResult:
     def beta_used(self) -> int:
         return self.iterations
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "subset_indices": list(self.subset_indices),
-                "model": json.loads(self.model.to_json()),
-                "subset_mse": self.subset_mse,
-                "beta_used": self.beta_used,
-                "group_mses": list(self.group_mse_trace),
-                "iterations": self.iterations,
-                "converged": self.converged,
-            },
-            indent=2,
-        )
+    def to_dict(self) -> dict:
+        """The result as a JSON-ready dict, the model as its own `to_dict`."""
+        return {
+            "subset_indices": list(self.subset_indices),
+            "model": self.model.to_dict(),
+            "subset_mse": self.subset_mse,
+            "beta_used": self.beta_used,
+            "group_mses": list(self.group_mse_trace),
+            "iterations": self.iterations,
+            "converged": self.converged,
+        }
 
 
 @dataclass(frozen=True)

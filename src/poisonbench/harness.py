@@ -48,7 +48,7 @@ class ExperimentSpec:
 
     dataset_name: str = "synthetic"
     csv_path: str | None = None
-    target_column: str | int | None = None
+    target_column: str | None = None
     categorical: tuple[str, ...] = ()
     synthetic: SyntheticSpec | None = None
     families: tuple[str, ...] = ("ols",)
@@ -122,7 +122,7 @@ def load_base_dataset(spec: ExperimentSpec) -> Dataset:
     if spec.synthetic is not None:
         ds, _ = generate_synthetic(spec.synthetic)
     else:
-        ds, _ = load_csv(spec.csv_path, spec.target_column, spec.categorical or None)
+        ds, _ = load_csv(spec.csv_path, spec.target_column, spec.categorical)
     if spec.max_features is not None and spec.max_features < ds.d:
         ds = Dataset(
             ds.features[:, : spec.max_features].copy(),

@@ -21,7 +21,6 @@ centred variance (a constant feature) keeps weight 0.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -81,17 +80,15 @@ class RegressionModel:
         """
         return _penalty_mix(self.family, self.rho)[1]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family": self.family,
-                "lambda": self.lam,
-                "rho": self.rho,
-                "weights": self.weights.tolist(),
-                "bias": self.bias,
-            },
-            indent=2,
-        )
+    def to_dict(self) -> dict:
+        """The model as a JSON-ready dict: family, lambda, rho, weights, bias."""
+        return {
+            "family": self.family,
+            "lambda": self.lam,
+            "rho": self.rho,
+            "weights": self.weights.tolist(),
+            "bias": self.bias,
+        }
 
 
 @dataclass(frozen=True)

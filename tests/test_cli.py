@@ -237,6 +237,13 @@ class TestMainExitCodes:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_repeated_column_name_exits_1(self, tmp_path, capsys):
+        csv = tmp_path / "r.csv"
+        csv.write_text("a,y,y\n1,0,0\n2,1,1\n3,0,0\n", encoding="utf-8")
+        code = main(["fit", "--csv", str(csv), "--target", "y", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "repeated column names ['y']" in capsys.readouterr().err
+
     def test_invalid_config_creates_no_files(self, tmp_path):
         out = tmp_path / "fresh"
         code = main(["defend", "--csv", str(tmp_path / "missing.csv"), "--target", "y",
@@ -452,6 +459,30 @@ class TestDefendCommand:
         assert code == 0
         doc = json.loads((out / "synthetic_defense.json").read_text())
         assert doc["trim_worst_case_iterations"].startswith("10^4344.")
+
+
+class TestJsonFiles:
+    def test_fit_and_defend_files_parse_to_the_library_dicts(self, tmp_path):
+        csv = tmp_path / "c.csv"
+        rng = np.random.default_rng(3)
+        xs, codes, noise = rng.uniform(size=30), rng.integers(0, 3, 30), rng.normal(0, 0.05, 30)
+        rows = [f"{x},{'uvw'[c]},{0.5 * x + 0.1 * c + e}" for x, c, e in zip(xs, codes, noise)]
+        csv.write_text("\n".join(["x,c,y", *rows]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        data = ["--csv", str(csv), "--target", "y", "--family", "ridge", "--lambda", "0.01",
+                "--out", str(out)]
+        assert main(["fit", *data]) == 0
+        assert main(["defend", *data, "--method", "trim", "--alpha-assumed", "0.2"]) == 0
+        ds, norm = load_csv(csv, "y")
+        model = fit(ds, "ridge", 0.01, rho=0.5).converged_model("fit")
+        assert json.loads((out / "c_model.json").read_text()) == model.to_dict()
+        assert json.loads((out / "c_normalization.json").read_text()) == norm.to_dict()
+        result = defend.trim_defend(ds, 0.2, "ridge", 0.01, rho=0.5, max_iters=100, seed=1337)
+        added = {"wall_time_s", "method", "alpha_assumed", "max_iters",
+                 "trim_worst_case_iterations", "trim_worst_case_note"}
+        doc = json.loads((out / "c_defense.json").read_text())
+        assert added <= set(doc)
+        assert {k: v for k, v in doc.items() if k not in added} == result.to_dict()
 
 
 class TestSweepAndReport:

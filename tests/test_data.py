@@ -1,5 +1,5 @@
 import itertools
-import json
+import re
 
 import numpy as np
 import pytest
@@ -52,7 +52,7 @@ class TestLoadCsv:
 
     def test_schema_hint_forces_categorical(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", "code,y\n1,0\n2,1\n1,2\n")
-        ds, spec = load_csv(p, "y", schema_hints=["code"])
+        ds, spec = load_csv(p, "y", categorical=["code"])
         assert ds.feature_names == ("code=1", "code=2")
 
     @pytest.mark.parametrize("target,hints,names", [
@@ -103,11 +103,6 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="at least 2"):
             load_csv(p, "y")
 
-    def test_target_by_index(self, tmp_path):
-        p = write_csv(tmp_path / "a.csv", "a,y\n1,0\n2,1\n")
-        ds, _ = load_csv(p, 1)
-        assert ds.responses.tolist() == [0.0, 1.0]
-
     @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN"])
     @pytest.mark.parametrize("column", ["a", "y"])
     def test_non_finite_cell_names_row_and_column(self, tmp_path, cell, column):
@@ -119,11 +114,95 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=message):
             load_csv(p, "y")
 
+    @pytest.mark.parametrize("header,names", [
+        ("a,y,y", "['y']"),
+        ("b ,a,b,y,a", "['a', 'b']"),
+    ])
+    def test_repeated_column_names_rejected(self, tmp_path, header, names):
+        # at a,y,y the second y would be a feature column holding the target
+        width = header.count(",") + 1
+        rows = "".join(",".join(str(i + j) for j in range(width)) + "\n" for i in range(3))
+        p = write_csv(tmp_path / "a.csv", header + "\n" + rows)
+        with pytest.raises(ValueError, match=re.escape(f"repeated column names {names}")):
+            load_csv(p, "y")
+
     def test_non_finite_label_in_categorical_column_is_a_level(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", "c,y\nnan,0\nred,1\nnan,2\n")
-        ds, spec = load_csv(p, "y", schema_hints=["c"])
+        ds, spec = load_csv(p, "y", categorical=["c"])
         assert spec.onehot == (("c", ("nan", "red")),)
         assert np.isfinite(ds.features).all()
+
+
+LEVELS = ("blue", "green", "red")
+NUMBERS = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def csv_tables(draw):
+    """(CSV text, header order, categorical hints, raw values by column) of a
+    table with numeric, constant and categorical feature columns and target y."""
+    n = draw(st.integers(2, 6))
+    kinds = draw(st.lists(st.sampled_from(("numeric", "constant", "categorical")), max_size=4))
+    columns = {}
+    for j, kind in enumerate(kinds):
+        if kind == "categorical":
+            columns[f"f{j}"] = draw(st.lists(st.sampled_from(LEVELS), min_size=n, max_size=n))
+        elif kind == "constant":
+            columns[f"f{j}"] = [draw(NUMBERS)] * n
+        else:
+            columns[f"f{j}"] = draw(st.lists(NUMBERS, min_size=n, max_size=n))
+    hints = draw(st.sets(st.sampled_from(sorted(columns)))) if columns else set()
+    columns["y"] = draw(st.lists(NUMBERS, min_size=n, max_size=n).filter(lambda v: min(v) < max(v)))
+    order = draw(st.permutations(sorted(columns)))
+    pad = st.sampled_from(("", " "))
+    lines = [",".join(order)] + [
+        ",".join(draw(pad) + str(columns[name][i]) + draw(pad) for name in order)
+        for i in range(n)
+    ]
+    return "\n".join(lines) + "\n", order, hints, columns
+
+
+def _normalized(values, lo, hi):
+    return [(v - lo) / (hi - lo) for v in values]
+
+
+class TestLoadCsvOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(table=csv_tables())
+    def test_matches_a_plain_python_oracle(self, tmp_path_factory, table):
+        text, order, hints, columns = table
+        p = write_csv(tmp_path_factory.getbasetemp() / "oracle.csv", text)
+        ds, spec = load_csv(p, "y", categorical=hints)
+        features, kept, dropped, onehot = [], [], [], []
+        for name in order:
+            raw = columns[name]
+            if name == "y":
+                continue
+            if name in hints or isinstance(raw[0], str):
+                cells = [str(v) for v in raw]  # a float's cell is its repr
+                levels = sorted(set(cells))
+                onehot.append({"source": name, "levels": levels})
+                parts = [(f"{name}={level}", [float(c == level) for c in cells])
+                         for level in levels]
+            else:
+                parts = [(name, raw)]
+            for part_name, values in parts:
+                lo, hi = min(values), max(values)
+                if lo == hi:
+                    dropped.append(part_name)
+                    continue
+                kept.append({"name": part_name, "min": lo, "max": hi})
+                features.append(_normalized(values, lo, hi))
+        y = columns["y"]
+        assert ds.feature_names == tuple(col["name"] for col in kept)
+        assert ds.features.T.tolist() == features
+        assert ds.responses.tolist() == _normalized(y, min(y), max(y))
+        assert spec.to_dict() == {
+            "columns": kept,
+            "response": {"min": min(y), "max": max(y)},
+            "dropped": dropped,
+            "onehot": onehot,
+        }
 
 
 class TestNormalizationSpec:
@@ -131,7 +210,7 @@ class TestNormalizationSpec:
         raw = {"a": [1.0, 4.0, 2.0], "b": [10.0, 20.0, 15.0], "y": [3.0, 6.0, 9.0]}
         p = write_csv(tmp_path / "a.csv", "a,b,y\n1,10,3\n4,20,6\n2,15,9\n")
         ds, spec = load_csv(p, "y")
-        doc = json.loads(spec.to_json())
+        doc = spec.to_dict()
         assert doc["columns"] == [{"name": "a", "min": 1.0, "max": 4.0},
                                   {"name": "b", "min": 10.0, "max": 20.0}]
         assert doc["response"] == {"min": 3.0, "max": 9.0}
@@ -144,7 +223,7 @@ class TestNormalizationSpec:
     def test_json_records_onehot_levels(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", "a,c,y\n1,u,0\n2,v,1\n3,u,2\n")
         _, spec = load_csv(p, "y")
-        doc = json.loads(spec.to_json())
+        doc = spec.to_dict()
         assert [(c["name"], c["min"], c["max"]) for c in doc["columns"]] == [
             ("a", 1.0, 3.0), ("c=u", 0.0, 1.0), ("c=v", 0.0, 1.0)]
         assert doc["onehot"] == [{"source": "c", "levels": ["u", "v"]}]
@@ -330,8 +409,6 @@ class TestRejectedInputs:
     @pytest.mark.parametrize("text,target,message", [
         ("", "y", "empty file"),
         ("a,y\n1,0\n2\n3,1\n", "y", "row 3 has 1 cells, expected 2"),
-        ("a,y\n1,0\n2,1\n", 2, "index 2 out of range"),
-        ("a,y\n1,0\n2,1\n", -1, "index -1 out of range"),
         ("a,y\n1,low\n2,1\n", "y", "non-numeric cell in target column 'y'"),
     ])
     def test_load_csv(self, tmp_path, text, target, message):

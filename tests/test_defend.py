@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import json
 import math
 import tracemalloc
 
@@ -619,7 +618,7 @@ class TestFitStatus:
         self.stall(monkeypatch, lambda data: (data.n == cfg.gamma) == (stalled_fit == "group"))
         result = proda_defend(ds, cfg, "lasso", 1e-2)
         assert not result.converged
-        assert json.loads(result.to_json())["converged"] is False
+        assert result.to_dict()["converged"] is False
 
     def test_trim_reports_a_stalled_final_refit(self, monkeypatch):
         _, merged, _ = planted_outlier_dataset(30, 6, seed=41)
@@ -627,7 +626,7 @@ class TestFitStatus:
         self.stall(monkeypatch, lambda data: True)
         result = trim_defend(merged, 0.2, "lasso", 1e-2, seed=5)
         assert not result.converged
-        assert json.loads(result.to_json())["converged"] is False
+        assert result.to_dict()["converged"] is False
 
 
 class TestRejectedInputs:

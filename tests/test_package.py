@@ -261,7 +261,7 @@ FIELDS_READ_ONLY_BY_TESTS = {
 def test_every_field_has_a_reader():
     # a dataclass field or property that nothing reads is state no output
     # shows. It is read when its name appears in the package or perfbench as
-    # an attribute load or a string (to_json's keys, perfbench's record
+    # an attribute load or a string (to_dict's keys, perfbench's record
     # keys); perfbench is parsed, not imported
     root = Path(__file__).resolve().parents[1]
     package = sorted((root / "src").rglob("*.py"))

@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import json
 import weakref
 
 import numpy as np
@@ -430,12 +429,12 @@ class TestLossAndMse:
 class TestSerialization:
     def test_model_json_values(self):
         model = RegressionModel(np.array([0.25, -0.5]), 0.125, "enet", 0.01, 0.3)
-        doc = json.loads(model.to_json())
+        doc = model.to_dict()
         assert doc == {"family": "enet", "lambda": 0.01, "rho": 0.3,
                        "weights": [0.25, -0.5], "bias": 0.125}
 
     def test_json_fields(self):
-        doc = json.loads(RegressionModel(np.array([1.0]), 0.0, "lasso", 0.1).to_json())
+        doc = RegressionModel(np.array([1.0]), 0.0, "lasso", 0.1).to_dict()
         assert set(doc) == {"family", "lambda", "rho", "weights", "bias"}
 
 
