@@ -149,16 +149,16 @@ def _implicit_product(
     J @ rhs = -E v = -[u ((x_c, 1) . v) + r_c (v_x, 0, 0)] for u = (w, b, -1),
     over (x, 1, y) with 0 at the constant. h_inv, when given, is H^-1 of a
     closed-form fit on `moments`, and v is a product with it. Under an l1
-    penalty v solves on the active set and is 0 at a zero weight. rhs is a
-    (d+1,) vector or a (d+1, k) matrix."""
+    penalty v solves on the active set and is 0 at a zero weight."""
     n, d = moments.n, moments.d
     if n < d + 1:
         raise ValueError("need n >= d+1 training rows for the KKT system")
     if h_inv is not None:
         v = h_inv @ rhs
     else:
-        h = moments.penalized_gram(model.lam * model.curvature_scale())
-        if model.lam * _penalty_mix(model.family, model.rho)[0] > 0.0:
+        l1, l2 = _penalty_mix(model.family, model.rho)
+        h = moments.penalized_gram(model.lam * l2)
+        if model.lam * l1 > 0.0:
             # an identity row and column for each weight the l1 penalty holds
             # at zero solve the system on the active set and leave v = 0 there
             rhs = rhs.copy()
@@ -170,7 +170,7 @@ def _implicit_product(
         v = _solve_kkt(h, rhs, KKT_JITTER * n)
     r_c = float(model.weights @ row[:d] + model.bias - row[d + 1])
     s = scale * r_c - (row[:d] @ v[:-1] + v[-1])
-    ev = s * u if rhs.ndim == 1 else np.multiply.outer(u, s)
+    ev = s * u
     ev[:d] -= r_c * v[:-1]
     ev[d] = 0.0
     return ev
@@ -188,7 +188,8 @@ def theta_jacobian(
     moments = Moments.of(training)
     row = np.concatenate((np.asarray(x_c, dtype=float), (1.0, y_c)))
     u = np.concatenate((model.weights, (model.bias, -1.0)))
-    return np.delete(_implicit_product(moments, model, row, u, np.eye(moments.d + 1)), -2, axis=0)
+    columns = [_implicit_product(moments, model, row, u, e) for e in np.eye(moments.d + 1)]
+    return np.delete(np.column_stack(columns), -2, axis=0)
 
 
 def _objective(kind, merged, clean, model, ref_loss):

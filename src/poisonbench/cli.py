@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import records, svgplot
-from .records import FAMILIES
+from .records import DEFAULT_SEED, FAMILIES
 
-DEFAULT_SEED = 1337
 DEFAULT_OUT = "poisonbench-out"
 MAX_GRID_VALUES = 1000  # values one start:stop:step range may expand to
 
@@ -328,6 +327,7 @@ def _validate(cfg: CliConfig, given: set):
             raise UsageError(f"--lambda must be a number or 'auto', got {opts['lam']!r}") from exc
         if not 0.0 <= lam < math.inf:
             raise UsageError(f"--lambda must be finite and >= 0, got {opts['lam']}")
+        opts["lam"] = lam
     if "rho" in opts and not 0.0 <= opts["rho"] <= 1.0:
         raise UsageError(f"--rho must be in [0, 1], got {opts['rho']}")
     built = cfg.built
@@ -361,28 +361,22 @@ def _dataset_source(opts) -> dict:
 
 
 def _load_dataset(cfg: CliConfig):
-    from .data import generate_synthetic, load_csv
+    """fit, attack and defend's preamble: the dataset, its normalization,
+    name and target column, and lambda: 0 for OLS, else --lambda, where
+    'auto' selects on the validation fold of the --seed split."""
+    from .data import generate_synthetic, load_csv, split_three
+    from .regress import select_lambda
 
-    source = cfg.built["source"]
+    opts, source = cfg.options, cfg.built["source"]
     if "csv_path" in source:
         ds, norm = load_csv(source["csv_path"], source["target_column"], source["categorical"])
     else:
         ds, norm = generate_synthetic(source["synthetic"])
-    return ds, norm, source["dataset_name"], source.get("target_column", "y")
-
-
-def _resolve_lambda_cli(cfg, ds):
-    opts = cfg.options
-    family = opts["family"]
-    if opts["lam"] == "auto":
-        if family == "ols":
-            return 0.0
-        from .data import split_three
-        from .regress import select_lambda
-
+    lam = 0.0 if opts["family"] == "ols" else opts["lam"]
+    if lam == "auto":
         split = split_three(ds, opts["seed"])
-        return select_lambda(split.train, split.validation, family, rho=opts["rho"])
-    return float(opts["lam"])
+        lam = select_lambda(split.train, split.validation, opts["family"], rho=opts["rho"])
+    return ds, norm, source["dataset_name"], source.get("target_column", "y"), lam
 
 
 def _out_dir(cfg: CliConfig) -> Path:
@@ -394,8 +388,7 @@ def _out_dir(cfg: CliConfig) -> Path:
 def _cmd_fit(cfg: CliConfig) -> int:
     from .regress import fit, mse
 
-    ds, norm, name, _ = _load_dataset(cfg)
-    lam = _resolve_lambda_cli(cfg, ds)
+    ds, norm, name, _, lam = _load_dataset(cfg)
     family = cfg.options["family"]
     model = fit(ds, family, lam, rho=cfg.options["rho"]).converged_model("fit")
     out = _out_dir(cfg)
@@ -414,8 +407,7 @@ def _cmd_attack(cfg: CliConfig) -> int:
     from .attack import nopt_attack, opt_attack, poison_to_csv
 
     opts = cfg.options
-    ds, _, name, target = _load_dataset(cfg)
-    lam = _resolve_lambda_cli(cfg, ds)
+    ds, _, name, target, lam = _load_dataset(cfg)
     attack_fn = nopt_attack if opts["method"] == "nopt" else opt_attack
     state = attack_fn(ds, cfg.built["config"], opts["family"], lam, rho=opts["rho"])
     out = _out_dir(cfg)
@@ -440,11 +432,10 @@ def _cmd_attack(cfg: CliConfig) -> int:
 
 
 def _cmd_defend(cfg: CliConfig) -> int:
-    from .defend import proda_defend, subset_size, trim_defend, trim_worst_case_text
+    from .defend import proda_defend, subset_size, trim_defend
 
     opts = cfg.options
-    ds, _, name, _ = _load_dataset(cfg)
-    lam = _resolve_lambda_cli(cfg, ds)
+    ds, _, name, _, lam = _load_dataset(cfg)
     family = opts["family"]
     alpha_assumed = opts["alpha_assumed"]
     start = time.perf_counter()
@@ -461,7 +452,7 @@ def _cmd_defend(cfg: CliConfig) -> int:
     doc["method"] = opts["method"]
     doc["alpha_assumed"] = alpha_assumed
     n = subset_size(ds.n, alpha_assumed)
-    doc["trim_worst_case_iterations"] = trim_worst_case_text(ds.n, n)
+    doc["trim_worst_case_iterations"] = records.trim_worst_case_text(ds.n, n)
     doc["trim_worst_case_note"] = (
         f"iterative trimming may traverse C({ds.n}, {n}) subsets in the worst case"
     )
@@ -481,7 +472,7 @@ def _build_experiment_spec(opts, source: dict):
     return ExperimentSpec(
         **source,
         families=opts["families"],
-        lambda_policy="select" if opts["lam"] == "auto" else float(opts["lam"]),
+        lambda_policy="select" if opts["lam"] == "auto" else opts["lam"],
         rho=opts["rho"],
         attack=opts["attack"],
         defense=opts["defense"],

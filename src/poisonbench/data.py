@@ -159,9 +159,10 @@ def load_csv(path, target_column: str, categorical=()):
     named in `categorical`, and those where no cell parses as a number) are
     one-hot encoded with levels in sorted order; numeric columns and the
     response are min-max normalized to [0, 1]. Constant columns are dropped
-    and recorded in the returned NormalizationSpec. A header that repeats a
-    name, a non-numeric cell in the target or a numeric column, and a
-    non-finite number (nan, inf; named with its row and column) are rejected.
+    and recorded in the returned NormalizationSpec. An empty column name, a
+    name repeated in the header or by one-hot expansion, a non-numeric cell
+    in the target or a numeric column, and a non-finite number (nan, inf;
+    named with its row and column) are rejected.
 
     Returns (Dataset, NormalizationSpec).
     """
@@ -171,6 +172,8 @@ def load_csv(path, target_column: str, categorical=()):
     if not rows:
         raise ValueError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
+    if "" in header:
+        raise ValueError(f"{path}: empty column name at column {header.index('') + 1}")
     body = rows[1:]
     if len(body) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(body)}")
@@ -212,6 +215,10 @@ def load_csv(path, target_column: str, categorical=()):
             columns.append((part_name, lo, hi))
             out_cols.append((part - lo) / (hi - lo))
 
+    written = [n for n, _, _ in columns] + dropped + [target_column]
+    repeated = sorted({n for n in written if written.count(n) > 1})
+    if repeated:
+        raise ValueError(f"{path}: repeated column names {repeated} after one-hot expansion")
     r_lo, r_hi = float(responses.min()), float(responses.max())
     if r_lo == r_hi:
         raise ValueError(f"constant response column {target_column!r} cannot be normalized")
@@ -243,12 +250,8 @@ def generate_synthetic(spec: SyntheticSpec):
         resp_range = (y_lo, y_hi)
     else:
         resp_range = (0.0, 1.0)
-    names = tuple(f"x{j}" for j in range(spec.d))
-    norm = NormalizationSpec(
-        columns=tuple((n, 0.0, 1.0) for n in names),
-        response=resp_range,
-    )
-    return Dataset(x, y, names, "clean"), norm
+    ds = Dataset(x, y)
+    return ds, NormalizationSpec(tuple((n, 0.0, 1.0) for n in ds.feature_names), resp_range)
 
 
 def split_three(ds: Dataset, seed: int) -> SplitTriple:

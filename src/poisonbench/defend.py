@@ -286,17 +286,6 @@ def trim_defend(
     )
 
 
-def trim_worst_case_text(n_rows: int, n_subset: int) -> str:
-    """TRIM's worst-case subset traversals, C(N, n), as exact digits, or as
-    10^X.XXX past about 4,000 digits, where str() hits Python's int-to-str
-    digit limit and comb gets slow."""
-    lg = math.lgamma
-    log10 = (lg(n_rows + 1) - lg(n_subset + 1) - lg(n_rows - n_subset + 1)) / math.log(10)
-    if log10 < 4000:
-        return str(math.comb(n_rows, n_subset))
-    return f"10^{log10:.3f}"
-
-
 def estimate_complexity(alpha: float, gamma: int, epsilon: float, n: int) -> ComplexityEstimate:
     """Iteration bound for the probabilistic defense: beta group trials at
     O(n) work each, and the chance p_u that some group is clean."""

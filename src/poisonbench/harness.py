@@ -32,8 +32,8 @@ from .data import (
     poison_count,
     split_three,
 )
-from .defend import ProdaConfig, proda_defend, subset_size, trim_defend, trim_worst_case_text
-from .records import ATTACKS, DEFAULT_ALPHA_GRID, DEFENSES
+from .defend import ProdaConfig, proda_defend, subset_size, trim_defend
+from .records import ATTACKS, DEFAULT_ALPHA_GRID, DEFAULT_SEED, DEFENSES, trim_worst_case_text
 # perfbench's tracer wraps these at harness.<name>, so harness keeps binding them
 from .records import aggregate, emit_plot, read_records, summary_csv, write_records  # noqa: F401
 from .regress import fit, mse, select_lambda
@@ -60,7 +60,7 @@ class ExperimentSpec:
     gamma_grid: tuple[int, ...] = ()
     alpha_assumed: float | None = None  # None: defender knows the cell's real alpha
     repeats: int = 5
-    master_seed: int = 1337
+    master_seed: int = DEFAULT_SEED
     max_features: int | None = None
     train_subsample: int | None = None
     surrogate_fraction: float | None = None
@@ -171,82 +171,78 @@ def run_cell(
         "seed": seed,
     }
     try:
-        _fill_cell(record, spec, family, alpha, gamma, alpha_assumed, seed, base)
+        ds = base if base is not None else load_base_dataset(spec)
+        split = split_three(ds, seed)
+        train, validation, test = split.train, split.validation, split.test
+        sub_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+        if spec.train_subsample is not None and train.n > spec.train_subsample:
+            idx = sub_rng.choice(train.n, size=spec.train_subsample, replace=False)
+            train = train.take(np.sort(idx))
+
+        lam = _resolve_lambda(spec, family, train, validation)
+        record["lambda"] = lam
+
+        clean_model = fit(train, family, lam, rho=spec.rho).converged_model("clean fit")
+        record["mse_clean"] = mse(train, clean_model)
+        record["mse_clean_test"] = mse(test, clean_model)
+
+        training_pool = train
+        if spec.attack != "none":
+            view = train
+            n_poison = None
+            if spec.surrogate_fraction is not None:
+                k = max(train.d + 1, int(round(spec.surrogate_fraction * train.n)))
+                view_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+                view = train.take(np.sort(view_rng.choice(train.n, size=min(k, train.n), replace=False)))
+                n_poison = poison_count(train.n, alpha)
+            cfg = AttackConfig(
+                alpha=alpha,
+                max_outer_iters=spec.attack_max_outer,
+                seed=cell_seed(seed, "attack"),
+                n_poison=n_poison,
+            )
+            attack_fn = nopt_attack if spec.attack == "nopt" else opt_attack
+            t0 = time.perf_counter()
+            state = attack_fn(view, cfg, family, lam, rho=spec.rho)
+            record["wall_time_attack_s"] = time.perf_counter() - t0
+            record["attack_iterations"] = state.iterations
+            record["attack_converged"] = state.converged
+            record["attack_refits"] = state.refit_count
+            record["time_attack_s"] = state.refit_count * train.n / RATE_ITERS_PER_S
+            poisoned, _ = merge(train, state.poison)
+            poisoned_model = fit(poisoned, family, lam, rho=spec.rho).converged_model("poisoned fit")
+            record["mse_poisoned"] = mse(train, poisoned_model)
+            # the collective-training-set MSE is the attack figure of merit
+            record["mse_poisoned_trainset"] = mse(poisoned, poisoned_model)
+            record["mse_poisoned_test"] = mse(test, poisoned_model)
+            training_pool = poisoned
+
+        if spec.defense != "none":
+            defense_seed = cell_seed(seed, "defense")
+            t0 = time.perf_counter()
+            if spec.defense == "proda":
+                dcfg = ProdaConfig(int(gamma), spec.defense_epsilon, alpha_assumed, defense_seed)
+                result = proda_defend(training_pool, dcfg, family, lam, rho=spec.rho)
+            else:
+                result = trim_defend(
+                    training_pool, alpha_assumed, family, lam, rho=spec.rho,
+                    max_iters=spec.defense_max_iters, seed=defense_seed,
+                )
+            record["wall_time_defense_s"] = time.perf_counter() - t0
+            if spec.defense == "proda":
+                record["beta_used"] = result.beta_used
+            else:
+                record["trim_worst_case_iterations"] = trim_worst_case_text(
+                    training_pool.n, subset_size(training_pool.n, alpha_assumed)
+                )
+            record["defense_iterations"] = result.iterations
+            # Proda's iterations are its beta trials, TRIM's its C-steps
+            record["time_defense_s"] = result.iterations * training_pool.n / RATE_ITERS_PER_S
+            record["mse_defended"] = mse(train, result.model)
+            record["mse_defended_test"] = mse(test, result.model)
     except Exception as exc:  # noqa: BLE001 - a failed cell is recorded, not dropped
         record["error"] = f"{type(exc).__name__}: {exc}"
     return record
-
-
-def _fill_cell(record, spec, family, alpha, gamma, alpha_assumed, seed, base):
-    ds = base if base is not None else load_base_dataset(spec)
-    split = split_three(ds, seed)
-    train, validation, test = split.train, split.validation, split.test
-    sub_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    if spec.train_subsample is not None and train.n > spec.train_subsample:
-        idx = sub_rng.choice(train.n, size=spec.train_subsample, replace=False)
-        train = train.take(np.sort(idx))
-
-    lam = _resolve_lambda(spec, family, train, validation)
-    record["lambda"] = lam
-
-    clean_model = fit(train, family, lam, rho=spec.rho).converged_model("clean fit")
-    record["mse_clean"] = mse(train, clean_model)
-    record["mse_clean_test"] = mse(test, clean_model)
-
-    training_pool = train
-    if spec.attack != "none":
-        view = train
-        n_poison = None
-        if spec.surrogate_fraction is not None:
-            k = max(train.d + 1, int(round(spec.surrogate_fraction * train.n)))
-            view_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-            view = train.take(np.sort(view_rng.choice(train.n, size=min(k, train.n), replace=False)))
-            n_poison = poison_count(train.n, alpha)
-        cfg = AttackConfig(
-            alpha=alpha,
-            max_outer_iters=spec.attack_max_outer,
-            seed=cell_seed(seed, "attack"),
-            n_poison=n_poison,
-        )
-        attack_fn = nopt_attack if spec.attack == "nopt" else opt_attack
-        t0 = time.perf_counter()
-        state = attack_fn(view, cfg, family, lam, rho=spec.rho)
-        record["wall_time_attack_s"] = time.perf_counter() - t0
-        record["attack_iterations"] = state.iterations
-        record["attack_converged"] = state.converged
-        record["attack_refits"] = state.refit_count
-        record["time_attack_s"] = state.refit_count * train.n / RATE_ITERS_PER_S
-        poisoned, _ = merge(train, state.poison)
-        poisoned_model = fit(poisoned, family, lam, rho=spec.rho).converged_model("poisoned fit")
-        record["mse_poisoned"] = mse(train, poisoned_model)
-        # the collective-training-set MSE is the attack figure of merit
-        record["mse_poisoned_trainset"] = mse(poisoned, poisoned_model)
-        record["mse_poisoned_test"] = mse(test, poisoned_model)
-        training_pool = poisoned
-
-    if spec.defense != "none":
-        defense_seed = cell_seed(seed, "defense")
-        t0 = time.perf_counter()
-        if spec.defense == "proda":
-            dcfg = ProdaConfig(int(gamma), spec.defense_epsilon, alpha_assumed, defense_seed)
-            result = proda_defend(training_pool, dcfg, family, lam, rho=spec.rho)
-        else:
-            result = trim_defend(
-                training_pool, alpha_assumed, family, lam, rho=spec.rho,
-                max_iters=spec.defense_max_iters, seed=defense_seed,
-            )
-        record["wall_time_defense_s"] = time.perf_counter() - t0
-        if spec.defense == "proda":
-            record["beta_used"] = result.beta_used
-        else:
-            record["trim_worst_case_iterations"] = trim_worst_case_text(
-                training_pool.n, subset_size(training_pool.n, alpha_assumed)
-            )
-        record["defense_iterations"] = result.iterations
-        # Proda's iterations are its beta trials, TRIM's its C-steps
-        record["time_defense_s"] = result.iterations * training_pool.n / RATE_ITERS_PER_S
-        record["mse_defended"] = mse(train, result.model)
-        record["mse_defended_test"] = mse(test, result.model)
 
 
 def _cells(spec: ExperimentSpec):

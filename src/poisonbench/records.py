@@ -3,7 +3,7 @@ the summary's rows and CSV, the charts and the text report.
 
 This module and `svgplot` import only the standard library, so `report`
 runs without numpy. It also holds the vocabularies the CLI's option table
-reads at import: the model families, attacks, defenses and alpha grid.
+reads at import: the model families, attacks, defenses, alpha grid and seed.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from typing import TYPE_CHECKING
 
 from . import svgplot
@@ -25,6 +26,7 @@ ATTACKS = ("none", "opt", "nopt")
 DEFENSES = ("none", "trim", "proda")
 
 DEFAULT_ALPHA_GRID = (0.04, 0.08, 0.12, 0.16, 0.20)
+DEFAULT_SEED = 1337
 # report.txt counts a defended cell as recovered when its MSE is within this
 # factor of the clean model's
 RECOVERED_RATIO = 1.1
@@ -199,6 +201,17 @@ def emit_plot(summary, kind: str, path):
     return svgplot.write_line_chart(series, x_label, "MSE", path)
 
 
+def trim_worst_case_text(n_rows: int, n_subset: int) -> str:
+    """TRIM's worst-case subset traversals, C(N, n), as exact digits, or as
+    10^X.XXX past about 4,000 digits, where str() hits Python's int-to-str
+    digit limit and comb gets slow; `_bound_rank` orders the two forms."""
+    lg = math.lgamma
+    log10 = (lg(n_rows + 1) - lg(n_subset + 1) - lg(n_rows - n_subset + 1)) / math.log(10)
+    if log10 < 4000:
+        return str(math.comb(n_rows, n_subset))
+    return f"10^{log10:.3f}"
+
+
 def _bound_rank(text: str):
     """Sort key of a `trim_worst_case_text` bound: exact digit strings by
     length then value, and every 10^X.XXX above them, by X."""
@@ -241,7 +254,7 @@ def write_report(out, records) -> int:
                   if "trim_worst_case_iterations" in r]
         lines.append(
             f"trim iterations: max {max(iters) if iters else 'n/a'} (bounded by max_iters); "
-            f"worst case C(N, n) = {max(bounds, key=_bound_rank, default=None)} subset traversals"
+            f"worst case C(N, n) = {max(bounds, key=_bound_rank, default='n/a')} subset traversals"
         )
     defended = {}
     for r in cells:

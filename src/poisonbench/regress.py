@@ -73,13 +73,6 @@ class RegressionModel:
         l1_part = l1 * float(np.abs(w).sum()) if l1 else 0.0
         return self.lam * (l1_part + l2 * 0.5 * float(w @ w))
 
-    def curvature_scale(self) -> float:
-        """Second derivative of Omega's smooth part: 0, 1, 0, (1 - rho).
-
-        The l1 penalty contributes zero curvature almost everywhere.
-        """
-        return _penalty_mix(self.family, self.rho)[1]
-
     def to_dict(self) -> dict:
         """The model as a JSON-ready dict: family, lambda, rho, weights, bias."""
         return {

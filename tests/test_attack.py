@@ -23,7 +23,7 @@ from poisonbench.attack import (
     theta_jacobian,
 )
 from poisonbench.data import Dataset, SyntheticSpec, merge
-from poisonbench.regress import DEFAULT_TOL, Moments, fit, loss, mse
+from poisonbench.regress import DEFAULT_TOL, Moments, _penalty_mix, fit, loss, mse
 
 from conftest import make_noisy_dataset
 
@@ -275,7 +275,7 @@ def full_jacobian_gradient(clean, poison, model, ref, index, kind):
     r_c = float(w @ x_c + model.bias - y_c)
     e = np.outer(np.append(w, -1.0), np.append(x_c, 1.0))
     e[:-1, :-1] += r_c * np.eye(len(w))
-    h = moments.penalized_gram(model.lam * model.curvature_scale()) / moments.n
+    h = moments.penalized_gram(model.lam * _penalty_mix(model.family, model.rho)[1]) / moments.n
     jac = -(1.0 / moments.n) * np.linalg.solve(h, e.T).T
 
     def residual_gradient(ds):
@@ -758,7 +758,7 @@ class TestKktSystem:
             sigma = moments.gram[:-1, :-1] / moments.n
             assert np.allclose(sigma, sigma.T)
             assert np.min(np.linalg.eigvalsh(sigma)) >= -1e-12
-            h = moments.penalized_gram(model.lam * model.curvature_scale()) / moments.n
+            h = moments.penalized_gram(model.lam * _penalty_mix(model.family, model.rho)[1]) / moments.n
             assert np.allclose(h, h.T)
 
 

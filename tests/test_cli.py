@@ -107,6 +107,15 @@ class TestParsing:
         assert cfg.options["alpha"] == 0.2  # flag wins
         assert cfg.options["seed"] == 9  # config beats default
 
+    @pytest.mark.parametrize("text, lam", [("0.25", 0.25), ("auto", "auto")])
+    def test_lambda_is_parsed_once_from_a_flag_or_a_config_key(self, tmp_path, text, lam):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"fit.lambda={text}\n", encoding="utf-8")
+        data = ["fit", "--synthetic", "d=1,n=10,noise=0.1"]
+        for argv in ([*data, "--lambda", text], ["--config", str(cfg_file), *data]):
+            value = parse_args(argv).options["lam"]
+            assert value == lam and type(value) is type(lam)
+
     def test_config_file_unknown_key(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("nonsense=1\n", encoding="utf-8")
@@ -243,6 +252,13 @@ class TestMainExitCodes:
         code = main(["fit", "--csv", str(csv), "--target", "y", "--out", str(tmp_path / "out")])
         assert code == 1
         assert "repeated column names ['y']" in capsys.readouterr().err
+
+    def test_name_repeated_by_one_hot_expansion_exits_1(self, tmp_path, capsys):
+        csv = tmp_path / "r.csv"
+        csv.write_text("c,c=red,y\nred,1,0\nblue,2,1\nred,3,0\n", encoding="utf-8")
+        code = main(["fit", "--csv", str(csv), "--target", "y", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "repeated column names ['c=red'] after one-hot" in capsys.readouterr().err
 
     def test_invalid_config_creates_no_files(self, tmp_path):
         out = tmp_path / "fresh"

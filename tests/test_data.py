@@ -126,6 +126,23 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=re.escape(f"repeated column names {names}")):
             load_csv(p, "y")
 
+    @pytest.mark.parametrize("text,target", [
+        ("c,c=red,y\nred,1,0\nblue,2,1\nred,3,2\n", "y"),  # as a kept feature
+        ("c,c=red,y\nred,1,0\nblue,1,1\nred,1,2\n", "y"),  # as a dropped constant column
+        ("c,c=red\nred,0\nblue,1\nred,2\n", "c=red"),  # as the target
+    ])
+    def test_name_repeated_by_one_hot_expansion_rejected(self, tmp_path, text, target):
+        p = write_csv(tmp_path / "a.csv", text)
+        message = "repeated column names ['c=red'] after one-hot expansion"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_csv(p, target)
+
+    @pytest.mark.parametrize("header", ["a,,y", "a,  ,y"])
+    def test_empty_column_name_rejected_with_its_position(self, tmp_path, header):
+        p = write_csv(tmp_path / "a.csv", header + "\n1,2,0\n2,3,1\n3,5,2\n")
+        with pytest.raises(ValueError, match="empty column name at column 2"):
+            load_csv(p, "y")
+
     def test_non_finite_label_in_categorical_column_is_a_level(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", "c,y\nnan,0\nred,1\nnan,2\n")
         ds, spec = load_csv(p, "y", categorical=["c"])

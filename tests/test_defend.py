@@ -18,8 +18,8 @@ from poisonbench.defend import (
     proda_defend,
     subset_size,
     trim_defend,
-    trim_worst_case_text,
 )
+from poisonbench.records import trim_worst_case_text
 from poisonbench.regress import FAMILIES, fit, loss, mse
 
 from conftest import make_noisy_dataset

@@ -433,6 +433,12 @@ class TestReportText:
         assert lines[2] == (f"trim iterations: max {len(bounds) + 1} (bounded by max_iters); "
                             f"worst case C(N, n) = {largest} subset traversals")
 
+    def test_trim_line_says_n_a_when_no_cell_has_a_bound(self, tmp_path):
+        failed = fake_record(defense="trim", error="ValueError: subset size n=2 smaller than d+1")
+        lines = self.report_lines(tmp_path, [failed])
+        assert lines[2] == ("trim iterations: max n/a (bounded by max_iters); "
+                            "worst case C(N, n) = n/a subset traversals")
+
     def test_one_recovery_line_per_attack_defense_and_family(self, tmp_path):
         def cell(family, defense, clean, poisoned, defended, **kwargs):
             return fake_record(family=family, attack="nopt", defense=defense, mse_clean=clean,
