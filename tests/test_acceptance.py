@@ -423,3 +423,69 @@ class TestCriterion9DatasetGated:
                 med_opt = float(np.median([r["mse_poisoned_trainset"] for r in opt]))
                 print(f"{stem}/{family}: nopt {med_nopt:.4f} opt {med_opt:.4f}")
                 assert med_nopt >= med_opt
+
+
+# the stand-in corpus's columns after one-hot expansion; the sweep keeps the
+# first MAX_FEATURES of them, a cut that splits `region`'s levels
+STAND_IN_FEATURES = ("a", "b", "region=1", "region=2", "region=3", "region=4",
+                     "kind=u", "kind=v", "kind=w", "c")
+MAX_FEATURES = 5
+
+
+@pytest.fixture
+def stand_in_corpus(tmp_path):
+    """A seeded 120-row table, written twice as house.csv: once as the CSV
+    path reads it (numeric columns, a categorical `region` coded as numbers,
+    a text categorical `kind` and the target `y`) and once one-hot expanded
+    and cut to its first MAX_FEATURES columns by hand. These files stand in
+    for the paper's datasets, which are not in the repository, and are not
+    the paper's data. Returns (raw path, hand-expanded path)."""
+    rng = np.random.default_rng(11)
+    n = 120
+    kind = rng.choice(["u", "v", "w"], size=n)
+    region = rng.integers(1, 5, size=n)
+    a, b, c = rng.uniform(size=(3, n))
+    y = (0.3 * (kind == "v") + 0.5 * a + 0.05 * region + 0.3 * b
+         + rng.normal(0.0, 0.05, size=n))
+    cells = {name: [repr(float(v)) for v in col] for name, col in
+             (("a", a), ("b", b), ("c", c), ("y", y))}
+    cells.update({"kind": list(kind), "region": [str(r) for r in region]})
+    cells.update({f"kind={k}": [str(int(v)) for v in kind == k] for k in "uvw"})
+    cells.update({f"region={r}": [str(int(v)) for v in region == r] for r in range(1, 5)})
+    paths = []
+    for sub, header in (("raw", ("a", "b", "region", "kind", "c", "y")),
+                        ("flat", STAND_IN_FEATURES[:MAX_FEATURES] + ("y",))):
+        rows = [",".join(header)] + [",".join(cells[h][i] for h in header) for i in range(n)]
+        (tmp_path / sub).mkdir()
+        path = tmp_path / sub / "house.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        paths.append(path)
+    return tuple(paths)
+
+
+class TestCriterion9StandIn:
+    """Criterion 9's CSV path, which the gated test above runs only on the
+    user's files: `load_csv` with a named target and one-hot columns, the
+    max_features cut, the training subsample and the attack, through the
+    CLI, on a generated stand-in corpus."""
+
+    @pytest.mark.parametrize("attack", ["nopt", "opt"])
+    def test_sweep_on_a_categorical_csv_is_deterministic_and_cut_as_built_by_hand(
+            self, tmp_path, stand_in_corpus, attack):
+        raw, flat = stand_in_corpus
+        common = ["--target", "y", "--families", "lasso,enet", "--lambda", "0.01",
+                  "--attack", attack, "--alphas", "0.2", "--repeats", "1",
+                  "--train-subsample", "30", "--seed", "9"]
+        cut = ["--categorical", "region", "--max-features", str(MAX_FEATURES)]
+
+        def sweep(name, csv, *extra):
+            out = tmp_path / name
+            assert main(["sweep", "--csv", str(csv), *common, *extra, "--out", str(out)]) == 0
+            assert (out / "report.txt").read_text().splitlines()[1] == "cells: 2 (0 failed)"
+            return (out / "summary.csv").read_bytes()
+
+        first = sweep("first", raw, *cut)
+        assert sweep("again", raw, *cut) == first
+        assert sweep("pooled", raw, *cut, "--jobs", "2") == first
+        # the one-hot expansion and the cut give the table built by hand
+        assert sweep("by-hand", flat) == first

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -190,7 +191,8 @@ class TestMoments:
         i = int(rng.integers(n))
         x_new, y_new = rng.uniform(size=d), float(rng.uniform())
         # replace row i: its moments out, the new row's in
-        updated = (Moments.from_rows(x, y) - Moments.from_rows(x[i : i + 1], y[i : i + 1])
+        full, row = Moments.from_rows(x, y), Moments.from_rows(x[i : i + 1], y[i : i + 1])
+        updated = (Moments(full.stats - row.stats, full.n - row.n)
                    + Moments.from_rows(x_new[None], [y_new]))
         x2, y2 = x.copy(), y.copy()
         x2[i], y2[i] = x_new, y_new
@@ -376,11 +378,116 @@ class TestCoordinateDescent:
         model = fit(m, family, 1e-2).model
         rng = np.random.default_rng(5)
         for i in rng.choice(clean.n, size=5, replace=False):
-            trial = (m - Moments.from_rows(x[i : i + 1], y[i : i + 1])
+            row = Moments.from_rows(x[i : i + 1], y[i : i + 1])
+            trial = (Moments(m.stats - row.stats, m.n - row.n)
                      + Moments.from_rows(rng.uniform(size=(1, 5)), [rng.uniform()]))
             report = fit(trial, family, 1e-2, warm_start=model)
             assert report.converged
             assert report.iterations <= 10
+
+    @pytest.mark.parametrize("family", ["lasso", "enet"])
+    @pytest.mark.parametrize("where,names", [
+        ("feature", ["sum x2*x2", "sum x2*y"]),
+        ("response", ["sum y*y"]),
+        ("moment", ["sum x0*x1"]),
+    ])
+    def test_non_finite_data_raises_naming_the_moments(self, family, where, names):
+        # a sweep over NaN moments ended with converged=True and a NaN model
+        x, y = random_rows(21, 5, 30)
+        if where == "feature":
+            x[4, 2] = np.nan
+            data = Dataset(x, y)
+        elif where == "response":
+            y[7] = np.inf
+            data = Dataset(x, y)
+        else:
+            m = Moments.from_rows(x, y)
+            stats = m.stats.copy()
+            stats[0, 1] = np.nan  # one off-diagonal entry; stats[1, 0] stays finite
+            data = Moments(stats, m.n)
+        with pytest.raises(ValueError, match="non-finite") as info:
+            fit(data, family, 1e-2)
+        for name in names:
+            assert name in str(info.value)
+
+
+def reference_coordinate_descent(m, l1, l2, tol, max_iters, w0=None, b0=None):
+    """Coordinate descent as one interpreted loop over lists, in the float
+    order `_sweep_kernel` must keep: the compiled sweeps return its weights,
+    bias, sweep count and flag bit for bit."""
+    d, n = m.d, m.n
+    g = m.stats.tolist()
+    s, sy = g[d][:d], g[d][d + 1]
+    sig = [[gjk - sj * sk / n for gjk, sk in zip(gj, s)] for gj, sj in zip(g, s)]
+    r = [gj[d + 1] - sj * sy / n for gj, sj in zip(g, s)]
+    free = [j for j in range(d) if sig[j][j] > regress.ZERO_VARIANCE_RTOL * g[j][j]]
+    w = [0.0] * d
+    if w0 is not None:
+        for j in free:
+            w[j] = float(w0[j])
+    q = [sum(sk * wk for sk, wk in zip(row, w)) for row in sig]
+    b = sy / n if b0 is None else float(b0)
+    for it in range(1, max_iters + 1):
+        max_delta = 0.0
+        for j in free:
+            sj, wj = sig[j], w[j]
+            rho_j = r[j] - q[j] + sj[j] * wj
+            new = math.copysign(max(abs(rho_j) - l1, 0.0), rho_j) / (sj[j] + l2)
+            if new != wj:
+                delta = new - wj
+                q = [qk + sk * delta for qk, sk in zip(q, sj)]
+                w[j] = new
+                max_delta = max(max_delta, abs(delta))
+        b_next = (sy - sum(sk * wk for sk, wk in zip(s, w))) / n
+        max_delta = max(max_delta, abs(b_next - b))
+        b = b_next
+        if max_delta < tol:
+            return np.array(w), b, it, True
+    return np.array(w), b, max_iters, False
+
+
+class TestSweepKernel:
+    """The compiled sweeps against the list loop, bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(m, lam, mix, max_iters, warm, seed):
+        l1, l2 = lam * mix[0], lam * mix[1]
+        w0 = b0 = None
+        if warm:
+            rng = np.random.default_rng(seed)
+            w0, b0 = rng.uniform(-1.0, 1.0, size=m.d), float(rng.uniform())
+        want = reference_coordinate_descent(m, l1, l2, DEFAULT_TOL, max_iters, w0, b0)
+        got = regress._coordinate_descent(m, l1, l2, DEFAULT_TOL, max_iters, w0, b0)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+        assert got[2:] == want[2:]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 8),
+        extra=st.integers(0, 30),
+        mix=st.sampled_from([(1.0, 0.0), (0.3, 0.7), (0.0, 1.0)]),  # LASSO, ENet, rho = 0
+        lam=st.sampled_from([0.0, 1e-4, 1e-2, 1.0]),
+        constant=st.lists(st.booleans(), min_size=8, max_size=8),
+        max_iters=st.sampled_from([0, 1, 3, regress.DEFAULT_MAX_ITERS]),
+        warm=st.booleans(),
+    )
+    def test_compiled_sweeps_are_the_list_loop(self, seed, d, extra, mix, lam, constant,
+                                               max_iters, warm):
+        x, y = random_rows(seed, d, d + 1 + extra)
+        for j in range(d):
+            if constant[j]:  # collinear with the bias: not a free coordinate
+                x[:, j] = 0.7
+        self.assert_same_bits(Moments.from_rows(x, y), lam, mix, max_iters, warm, seed)
+
+    @pytest.mark.parametrize("d,n_constant", [(40, 0), (40, 3), (4, 4)])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_wide_and_all_constant_systems(self, d, n_constant, warm):
+        x, y = random_rows(d, d, 3 * d)
+        x[:, :n_constant] = 0.25
+        self.assert_same_bits(Moments.from_rows(x, y), 1e-2, (1.0, 0.0),
+                              regress.DEFAULT_MAX_ITERS, warm, d)
 
 
 class TestLossAndMse:
@@ -485,6 +592,13 @@ class TestRejectedInputs:
     def test_model_settings(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             RegressionModel(np.array([0.5]), 0.1, **kwargs)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("rho", [2.0, -0.5, float("nan")])
+    def test_fit_rejects_rho_outside_the_unit_interval(self, family, rho):
+        # checked before any solve: Elastic-net at rho = 2 divided by zero inside CD
+        with pytest.raises(ValueError, match="rho must be in"):
+            fit(Dataset([[0.0], [1.0]], [0.0, 1.0]), family, 0.5, rho=rho)
 
     def test_fit_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
