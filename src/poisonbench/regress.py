@@ -18,11 +18,13 @@ centred Gram, O(d^2) a sweep whatever N is: the bias is minimized out
 exactly, so the sweeps cycle over the weights alone, and a column of zero
 centred variance (a constant feature) keeps weight 0. The sweeps run in a
 function generated from source and compiled once per number k of free
-weights (`_sweep_kernel`, cached by k): every matrix and vector entry is
-a local variable, so a weight change updates q in k straight-line lines
-instead of a loop over lists, in the float order of that loop, bit for
-bit. Compiling costs about 2 ms at k = 5 and grows as k^2 (about 90 ms at
-k = 40). Moments holding NaN or inf raise before any sweep.
+weights (`_sweep_kernel`, cached by k) for k up to KERNEL_MAX_K = 8: every
+matrix and vector entry is a local variable, so a weight change updates q
+in k straight-line lines instead of a loop over lists, in the float order
+of that loop, bit for bit, and a fit takes about half the time. Compiling
+costs 1-6 ms (k = 2 to 8) and grows as k^2, so wider systems run the same
+sweeps as that loop over lists (`_sweep_loop`), which compiles nothing.
+Moments holding NaN or inf raise before any sweep.
 """
 
 from __future__ import annotations
@@ -42,6 +44,13 @@ MIN_RCOND = 1e-8  # below this eigenvalue ratio the normal equations lose too ma
 # a column whose centred variance is <= this times G_jj is constant; rounding
 # leaves up to 140 ulps there (measured on 40 to 100,000 rows)
 ZERO_VARIANCE_RTOL = 1024 * 2.0**-52
+# the widest system whose sweeps are compiled (`_sweep_kernel`). The kernel
+# halves a fit's time at every k, so it pays back its compile after 15-35
+# fits of one k, but the compile grows as k^2: 5 ms and 0.75 MB at k = 8,
+# 25 ms and 4.6 MB at 20, 1 s and 241 MB at 160. At k <= 8 the nine kernels
+# a process can hold cost at most ~20 ms and ~2 MB in all; wider systems,
+# which one-off fits of one-hot tables reach, run `_sweep_loop` instead
+KERNEL_MAX_K = 8
 LAMBDA_GRID = tuple(np.logspace(-4, 0, 9))
 
 
@@ -209,10 +218,11 @@ def _solve_normal_equations(m: Moments, lam, rows):
 def _sweep_kernel(k: int):
     """The coordinate-descent sweeps over k free weights, as one function
     whose source is built from the integer k alone, compiled once and
-    cached by k: a process compiles at most d+1 of them, one per number of
-    free coordinates it meets. Every entry of Sigma, r, q and w is a local
-    variable, so a weight change updates q in k straight-line lines rather
-    than by list iteration. At k = 2 the source reads
+    cached by k: `_coordinate_descent` asks only for k <= KERNEL_MAX_K, so a
+    process holds at most KERNEL_MAX_K + 1 of them. Every entry of Sigma, r,
+    q and w is a local variable, so a weight change updates q in k
+    straight-line lines rather than by list iteration. At k = 2 the source
+    reads
 
         def sweeps(g, w, n, b, l1, l2, tol, max_iters):
             [[g0_0, g0_1, _, r0], [g1_0, g1_1, _, r1], [s0, s1, _, sy], _] = g
@@ -243,16 +253,16 @@ def _sweep_kernel(k: int):
             return [w0, w1], b, max_iters, False
 
     g is the (k+2, k+2) moments of the free columns, 1 and y as nested
-    lists, and w the starting weights. Each float operation is the one the
-    loop over lists in `tests/test_regress.py` does, in the same order, so
-    weights, bias, sweep count and flag match it bit for bit: Sigma and r
-    are centred entry by entry, every sum stays a builtin `sum` over the
-    same terms (Python 3.12 compensates float sums), and every maximum a
-    `max` (which keeps its first argument against a NaN). The constant
-    columns the sweeps leave out add only terms of 0 * Sigma_jk, which are
+    lists, and w the starting weights. Each float operation is the one
+    `_sweep_loop` does, in the same order, so weights, bias, sweep count
+    and flag match it bit for bit: Sigma and r are centred entry by entry,
+    every sum stays a builtin `sum` over the same terms (Python 3.12
+    compensates float sums), and every maximum a `max` (which keeps its
+    first argument against a NaN). The constant columns that both leave
+    out would add only terms of 0 * Sigma_jk to a loop over all d, which are
     +-0 and change no sum while Sigma is finite. Compiling takes about
-    1.5-3 ms at k = 5, 4-7 ms at 10, 13-25 ms at 20, 50-90 ms at 40 and
-    200-340 ms at 80 (Python 3.11 on a 2-vCPU Xeon)."""
+    1 ms at k = 2, 2-3 ms at 5 and 4-6 ms at 8, and would take 13-25 ms at
+    20 and 50-90 ms at 40 (Python 3.11 on a 2-vCPU Xeon)."""
     ix = range(k)
     rows = [[*(f"g{i}_{j}" for j in ix), "_", f"r{i}"] for i in ix]
     rows.append([*(f"s{j}" for j in ix), "_", "sy"])
@@ -294,6 +304,34 @@ def _sweep_kernel(k: int):
     return namespace["sweeps"]
 
 
+def _sweep_loop(g, w, n, b, l1, l2, tol, max_iters):
+    """The sweeps of `_sweep_kernel(k)` as one loop over lists, for any k:
+    the same arguments, float operations and order, so the same bits. It
+    runs the systems too wide to compile (k > KERNEL_MAX_K)."""
+    k, copysign = len(w), math.copysign
+    s, sy = g[k][:k], g[k][k + 1]
+    sig = [[gij - si * sj / n for gij, sj in zip(gi, s)] for gi, si in zip(g, s)]
+    r = [gi[k + 1] - si * sy / n for gi, si in zip(g, s)]
+    q = [sum([sij * wj for sij, wj in zip(row, w)]) for row in sig]
+    for it in range(1, max_iters + 1):
+        max_delta = 0.0
+        for i in range(k):
+            si, wi = sig[i], w[i]
+            rho = r[i] - q[i] + si[i] * wi
+            new = copysign(max(abs(rho) - l1, 0.0), rho) / (si[i] + l2)
+            if new != wi:
+                delta = new - wi
+                q = [qj + sij * delta for qj, sij in zip(q, si)]
+                w[i] = new
+                max_delta = max(max_delta, abs(delta))
+        b_next = (sy - sum([sj * wj for sj, wj in zip(s, w)])) / n
+        max_delta = max(max_delta, abs(b_next - b))
+        b = b_next
+        if max_delta < tol:
+            return w, b, it, True
+    return w, b, max_iters, False
+
+
 def _coordinate_descent(m: Moments, l1, l2, tol, max_iters, w0=None, b0=None):
     """Cyclic coordinate descent with soft-thresholding on the centred Gram
     (Friedman, Hastie & Tibshirani, 2010): the unpenalized bias is minimized
@@ -301,7 +339,8 @@ def _coordinate_descent(m: Moments, l1, l2, tol, max_iters, w0=None, b0=None):
     alone on Sigma = G_xx - s s^T / n and r = c_x - s sum(y) / n, keeping
     q = Sigma w. A column of rounding-level centred variance is collinear with
     the bias and keeps weight 0, the exact optimum for lambda > 0, and drops
-    out of the sweeps, which run in `_sweep_kernel` on the k free columns.
+    out of the sweeps, which run on the k free columns in `_sweep_kernel(k)`
+    up to k = KERNEL_MAX_K and in `_sweep_loop` above it, to the same bits.
     Stops when the largest weight change or implied bias change in a sweep
     is < tol. Moments holding NaN or inf raise a ValueError that names them:
     a sweep over them would report convergence on a NaN model."""
@@ -323,7 +362,11 @@ def _coordinate_descent(m: Moments, l1, l2, tol, max_iters, w0=None, b0=None):
         g = [[g[i][j] for j in keep] for i in keep]
         w = [w[j] for j in free]
     b = sy / n if b0 is None else float(b0)
-    w, b, sweeps, converged = _sweep_kernel(len(free))(g, w, n, b, l1, l2, tol, max_iters)
+    k = len(free)
+    run = _sweep_kernel(k) if k <= KERNEL_MAX_K else _sweep_loop
+    w, b, sweeps, converged = run(g, w, n, b, l1, l2, tol, max_iters)
+    if k == d:
+        return np.array(w), b, sweeps, converged
     weights = np.zeros(d)
     weights[free] = w
     return weights, b, sweeps, converged

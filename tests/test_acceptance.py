@@ -426,7 +426,12 @@ class TestCriterion9DatasetGated:
 
 
 # the stand-in corpus's columns after one-hot expansion; the sweep keeps the
-# first MAX_FEATURES of them, a cut that splits `region`'s levels
+# first MAX_FEATURES of them, a cut that splits `region`'s levels on purpose.
+# A one-hot group kept whole sums to the bias column, and LASSO/Elastic-net
+# coordinate descent crawls along that collinearity (0.1-5 s a cell, up to
+# the sweep cap): load_csv keeps every level of a one-hot column (see the
+# FOUND line on it in CHANGES.md). Until that is fixed, a cut that keeps a
+# whole group is not covered here, and widening MAX_FEATURES makes it so.
 STAND_IN_FEATURES = ("a", "b", "region=1", "region=2", "region=3", "region=4",
                      "kind=u", "kind=v", "kind=w", "c")
 MAX_FEATURES = 5

@@ -1,7 +1,12 @@
 import dataclasses
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -412,9 +417,10 @@ class TestCoordinateDescent:
 
 
 def reference_coordinate_descent(m, l1, l2, tol, max_iters, w0=None, b0=None):
-    """Coordinate descent as one interpreted loop over lists, in the float
-    order `_sweep_kernel` must keep: the compiled sweeps return its weights,
-    bias, sweep count and flag bit for bit."""
+    """Coordinate descent as one interpreted loop over lists on all d
+    columns, in the float order the sweeps must keep: `_sweep_kernel` and
+    `_sweep_loop` return its weights, bias, sweep count and flag bit for
+    bit."""
     d, n = m.d, m.n
     g = m.stats.tolist()
     s, sy = g[d][:d], g[d][d + 1]
@@ -447,7 +453,8 @@ def reference_coordinate_descent(m, l1, l2, tol, max_iters, w0=None, b0=None):
 
 
 class TestSweepKernel:
-    """The compiled sweeps against the list loop, bit for bit."""
+    """The compiled sweeps and `_sweep_loop` against the list loop, bit for
+    bit."""
 
     @staticmethod
     def assert_same_bits(m, lam, mix, max_iters, warm, seed):
@@ -457,10 +464,12 @@ class TestSweepKernel:
             rng = np.random.default_rng(seed)
             w0, b0 = rng.uniform(-1.0, 1.0, size=m.d), float(rng.uniform())
         want = reference_coordinate_descent(m, l1, l2, DEFAULT_TOL, max_iters, w0, b0)
-        got = regress._coordinate_descent(m, l1, l2, DEFAULT_TOL, max_iters, w0, b0)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
-        assert got[2:] == want[2:]
+        for cap in (-1, m.d):  # every k through `_sweep_loop`, then through the kernel
+            with mock.patch.object(regress, "KERNEL_MAX_K", cap):
+                got = regress._coordinate_descent(m, l1, l2, DEFAULT_TOL, max_iters, w0, b0)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+            assert got[2:] == want[2:]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -488,6 +497,35 @@ class TestSweepKernel:
         x[:, :n_constant] = 0.25
         self.assert_same_bits(Moments.from_rows(x, y), 1e-2, (1.0, 0.0),
                               regress.DEFAULT_MAX_ITERS, warm, d)
+
+    def test_a_wide_fit_stays_within_its_budget(self):
+        """A one-off LASSO fit on 200 free columns, alone in a fresh
+        process, takes under 1 s and raises the peak RSS by under 32 MB.
+        It takes about 0.2 s and 4 MB in `_sweep_loop`; compiling a kernel
+        for k = 200 would take over a second and hundreds of MB."""
+        code = """
+import resource, time
+import numpy as np
+from poisonbench.data import Dataset
+from poisonbench.regress import fit
+rng = np.random.default_rng(200)
+x = rng.uniform(size=(600, 200))
+y = x @ rng.uniform(-0.5, 0.5, size=200) + rng.normal(0.0, 0.1, size=600)
+ds = Dataset(x, y)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+start = time.perf_counter()
+report = fit(ds, "lasso", 1e-2)
+elapsed = time.perf_counter() - start
+grown_mb = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024
+print(report.converged, elapsed, grown_mb)
+"""
+        src = str(Path(regress.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        converged, elapsed, grown_mb = out.stdout.split()
+        assert converged == "True"
+        assert float(elapsed) < 1.0 and float(grown_mb) < 32.0, out.stdout
 
 
 class TestLossAndMse:
