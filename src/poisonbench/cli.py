@@ -29,6 +29,7 @@ from .records import DEFAULT_SEED, FAMILIES
 
 DEFAULT_OUT = "poisonbench-out"
 MAX_GRID_VALUES = 1000  # values one start:stop:step range may expand to
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class UsageError(ValueError):
@@ -534,7 +535,15 @@ _COMMANDS = {  # name: (handler, help)
 
 
 def main(argv=None) -> int:
-    """Run one command: 2 on a usage error, 1 on any other failure."""
+    """Run one command: 2 on a usage error, 1 on any other failure.
+
+    BLAS runs on one thread unless the caller's environment says otherwise:
+    the products here are small, and OpenBLAS's helper thread busy-waits,
+    taking the core of a `sweep --jobs` worker. The setting reaches numpy
+    only when no command has imported it yet, as in a `poisonbench`
+    process, and pool workers inherit it."""
+    for name in BLAS_THREAD_VARS:
+        os.environ.setdefault(name, "1")
     try:
         cfg = parse_args(argv if argv is not None else sys.argv[1:])
         handler, _ = _COMMANDS[cfg.command]

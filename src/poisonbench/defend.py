@@ -22,7 +22,11 @@ the rows taken so far; it gathers their rows once and builds their moments
 in one batched product, takes every trial's residuals to its group model in
 one (k x N) product, and builds the subset moments as mask @ outer, with
 outer holding the N per-row outer products; only the two fits of each trial
-run one at a time. A subset takes the n smallest absolute residuals, ties
+run one at a time. Both residual products of every block write into one
+(trials x rows) workspace, allocated once a call, and their absolute values
+and squares are taken in place, so a block allocates no float array of that
+size but `np.partition`'s copy and the float copy of the mask that the
+subset product takes. A subset takes the n smallest absolute residuals, ties
 at the n-th value going to the lowest row indices, which is the first n of
 a stable sort. When no trial has more ties at its n-th value than room for
 them (with continuous residuals the n-th value is its only tie), the rows
@@ -198,6 +202,9 @@ def proda_defend(
     # numbers then do not depend on the size of its block.
     coef = np.zeros((max(block, 2), d + 2))
     coef[:, d + 1] = -1.0
+    # both residual products of a block, written in place: nothing that
+    # outlives the block may view it
+    work = np.empty((max(block, 2), n_rows))
     group_mses = np.empty(beta)
     best = None  # (trial index, subset mask, model, group, converged)
     for lo in range(0, beta, block):
@@ -209,13 +216,14 @@ def proda_defend(
         fits = [fit(Moments(s, cfg.gamma), family, lam, rho=rho) for s in group_stats]
         coef[:k, :d] = [f.model.weights for f in fits]
         coef[:k, d] = [f.model.bias for f in fits]
-        mask = _smallest(np.abs(coef[:k2].dot(rows.T)), n)
+        resid = np.dot(coef[:k2], rows.T, out=work[:k2])
+        mask = _smallest(np.abs(resid, out=resid), n)
         subset_stats = (mask @ outer)[:k].reshape(k, d + 2, d + 2)
         refits = [fit(Moments(s, n), family, lam, rho=rho) for s in subset_stats]
         coef[:k, :d] = [f.model.weights for f in refits]
         coef[:k, d] = [f.model.bias for f in refits]
-        resid = coef[:k2].dot(rows.T)[:k]
-        mses = np.einsum("ij,ij->i", resid * resid, mask[:k]) / n
+        resid = np.dot(coef[:k2], rows.T, out=work[:k2])[:k]
+        mses = np.einsum("ij,ij->i", np.square(resid, out=resid), mask[:k]) / n
         group_mses[lo : lo + k] = mses
         i = int(np.argmin(mses))
         if best is None or mses[i] < group_mses[best[0]]:

@@ -12,11 +12,17 @@ Every solver reads the data through its `Moments` (G = A^T A for A = [X 1],
 c = A^T y and y^T y): OLS/Ridge invert the penalized Gram H once and take
 theta = H^-1 c (the fit's report keeps H^-1 for the attack's gradient), with
 a minimum-norm least-squares fallback when ||H||_F ||H^-1||_F, an upper bound
-on the eigenvalue ratio, reaches 1/MIN_RCOND; LASSO/Elastic-net run cyclic
-coordinate descent with soft-thresholding in covariance-update form on the
-centred Gram, O(d^2) a sweep whatever N is: the bias is minimized out
-exactly, so the sweeps cycle over the weights alone, and a column of zero
-centred variance (a constant feature) keeps weight 0. The sweeps run in a
+on the eigenvalue ratio, reaches 1/MIN_RCOND or is NaN. The inverse is the
+LAPACK gufunc behind `np.linalg.inv`, called directly for the same bits:
+at d <= 8 the wrapper's checks and error state cost about as much as the
+inverse itself (11 against 5 us at d = 5 on a 2-vCPU Xeon), and Proda fits
+twice a trial. With floating-point errors ignored, a singular H comes back
+NaN-filled instead of raising, and its NaN bound falls back.
+LASSO/Elastic-net run cyclic coordinate descent with soft-thresholding in
+covariance-update form on the centred Gram, O(d^2) a sweep whatever N is:
+the bias is minimized out exactly, so the sweeps cycle over the weights
+alone, and a column of zero centred variance (a constant feature) keeps
+weight 0. The sweeps run in a
 function generated from source and compiled once per number k of free
 weights (`_sweep_kernel`, cached by k) for k up to KERNEL_MAX_K = 8: every
 matrix and vector entry is a local variable, so a weight change updates q
@@ -34,6 +40,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg._umath_linalg import inv as _lapack_inv  # the gufunc under np.linalg.inv
 
 from .data import Dataset
 from .records import FAMILIES
@@ -190,19 +197,18 @@ def _solve_normal_equations(m: Moments, lam, rows):
     """OLS / Ridge: theta = H^-1 c for H = G + lam diag(1, ..., 1, 0), from
     one inverse. ||H||_F ||H^-1||_F bounds the eigenvalue ratio of H from
     above, within a factor d+1, so a system whose bound reaches 1/MIN_RCOND
-    (or whose inverse fails) goes to minimum-norm least squares: on the rows
-    when at hand, with Ridge's sqrt(lam) [I 0] rows appended, else on the
-    system itself. Returns (w, b, fallback, H^-1 or None on a fallback)."""
+    goes to minimum-norm least squares: on the rows when at hand, with
+    Ridge's sqrt(lam) [I 0] rows appended, else on the system itself. A
+    singular H, on which `np.linalg.inv` would raise, inverts to NaN here
+    and falls back the same way. Returns (w, b, fallback, H^-1 or None on a
+    fallback)."""
     d = m.d
     h = m.penalized_gram(lam)
-    try:
-        h_inv = np.linalg.inv(h)
-        hf, inv_f = h.ravel(), h_inv.ravel()
-        # written so that a NaN bound falls back too
-        well_posed = MIN_RCOND**2 * float(hf.dot(hf)) * float(inv_f.dot(inv_f)) < 1.0
-    except np.linalg.LinAlgError:
-        well_posed = False
-    if well_posed:
+    with np.errstate(all="ignore"):
+        h_inv = _lapack_inv(h, signature="d->d")  # NaN-filled when H is singular
+    hf, inv_f = h.ravel(), h_inv.ravel()
+    # written so that a NaN bound falls back too
+    if MIN_RCOND**2 * float(hf.dot(hf)) * float(inv_f.dot(inv_f)) < 1.0:
         theta = h_inv.dot(m.cross)
         return theta[:d], float(theta[d]), False, h_inv
     a, rhs = h, m.cross

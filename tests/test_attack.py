@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisonbench import attack as attack_module
-from poisonbench import harness
+from poisonbench import harness, regress
 from poisonbench.attack import (
     AttackConfig,
     DegenerateCleanLossError,
@@ -673,16 +673,19 @@ class TestWorkCount:
     def test_one_factorization_per_trial(self, monkeypatch):
         # every refit inverts its H once and a gradient reuses the accepted
         # fit's H^-1, so only a sweep's first gradient solves; the two extra
-        # systems are the cell's clean fit and its fit on the poisoned set
+        # systems are the cell's clean fit and its fit on the poisoned set.
+        # A refit inverts through the LAPACK gufunc regress binds, not
+        # np.linalg.inv, so that binding is counted too
         calls = []
-        for name in ("inv", "solve", "eigvalsh", "eigh"):
-            real = getattr(np.linalg, name)
+        targets = [(np.linalg, name) for name in ("inv", "solve", "eigvalsh", "eigh")]
+        for owner, name in [*targets, (regress, "_lapack_inv")]:
+            real = getattr(owner, name)
 
             def counted(*args, real=real, **kwargs):
                 calls.append(1)
                 return real(*args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         spec = harness.ExperimentSpec(
             synthetic=SyntheticSpec(d=3, n=120, true_weights=(0.3, -0.2, 0.1), true_bias=0.4,
                                     noise_std=0.08, seed=5),

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -648,6 +652,54 @@ class TestSweepAndReport:
                      "--repeats", "2", "--jobs", jobs, "--out", str(tmp_path / "out")])
         assert code == 1
         assert "FileNotFoundError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset,openblas", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
+    def test_sweep_workers_run_blas_on_one_thread_unless_set(self, tmp_path, preset, openblas):
+        # numpy reads the variables once, on import, so only a fresh
+        # process shows what the command sets; its pool records what each
+        # worker's environment holds
+        script = tmp_path / "sweep.py"
+        script.write_text(RECORDING_SWEEP, encoding="utf-8")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+        env.update(preset, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["sweep", "--synthetic", "d=2,n=45,noise=0.1", "--alphas", "0.1,0.2",
+                "--repeats", "1", "--jobs", "2", "--out", str(tmp_path / "out")]
+        done = subprocess.run([sys.executable, str(script), str(tmp_path), *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        seen = [json.loads(p.read_text()) for p in tmp_path.glob("worker-*.json")]
+        assert 1 <= len(seen) <= 2
+        want = {"OPENBLAS_NUM_THREADS": openblas, "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        assert seen == [want] * len(seen)
+
+
+# `sweep` in a fresh process whose pool workers each write their BLAS thread
+# variables to <argv[1]>/worker-<pid>.json when they start
+RECORDING_SWEEP = """\
+import concurrent.futures, json, os, sys
+
+NAMES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def record_environment():
+    path = os.path.join(sys.argv[1], f"worker-{os.getpid()}.json")
+    with open(path, "w") as f:
+        json.dump({name: os.environ.get(name) for name in NAMES}, f)
+
+
+class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, max_workers=None):
+        super().__init__(max_workers, initializer=record_environment)
+
+
+if __name__ == "__main__":
+    concurrent.futures.ProcessPoolExecutor = RecordingPool  # before harness imports it
+    from poisonbench import cli
+
+    assert "numpy" not in sys.modules
+    sys.exit(cli.main(sys.argv[2:]))
+"""
 
 
 def _write_config(tmp_path, text):

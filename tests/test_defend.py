@@ -406,6 +406,25 @@ class TestProdaBlocks:
         assert beta > 14 and beta % 7 != 0
         assert_matches_reference(merged, cfg, family)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_first_block_winner_survives_the_later_blocks(self, monkeypatch, family):
+        # every block writes its residuals into one workspace, so a winner
+        # kept from the first block must hold nothing that views it
+        _, merged, _ = planted_outlier_dataset(48, 12, seed=1)
+        cfg = ProdaConfig(gamma=6, alpha_assumed=0.2, seed=0)
+        lam = 0.0 if family == "ols" else 1e-2
+        whole = proda_defend(merged, cfg, family, lam)  # one block
+        monkeypatch.setattr(defend, "BLOCK_FLOATS", 7 * merged.n)  # blocks of 7 trials
+        got = proda_defend(merged, cfg, family, lam)
+        trace = np.array(got.group_mse_trace)
+        assert np.argmin(trace) < 7 and got.beta_used > 14
+        assert_matches_reference(merged, cfg, family)
+        assert got.subset_indices == whole.subset_indices
+        assert got.winning_group_indices == whole.winning_group_indices
+        assert got.model.weights.tobytes() == whole.model.weights.tobytes()
+        assert got.model.bias == whole.model.bias
+        assert trace.tobytes() == np.array(whole.group_mse_trace).tobytes()
+
     def test_selector_matches_stable_argsort(self):
         rng = np.random.default_rng(0)
         resid = np.round(rng.uniform(size=(64, 40)), 1)  # about 4 ties per value

@@ -299,6 +299,126 @@ class TestInverseFactor:
             assert report.fallback
 
 
+def reference_normal_equations(m, lam):
+    """The closed-form solve through np.linalg.inv, which raises on a
+    singular H: (w, b, H^-1), or None where the fit must fall back."""
+    d, h = m.d, m.penalized_gram(lam)
+    try:
+        h_inv = np.linalg.inv(h)
+    except np.linalg.LinAlgError:
+        return None
+    hf, inv_f = h.ravel(), h_inv.ravel()
+    if not MIN_RCOND**2 * float(hf.dot(hf)) * float(inv_f.dot(inv_f)) < 1.0:
+        return None
+    theta = h_inv.dot(m.cross)
+    return theta[:d], float(theta[d]), h_inv
+
+
+def system_with_ratio(rng, d, ratio):
+    """Moments whose Gram is Q diag(eigenvalues) Q^T with smallest over
+    largest eigenvalue `ratio`, on a random basis Q, and a random c."""
+    q, _ = np.linalg.qr(rng.normal(size=(d + 1, d + 1)))
+    eig = np.geomspace(ratio, 1.0, d + 1) * rng.uniform(1.0, 100.0)
+    stats = np.empty((d + 2, d + 2))
+    stats[:-1, :-1] = (q * eig) @ q.T
+    stats[:-1, -1] = stats[-1, :-1] = rng.normal(size=d + 1)
+    stats[-1, -1] = 1.0
+    return Moments(stats, 10 * (d + 1))
+
+
+def count_lstsq_calls(monkeypatch):
+    """Patch np.linalg.lstsq to append to the returned list on each call."""
+    real_lstsq, calls = np.linalg.lstsq, []
+
+    def counting_lstsq(*args, **kwargs):
+        calls.append(1)
+        return real_lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    return calls
+
+
+class TestGufuncInverse:
+    """`_solve_normal_equations` calls the LAPACK gufunc under np.linalg.inv
+    with floating-point errors ignored: the same bits where np.linalg.inv
+    returns, and a NaN-filled H^-1, hence the fallback, where it raises.
+    The suite turns any RuntimeWarning into a failure, so none may escape."""
+
+    @staticmethod
+    def assert_same_as_reference(m, family, lam):
+        report, want = fit(m, family, lam), reference_normal_equations(m, lam)
+        if want is None:
+            assert report.h_inv is None
+            return False
+        w, b, h_inv = want
+        assert report.h_inv.tobytes() == h_inv.tobytes()
+        assert report.model.weights.tobytes() == w.tobytes()
+        assert report.model.bias == b and not report.fallback
+        return True
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("family,lam", [("ols", 0.0), ("ridge", 1e-3), ("ridge", 0.7)])
+    def test_random_systems_are_np_linalg_inv_bit_for_bit(self, d, family, lam):
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            x, y = rng.uniform(size=(3 * (d + 1), d)), rng.uniform(size=3 * (d + 1))
+            assert self.assert_same_as_reference(Moments.from_rows(x, y), family, lam)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("family", ["ols", "ridge"])
+    def test_systems_in_the_condition_band_are_np_linalg_inv_bit_for_bit(self, d, family):
+        # eigenvalue ratios from MIN_RCOND / 30 to 30 (d+1) MIN_RCOND, across
+        # the band where the Frobenius bound decides between the two paths
+        rng = np.random.default_rng(100 + d)
+        lam = 0.0 if family == "ols" else 1e-12
+        kept = [
+            self.assert_same_as_reference(system_with_ratio(rng, d, ratio), family, lam)
+            for ratio in np.geomspace(MIN_RCOND / 30, 30 * (d + 1) * MIN_RCOND, 24)
+        ]
+        assert any(kept) and not all(kept)
+
+    @pytest.mark.parametrize("family", ["ols", "ridge"])
+    @pytest.mark.parametrize("layout", ["duplicated column", "duplicated group rows"])
+    @pytest.mark.parametrize("on_rows", [True, False])
+    def test_exactly_singular_systems_fall_back(self, monkeypatch, family, layout, on_rows):
+        rng = np.random.default_rng(8)
+        x = rng.uniform(size=(12, 3))
+        if layout == "duplicated column":
+            x[:, 2] = x[:, 0]
+        else:  # a group of 12 rows holding 3 distinct ones, fewer than d + 1
+            x = x[[0, 1, 2] * 4]
+        ds = Dataset(x, x @ [0.3, -0.2, 0.1] + 0.4)
+        lam = 0.0  # a Ridge penalty would make the system regular
+        if layout == "duplicated column":
+            # two equal rows and columns of H: LU meets an exact zero pivot,
+            # so H^-1 is NaN (the rounded Gram of repeated rows is not singular)
+            with np.errstate(all="ignore"):
+                h_inv = regress._lapack_inv(Moments.of(ds).penalized_gram(lam), signature="d->d")
+            assert np.isnan(h_inv).all()
+        calls = count_lstsq_calls(monkeypatch)
+        report = fit(ds if on_rows else Moments.of(ds), family, lam)
+        assert calls == [1] and report.h_inv is None and report.fallback
+
+    @pytest.mark.parametrize("family", ["ols", "ridge"])
+    @pytest.mark.parametrize("where", ["gram off-diagonal", "gram diagonal", "feature"])
+    def test_non_finite_systems_still_reach_least_squares(self, monkeypatch, family, where):
+        # np.linalg.inv raised or returned NaN on these, and the minimum-norm
+        # fallback then raised; it still does
+        x, y = random_rows(22, 3, 20)
+        if where == "feature":
+            x[4, 2] = np.nan
+            data = Dataset(x, y)
+        else:
+            stats = Moments.from_rows(x, y).stats.copy()
+            stats[(0, 1) if where == "gram off-diagonal" else (2, 2)] = (
+                np.nan if where == "gram off-diagonal" else -np.inf)
+            data = Moments(stats, 20)
+        calls = count_lstsq_calls(monkeypatch)
+        with pytest.raises(np.linalg.LinAlgError):
+            fit(data, family, 0.1)
+        assert calls == [1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     family=st.sampled_from(["ols", "ridge"]),
