@@ -21,10 +21,12 @@ zero curvature. Under an l1 penalty (LASSO, Elastic-net) a zero weight stays
 at zero while the point moves a little, so the system is restricted to the
 active set: the nonzero weights and the bias, with zero columns of J for the
 others (Xiao et al., ICML 2015). A gradient needs only J @ g for one vector
-g, so it solves H v = g once (the adjoint form, Pedregosa 2016). A step reuses
-the accepted trial's u = (w, b, -1), q = stats u (g is q[:-1], scaled for
-Nopt) and OLS/Ridge H^-1, so it factors H once. The poison points are rows
-(x, 1, y); a trial swaps one in the merged moments by two rank-one updates.
+g, so it solves H v = g once (the adjoint form, Pedregosa 2016) by the
+refit's rule, `regress._solve`: H^-1 g, or minimum norm where the refit
+falls back, with no jitter. A step reuses the accepted trial's u = (w, b,
+-1), q = stats u (g is q[:-1], scaled for Nopt) and OLS/Ridge H^-1, so it
+factors H once. The poison points are rows (x, 1, y); a trial swaps one in
+the merged moments by two rank-one updates.
 
 The line search backtracks on the step eta of a projected step along the
 normalized gradient from eta = sqrt(d+1), the diameter of the box the
@@ -41,18 +43,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, poison_count
-from .regress import Moments, RegressionModel, _penalty_mix, fit, loss, mse
+from .regress import Moments, RegressionModel, _penalty_mix, _solve, fit, loss, mse
 
-logger = logging.getLogger(__name__)
-
-KKT_JITTER = 1e-8
 ARMIJO_C = 1e-4
 # line search: backtracking factor and backtracks per point; the first step
 # spans the unit box [0, 1] that every dataset lives in: sqrt(d+1) across
@@ -128,28 +126,16 @@ def dispersion_objective(
     return abs(_dispersion(total, ref_loss, clean.n + poison.n, clean.n))
 
 
-def _solve_kkt(h: np.ndarray, rhs: np.ndarray, jitter: float) -> np.ndarray:
-    """h^-1 rhs; a singular h is retried once with `jitter` added to its diagonal."""
-    try:
-        return np.linalg.solve(h, rhs)
-    except np.linalg.LinAlgError:
-        logger.warning("KKT matrix singular; retrying with diagonal jitter %.0e", jitter)
-        try:
-            return np.linalg.solve(h + jitter * np.eye(h.shape[0]), rhs)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError("KKT matrix singular even after jitter") from exc
-
-
 def _implicit_product(
     moments: Moments, model: RegressionModel, row: np.ndarray, u: np.ndarray, rhs: np.ndarray,
     h_inv: np.ndarray | None = None, scale: float = 0.0,
 ) -> np.ndarray:
     """J @ rhs + scale r_c (w, -1) for the Jacobian J of theta_jacobian at the
-    point row = (x_c, 1, y_c) with residual r_c, from one solve v = H^-1 rhs:
+    point row = (x_c, 1, y_c) with residual r_c, from one solve of H v = rhs:
     J @ rhs = -E v = -[u ((x_c, 1) . v) + r_c (v_x, 0, 0)] for u = (w, b, -1),
-    over (x, 1, y) with 0 at the constant. h_inv, when given, is H^-1 of a
-    closed-form fit on `moments`, and v is a product with it. Under an l1
-    penalty v solves on the active set and is 0 at a zero weight."""
+    over (x, 1, y) with 0 at the constant. v is h_inv @ rhs when given (H^-1
+    of a closed-form fit on `moments`), else `_solve`'s, by the fit's rule.
+    Under an l1 penalty v solves on the active set and is 0 at a zero weight."""
     n, d = moments.n, moments.d
     if n < d + 1:
         raise ValueError("need n >= d+1 training rows for the KKT system")
@@ -166,8 +152,7 @@ def _implicit_product(
                 if w_j == 0.0:
                     h[j, :] = h[:, j] = rhs[j] = 0.0
                     h[j, j] = 1.0
-        # KKT_JITTER is on the Hessian over n, the mean of the per-row Hessians
-        v = _solve_kkt(h, rhs, KKT_JITTER * n)
+        v = _solve(h, rhs)[0]
     r_c = float(model.weights @ row[:d] + model.bias - row[d + 1])
     s = scale * r_c - (row[:d] @ v[:-1] + v[-1])
     ev = s * u

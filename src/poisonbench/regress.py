@@ -9,15 +9,16 @@ rho ||w||_1 + (1 - rho)/2 ||w||_2^2 (Elastic-net). The bias is never
 regularized.
 
 Every solver reads the data through its `Moments` (G = A^T A for A = [X 1],
-c = A^T y and y^T y): OLS/Ridge invert the penalized Gram H once and take
-theta = H^-1 c (the fit's report keeps H^-1 for the attack's gradient), with
-a minimum-norm least-squares fallback when ||H||_F ||H^-1||_F, an upper bound
-on the eigenvalue ratio, reaches 1/MIN_RCOND or is NaN. The inverse is the
-LAPACK gufunc behind `np.linalg.inv`, called directly for the same bits:
-at d <= 8 the wrapper's checks and error state cost about as much as the
-inverse itself (11 against 5 us at d = 5 on a 2-vCPU Xeon), and Proda fits
-twice a trial. With floating-point errors ignored, a singular H comes back
-NaN-filled instead of raising, and its NaN bound falls back.
+c = A^T y and y^T y). `_solve` is the one rule for a penalized Gram system
+H, in the OLS/Ridge fits and the attack's gradient alike: x = H^-1 rhs from
+one inverse (a fit's report keeps H^-1), or minimum-norm least squares when
+||H||_F ||H^-1||_F, an upper bound on the eigenvalue ratio, reaches
+1/MIN_RCOND or is NaN. The inverse is the LAPACK gufunc behind
+`np.linalg.inv`, called directly for the same bits: at d <= 8 the wrapper's
+checks and error state cost about as much as the inverse itself (11 against
+5 us at d = 5 on a 2-vCPU Xeon), and Proda fits twice a trial. With
+floating-point errors ignored, a singular H comes back NaN-filled instead of
+raising, and its NaN bound falls back.
 LASSO/Elastic-net run cyclic coordinate descent with soft-thresholding in
 covariance-update form on the centred Gram, O(d^2) a sweep whatever N is:
 the bias is minimized out exactly, so the sweeps cycle over the weights
@@ -30,7 +31,7 @@ in k straight-line lines instead of a loop over lists, in the float order
 of that loop, bit for bit, and a fit takes about half the time. Compiling
 costs 1-6 ms (k = 2 to 8) and grows as k^2, so wider systems run the same
 sweeps as that loop over lists (`_sweep_loop`), which compiles nothing.
-Moments holding NaN or inf raise before any sweep.
+Moments holding NaN or inf raise a ValueError naming them, for every family.
 """
 
 from __future__ import annotations
@@ -193,31 +194,43 @@ def mse(ds: Dataset, model: RegressionModel) -> float:
     return float(r @ r) / ds.n
 
 
-def _solve_normal_equations(m: Moments, lam, rows):
-    """OLS / Ridge: theta = H^-1 c for H = G + lam diag(1, ..., 1, 0), from
-    one inverse. ||H||_F ||H^-1||_F bounds the eigenvalue ratio of H from
-    above, within a factor d+1, so a system whose bound reaches 1/MIN_RCOND
-    goes to minimum-norm least squares: on the rows when at hand, with
-    Ridge's sqrt(lam) [I 0] rows appended, else on the system itself. A
-    singular H, on which `np.linalg.inv` would raise, inverts to NaN here
-    and falls back the same way. Returns (w, b, fallback, H^-1 or None on a
-    fallback)."""
-    d = m.d
-    h = m.penalized_gram(lam)
+def _non_finite_error(stats: np.ndarray) -> ValueError:
+    """The ValueError naming each non-finite sum in `stats`, a fit's moments
+    or a system's [H rhs], whose rows and columns run over (x_1..x_d, 1, y)."""
+    names = [*(f"x{j}" for j in range(stats.shape[1] - 2)), "1", "y"]
+    bad = ~np.isfinite(stats)
+    bad[:, : len(bad)] |= bad[:, : len(bad)].T  # an entry or its mirror
+    sums = (f"sum {names[i]}*{names[j]}" for i, j in zip(*np.nonzero(np.triu(bad))))
+    return ValueError("a fit needs finite moments; non-finite: " + ", ".join(sums))
+
+
+def _solve(h: np.ndarray, rhs: np.ndarray, rows: Dataset | None = None, lam: float = 0.0):
+    """x solving H x = rhs for a penalized Gram H, the one rule for the
+    closed-form fits and the attack's implicit gradient: x = H^-1 rhs from
+    one inverse, unless ||H||_F ||H^-1||_F, an upper bound on the eigenvalue
+    ratio of H within a factor d+1, reaches 1/MIN_RCOND or is NaN; then x
+    is the minimum-norm least-squares solution, on the rows when given (with
+    Ridge's sqrt(lam) [I 0] rows appended) and else on the system itself.
+    A singular H inverts to NaN here and falls back the same way, and one
+    holding NaN or inf raises the ValueError naming it there, before least
+    squares hangs or fails on it (a non-finite rhs alone comes back in x).
+    Returns (x, H^-1 or None, rank-deficient)."""
     with np.errstate(all="ignore"):
         h_inv = _lapack_inv(h, signature="d->d")  # NaN-filled when H is singular
-    hf, inv_f = h.ravel(), h_inv.ravel()
-    # written so that a NaN bound falls back too
-    if MIN_RCOND**2 * float(hf.dot(hf)) * float(inv_f.dot(inv_f)) < 1.0:
-        theta = h_inv.dot(m.cross)
-        return theta[:d], float(theta[d]), False, h_inv
-    a, rhs = h, m.cross
+        hf, inv_f = h.ravel(), h_inv.ravel()
+        # written so that a NaN bound falls back too
+        if MIN_RCOND**2 * float(hf.dot(hf)) * float(inv_f.dot(inv_f)) < 1.0:
+            return h_inv.dot(rhs), h_inv, False
+    system = np.column_stack((h, rhs))
+    if not np.isfinite(system).all():
+        raise _non_finite_error(system)
     if rows is not None:
-        a = np.column_stack([rows.features, np.ones(rows.n)])
-        a = np.vstack([a, np.sqrt(lam) * np.eye(d, d + 1)])
+        d = rows.d
+        h = np.vstack([np.column_stack([rows.features, np.ones(rows.n)]),
+                       np.sqrt(lam) * np.eye(d, d + 1)])
         rhs = np.concatenate([rows.responses, np.zeros(d)])
-    theta, _, rank, _ = np.linalg.lstsq(a, rhs, rcond=None)
-    return theta[:d], float(theta[d]), rank < d + 1, None
+    x, _, rank, _ = np.linalg.lstsq(h, rhs, rcond=None)
+    return x, None, rank < h.shape[1]
 
 
 @functools.cache
@@ -351,14 +364,8 @@ def _coordinate_descent(m: Moments, l1, l2, tol, max_iters, w0=None, b0=None):
     is < tol. Moments holding NaN or inf raise a ValueError that names them:
     a sweep over them would report convergence on a NaN model."""
     d, n = m.d, m.n
-    finite = np.isfinite(m.stats)
-    if not finite.all():
-        names = [*(f"x{j}" for j in range(d)), "1", "y"]
-        bad = np.triu(~(finite & finite.T))
-        raise ValueError(
-            "coordinate descent needs finite moments; non-finite: "
-            + ", ".join(f"sum {names[i]}*{names[j]}" for i, j in zip(*np.nonzero(bad)))
-        )
+    if not np.isfinite(m.stats).all():
+        raise _non_finite_error(m.stats)
     g = m.stats.tolist()  # rows x_1..x_d, 1, y; g[d] = (s, n, sum y)
     s, sy = g[d], g[d][d + 1]
     free = [j for j in range(d) if g[j][j] - s[j] * s[j] / n > ZERO_VARIANCE_RTOL * g[j][j]]
@@ -400,19 +407,24 @@ def fit(
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
     m = Moments.of(data)
-    if m.n < m.d + 1:
-        raise ValueError(f"need N >= d+1 rows to fit, got N={m.n}, d={m.d}")
+    d = m.d
+    if m.n < d + 1:
+        raise ValueError(f"need N >= d+1 rows to fit, got N={m.n}, d={d}")
     if family == "ols":
         lam = 0.0  # OLS has no penalty by definition
 
     rows = data if isinstance(data, Dataset) else None
     if family in ("ols", "ridge"):
-        w, b, fallback, h_inv = _solve_normal_equations(m, lam, rows)
+        theta, h_inv, fallback = _solve(m.penalized_gram(lam), m.cross, rows, lam)
+        w, b = theta[:d], float(theta[d])
+        # b sums every entry of c times a finite number (0 * inf is NaN)
+        if not math.isfinite(b) and not np.isfinite(m.stats).all():
+            raise _non_finite_error(m.stats)
         iterations, converged = 1, True
     else:
         l1, l2 = _penalty_mix(family, rho)
         w0 = b0 = None
-        if warm_start is not None and warm_start.weights.shape[0] == m.d:
+        if warm_start is not None and warm_start.weights.shape[0] == d:
             w0, b0 = warm_start.weights, warm_start.bias
         w, b, iterations, converged = _coordinate_descent(
             m, lam * l1, lam * l2, tol, max_iters, w0, b0

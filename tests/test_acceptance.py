@@ -478,7 +478,7 @@ class TestCriterion9StandIn:
     def test_sweep_on_a_categorical_csv_is_deterministic_and_cut_as_built_by_hand(
             self, tmp_path, stand_in_corpus, attack):
         raw, flat = stand_in_corpus
-        common = ["--target", "y", "--families", "lasso,enet", "--lambda", "0.01",
+        common = ["--target", "y", "--families", "ols,ridge,lasso,enet", "--lambda", "0.01",
                   "--attack", attack, "--alphas", "0.2", "--repeats", "1",
                   "--train-subsample", "30", "--seed", "9"]
         cut = ["--categorical", "region", "--max-features", str(MAX_FEATURES)]
@@ -486,7 +486,7 @@ class TestCriterion9StandIn:
         def sweep(name, csv, *extra):
             out = tmp_path / name
             assert main(["sweep", "--csv", str(csv), *common, *extra, "--out", str(out)]) == 0
-            assert (out / "report.txt").read_text().splitlines()[1] == "cells: 2 (0 failed)"
+            assert (out / "report.txt").read_text().splitlines()[1] == "cells: 4 (0 failed)"
             return (out / "summary.csv").read_bytes()
 
         first = sweep("first", raw, *cut)

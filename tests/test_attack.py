@@ -293,6 +293,17 @@ def full_jacobian_gradient(clean, poison, model, ref, index, kind):
 FAMILY_LAMBDAS = [("ols", 0.0), ("ridge", 0.1), ("lasso", 0.01), ("enet", 0.01)]
 
 
+def near_duplicate_set(gap):
+    """120 rows in the unit box whose fourth column repeats the first up to
+    `gap` times a normal draw (an exact copy at 0), so OLS's H is singular
+    or within rounding of it."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(size=(120, 3))
+    copy = x[:, 0] + gap * rng.normal(size=120)
+    y = np.clip(x @ (0.5, -0.2, 0.3) + 0.1 + 0.05 * rng.normal(size=120), 0.0, 1.0)
+    return Dataset(np.column_stack([x, copy]), y)
+
+
 class TestAdjointGradient:
     """Both gradients solve the KKT system once, against a vector."""
 
@@ -311,14 +322,14 @@ class TestAdjointGradient:
 
     @pytest.mark.parametrize("family,lam", FAMILY_LAMBDAS)
     def test_one_solve_with_a_vector_per_gradient(self, monkeypatch, family, lam):
-        real_solve = attack_module._solve_kkt
+        real_solve = attack_module._solve
         shapes = []
 
         def counting_solve(h, rhs, *args):
             shapes.append(np.shape(rhs))
             return real_solve(h, rhs, *args)
 
-        monkeypatch.setattr(attack_module, "_solve_kkt", counting_solve)
+        monkeypatch.setattr(attack_module, "_solve", counting_solve)
         clean, poison, merged, model, ref = make_attack_instance(130, d=3, family=family, lam=lam)
         objective_gradient(clean, poison, model, ref, 0)
         assert shapes == [(4,)]
@@ -326,26 +337,51 @@ class TestAdjointGradient:
         opt_objective_gradient(clean, poison, model, 0)
         assert shapes == [(4,)]
 
-    def test_singular_system_is_retried_once_with_jitter(self, monkeypatch, caplog):
-        clean, poison, merged, model, ref = make_attack_instance(131, d=2)
-        real_solve = np.linalg.solve
-        failures = []
+    @pytest.mark.parametrize("gap", [1e-9, 0.0])
+    @pytest.mark.parametrize("kind", ["nopt", "opt"])
+    def test_a_singular_system_takes_the_minimum_norm_solution(self, gap, kind):
+        # the fit on these moments falls back to minimum-norm least squares,
+        # and the gradient's v solves H v = g by the same rule; an LU solve
+        # gives a v 2e5 times longer here at gap 1e-9
+        clean = near_duplicate_set(gap)
+        poison = Dataset(clean.features[:1], 1.0 - clean.responses[:1], provenance="poisoned")
+        merged = Moments.of(clean) + Moments.of(poison)
+        report = fit(merged, "ols")
+        assert report.h_inv is None
+        model, ref = report.model, loss(clean, fit(clean, "ols").model, False)
+        u = np.concatenate((model.weights, (model.bias, -1.0)))
+        if kind == "opt":
+            g, explicit = (Moments.of(clean).stats @ u)[:-1], 0.0
+            got = opt_objective_gradient(clean, poison, model, 0, merged=merged)
+        else:
+            total = 0.5 * float(u @ merged.stats @ u)
+            s = (-1.0 if total / ref - merged.n / clean.n < 0 else 1.0) / ref
+            g, explicit = s * (merged.stats @ u)[:-1], s
+            got = objective_gradient(clean, poison, model, ref, 0, merged=merged)
+        v = np.linalg.lstsq(merged.penalized_gram(0.0), g, rcond=None)[0]
+        x_c, y_c = poison.features[0], poison.responses[0]
+        r_c = float(model.weights @ x_c + model.bias - y_c)
+        want = (explicit * r_c - (x_c @ v[:-1] + v[-1])) * np.delete(u, -2)
+        want[:-1] -= r_c * v[:-1]
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-        def failing_solve(a, b):
-            if failures:
-                failures.pop()
-                raise np.linalg.LinAlgError("Singular matrix")
-            return real_solve(a, b)
+    def test_nopt_climbs_along_a_near_duplicate_column(self):
+        # with an LU-solved gradient every point spent its 20 backtracks and
+        # the attack stopped after one sweep with E unchanged (602 refits)
+        state = nopt_attack(near_duplicate_set(1e-9), AttackConfig(alpha=0.2, seed=0), "ols")
+        assert state.iterations > 1 and state.refit_count < 2 + 30 * attack_module.MAX_BACKTRACKS
+        assert state.e_trace[-1] > state.e_trace[0] + 1.0
 
-        monkeypatch.setattr(np.linalg, "solve", failing_solve)
-        failures[:] = [1]
-        with caplog.at_level(logging.WARNING, logger="poisonbench.attack"):
-            grad = objective_gradient(clean, poison, model, ref, 0)
-        assert np.all(np.isfinite(grad))
-        assert "jitter" in caplog.text
-        failures[:] = [1, 1]
-        with pytest.raises(RuntimeError, match="even after jitter"):
-            opt_objective_gradient(clean, poison, model, 0)
+    def test_an_exact_duplicate_column_gives_a_finite_gradient_and_logs_nothing(self, caplog):
+        clean = near_duplicate_set(0.0)
+        poison = Dataset(clean.features[:2], 1.0 - clean.responses[:2], provenance="poisoned")
+        merged, _ = merge(clean, poison)
+        model, ref = fit(merged, "ols").model, loss(clean, fit(clean, "ols").model, False)
+        with caplog.at_level(logging.DEBUG):
+            grads = [objective_gradient(clean, poison, model, ref, 1),
+                     opt_objective_gradient(clean, poison, model, 1)]
+        assert np.all(np.isfinite(grads)) and caplog.records == []
 
 
 class TestOptGradient:
@@ -664,7 +700,7 @@ class TestGradientFromTheFitInverse:
         clean, poison, merged, _, ref = make_attack_instance(150, d=3, family="ridge", lam=0.1)
         moments = Moments.of(merged)
         report = fit(moments, "ridge", 0.1)
-        monkeypatch.setattr(attack_module, "_solve_kkt", no_solve)
+        monkeypatch.setattr(attack_module, "_solve", no_solve)
         objective_gradient(clean, poison, report.model, ref, 0, merged=moments, h_inv=report.h_inv)
         opt_objective_gradient(clean, poison, report.model, 0, merged=moments, h_inv=report.h_inv)
 

@@ -249,6 +249,27 @@ def test_every_function_has_a_caller():
     assert uncalled == set()
 
 
+def test_only_regress_solves_linear_systems():
+    # `regress._solve` is the one rule for a penalized Gram system: the
+    # inverse, its condition bound and the minimum-norm fallback. A module
+    # that calls numpy.linalg's solve, inv or lstsq, or imports the LAPACK
+    # gufuncs under them, would bring a second rule back
+    solver = re.compile(r"linalg\.(solve|inv|lstsq|_umath_linalg)\b")
+    found = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found.update((path.stem, name) for name in names if solver.search(name))
+    assert {module for module, _ in found} <= {"regress"}, found
+
+
 # fields only the tests read, each with its reason: tier-1's reference Floyd
 # draw compares its group against winning_group_indices, and criterion 7
 # asserts the paper's Proda bound through ComplexityEstimate's three fields

@@ -339,8 +339,8 @@ def count_lstsq_calls(monkeypatch):
 
 
 class TestGufuncInverse:
-    """`_solve_normal_equations` calls the LAPACK gufunc under np.linalg.inv
-    with floating-point errors ignored: the same bits where np.linalg.inv
+    """`_solve` calls the LAPACK gufunc under np.linalg.inv with
+    floating-point errors ignored: the same bits where np.linalg.inv
     returns, and a NaN-filled H^-1, hence the fallback, where it raises.
     The suite turns any RuntimeWarning into a failure, so none may escape."""
 
@@ -401,9 +401,10 @@ class TestGufuncInverse:
 
     @pytest.mark.parametrize("family", ["ols", "ridge"])
     @pytest.mark.parametrize("where", ["gram off-diagonal", "gram diagonal", "feature"])
-    def test_non_finite_systems_still_reach_least_squares(self, monkeypatch, family, where):
-        # np.linalg.inv raised or returned NaN on these, and the minimum-norm
-        # fallback then raised; it still does
+    def test_non_finite_systems_raise_before_least_squares(self, monkeypatch, family, where):
+        # their NaN bound sends them toward the fallback, which raised a
+        # LinAlgError from LAPACK; they now raise the ValueError that
+        # coordinate descent raises, and never reach least squares
         x, y = random_rows(22, 3, 20)
         if where == "feature":
             x[4, 2] = np.nan
@@ -414,9 +415,45 @@ class TestGufuncInverse:
                 np.nan if where == "gram off-diagonal" else -np.inf)
             data = Moments(stats, 20)
         calls = count_lstsq_calls(monkeypatch)
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(ValueError, match="non-finite: sum x") as info:
             fit(data, family, 0.1)
-        assert calls == [1]
+        assert not isinstance(info.value, np.linalg.LinAlgError) and calls == []
+
+    @pytest.mark.parametrize("entry,value,named", [
+        ((0, 0), "inf", "sum x0*x0"),  # least squares spun for more than 5 s
+        ((0, 1), "nan", "sum x0*x1"),  # LAPACK printed to stderr, then LinAlgError
+        ((2, 2), "-inf", "sum x2*x2"),
+        ((0, 4), "inf", "sum x0*y"),  # inf weights with converged=True
+        ((0, 0), "1e300", None),  # finite: an overflow warning from the bound
+    ])
+    def test_closed_form_fits_of_extreme_moments_in_a_fresh_process(self, entry, value, named):
+        """OLS and Ridge fits of d = 3 moments with one entry (and its
+        mirror) set, run in a child process under a timeout, with every
+        warning an error: a non-finite entry raises the ValueError naming
+        it, silently, and a finite one fits without a warning."""
+        code = f"""
+import warnings
+import numpy as np
+from poisonbench.regress import Moments, fit
+warnings.simplefilter("error")
+rng = np.random.default_rng(0)
+m = Moments.from_rows(rng.uniform(size=(20, 3)), rng.uniform(size=20))
+stats = m.stats.copy()
+stats[{entry}] = stats[{entry[::-1]}] = float("{value}")
+for family in ("ols", "ridge"):
+    try:
+        fit(Moments(stats, m.n), family, 0.1)
+        print("fitted")
+    except ValueError as exc:
+        print(type(exc).__name__, exc)
+"""
+        src = str(Path(regress.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=30)
+        assert (out.returncode, out.stderr) == (0, "")
+        want = "ValueError a fit needs finite moments; non-finite: " + named if named else "fitted"
+        assert out.stdout.splitlines() == [want, want]
 
 
 @settings(max_examples=60, deadline=None)
