@@ -86,48 +86,31 @@ def _parse_families(text: str) -> tuple[str, ...]:
 
 
 def _parse_synthetic(text: str) -> dict:
-    """d=5,n=300,noise=0.1[,seed=0][,w=0.3;0.2;...][,b=0.25]"""
+    """d=5,n=300[,noise=0.1][,seed=0][,w=0.3;0.2;...][,b=0.25] as SyntheticSpec
+    fields; the generator draws w and b from the seed when they are left out."""
     fields = {}
     for item in text.split(","):
         if "=" not in item:
             raise argparse.ArgumentTypeError(f"expected key=value in --synthetic, got {item!r}")
-        key, value = item.split("=", 1)
-        fields[key.strip()] = value.strip()
+        key, value = (s.strip() for s in item.split("=", 1))
+        if key in fields:
+            raise argparse.ArgumentTypeError(f"repeated --synthetic key {key!r}")
+        fields[key] = value
     try:
-        spec = {
-            "d": int(fields.pop("d")),
-            "n": int(fields.pop("n")),
-            "noise": float(fields.pop("noise", "0.1")),
-            "seed": int(fields.pop("seed", "0")),
-        }
+        spec = {"d": int(fields.pop("d")), "n": int(fields.pop("n"))}
+        if "noise" in fields:
+            spec["noise_std"] = float(fields.pop("noise"))
+        if "seed" in fields:
+            spec["seed"] = int(fields.pop("seed"))
         if "w" in fields:
-            spec["w"] = tuple(float(v) for v in fields.pop("w").split(";"))
+            spec["true_weights"] = tuple(float(v) for v in fields.pop("w").split(";"))
         if "b" in fields:
-            spec["b"] = float(fields.pop("b"))
+            spec["true_bias"] = float(fields.pop("b"))
     except (KeyError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"bad --synthetic value: {exc}") from exc
     if fields:
         raise argparse.ArgumentTypeError(f"unknown --synthetic keys: {sorted(fields)}")
     return spec
-
-
-def build_synthetic_spec(fields: dict):
-    import numpy as np
-
-    from .data import SyntheticSpec
-
-    d, n = fields["d"], fields["n"]
-    w = fields.get("w")
-    if w is None:
-        rng = np.random.default_rng(np.random.SeedSequence([fields["seed"], 0xC0FFEE]))
-        w = tuple(rng.uniform(-1.0, 1.0, size=max(d, 0)))
-    b = fields.get("b")
-    if b is None:
-        rng = np.random.default_rng(np.random.SeedSequence([fields["seed"], 0xB1A5]))
-        b = float(rng.uniform(0.0, 1.0))
-    return SyntheticSpec(
-        d=d, n=n, true_weights=w, true_bias=b, noise_std=fields["noise"], seed=fields["seed"]
-    )
 
 
 def _parse_bool(text: str) -> bool:
@@ -358,7 +341,9 @@ def _dataset_source(opts) -> dict:
     if "csv" in opts:
         return dict(dataset_name=Path(opts["csv"]).stem, csv_path=opts["csv"],
                     target_column=opts["target"], categorical=opts.get("categorical", ()))
-    return dict(dataset_name="synthetic", synthetic=build_synthetic_spec(opts["synthetic"]))
+    from .data import SyntheticSpec
+
+    return dict(dataset_name="synthetic", synthetic=SyntheticSpec(**opts["synthetic"]))
 
 
 def _load_dataset(cfg: CliConfig):

@@ -98,13 +98,14 @@ class NormalizationSpec:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Linear-plus-Gaussian-noise generator settings."""
+    """Linear-plus-Gaussian-noise generator settings. Weights or a bias left
+    None are drawn from the seed by `generate_synthetic`."""
 
     d: int
     n: int
-    true_weights: tuple[float, ...]
-    true_bias: float
-    noise_std: float
+    true_weights: tuple[float, ...] | None = None
+    true_bias: float | None = None
+    noise_std: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -112,11 +113,10 @@ class SyntheticSpec:
             raise ValueError("d must be >= 1")
         if self.n < self.d + 1:
             raise ValueError(f"need n >= d+1 samples, got n={self.n}, d={self.d}")
-        if len(self.true_weights) != self.d:
-            raise ValueError(
-                f"true_weights has {len(self.true_weights)} entries, expected d={self.d}"
-            )
-        if not all(map(math.isfinite, (*self.true_weights, self.true_bias))):
+        weights = () if self.true_weights is None else self.true_weights
+        if self.true_weights is not None and len(weights) != self.d:
+            raise ValueError(f"true_weights has {len(weights)} entries, expected d={self.d}")
+        if not all(map(math.isfinite, (*weights, self.true_bias or 0.0))):
             raise ValueError("true_weights and true_bias must be finite")
         # NaN fails every comparison, so it would pass a plain `< 0` test
         if not 0.0 <= self.noise_std < math.inf:
@@ -232,14 +232,22 @@ def load_csv(path, target_column: str, categorical=()):
 def generate_synthetic(spec: SyntheticSpec):
     """Draw features uniformly in [0, 1]^d and responses w.x + b + N(0, sigma^2).
 
+    Weights left None are drawn uniformly in [-1, 1]^d and a bias left None
+    uniformly in [0, 1], each from its own stream of the spec's seed
+    (`SeedSequence([seed, 0xC0FFEE])` and `[seed, 0xB1A5]`), so the features
+    and noise do not depend on which of them were given.
     If noise pushes any response outside [0, 1] the whole response column is
     min-max rescaled (never clipped, to preserve the linear relationship).
     Returns (Dataset, NormalizationSpec); the spec un-normalizes responses.
     """
     rng = np.random.default_rng(spec.seed)
     x = rng.uniform(size=(spec.n, spec.d))
-    w = np.asarray(spec.true_weights, dtype=float)
-    y = x @ w + spec.true_bias
+    w, b = spec.true_weights, spec.true_bias
+    if w is None:
+        w = np.random.default_rng([spec.seed, 0xC0FFEE]).uniform(-1.0, 1.0, size=spec.d)
+    if b is None:
+        b = float(np.random.default_rng([spec.seed, 0xB1A5]).uniform(0.0, 1.0))
+    y = x @ np.asarray(w, dtype=float) + b
     if spec.noise_std > 0:
         y = y + rng.normal(0.0, spec.noise_std, size=spec.n)
     y_lo, y_hi = float(y.min()), float(y.max())

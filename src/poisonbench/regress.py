@@ -29,8 +29,8 @@ weights (`_sweep_kernel`, cached by k) for k up to KERNEL_MAX_K = 8: every
 matrix and vector entry is a local variable, so a weight change updates q
 in k straight-line lines instead of a loop over lists, in the float order
 of that loop, bit for bit, and a fit takes about half the time. Compiling
-costs 1-6 ms (k = 2 to 8) and grows as k^2, so wider systems run the same
-sweeps as that loop over lists (`_sweep_loop`), which compiles nothing.
+grows as k^2 (see KERNEL_MAX_K), so wider systems run the same sweeps as
+that loop over lists (`_sweep_loop`), which compiles nothing.
 Moments holding NaN or inf raise a ValueError naming them, for every family.
 """
 
@@ -54,10 +54,11 @@ MIN_RCOND = 1e-8  # below this eigenvalue ratio the normal equations lose too ma
 ZERO_VARIANCE_RTOL = 1024 * 2.0**-52
 # the widest system whose sweeps are compiled (`_sweep_kernel`). The kernel
 # halves a fit's time at every k, so it pays back its compile after 15-35
-# fits of one k, but the compile grows as k^2: 5 ms and 0.75 MB at k = 8,
-# 25 ms and 4.6 MB at 20, 1 s and 241 MB at 160. At k <= 8 the nine kernels
-# a process can hold cost at most ~20 ms and ~2 MB in all; wider systems,
-# which one-off fits of one-hot tables reach, run `_sweep_loop` instead
+# fits of one k, but the compile grows as k^2 (Python 3.11, 2-vCPU Xeon):
+# 1 ms at k = 2, 2-3 ms at 5, 4-6 ms and 0.75 MB at 8, 25 ms and 4.6 MB at
+# 20, 1 s and 241 MB at 160. At k <= 8 the nine kernels a process can hold
+# cost at most ~20 ms and ~2 MB in all; wider systems, which one-off fits
+# of one-hot tables reach, run `_sweep_loop` instead
 KERNEL_MAX_K = 8
 LAMBDA_GRID = tuple(np.logspace(-4, 0, 9))
 
@@ -279,9 +280,8 @@ def _sweep_kernel(k: int):
     compensates float sums), and every maximum a `max` (which keeps its
     first argument against a NaN). The constant columns that both leave
     out would add only terms of 0 * Sigma_jk to a loop over all d, which are
-    +-0 and change no sum while Sigma is finite. Compiling takes about
-    1 ms at k = 2, 2-3 ms at 5 and 4-6 ms at 8, and would take 13-25 ms at
-    20 and 50-90 ms at 40 (Python 3.11 on a 2-vCPU Xeon)."""
+    +-0 and change no sum while Sigma is finite. Its compile costs are at
+    KERNEL_MAX_K."""
     ix = range(k)
     rows = [[*(f"g{i}_{j}" for j in ix), "_", f"r{i}"] for i in ix]
     rows.append([*(f"s{j}" for j in ix), "_", "sy"])
@@ -362,7 +362,9 @@ def _coordinate_descent(m: Moments, l1, l2, tol, max_iters, w0=None, b0=None):
     up to k = KERNEL_MAX_K and in `_sweep_loop` above it, to the same bits.
     Stops when the largest weight change or implied bias change in a sweep
     is < tol. Moments holding NaN or inf raise a ValueError that names them:
-    a sweep over them would report convergence on a NaN model."""
+    a sweep over them would report convergence on a NaN model. So do sweeps
+    that overflow on finite moments, seen in b = (sum y - s.w) / n, which
+    any non-finite weight makes non-finite (0 * inf is NaN)."""
     d, n = m.d, m.n
     if not np.isfinite(m.stats).all():
         raise _non_finite_error(m.stats)
@@ -378,6 +380,8 @@ def _coordinate_descent(m: Moments, l1, l2, tol, max_iters, w0=None, b0=None):
     k = len(free)
     run = _sweep_kernel(k) if k <= KERNEL_MAX_K else _sweep_loop
     w, b, sweeps, converged = run(g, w, n, b, l1, l2, tol, max_iters)
+    if not math.isfinite(b):
+        raise ValueError("coordinate descent sweeps overflowed on finite moments")
     if k == d:
         return np.array(w), b, sweeps, converged
     weights = np.zeros(d)

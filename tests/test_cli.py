@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from poisonbench import attack as attack_module
-from poisonbench import cli, defend, harness
+from poisonbench import cli, data, defend, harness
 from poisonbench.cli import (
     OPTIONS,
     UsageError,
@@ -17,11 +17,10 @@ from poisonbench.cli import (
     _parse_float_list,
     _parse_int_list,
     _parse_synthetic,
-    build_synthetic_spec,
     main,
     parse_args,
 )
-from poisonbench.data import load_csv
+from poisonbench.data import SyntheticSpec, generate_synthetic, load_csv
 from poisonbench.regress import fit
 
 from conftest import write_collinear_csv
@@ -65,15 +64,24 @@ class TestParsing:
 
     def test_synthetic_spec_fields(self):
         fields = _parse_synthetic("d=3,n=60,noise=0.05,seed=4,w=0.1;0.2;0.3,b=0.4")
-        spec = build_synthetic_spec(fields)
+        spec = SyntheticSpec(**fields)
         assert spec.d == 3 and spec.n == 60
         assert spec.true_weights == (0.1, 0.2, 0.3)
         assert spec.true_bias == 0.4
 
     def test_synthetic_default_weights_deterministic(self):
-        a = build_synthetic_spec(_parse_synthetic("d=4,n=50,noise=0.1,seed=2"))
-        b = build_synthetic_spec(_parse_synthetic("d=4,n=50,noise=0.1,seed=2"))
-        assert a.true_weights == b.true_weights
+        a, _ = generate_synthetic(SyntheticSpec(**_parse_synthetic("d=4,n=50,noise=0.1,seed=2")))
+        b, _ = generate_synthetic(SyntheticSpec(**_parse_synthetic("d=4,n=50,noise=0.1,seed=2")))
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.responses.tobytes() == b.responses.tobytes()
+
+    def test_repeated_synthetic_key_is_named(self, tmp_path, capsys):
+        # the last d=3 used to win silently
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--synthetic", "d=2,n=40,d=3", "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "repeated --synthetic key 'd'" in err
 
     def test_sweep_config_resolution(self):
         cfg = parse_args(
@@ -317,6 +325,7 @@ class TestMainExitCodes:
         ["fit", "--synthetic", "n=40,noise=0.1"],
         ["fit", "--synthetic", "d=two,n=40"],
         ["fit", "--synthetic", "d=2,n=40,colour=red"],
+        ["fit", "--synthetic", "d=2,n=40,d=3"],
     ])
     def test_bad_flag_value_exits_2(self, tmp_path, argv):
         if "--synthetic" not in argv:
@@ -352,15 +361,15 @@ class TestMainExitCodes:
         assert not (tmp_path / "out").exists()
 
 
-_BUILT = ("AttackConfig", "ProdaConfig", "build_synthetic_spec", "ExperimentSpec")
+_BUILT = ("AttackConfig", "ProdaConfig", "SyntheticSpec", "ExperimentSpec")
 
 
 @pytest.mark.parametrize("argv,built", [
-    (["fit"], ("build_synthetic_spec",)),
-    (["attack", "--alpha", "0.2", "--max-iters", "1"], ("build_synthetic_spec", "AttackConfig")),
-    (["defend", "--method", "proda", "--gamma", "3"], ("build_synthetic_spec", "ProdaConfig")),
-    (["defend", "--method", "trim"], ("build_synthetic_spec",)),
-    (["sweep", "--alphas", "0.2", "--repeats", "1"], ("build_synthetic_spec", "ExperimentSpec")),
+    (["fit"], ("SyntheticSpec",)),
+    (["attack", "--alpha", "0.2", "--max-iters", "1"], ("SyntheticSpec", "AttackConfig")),
+    (["defend", "--method", "proda", "--gamma", "3"], ("SyntheticSpec", "ProdaConfig")),
+    (["defend", "--method", "trim"], ("SyntheticSpec",)),
+    (["sweep", "--alphas", "0.2", "--repeats", "1"], ("SyntheticSpec", "ExperimentSpec")),
 ])
 def test_each_library_object_is_built_once(tmp_path, monkeypatch, argv, built):
     calls = dict.fromkeys(_BUILT, 0)
@@ -377,7 +386,7 @@ def test_each_library_object_is_built_once(tmp_path, monkeypatch, argv, built):
     # cli imports each at the call that builds it, from the module that owns it
     count(attack_module, "AttackConfig")
     count(defend, "ProdaConfig")
-    count(cli, "build_synthetic_spec")
+    count(data, "SyntheticSpec")
     count(harness, "ExperimentSpec")
     assert main([*argv, "--synthetic", "d=2,n=40,noise=0.1", "--out", str(tmp_path / "out")]) == 0
     assert calls == {name: int(name in built) for name in _BUILT}

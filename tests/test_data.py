@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 
@@ -268,6 +269,44 @@ class TestGenerateSynthetic:
         b, _ = generate_synthetic(spec)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.responses, b.responses)
+
+    # sha256 of the feature and response bytes that `fit --synthetic
+    # d=D,n=N,seed=S` generated when the CLI drew the omitted w and b itself
+    @pytest.mark.parametrize("d,n,seed,features,responses", [
+        (1, 20, 0, "bb84ac9e030fb69d0e8e8df71436513f8a08e464adb212083996150617d66aea",
+         "ac74f8c27b6f2187237e1591bc19a0f5f8f39e994085c0d750dc1b97da22899d"),
+        (3, 40, 7, "1e803cc5963af73a38dde732d115077a7c8acac2b034de59231fdf29573ded00",
+         "1c3660c565d72dee6e4fec6a60ce92514ecad3c8fba87dc139e1f92e5ae18e91"),
+        (5, 300, 0, "a60ae07cc92188427fec6f33a3779f8a64b915ad6f6aa157f0abbb16991fdcdf",
+         "de3b3905b2bb4efbc8836bb88c3fad68c02c2b2ca9ff97fdbcb2c021ab6f165c"),
+        (8, 25, 123456, "aaa7ba85fa641a6b32f6c053fa92cc41baa3f3c67ef69770d8df72d7a75531cf",
+         "e5594dea2cf88522e7545abb58cb2406cefbacb5974aa7e4179e194748c74d1f"),
+    ], ids=["d1", "d3", "d5", "d8"])
+    def test_omitted_weights_and_bias_are_the_cli_draw(self, d, n, seed, features, responses):
+        ds, _ = generate_synthetic(SyntheticSpec(d=d, n=n, seed=seed))
+        assert hashlib.sha256(ds.features.tobytes()).hexdigest() == features
+        assert hashlib.sha256(ds.responses.tobytes()).hexdigest() == responses
+
+    @pytest.mark.parametrize("given", [
+        {},
+        dict(true_weights=(0.5, -0.25, 0.125)),
+        dict(true_bias=0.75),
+        dict(true_weights=(0.5, -0.25, 0.125), true_bias=0.75),
+    ])
+    def test_a_given_weight_vector_or_bias_overrides_the_draw(self, given):
+        drawn = dict(
+            true_weights=np.random.default_rng(np.random.SeedSequence([7, 0xC0FFEE])).uniform(
+                -1.0, 1.0, size=3),
+            true_bias=np.random.default_rng(np.random.SeedSequence([7, 0xB1A5])).uniform(),
+        )
+        want = {**drawn, **given}
+        base, _ = generate_synthetic(SyntheticSpec(d=3, n=40, noise_std=0.0, seed=7))
+        ds, norm = generate_synthetic(SyntheticSpec(d=3, n=40, noise_std=0.0, seed=7, **given))
+        assert ds.features.tobytes() == base.features.tobytes()
+        lo, hi = norm.response
+        np.testing.assert_allclose(ds.responses * (hi - lo) + lo,
+                                   ds.features @ want["true_weights"] + want["true_bias"],
+                                   rtol=0.0, atol=1e-12)
 
     def test_out_of_box_responses_rescaled_not_clipped(self):
         spec = SyntheticSpec(d=1, n=50, true_weights=(2.0,), true_bias=-0.5,

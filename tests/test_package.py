@@ -270,6 +270,19 @@ def test_only_regress_solves_linear_systems():
     assert {module for module, _ in found} <= {"regress"}, found
 
 
+def test_cli_imports_no_numpy():
+    # numpy stays with the compute modules: the CLI parses and checks its
+    # options with the standard library, and a command imports what it runs
+    path = Path(__file__).resolve().parents[1] / "src" / "poisonbench" / "cli.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found.append(node.module)
+    assert not found, found
+
+
 # fields only the tests read, each with its reason: tier-1's reference Floyd
 # draw compares its group against winning_group_indices, and criterion 7
 # asserts the paper's Proda bound through ComplexityEstimate's three fields

@@ -572,6 +572,18 @@ class TestCoordinateDescent:
         for name in names:
             assert name in str(info.value)
 
+    @pytest.mark.parametrize("cap", [regress.KERNEL_MAX_K, -1])  # the kernel, then the loop
+    @pytest.mark.parametrize("family", ["lasso", "enet"])
+    def test_sweeps_that_overflow_on_finite_moments_raise(self, family, cap):
+        # finite moments pass the check above, but these sweeps overflow and
+        # ended with converged=True on NaN weights and bias after 3-4 sweeps
+        m = Moments.from_rows(*random_rows(0, 3, 20))
+        stats = m.stats.copy()
+        stats[1, 2] = stats[2, 1] = 1e300
+        with mock.patch.object(regress, "KERNEL_MAX_K", cap):
+            with pytest.raises(ValueError, match="overflowed on finite moments"):
+                fit(Moments(stats, m.n), family, 0.1)
+
 
 def reference_coordinate_descent(m, l1, l2, tol, max_iters, w0=None, b0=None):
     """Coordinate descent as one interpreted loop over lists on all d
