@@ -71,6 +71,8 @@ class NormalizationSpec:
 
     columns holds (name, min, max) for every retained feature column, in
     output order; one-hot columns carry (0, 1). min < max for every entry.
+    onehot holds (source, levels) with levels sorted; the first is the
+    reference level, which gets no column.
     """
 
     columns: tuple[tuple[str, float, float], ...]
@@ -92,7 +94,8 @@ class NormalizationSpec:
             "columns": [{"name": n, "min": lo, "max": hi} for n, lo, hi in self.columns],
             "response": {"min": self.response[0], "max": self.response[1]},
             "dropped": list(self.dropped),
-            "onehot": [{"source": s, "levels": list(ls)} for s, ls in self.onehot],
+            "onehot": [{"source": s, "levels": list(ls), "reference": ls[0]}
+                       for s, ls in self.onehot],
         }
 
 
@@ -157,7 +160,9 @@ def load_csv(path, target_column: str, categorical=()):
 
     target_column names the response column. Categorical columns (those
     named in `categorical`, and those where no cell parses as a number) are
-    one-hot encoded with levels in sorted order; numeric columns and the
+    one-hot encoded with levels in sorted order, the first level dropped
+    (treatment coding: the reference level is the all-zero row, so a group
+    of level columns never sums to the bias column); numeric columns and the
     response are min-max normalized to [0, 1]. Constant columns are dropped
     and recorded in the returned NormalizationSpec. An empty column name, a
     name repeated in the header or by one-hot expansion, a non-numeric cell
@@ -204,7 +209,7 @@ def load_csv(path, target_column: str, categorical=()):
             levels = tuple(sorted(set(col)))
             onehot.append((name, levels))
             parts = [(f"{name}={level}", np.array([c == level for c in col], dtype=float))
-                     for level in levels]
+                     for level in levels[1:]]
         else:
             parts = [(name, values)]
         for part_name, part in parts:

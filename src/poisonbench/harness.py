@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,5 +267,7 @@ def run_sweep(spec: ExperimentSpec, jobs: int = 1):
     if jobs < 2 or len(tasks) < 2:
         yield from map(_run_task, tasks)
         return
+    from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only here
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         yield from pool.map(_run_task, tasks, chunksize=1)

@@ -14,8 +14,6 @@ import json
 import math
 from typing import TYPE_CHECKING
 
-from . import svgplot
-
 if TYPE_CHECKING:
     from .harness import ExperimentSpec
 
@@ -47,34 +45,14 @@ SUMMARY_COLUMNS = (
 )
 
 
-def _pairwise_sum(values: list[float]) -> float:
-    """numpy's float64 sum in its order: sequential below 8 values, eight
-    running sums up to 128, and halves cut at a multiple of 8 above."""
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    total, tail = 0.0, 0
-    if n >= 8:
-        tail = n - n % 8
-        r = values[:8]
-        for i in range(8, tail, 8):
-            r = [a + b for a, b in zip(r, values[i:i + 8])]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in values[tail:]:
-        total += v
-    return total
-
-
 def _mean(values) -> float:
-    """float(np.mean(values)) bit for bit: numpy's add reduction starts from
-    0.0 (so -0.0 values mean 0.0) and adds the values pairwise."""
-    values = [float(v) for v in values]
-    return (0.0 + _pairwise_sum(values)) / len(values)
+    """The exactly rounded sum (`math.fsum`) over the count: one mean for a
+    set of values, whatever their order."""
+    return math.fsum(values) / len(values)
 
 
 def _median(values) -> float:
-    """np.median: the mean of the one or two middle values."""
+    """The mean of the one or two middle values, as np.median."""
     ordered = sorted(values)
     mid = len(ordered) // 2
     return _mean(ordered[mid - 1 + len(ordered) % 2 : mid + 1])
@@ -134,7 +112,7 @@ def aggregate(records) -> list[dict]:
     """The summary's rows: cell records grouped by coordinates (everything
     but the repeat), each row the seven cell keys plus the mean of every
     other summary column over the group's error-free records that hold it;
-    deterministic row order."""
+    rows and values do not depend on the records' order."""
     cells = {}
     for rec in records:
         if rec.get("record_type") == "cell":
@@ -183,7 +161,7 @@ def _series_for(summary, x_key):
             if name not in (None, "none") and x is not None and y is not None:
                 label = prefix + _SERIES_LABELS.get(name, name)
                 table.setdefault(label, {}).setdefault(float(x), []).append(float(y))
-    return {name: [(x, sum(ys) / len(ys)) for x, ys in sorted(by_x.items())]
+    return {name: [(x, _mean(ys)) for x, ys in sorted(by_x.items())]
             for name, by_x in table.items()}
 
 
@@ -192,6 +170,8 @@ def emit_plot(summary, kind: str, path):
 
     kind: mse_vs_alpha | mse_vs_gamma. Returns (svg_path, csv_path).
     """
+    from . import svgplot  # loaded only where a chart is drawn
+
     if kind not in _AXES:
         raise ValueError(f"unknown plot kind {kind!r}")
     x_key, x_label = _AXES[kind]

@@ -425,26 +425,31 @@ class TestCriterion9DatasetGated:
                 assert med_nopt >= med_opt
 
 
-# the stand-in corpus's columns after one-hot expansion; the sweep keeps the
-# first MAX_FEATURES of them, a cut that splits `region`'s levels on purpose.
-# A one-hot group kept whole sums to the bias column, and LASSO/Elastic-net
-# coordinate descent crawls along that collinearity (0.1-5 s a cell, up to
-# the sweep cap): load_csv keeps every level of a one-hot column (see the
-# FOUND line on it in CHANGES.md). Until that is fixed, a cut that keeps a
-# whole group is not covered here, and widening MAX_FEATURES makes it so.
-STAND_IN_FEATURES = ("a", "b", "region=1", "region=2", "region=3", "region=4",
-                     "kind=u", "kind=v", "kind=w", "c")
-MAX_FEATURES = 5
+# the stand-in corpus's columns after one-hot expansion: each group's first
+# level in sorted order (region=1, kind=u) is its reference level and gets no
+# column. A cut at 5 keeps `region`'s reduced group whole, which without the
+# reference level dropped would sum to the bias column, where LASSO and
+# Elastic-net coordinate descent crawl (0.1-5 s a cell, up to the sweep cap)
+STAND_IN_FEATURES = ("a", "b", "region=2", "region=3", "region=4", "kind=v", "kind=w", "c")
+
+
+def _write_house(directory, header, cells):
+    directory.mkdir()
+    rows = [",".join(header)] + [",".join(cells[h][i] for h in header)
+                                 for i in range(len(cells["y"]))]
+    path = directory / "house.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
 
 
 @pytest.fixture
 def stand_in_corpus(tmp_path):
-    """A seeded 120-row table, written twice as house.csv: once as the CSV
-    path reads it (numeric columns, a categorical `region` coded as numbers,
-    a text categorical `kind` and the target `y`) and once one-hot expanded
-    and cut to its first MAX_FEATURES columns by hand. These files stand in
-    for the paper's datasets, which are not in the repository, and are not
-    the paper's data. Returns (raw path, hand-expanded path)."""
+    """A seeded 120-row table written as house.csv the way the CSV path
+    reads it: numeric columns, a categorical `region` coded as numbers, a
+    text categorical `kind` and the target `y`. It stands in for the paper's
+    datasets, which are not in the repository, and is not the paper's data.
+    Returns (raw path, cells by column name, the one-hot columns of
+    STAND_IN_FEATURES included)."""
     rng = np.random.default_rng(11)
     n = 120
     kind = rng.choice(["u", "v", "w"], size=n)
@@ -457,15 +462,7 @@ def stand_in_corpus(tmp_path):
     cells.update({"kind": list(kind), "region": [str(r) for r in region]})
     cells.update({f"kind={k}": [str(int(v)) for v in kind == k] for k in "uvw"})
     cells.update({f"region={r}": [str(int(v)) for v in region == r] for r in range(1, 5)})
-    paths = []
-    for sub, header in (("raw", ("a", "b", "region", "kind", "c", "y")),
-                        ("flat", STAND_IN_FEATURES[:MAX_FEATURES] + ("y",))):
-        rows = [",".join(header)] + [",".join(cells[h][i] for h in header) for i in range(n)]
-        (tmp_path / sub).mkdir()
-        path = tmp_path / sub / "house.csv"
-        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        paths.append(path)
-    return tuple(paths)
+    return _write_house(tmp_path / "raw", ("a", "b", "region", "kind", "c", "y"), cells), cells
 
 
 class TestCriterion9StandIn:
@@ -474,14 +471,16 @@ class TestCriterion9StandIn:
     max_features cut, the training subsample and the attack, through the
     CLI, on a generated stand-in corpus."""
 
+    @pytest.mark.parametrize("max_features", [5, len(STAND_IN_FEATURES)])
     @pytest.mark.parametrize("attack", ["nopt", "opt"])
     def test_sweep_on_a_categorical_csv_is_deterministic_and_cut_as_built_by_hand(
-            self, tmp_path, stand_in_corpus, attack):
-        raw, flat = stand_in_corpus
+            self, tmp_path, stand_in_corpus, attack, max_features):
+        raw, cells = stand_in_corpus
+        flat = _write_house(tmp_path / "flat", STAND_IN_FEATURES[:max_features] + ("y",), cells)
         common = ["--target", "y", "--families", "ols,ridge,lasso,enet", "--lambda", "0.01",
                   "--attack", attack, "--alphas", "0.2", "--repeats", "1",
                   "--train-subsample", "30", "--seed", "9"]
-        cut = ["--categorical", "region", "--max-features", str(MAX_FEATURES)]
+        cut = ["--categorical", "region", "--max-features", str(max_features)]
 
         def sweep(name, csv, *extra):
             out = tmp_path / name

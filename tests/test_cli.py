@@ -536,6 +536,25 @@ class TestSweepAndReport:
         assert (out2 / "summary.csv").read_text() == (out1 / "summary.csv").read_text()
         assert (out2 / "report.txt").exists()
 
+    def test_report_does_not_depend_on_record_order(self, tmp_path):
+        # the cells of two sweeps share their coordinates, so each summary
+        # row averages both sweeps' repeats, whichever file comes first
+        texts = []
+        for seed in ("3", "4"):
+            out = tmp_path / f"seed{seed}"
+            assert main(["sweep", "--synthetic", "d=2,n=45,noise=0.1", "--attack", "nopt",
+                         "--alphas", "0.1,0.2", "--repeats", "2", "--out", str(out),
+                         "--seed", seed]) == 0
+            texts.append((out / "records.jsonl").read_text(encoding="utf-8"))
+        written = []
+        for name, text in (("ab", texts[0] + texts[1]), ("ba", texts[1] + texts[0])):
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text(text, encoding="utf-8")
+            assert main(["report", "--records", str(path), "--out", str(tmp_path / name)]) == 0
+            written.append([(tmp_path / name / f).read_bytes()
+                            for f in ("summary.csv", "mse_vs_alpha.csv", "report.txt")])
+        assert written[0] == written[1]
+
     def test_report_counts_the_cell_records_not_the_header(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["sweep", "--synthetic", "d=2,n=45,noise=0.1", "--alphas", "0.1,0.2",

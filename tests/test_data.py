@@ -39,26 +39,30 @@ class TestLoadCsv:
         assert ds.features[:, 0].tolist() == [0.0, 0.25, 0.5, 1.0]
 
     def test_single_level_categorical_dropped(self, tmp_path):
+        # its one level is the reference level, so it writes no column
         p = write_csv(tmp_path / "a.csv", "a,c,y\n1,only,0\n2,only,1\n")
         ds, spec = load_csv(p, "y")
-        assert ds.d == 1
-        assert spec.dropped == ("c=only",)
+        assert ds.feature_names == ("a",)
+        assert spec.dropped == ()
         assert spec.onehot == (("c", ("only",)),)
 
     def test_onehot_levels_sorted(self, tmp_path):
+        # the first level in sorted order, blue, is the reference level
         p = write_csv(tmp_path / "a.csv", "c,y\nred,0\nblue,1\nred,2\ngreen,3\n")
         ds, spec = load_csv(p, "y")
-        assert ds.feature_names == ("c=blue", "c=green", "c=red")
-        assert ds.features[:, 2].tolist() == [1.0, 0.0, 1.0, 0.0]
+        assert ds.feature_names == ("c=green", "c=red")
+        assert ds.features.tolist() == [[0.0, 1.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+        assert spec.onehot == (("c", ("blue", "green", "red")),)
 
     def test_schema_hint_forces_categorical(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", "code,y\n1,0\n2,1\n1,2\n")
         ds, spec = load_csv(p, "y", categorical=["code"])
-        assert ds.feature_names == ("code=1", "code=2")
+        assert ds.feature_names == ("code=2",)
+        assert spec.onehot == (("code", ("1", "2")),)
 
     @pytest.mark.parametrize("target,hints,names", [
         ("c", None, ("a", "y")),
-        ("y", ["c"], ("c=1", "c=2", "a")),
+        ("y", ["c"], ("c=2", "a")),
     ])
     def test_byte_order_mark_is_not_part_of_the_first_column(self, tmp_path, target, hints, names):
         # spreadsheet tools save UTF-8 CSVs with a leading byte-order mark
@@ -150,6 +154,23 @@ class TestLoadCsv:
         assert spec.onehot == (("c", ("nan", "red")),)
         assert np.isfinite(ds.features).all()
 
+    def test_a_whole_one_hot_group_leaves_the_fits_well_posed(self, tmp_path):
+        # with every level a column, the group sums to the bias column: OLS
+        # falls back to minimum norm and coordinate descent crawls along the
+        # collinearity (LASSO and Elastic-net stop unconverged at the sweep cap)
+        rng = np.random.default_rng(5)
+        a, b = rng.lognormal(size=(2, 300))
+        region = rng.choice(["north", "south", "west"], size=300)
+        y = a + 0.5 * b + (region == "south") + rng.normal(0.0, 0.1, size=300)
+        rows = "".join(f"{u!r},{v!r},{r},{t!r}\n"
+                       for u, v, r, t in zip(a.tolist(), b.tolist(), region, y.tolist()))
+        ds, _ = load_csv(write_csv(tmp_path / "a.csv", "a,b,region,y\n" + rows), "y")
+        assert not fit(ds, "ols").fallback
+        for family in ("lasso", "enet"):
+            report = fit(ds, family, 1e-4)
+            assert report.converged and report.iterations <= 50, (family, report.iterations)
+        assert ds.feature_names == ("a", "b", "region=south", "region=west")
+
 
 LEVELS = ("blue", "green", "red")
 NUMBERS = st.floats(-1e6, 1e6)
@@ -199,9 +220,9 @@ class TestLoadCsvOracle:
             if name in hints or isinstance(raw[0], str):
                 cells = [str(v) for v in raw]  # a float's cell is its repr
                 levels = sorted(set(cells))
-                onehot.append({"source": name, "levels": levels})
+                onehot.append({"source": name, "levels": levels, "reference": levels[0]})
                 parts = [(f"{name}={level}", [float(c == level) for c in cells])
-                         for level in levels]
+                         for level in levels[1:]]
             else:
                 parts = [(name, raw)]
             for part_name, values in parts:
@@ -243,8 +264,8 @@ class TestNormalizationSpec:
         _, spec = load_csv(p, "y")
         doc = spec.to_dict()
         assert [(c["name"], c["min"], c["max"]) for c in doc["columns"]] == [
-            ("a", 1.0, 3.0), ("c=u", 0.0, 1.0), ("c=v", 0.0, 1.0)]
-        assert doc["onehot"] == [{"source": "c", "levels": ["u", "v"]}]
+            ("a", 1.0, 3.0), ("c=v", 0.0, 1.0)]
+        assert doc["onehot"] == [{"source": "c", "levels": ["u", "v"], "reference": "u"}]
         assert doc["dropped"] == []
 
     def test_rejects_degenerate_column(self):

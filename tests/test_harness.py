@@ -1,13 +1,14 @@
+import concurrent.futures
 import csv
 import dataclasses
 import io
 import json
+import statistics
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from poisonbench import attack as attack_module
 from poisonbench import harness
@@ -271,7 +272,7 @@ class TestAggregate:
         for row in rows:
             values = [r["mse_clean"] for r in records if r["alpha"] == row["alpha"]]
             assert len(values) == 5
-            assert row["mse_clean"] == float(np.mean(values))
+            assert row["mse_clean"] == statistics.fmean(values)
 
     def test_failed_records_are_not_averaged(self):
         rows = aggregate([fake_record(), fake_record(repeat=1, error="boom", mse_clean=None)])
@@ -292,18 +293,25 @@ class TestAggregate:
             aggregate([{"record_type": "header"}])
 
 
-# the lengths where numpy's summation changes shape: 8 running sums from 8
-# values, one pairwise split above 128 and two above 256
-_MEAN_LENGTHS = st.sampled_from((7, 8, 9, 127, 128, 129, 256, 257)) | st.integers(1, 399)
 # mixed signs, subnormals to 1e300, so a sum of 399 cannot overflow
 _MEAN_VALUES = st.floats(min_value=-1e300, max_value=1e300) | st.floats(min_value=-1.0, max_value=1.0)
 
 
 class TestStdlibMeanAndMedian:
     @settings(max_examples=300, deadline=None)
-    @given(_MEAN_LENGTHS.flatmap(lambda n: hnp.arrays(np.float64, n, elements=_MEAN_VALUES)))
-    def test_mean_is_numpys_bit_for_bit(self, values):
-        assert _mean(values.tolist()).hex() == float(np.mean(values)).hex()
+    @given(st.lists(_MEAN_VALUES, min_size=1, max_size=399))
+    def test_mean_is_statistics_fmean(self, values):
+        assert _mean(values).hex() == statistics.fmean(values).hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_MEAN_VALUES, _MEAN_VALUES), min_size=1, max_size=40),
+           st.randoms(use_true_random=False))
+    def test_aggregate_of_a_shuffled_cell_is_unchanged(self, values, rng):
+        cell = [fake_record(repeat=i, mse_clean=clean, mse_poisoned=poisoned)
+                for i, (clean, poisoned) in enumerate(values)]
+        shuffled = cell[:]
+        rng.shuffle(shuffled)
+        assert repr(aggregate(shuffled)) == repr(aggregate(cell))
 
     @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=60))
     def test_median_is_numpys_on_report_counts(self, values):
@@ -528,7 +536,8 @@ class TestParallelJobs:
             def map(self, fn, iterable, chunksize=1):
                 return map(fn, iterable)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakeExecutor)
+        # run_sweep imports the pool where it opens one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
         spec = small_spec(repeats=repeats)
         records = list(run_sweep(spec, jobs=jobs))
         assert opened == workers

@@ -31,6 +31,27 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_serial_sweep_loads_no_process_pool_or_chart_writer():
+    # the pool's module brings multiprocessing, logging and socket; harness
+    # and records load it and svgplot only where a pool is opened or a chart
+    # is drawn
+    src = str(Path(poisonbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = """
+import sys
+from poisonbench.data import SyntheticSpec
+from poisonbench.harness import ExperimentSpec, run_sweep
+spec = ExperimentSpec(synthetic=SyntheticSpec(d=2, n=30, seed=3), alpha_grid=(0.1,), repeats=1)
+records = list(run_sweep(spec, jobs=1))
+print(len(records), "error" in records[0],
+      [m for m in ("concurrent.futures.process", "poisonbench.svgplot") if m in sys.modules])
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "1 False []"
+
+
 # what only the commands that compute may load: numpy and every module but
 # cli, records and svgplot
 COMPUTE_MODULES = ("numpy", "poisonbench.attack", "poisonbench.data", "poisonbench.defend",
