@@ -337,20 +337,20 @@ def _validate(cfg: CliConfig, given: set):
 
 
 def _dataset_source(opts) -> dict:
-    """The dataset name and the CSV fields or synthetic spec, as ExperimentSpec fields."""
+    """The CSV fields or synthetic spec, as ExperimentSpec fields."""
     if "csv" in opts:
-        return dict(dataset_name=Path(opts["csv"]).stem, csv_path=opts["csv"],
-                    target_column=opts["target"], categorical=opts.get("categorical", ()))
+        return dict(csv_path=opts["csv"], target_column=opts["target"],
+                    categorical=opts.get("categorical", ()))
     from .data import SyntheticSpec
 
-    return dict(dataset_name="synthetic", synthetic=SyntheticSpec(**opts["synthetic"]))
+    return dict(synthetic=SyntheticSpec(**opts["synthetic"]))
 
 
 def _load_dataset(cfg: CliConfig):
     """fit, attack and defend's preamble: the dataset, its normalization,
     name and target column, and lambda: 0 for OLS, else --lambda, where
     'auto' selects on the validation fold of the --seed split."""
-    from .data import generate_synthetic, load_csv, split_three
+    from .data import generate_synthetic, load_csv, source_name, split_three
     from .regress import select_lambda
 
     opts, source = cfg.options, cfg.built["source"]
@@ -362,7 +362,7 @@ def _load_dataset(cfg: CliConfig):
     if lam == "auto":
         split = split_three(ds, opts["seed"])
         lam = select_lambda(split.train, split.validation, opts["family"], rho=opts["rho"])
-    return ds, norm, source["dataset_name"], source.get("target_column", "y"), lam
+    return ds, norm, source_name(source.get("csv_path")), source.get("target_column", "y"), lam
 
 
 def _out_dir(cfg: CliConfig) -> Path:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -49,6 +50,10 @@ class Dataset:
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "responses", resp)
         object.__setattr__(self, "feature_names", tuple(names))
+
+    def __reduce__(self):
+        # a pickled copy is rebuilt through __post_init__: validated and read-only
+        return Dataset, (self.features, self.responses, self.feature_names, self.provenance)
 
     @property
     def n(self) -> int:
@@ -153,6 +158,12 @@ def _floats(path, kind, name, cells):
         if not math.isfinite(v):
             raise ValueError(f"{path}: non-finite value {cell!r} in column {name!r}, row {i + 2}")
     return np.array(values)
+
+
+def source_name(csv_path) -> str:
+    """A dataset's name in records and cell seeds: its CSV file's stem, or
+    "synthetic"."""
+    return "synthetic" if csv_path is None else Path(csv_path).stem
 
 
 def load_csv(path, target_column: str, categorical=()):

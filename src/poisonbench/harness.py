@@ -29,6 +29,7 @@ from .data import (
     load_csv,
     merge,
     poison_count,
+    source_name,
     split_three,
 )
 from .defend import ProdaConfig, proda_defend, subset_size, trim_defend
@@ -45,7 +46,6 @@ class ExperimentSpec:
     """One sweep: dataset source, model families, attack/defense choices,
     and the grids to iterate."""
 
-    dataset_name: str = "synthetic"
     csv_path: str | None = None
     target_column: str | None = None
     categorical: tuple[str, ...] = ()
@@ -108,6 +108,11 @@ class ExperimentSpec:
                 ProdaConfig(gamma, epsilon=self.defense_epsilon)
         if self.defense == "trim" and self.defense_max_iters < 1:
             raise ValueError(f"defense_max_iters must be >= 1, got {self.defense_max_iters}")
+
+    @property
+    def dataset_name(self) -> str:
+        """The name records carry and cell seeds hash, read from the source."""
+        return source_name(self.csv_path)
 
 
 def cell_seed(master_seed: int, *coords) -> int:
@@ -235,6 +240,7 @@ def run_cell(
                     training_pool.n, subset_size(training_pool.n, alpha_assumed)
                 )
             record["defense_iterations"] = result.iterations
+            record["defense_converged"] = result.converged
             # Proda's iterations are its beta trials, TRIM's its C-steps
             record["time_defense_s"] = result.iterations * training_pool.n / RATE_ITERS_PER_S
             record["mse_defended"] = mse(train, result.model)

@@ -207,7 +207,8 @@ def write_report(out, records) -> int:
     cell count, a line per (attack, family) on how the attacks ended, TRIM's
     largest worst-case bound, and a recovery line per (attack, defense,
     family): the cells whose defended MSE is within RECOVERED_RATIO of clean,
-    out of all its cells, and the median defended/poisoned MSE ratio."""
+    out of all its cells, the median defended/poisoned MSE ratio, and how
+    many of the cells that record `defense_converged` converged."""
     summary = aggregate(records)
     (out / "summary.csv").write_text(summary_csv(summary), encoding="utf-8")
     for kind, (x_key, _) in _AXES.items():
@@ -245,9 +246,11 @@ def write_report(out, records) -> int:
         within = sum(r["mse_defended"] <= RECOVERED_RATIO * r["mse_clean"] for r in done)
         ratios = [r["mse_defended"] / r["mse_poisoned"] for r in done if r.get("mse_poisoned")]
         median = f"{_median(ratios):.4g}" if ratios else "n/a"
+        flags = [r["defense_converged"] for r in group if "defense_converged" in r]
+        converged = f"; {sum(flags)}/{len(flags)} converged" if flags else ""
         lines.append(
             f"recovery {attack} {defense} {family}: {within}/{len(group)} cells within "
-            f"{RECOVERED_RATIO:g}x clean MSE; median defended/poisoned MSE {median}"
+            f"{RECOVERED_RATIO:g}x clean MSE; median defended/poisoned MSE {median}{converged}"
         )
     (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return len(cells)

@@ -394,12 +394,11 @@ def fit(
     family: str = "ols",
     lam: float = 0.0,
     rho: float = 0.5,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
     warm_start: RegressionModel | None = None,
 ) -> FitReport:
     """Minimize the regularized training loss on a Dataset or its Moments;
-    deterministic.
+    deterministic. Coordinate descent stops at the module's DEFAULT_TOL or
+    after DEFAULT_MAX_ITERS sweeps, read at call time.
 
     warm_start seeds the coordinate-descent families only; closed-form
     families ignore it.
@@ -431,7 +430,7 @@ def fit(
         if warm_start is not None and warm_start.weights.shape[0] == d:
             w0, b0 = warm_start.weights, warm_start.bias
         w, b, iterations, converged = _coordinate_descent(
-            m, lam * l1, lam * l2, tol, max_iters, w0, b0
+            m, lam * l1, lam * l2, DEFAULT_TOL, DEFAULT_MAX_ITERS, w0, b0
         )
         fallback, h_inv = False, None
     model = RegressionModel(w, b, family, lam, rho)

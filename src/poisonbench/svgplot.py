@@ -20,9 +20,9 @@ def _data_range(values):
     return lo - pad, hi + pad
 
 
-def _ticks(lo, hi, count=5):
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+def _ticks(lo, hi):
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def _fmt(v):

@@ -402,7 +402,6 @@ class TestCriterion9DatasetGated:
             target, max_features = DATASETS[stem]
             for family in FOUR_FAMILIES:
                 spec = ExperimentSpec(
-                    dataset_name=stem,
                     csv_path=str(path),
                     target_column=target,
                     families=(family,),

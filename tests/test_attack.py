@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,6 +56,12 @@ def make_attack_instance(seed, d=None, n=50, family="ols", lam=0.0):
 SPARSE_TOL = 1e-13
 
 
+def fit_at(tol, *args):
+    """fit with coordinate descent stopping at tol in place of DEFAULT_TOL."""
+    with mock.patch.object(regress, "DEFAULT_TOL", tol):
+        return fit(*args)
+
+
 def make_sparse_instance(seed, family, lam=0.5, n=60, d=4, p=5):
     """Clean rows whose last feature has true weight 0, p poison points on
     the far response boundary, and the merged fit at SPARSE_TOL, returned
@@ -70,13 +77,13 @@ def make_sparse_instance(seed, family, lam=0.5, n=60, d=4, p=5):
     py = np.round(1.0 - np.clip(px @ w + 0.3, 0.0, 1.0))
     clean, poison = Dataset(x, y), Dataset(px, py, provenance="poisoned")
     merged, _ = merge(clean, poison)
-    model = fit(merged, family, lam, tol=SPARSE_TOL).model
+    model = fit_at(SPARSE_TOL, merged, family, lam).model
     zero = model.weights == 0.0
     pull = np.abs(merged.features.T @ (model.predict(merged.features) - merged.responses))
     l1 = 1.0 if family == "lasso" else model.rho
     if not zero.any() or np.any(pull[zero] > 0.9 * lam * l1):
         return None
-    ref = loss(clean, fit(clean, family, lam, tol=SPARSE_TOL).model, include_regularizer=False)
+    ref = loss(clean, fit_at(SPARSE_TOL, clean, family, lam).model, include_regularizer=False)
     return clean, poison, merged, model, ref
 
 
@@ -97,7 +104,7 @@ def refit_model(clean, px, py, family, lam, tol=DEFAULT_TOL):
         np.vstack([clean.features, px]), np.concatenate([clean.responses, py]),
         provenance="mixed",
     )
-    return fit(merged, family, lam, tol=tol).model
+    return fit_at(tol, merged, family, lam).model
 
 
 def refit_dispersion(clean, px, py, family, lam, ref, tol=DEFAULT_TOL):

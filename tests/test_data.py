@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import pickle
 import re
 
 import numpy as np
@@ -23,6 +24,18 @@ from poisonbench.regress import fit, mse
 def write_csv(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+class TestDataset:
+    def test_a_pickled_copy_is_read_only(self):
+        # a pool worker's dataset is such a copy; it is rebuilt through the
+        # constructor, which validates it and freezes its arrays
+        ds = Dataset(np.arange(6.0).reshape(3, 2), np.arange(3.0), ("a", "b"), "poisoned")
+        back = pickle.loads(pickle.dumps(ds))
+        assert not back.features.flags.writeable and not back.responses.flags.writeable
+        assert np.array_equal(back.features, ds.features)
+        assert np.array_equal(back.responses, ds.responses)
+        assert (back.feature_names, back.provenance) == (ds.feature_names, ds.provenance)
 
 
 class TestLoadCsv:

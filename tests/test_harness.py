@@ -1,8 +1,10 @@
 import concurrent.futures
 import csv
 import dataclasses
+import functools
 import io
 import json
+import multiprocessing
 import statistics
 
 import numpy as np
@@ -99,6 +101,25 @@ class TestExperimentSpec:
     def test_alpha_assumed_zero_and_unset_accepted(self):
         assert small_spec(defense="trim", alpha_assumed=0.0).alpha_assumed == 0.0
         assert small_spec(defense="trim").alpha_assumed is None
+
+    def test_a_csv_spec_is_named_after_its_file(self, tmp_path):
+        # records carry the name and cell seeds hash it
+        rows = np.random.default_rng(4).uniform(size=(40, 3)).tolist()
+        text = "x0,x1,y\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows)
+        for stem in ("houses", "loans"):
+            (tmp_path / f"{stem}.csv").write_text(text, encoding="utf-8")
+        spec = ExperimentSpec(csv_path=str(tmp_path / "houses.csv"), target_column="y",
+                              lambda_policy=0.0, alpha_grid=(0.2,), repeats=1)
+        assert spec.dataset_name == "houses" and header_record(spec)["dataset"] == "houses"
+        houses = run_cell(spec, "ols", 0.2, None, 0)
+        assert houses["dataset"] == "houses"
+        assert houses["seed"] == cell_seed(spec.master_seed, "houses", "ols", "none", "none",
+                                           0.2, None, 0)
+        # a copy with another file takes that file's name, and so its seeds
+        loans = run_cell(dataclasses.replace(spec, csv_path=str(tmp_path / "loans.csv")),
+                         "ols", 0.2, None, 0)
+        assert loans["dataset"] == "loans" and loans["seed"] != houses["seed"]
+        assert small_spec().dataset_name == "synthetic"
 
 
 class TestRunCell:
@@ -226,6 +247,19 @@ class TestRunCell:
         monkeypatch.setattr(module, "fit", fit_failing_at_call)
         record = run_cell(spec, "ols", 0.2, None, 0)
         assert record["error"] == f"RuntimeError: {name} did not converge (1 iterations)"
+
+    def test_trim_stopped_by_max_iters_records_and_reports_no_convergence(self, tmp_path):
+        # at alpha_assumed 0.2 the first C-step leaves the random starting
+        # subset, so one C-step cannot converge
+        spec = small_spec(defense="trim", alpha_assumed=0.2, repeats=2)
+        assert [r["defense_converged"] for r in run_sweep(spec)] == [True, True]
+        stopped = list(run_sweep(dataclasses.replace(spec, defense_max_iters=1)))
+        assert [(r["defense_iterations"], r["defense_converged"]) for r in stopped] == [
+            (1, False), (1, False)]
+        write_report(tmp_path, stopped)
+        lines = (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines()
+        assert lines[-1].startswith("recovery none trim ols: ")
+        assert lines[-1].endswith("; 0/2 converged")
 
     def test_cell_seed_stable(self):
         assert cell_seed(1, "a", 0.2) == cell_seed(1, "a", 0.2)
@@ -455,12 +489,13 @@ class TestReportText:
                                **kwargs)
 
         cells = [
-            cell("ols", "proda", 0.010, 0.040, 0.011, gamma=3),  # at 1.1x clean: recovered
-            cell("ols", "proda", 0.010, 0.050, 0.020, gamma=3, repeat=1),
-            cell("ols", "proda", 0.010, 0.020, 0.010, gamma=4),
+            # at 1.1x clean: recovered
+            cell("ols", "proda", 0.010, 0.040, 0.011, gamma=3, defense_converged=True),
+            cell("ols", "proda", 0.010, 0.050, 0.020, gamma=3, repeat=1, defense_converged=False),
+            cell("ols", "proda", 0.010, 0.020, 0.010, gamma=4),  # records from before the key
             fake_record(family="ols", attack="nopt", defense="proda", gamma=4, repeat=1,
                         error="ValueError: gamma"),
-            cell("ridge", "proda", 0.010, 0.030, 0.030, gamma=3),
+            cell("ridge", "proda", 0.010, 0.030, 0.030, gamma=3, defense_converged=True),
             cell("ols", "none", 0.010, 0.040, None),
             fake_record(defense="trim", mse_defended=0.0105, defense_iterations=2,
                         trim_worst_case_iterations="12"),
@@ -476,11 +511,12 @@ class TestReportText:
             "worst case C(N, n) = 12 subset traversals",
             "recovery none trim ols: 1/1 cells within 1.1x clean MSE; "
             "median defended/poisoned MSE n/a",
-            # defended/poisoned ratios 0.275, 0.4 and 0.5; the failed cell counts as not recovered
+            # defended/poisoned ratios 0.275, 0.4 and 0.5; the failed cell counts as not
+            # recovered, and the convergence count is over the cells that record it
             "recovery nopt proda ols: 2/4 cells within 1.1x clean MSE; "
-            "median defended/poisoned MSE 0.4",
+            "median defended/poisoned MSE 0.4; 1/2 converged",
             "recovery nopt proda ridge: 0/1 cells within 1.1x clean MSE; "
-            "median defended/poisoned MSE 1",
+            "median defended/poisoned MSE 1; 1/1 converged",
         ]
 
 
@@ -543,6 +579,15 @@ class TestParallelJobs:
         assert opened == workers
         assert [r["repeat"] for r in records] == list(range(repeats))
         assert all("error" not in r for r in records)
+
+    def test_spawned_workers_match_serial(self, monkeypatch):
+        # a spawn-context worker unpickles every task's spec and dataset
+        spawn_pool = functools.partial(concurrent.futures.ProcessPoolExecutor,
+                                       mp_context=multiprocessing.get_context("spawn"))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn_pool)
+        spec = small_spec(alpha_grid=(0.1, 0.2), defense="trim", alpha_assumed=0.2)
+        strip = lambda rs: [{k: v for k, v in r.items() if k != "wall_time_defense_s"} for r in rs]
+        assert strip(run_sweep(spec, jobs=2)) == strip(run_sweep(spec, jobs=1))
 
 
 class TestRejectedSpecs:

@@ -223,6 +223,68 @@ def test_every_config_field_has_a_caller():
     assert unset == FIELDS_SET_ONLY_BY_TESTS
 
 
+# defaulted parameters no call outside the tests passes, each with its reason:
+# test_every_loop_ascent_is_the_public_gradient hands the attack loop's own
+# merged moments and H^-1 to the public gradients, to show the loop's ascent
+# is theirs bit for bit, and no other seam reaches the loop's arrays
+PARAMETERS_PASSED_ONLY_BY_TESTS = {
+    "attack.objective_gradient.merged", "attack.objective_gradient.h_inv",
+    "attack.opt_objective_gradient.merged", "attack.opt_objective_gradient.h_inv",
+}
+
+
+def _callee_names(node):
+    """The names a called expression can be: a name, an attribute, or either
+    branch of a conditional."""
+    if isinstance(node, ast.IfExp):
+        return _callee_names(node.body) | _callee_names(node.orelse)
+    name = getattr(node, "id", getattr(node, "attr", None))
+    return {name} if name else set()
+
+
+def test_every_parameter_has_a_caller():
+    # a defaulted parameter that only the tests pass is an option no user
+    # reaches. A call passes it by a keyword of that name, by position, or
+    # through *args or **kwargs, to the function's name, to a method's
+    # attribute (past self or cls), to a class for its __init__, or to a
+    # name assigned from the function (`attack_fn = nopt_attack if ... else
+    # opt_attack`); perfbench is parsed, not imported
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src").rglob("*.py"))
+    params = {}  # "module.function.parameter" -> (called name, position or None, parameter)
+    for path in package:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            defs = [(node.name, node, 0)] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):  # the package has no staticmethod
+                defs = [(node.name if item.name == "__init__" else item.name, item, 1)
+                        for item in node.body if isinstance(item, ast.FunctionDef)]
+            for called, fn, skip in defs:
+                args = fn.args
+                positional = [a.arg for a in args.posonlyargs + args.args][skip:]
+                for i in range(len(positional) - len(args.defaults), len(positional)):
+                    params[f"{path.stem}.{fn.name}.{positional[i]}"] = (called, i, positional[i])
+                for a, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        params[f"{path.stem}.{fn.name}.{a.arg}"] = (called, None, a.arg)
+    assert params
+    passed = set()
+    for path in [*package, *(root / "perfbench").rglob("*.py")]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                aliases.setdefault(node.targets[0].id, set()).update(_callee_names(node.value))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            names = set().union(*({n} | aliases.get(n, set()) for n in _callee_names(node.func)))
+            keywords = {k.arg for k in node.keywords}
+            spread = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+            passed.update(key for key, (called, i, name) in params.items() if called in names
+                          and (spread or name in keywords or (i is not None and i < len(node.args))))
+    assert set(params) - passed == PARAMETERS_PASSED_ONLY_BY_TESTS
+
+
 def test_readme_library_example_runs(capsys):
     # the README's one Python example is the public API as users first see it
     readme = Path(__file__).resolve().parents[1] / "README.md"

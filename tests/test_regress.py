@@ -782,9 +782,10 @@ class TestSelectLambda:
 
 
 class TestConvergenceFlag:
-    def test_lasso_non_convergence_is_flagged_not_raised(self):
+    def test_lasso_non_convergence_is_flagged_not_raised(self, monkeypatch):
         ds = make_noisy_dataset(n=60, d=4, seed=11)
-        report = fit(ds, "lasso", 0.001, max_iters=1)
+        monkeypatch.setattr(regress, "DEFAULT_MAX_ITERS", 1)  # fit reads it at call time
+        report = fit(ds, "lasso", 0.001)
         assert not report.converged
         assert report.iterations == 1
 
