@@ -15,15 +15,11 @@ implicit function theorem applied to the training stationarity condition:
     d theta / d z_c (transposed) = J = -E H^-1,
     E = [[w x_c^T + r_c I, w], [-x_c^T, -1]],  r_c = f(x_c) - y_c,
 
-with H = G + lambda * curvature * diag(1, ..., 1, 0) the Hessian of the
-training objective (1/2 sum r^2 + lambda Omega); the l1 part contributes
-zero curvature. Under an l1 penalty (LASSO, Elastic-net) a zero weight stays
-at zero while the point moves a little, so the system is restricted to the
-active set: the nonzero weights and the bias, with zero columns of J for the
-others (Xiao et al., ICML 2015). A gradient needs only J @ g for one vector
-g, so it solves H v = g once (the adjoint form, Pedregosa 2016) by the
-refit's rule, `regress._solve`: H^-1 g, or minimum norm where the refit
-falls back, with no jitter. A step reuses the accepted trial's u = (w, b,
+with H the Hessian of the training objective (1/2 sum r^2 + lambda Omega),
+restricted to the active set under an l1 penalty (zero columns of J at a
+zero weight). A gradient needs only J @ g for one vector g, so it solves
+H v = g once (the adjoint form, Pedregosa 2016) by `regress._kkt_solve`,
+which owns H for every family. A step reuses the accepted trial's u = (w, b,
 -1), q = stats u (g is q[:-1], scaled for Nopt) and OLS/Ridge H^-1, so it
 factors H once. The poison points are rows (x, 1, y); a trial swaps one in
 the merged moments by two rank-one updates.
@@ -49,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, poison_count
-from .regress import Moments, RegressionModel, _penalty_mix, _solve, fit, loss, mse
+from .regress import Moments, RegressionModel, _kkt_solve, fit, loss, mse
 
 ARMIJO_C = 1e-4
 # line search: backtracking factor and backtracks per point; the first step
@@ -131,28 +127,12 @@ def _implicit_product(
     h_inv: np.ndarray | None = None, scale: float = 0.0,
 ) -> np.ndarray:
     """J @ rhs + scale r_c (w, -1) for the Jacobian J of theta_jacobian at the
-    point row = (x_c, 1, y_c) with residual r_c, from one solve of H v = rhs:
+    point row = (x_c, 1, y_c) with residual r_c, from one solve of H v = rhs
+    (`regress._kkt_solve`, which takes `h_inv` when given):
     J @ rhs = -E v = -[u ((x_c, 1) . v) + r_c (v_x, 0, 0)] for u = (w, b, -1),
-    over (x, 1, y) with 0 at the constant. v is h_inv @ rhs when given (H^-1
-    of a closed-form fit on `moments`), else `_solve`'s, by the fit's rule.
-    Under an l1 penalty v solves on the active set and is 0 at a zero weight."""
-    n, d = moments.n, moments.d
-    if n < d + 1:
-        raise ValueError("need n >= d+1 training rows for the KKT system")
-    if h_inv is not None:
-        v = h_inv @ rhs
-    else:
-        l1, l2 = _penalty_mix(model.family, model.rho)
-        h = moments.penalized_gram(model.lam * l2)
-        if model.lam * l1 > 0.0:
-            # an identity row and column for each weight the l1 penalty holds
-            # at zero solve the system on the active set and leave v = 0 there
-            rhs = rhs.copy()
-            for j, w_j in enumerate(model.weights.tolist()):
-                if w_j == 0.0:
-                    h[j, :] = h[:, j] = rhs[j] = 0.0
-                    h[j, j] = 1.0
-        v = _solve(h, rhs)[0]
+    over (x, 1, y) with 0 at the constant."""
+    d = moments.d
+    v = _kkt_solve(moments, model, rhs, h_inv)
     r_c = float(model.weights @ row[:d] + model.bias - row[d + 1])
     s = scale * r_c - (row[:d] @ v[:-1] + v[-1])
     ev = s * u

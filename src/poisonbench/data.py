@@ -64,8 +64,12 @@ class Dataset:
         return self.features.shape[1]
 
     def take(self, indices) -> "Dataset":
-        """Row subset (copy), preserving provenance."""
-        idx = np.asarray(indices, dtype=int)
+        """Row subset (copy) at integer indices, preserving provenance."""
+        idx = np.asarray(indices)
+        # a cast would read a boolean mask as rows 0 and 1 and truncate floats
+        if idx.size and idx.dtype.kind not in "iu":
+            raise TypeError(f"row indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(int)  # an empty list arrives as float64
         return Dataset(self.features[idx], self.responses[idx], self.feature_names, self.provenance)
 
 

@@ -55,6 +55,8 @@ class ProdaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.gamma, bool) or not isinstance(self.gamma, (int, np.integer)):
+            raise ValueError(f"gamma must be an integer, got {self.gamma}")
         if self.gamma < 1:
             raise ValueError("gamma must be >= 1")
         if not 0.0 < self.epsilon < 1.0:

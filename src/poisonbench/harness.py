@@ -33,7 +33,7 @@ from .data import (
     split_three,
 )
 from .defend import ProdaConfig, proda_defend, subset_size, trim_defend
-from .records import ATTACKS, DEFAULT_ALPHA_GRID, DEFAULT_SEED, DEFENSES, trim_worst_case_text
+from .records import ATTACKS, DEFAULT_ALPHA_GRID, DEFAULT_SEED, DEFENSES, FAMILIES, trim_worst_case_text
 # perfbench's tracer wraps these at harness.<name>, so harness keeps binding them
 from .records import aggregate, emit_plot, read_records, summary_csv, write_records  # noqa: F401
 from .regress import fit, mse, select_lambda
@@ -78,6 +78,9 @@ class ExperimentSpec:
             raise ValueError(f"defense must be one of {DEFENSES}")
         if not self.families:
             raise ValueError("families must be nonempty")
+        unknown = [f for f in self.families if f not in FAMILIES]
+        if unknown:
+            raise ValueError(f"unknown families {unknown} (choose from {FAMILIES})")
         if not self.alpha_grid:
             raise ValueError("alpha_grid must be nonempty")
         if self.defense == "proda" and not self.gamma_grid:
@@ -137,14 +140,6 @@ def load_base_dataset(spec: ExperimentSpec) -> Dataset:
     return ds
 
 
-def _resolve_lambda(spec, family, train, validation):
-    if family == "ols":
-        return 0.0
-    if spec.lambda_policy == "select":
-        return select_lambda(train, validation, family, rho=spec.rho)
-    return float(spec.lambda_policy)
-
-
 def run_cell(
     spec: ExperimentSpec,
     family: str,
@@ -183,10 +178,11 @@ def run_cell(
             idx = sub_rng.choice(train.n, size=spec.train_subsample, replace=False)
             train = train.take(np.sort(idx))
 
-        lam = _resolve_lambda(spec, family, train, validation)
-        record["lambda"] = lam
-
-        clean_model = fit(train, family, lam, rho=spec.rho).converged_model("clean fit")
+        lam = spec.lambda_policy
+        if lam == "select":
+            lam = select_lambda(train, validation, family, rho=spec.rho)
+        clean_model = fit(train, family, float(lam), rho=spec.rho).converged_model("clean fit")
+        lam = record["lambda"] = clean_model.lam  # fit gives OLS lambda 0
         record["mse_clean"] = mse(train, clean_model)
         record["mse_clean_test"] = mse(test, clean_model)
 
@@ -225,7 +221,7 @@ def run_cell(
             defense_seed = cell_seed(seed, "defense")
             t0 = time.perf_counter()
             if spec.defense == "proda":
-                dcfg = ProdaConfig(int(gamma), spec.defense_epsilon, alpha_assumed, defense_seed)
+                dcfg = ProdaConfig(gamma, spec.defense_epsilon, alpha_assumed, defense_seed)
                 result = proda_defend(training_pool, dcfg, family, lam, rho=spec.rho)
             else:
                 result = trim_defend(

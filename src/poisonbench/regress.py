@@ -10,9 +10,9 @@ regularized.
 
 Every solver reads the data through its `Moments` (G = A^T A for A = [X 1],
 c = A^T y and y^T y). `_solve` is the one rule for a penalized Gram system
-H, in the OLS/Ridge fits and the attack's gradient alike: x = H^-1 rhs from
-one inverse (a fit's report keeps H^-1), or minimum-norm least squares when
-||H||_F ||H^-1||_F, an upper bound on the eigenvalue ratio, reaches
+H, in the OLS/Ridge fits and the attack's `_kkt_solve` alike: x = H^-1 rhs
+from one inverse (a fit's report keeps H^-1), or minimum-norm least squares
+when ||H||_F ||H^-1||_F, an upper bound on the eigenvalue ratio, reaches
 1/MIN_RCOND or is NaN. The inverse is the LAPACK gufunc behind
 `np.linalg.inv`, called directly for the same bits: at d <= 8 the wrapper's
 checks and error state cost about as much as the inverse itself (11 against
@@ -232,6 +232,31 @@ def _solve(h: np.ndarray, rhs: np.ndarray, rows: Dataset | None = None, lam: flo
         rhs = np.concatenate([rows.responses, np.zeros(d)])
     x, _, rank, _ = np.linalg.lstsq(h, rhs, rcond=None)
     return x, None, rank < h.shape[1]
+
+
+def _kkt_solve(
+    moments: Moments, model: RegressionModel, rhs: np.ndarray, h_inv: np.ndarray | None
+) -> np.ndarray:
+    """v solving H v = rhs for the Hessian H of the training objective at
+    `model`, a minimizer on `moments`: h_inv @ rhs when the caller holds H^-1
+    of the model's closed-form fit, else by `_solve`'s rule. Under an l1
+    penalty a zero weight stays at zero while the data move a little, so H is
+    restricted to the active set and v is 0 there (Xiao et al., ICML 2015)."""
+    if moments.n < moments.d + 1:
+        raise ValueError("need n >= d+1 training rows for the KKT system")
+    if h_inv is not None:
+        return h_inv @ rhs
+    l1, l2 = _penalty_mix(model.family, model.rho)
+    h = moments.penalized_gram(model.lam * l2)
+    if model.lam * l1 > 0.0:
+        # an identity row and column for each weight the l1 penalty holds
+        # at zero solve the system on the active set and leave v = 0 there
+        rhs = rhs.copy()
+        for j, w_j in enumerate(model.weights.tolist()):
+            if w_j == 0.0:
+                h[j, :] = h[:, j] = rhs[j] = 0.0
+                h[j, j] = 1.0
+    return _solve(h, rhs)[0]
 
 
 @functools.cache

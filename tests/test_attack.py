@@ -329,15 +329,16 @@ class TestAdjointGradient:
 
     @pytest.mark.parametrize("family,lam", FAMILY_LAMBDAS)
     def test_one_solve_with_a_vector_per_gradient(self, monkeypatch, family, lam):
-        real_solve = attack_module._solve
+        real_solve = regress._solve
         shapes = []
 
         def counting_solve(h, rhs, *args):
             shapes.append(np.shape(rhs))
             return real_solve(h, rhs, *args)
 
-        monkeypatch.setattr(attack_module, "_solve", counting_solve)
+        # the instance's own fits solve too, so it is built before the count
         clean, poison, merged, model, ref = make_attack_instance(130, d=3, family=family, lam=lam)
+        monkeypatch.setattr(regress, "_solve", counting_solve)
         objective_gradient(clean, poison, model, ref, 0)
         assert shapes == [(4,)]
         shapes.clear()
@@ -707,7 +708,7 @@ class TestGradientFromTheFitInverse:
         clean, poison, merged, _, ref = make_attack_instance(150, d=3, family="ridge", lam=0.1)
         moments = Moments.of(merged)
         report = fit(moments, "ridge", 0.1)
-        monkeypatch.setattr(attack_module, "_solve", no_solve)
+        monkeypatch.setattr(regress, "_solve", no_solve)
         objective_gradient(clean, poison, report.model, ref, 0, merged=moments, h_inv=report.h_inv)
         opt_objective_gradient(clean, poison, report.model, 0, merged=moments, h_inv=report.h_inv)
 

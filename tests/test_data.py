@@ -37,6 +37,23 @@ class TestDataset:
         assert np.array_equal(back.responses, ds.responses)
         assert (back.feature_names, back.provenance) == (ds.feature_names, ds.provenance)
 
+    @pytest.mark.parametrize("indices,dtype", [
+        ([True, False, True, False], "bool"),  # a cast would read rows 1, 0, 1, 0
+        ([0.7, 2.9], "float64"),  # a cast would truncate to rows 0 and 2
+    ])
+    def test_take_rejects_indices_that_are_not_integers(self, indices, dtype):
+        ds = Dataset(np.arange(8.0).reshape(4, 2), np.arange(4.0))
+        with pytest.raises(TypeError, match=f"row indices must be integers, got dtype {dtype}"):
+            ds.take(indices)
+
+    @pytest.mark.parametrize("indices,rows", [
+        ([], []), ([2, 0], [2, 0]), (np.array([3], dtype=np.uint8), [3]),
+    ])
+    def test_take_integer_indices(self, indices, rows):
+        ds = Dataset(np.arange(8.0).reshape(4, 2), np.arange(4.0), provenance="poisoned")
+        sub = ds.take(indices)
+        assert sub.responses.tolist() == rows and sub.provenance == "poisoned"
+
 
 class TestLoadCsv:
     def test_minmax_endpoints(self, tmp_path):

@@ -654,6 +654,15 @@ class TestRejectedInputs:
         with pytest.raises(ValueError, match="alpha_assumed"):
             ProdaConfig(gamma=3, alpha_assumed=alpha_assumed)
 
+    @pytest.mark.parametrize("gamma", [6.5, 6.0, True, "6"])
+    def test_proda_config_gamma_that_is_not_an_integer(self, gamma):
+        # Proda draws groups of gamma rows; a float would run as int(gamma)
+        with pytest.raises(ValueError, match=f"gamma must be an integer, got {gamma}"):
+            ProdaConfig(gamma=gamma)
+
+    def test_proda_config_takes_a_numpy_integer_gamma(self):
+        assert ProdaConfig(gamma=np.int64(6)).gamma == 6
+
     def test_proda_subset_smaller_than_gamma(self):
         ds = make_noisy_dataset(n=10, d=1, seed=15)
         with pytest.raises(ValueError, match="smaller than gamma"):

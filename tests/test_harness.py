@@ -78,6 +78,7 @@ class TestExperimentSpec:
         (dict(attack="nopt", alpha_grid=(0.1, 0.5)), "alpha"),
         (dict(attack="opt", alpha_grid=(0.0,)), "alpha"),
         (dict(defense="proda", gamma_grid=(3, 0)), "gamma"),
+        (dict(defense="proda", gamma_grid=(6.5,)), "gamma must be an integer, got 6.5"),
         (dict(defense="proda", gamma_grid=(3,), defense_epsilon=1.5), "epsilon"),
         (dict(families=("ridge",), lambda_policy=-1.0), "lambda_policy"),
         (dict(families=("ridge",), lambda_policy="auto"), "lambda_policy"),
@@ -598,6 +599,7 @@ class TestRejectedSpecs:
         (dict(attack="flip"), "attack must be one of"),
         (dict(defense="sever"), "defense must be one of"),
         (dict(families=()), "families must be nonempty"),
+        (dict(families=("ols", "Ridge")), r"unknown families \['Ridge'\]"),
         (dict(alpha_grid=()), "alpha_grid must be nonempty"),
         (dict(defense="proda"), "gamma_grid must be nonempty"),
         (dict(repeats=0), "repeats must be >= 1"),

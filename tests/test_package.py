@@ -353,6 +353,38 @@ def test_only_regress_solves_linear_systems():
     assert {module for module, _ in found} <= {"regress"}, found
 
 
+# sites outside regress that test a family by name, each with its reason:
+# `--lambda auto` must not split the data under OLS, since `split_three`
+# needs three rows and a two-row CSV fits under OLS (ROADMAP aim 2)
+FAMILY_TESTS_OUTSIDE_REGRESS = {("cli", "_load_dataset", "ols")}
+
+
+def test_only_regress_knows_the_families():
+    # `regress` holds what a family means: its penalty mix, its solver, its
+    # KKT system and OLS's lambda of 0. A module that compares a family with
+    # a name, or builds or solves a penalized system itself, would bring a
+    # second definition back. A site is the top-level definition holding it
+    rules = {"_penalty_mix", "_solve", "penalized_gram"}
+    found = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src").rglob("*.py")):
+        if path.stem == "regress":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            site = (path.stem, getattr(top, "name", "<module>"))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Compare):
+                    for operand in (node.left, *node.comparators):
+                        items = getattr(operand, "elts", [operand])  # a tuple, list or set
+                        found.update((*site, item.value) for item in items
+                                     if isinstance(item, ast.Constant)
+                                     and item.value in records.FAMILIES)
+                names = {getattr(node, "id", None), getattr(node, "attr", None)}
+                if isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+                found.update((*site, name) for name in names & rules)
+    assert found == FAMILY_TESTS_OUTSIDE_REGRESS
+
+
 def test_cli_imports_no_numpy():
     # numpy stays with the compute modules: the CLI parses and checks its
     # options with the standard library, and a command imports what it runs
