@@ -57,12 +57,7 @@ class ProdaConfig:
     def __post_init__(self):
         if isinstance(self.gamma, bool) or not isinstance(self.gamma, (int, np.integer)):
             raise ValueError(f"gamma must be an integer, got {self.gamma}")
-        if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must be in (0, 1)")
-        if not 0.0 <= self.alpha_assumed < 1.0:
-            raise ValueError("alpha_assumed must be in [0, 1)")
+        compute_beta(self.alpha_assumed, self.gamma, self.epsilon)  # the ranges, and a finite beta
 
 
 @dataclass(frozen=True)
@@ -107,18 +102,22 @@ def compute_beta(alpha: float, gamma: int, epsilon: float) -> int:
     every group is clean.
     """
     if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+        raise ValueError(f"alpha_assumed must be in [0, 1), got {alpha}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     if alpha == 0.0:
         return 1
-    p_dirty = 1.0 - (1.0 - alpha) ** gamma  # P(group touches poison)
+    p_clean = (1.0 - alpha) ** gamma
+    p_dirty = 1.0 - p_clean  # P(group touches poison)
     if p_dirty <= 0.0:
         return 1
     if p_dirty >= 1.0:
-        raise ValueError("(1-alpha)^gamma underflowed to 0; no finite beta guarantees a clean group")
+        raise ValueError(
+            f"(1-alpha)^gamma = {p_clean:.3g} at alpha={alpha}, gamma={gamma} underflowed in "
+            "1 - (1-alpha)^gamma, which rounds to 1; no finite beta guarantees a clean group"
+        )
     beta = max(1, math.ceil(math.log(epsilon) / math.log(p_dirty)))
     while p_dirty**beta > epsilon:
         beta += 1
@@ -129,6 +128,8 @@ def compute_beta(alpha: float, gamma: int, epsilon: float) -> int:
 
 def subset_size(n_rows: int, alpha_assumed: float) -> int:
     """Estimated clean count: ceil((1 - alpha_assumed) * N)."""
+    if not 0.0 <= alpha_assumed < 1.0:
+        raise ValueError(f"alpha_assumed must be in [0, 1), got {alpha_assumed}")
     return math.ceil((1.0 - alpha_assumed) * n_rows)
 
 

@@ -97,7 +97,8 @@ class ExperimentSpec:
         if fraction is not None and not 0.0 < fraction <= 1.0:
             raise ValueError(f"surrogate_fraction must be in (0, 1], got {fraction}")
         lam = self.lambda_policy
-        if lam != "select" and not (isinstance(lam, (int, float)) and 0.0 <= lam < math.inf):
+        number = isinstance(lam, (int, float)) and not isinstance(lam, bool)
+        if lam != "select" and not (number and 0.0 <= lam < math.inf):
             raise ValueError(f"lambda_policy must be 'select' or a finite float >= 0, got {lam!r}")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must be in [0, 1], got {self.rho}")
@@ -107,10 +108,17 @@ class ExperimentSpec:
             for alpha in self.alpha_grid:
                 AttackConfig(alpha, max_outer_iters=self.attack_max_outer)
         if self.defense == "proda":
-            for gamma in self.gamma_grid:
-                ProdaConfig(gamma, epsilon=self.defense_epsilon)
+            for alpha_assumed in dict.fromkeys(map(self.assumed_alpha, self.alpha_grid)):
+                for gamma in self.gamma_grid:
+                    ProdaConfig(gamma, self.defense_epsilon, alpha_assumed)
         if self.defense == "trim" and self.defense_max_iters < 1:
             raise ValueError(f"defense_max_iters must be >= 1, got {self.defense_max_iters}")
+
+    def assumed_alpha(self, alpha: float) -> float:
+        """The defender's alpha in a cell of real rate alpha: the spec's
+        alpha_assumed, else alpha under an attack, else 0."""
+        known = alpha if self.attack != "none" else 0.0
+        return known if self.alpha_assumed is None else self.alpha_assumed
 
     @property
     def dataset_name(self) -> str:
@@ -154,9 +162,7 @@ def run_cell(
     seed = cell_seed(
         spec.master_seed, spec.dataset_name, family, spec.attack, spec.defense, alpha, gamma, repeat
     )
-    alpha_assumed = spec.alpha_assumed
-    if alpha_assumed is None:
-        alpha_assumed = alpha if spec.attack != "none" else 0.0
+    alpha_assumed = spec.assumed_alpha(alpha)
     record = {
         "record_type": "cell",
         "dataset": spec.dataset_name,

@@ -69,6 +69,16 @@ def _penalty_mix(family: str, rho: float) -> tuple[float, float]:
     return mixes.get(family, (rho, 1.0 - rho))
 
 
+def _check_settings(family: str, lam: float, rho: float) -> None:
+    """The family, lambda and rho rule of `fit` and `RegressionModel`."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if isinstance(lam, bool) or not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must be in [0, 1], got {rho}")
+
+
 @dataclass(frozen=True)
 class RegressionModel:
     weights: np.ndarray
@@ -81,12 +91,7 @@ class RegressionModel:
         w = np.asarray(self.weights, dtype=float)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if not 0.0 <= self.lam < math.inf:
-            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError("rho must be in [0, 1]")
+        _check_settings(self.family, self.lam, self.rho)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return np.asarray(features) @ self.weights + self.bias
@@ -428,12 +433,7 @@ def fit(
     warm_start seeds the coordinate-descent families only; closed-form
     families ignore it.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if not 0.0 <= lam < math.inf:
-        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must be in [0, 1], got {rho}")
+    _check_settings(family, lam, rho)
     m = Moments.of(data)
     d = m.d
     if m.n < d + 1:

@@ -241,6 +241,9 @@ class TestMainExitCodes:
         (["attack", "--alpha", "0.1", "--seed", "-1"], "--seed must be >= 0"),
         (["defend", "--method", "trim", "--seed", "-1"], "--seed must be >= 0"),
         (["defend", "--method", "proda", "--gamma", "3", "--seed", "-1"], "--seed must be >= 0"),
+        (["defend", "--method", "proda", "--gamma", "60", "--alpha", "0.5"], "underflowed"),
+        (["sweep", "--defense", "proda", "--gammas", "60", "--alpha-assumed", "0.5", "--alphas",
+          "0.2", "--repeats", "1"], "underflowed"),
     ])
     def test_out_of_range_setting_exits_2_before_output(self, tmp_path, capsys, argv, message):
         code = main([*argv, "--synthetic", "d=2,n=40,noise=0.1", "--out", str(tmp_path / "out")])

@@ -89,6 +89,9 @@ class TestComputeBeta:
         epsilon=st.floats(1e-9, 0.5),
     )
     @example(alpha=0.5, gamma=60, epsilon=1e-5)
+    # the closed form's beta misses the guarantee (nudged up), then the minimum (nudged down)
+    @example(alpha=0.45642896156983603, gamma=57, epsilon=2.691632331528318e-07)
+    @example(alpha=0.4630561195442453, gamma=54, epsilon=1.4314168827981104e-08)
     def test_guarantee_and_minimality_property(self, alpha, gamma, epsilon):
         p_dirty = 1.0 - (1.0 - alpha) ** gamma
         if p_dirty >= 1.0:  # (1-alpha)^gamma is lost to rounding
@@ -653,6 +656,21 @@ class TestRejectedInputs:
     def test_proda_config_alpha_assumed(self, alpha_assumed):
         with pytest.raises(ValueError, match="alpha_assumed"):
             ProdaConfig(gamma=3, alpha_assumed=alpha_assumed)
+
+    def test_proda_config_with_no_finite_beta(self):
+        # 1 - 0.5^60 rounds to 1: no number of groups guarantees a clean one
+        with pytest.raises(ValueError, match=r"\(1-alpha\)\^gamma = 8.67e-19 at alpha=0.5, gamma=60 "
+                                             "underflowed"):
+            ProdaConfig(60, alpha_assumed=0.5)
+
+    @pytest.mark.parametrize("alpha_assumed", [-0.5, float("nan"), 1.0, 1.5])
+    def test_subset_size_alpha_assumed(self, alpha_assumed):
+        # numpy's sampling, a NaN-to-integer conversion or the d+1 check
+        # failed first, none of them naming alpha_assumed
+        with pytest.raises(ValueError, match=r"alpha_assumed must be in \[0, 1\), got"):
+            subset_size(30, alpha_assumed)
+        with pytest.raises(ValueError, match=r"alpha_assumed must be in \[0, 1\), got"):
+            trim_defend(make_noisy_dataset(n=30, d=3, seed=16), alpha_assumed)
 
     @pytest.mark.parametrize("gamma", [6.5, 6.0, True, "6"])
     def test_proda_config_gamma_that_is_not_an_integer(self, gamma):

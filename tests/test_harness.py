@@ -94,10 +94,23 @@ class TestExperimentSpec:
         (dict(surrogate_fraction=1.5), "surrogate_fraction"),
         (dict(surrogate_fraction=float("nan")), "surrogate_fraction"),
         (dict(defense="trim", defense_max_iters=0), "defense_max_iters"),
+        (dict(defense="proda", gamma_grid=(60,), alpha_assumed=0.5), "underflowed"),
+        # the cells' own alpha, 0.2: 1 - 0.8^200 rounds to 1
+        (dict(attack="nopt", defense="proda", gamma_grid=(200,)), "underflowed"),
+        (dict(families=("ridge",), lambda_policy=True), "lambda_policy"),
     ])
     def test_grid_value_a_cell_would_reject_is_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             small_spec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(alpha_assumed=0.01),  # 0.99^200 = 0.134: beta is 81
+        dict(),  # no attack: the defender assumes 0
+    ])
+    def test_proda_grid_is_checked_at_the_cells_alpha_assumed(self, kwargs):
+        # at ProdaConfig's default alpha_assumed, 0.2, 1 - 0.8^200 rounds to 1
+        spec = small_spec(defense="proda", gamma_grid=(200,), **kwargs)
+        assert spec.assumed_alpha(0.2) == kwargs.get("alpha_assumed", 0.0)
 
     def test_alpha_assumed_zero_and_unset_accepted(self):
         assert small_spec(defense="trim", alpha_assumed=0.0).alpha_assumed == 0.0

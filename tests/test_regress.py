@@ -91,13 +91,18 @@ class TestFit:
         assert fit(ds, "ols", lam=5.0).model.lam == 0.0
 
     @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    @pytest.mark.parametrize("lam", [np.inf, np.nan, True])
     def test_rejects_a_lambda_that_is_not_finite(self, family, lam):
         ds = make_noisy_dataset(seed=2)
         with pytest.raises(ValueError, match="lambda must be finite"):
             fit(ds, family, lam)
         with pytest.raises(ValueError, match="lambda must be finite"):
             RegressionModel(np.zeros(3), 0.0, family, lam)
+
+    def test_takes_a_numpy_float_lambda(self):
+        ds = make_noisy_dataset(seed=2)
+        assert fit(ds, "ridge", np.float64(0.25)).model.lam == 0.25
+        assert RegressionModel(np.zeros(3), 0.0, "ridge", np.float64(0.25)).lam == 0.25
 
     def test_rejects_underdetermined(self):
         ds = Dataset(np.zeros((2, 3)), np.zeros(2))
@@ -400,14 +405,18 @@ class TestGufuncInverse:
         assert calls == [1] and report.h_inv is None and report.fallback
 
     @pytest.mark.parametrize("family", ["ols", "ridge"])
-    @pytest.mark.parametrize("where", ["gram off-diagonal", "gram diagonal", "feature"])
+    @pytest.mark.parametrize("where", ["gram off-diagonal", "gram diagonal", "feature", "response"])
     def test_non_finite_systems_raise_before_least_squares(self, monkeypatch, family, where):
         # their NaN bound sends them toward the fallback, which raised a
         # LinAlgError from LAPACK; they now raise the ValueError that
-        # coordinate descent raises, and never reach least squares
+        # coordinate descent raises, and never reach least squares. A
+        # non-finite response leaves H finite: the solve's bias names it
         x, y = random_rows(22, 3, 20)
-        if where == "feature":
-            x[4, 2] = np.nan
+        if where in ("feature", "response"):
+            if where == "feature":
+                x[4, 2] = np.nan
+            else:
+                y[4] = np.nan
             data = Dataset(x, y)
         else:
             stats = Moments.from_rows(x, y).stats.copy()
