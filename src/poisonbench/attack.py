@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, poison_count
+from .data import Dataset, _integer, _within, poison_count
 from .regress import Moments, RegressionModel, _kkt_solve, fit, loss, mse
 
 ARMIJO_C = 1e-4
@@ -70,12 +70,12 @@ class AttackConfig:
     n_poison: int | None = None  # overrides poison_count(n_o, alpha) when set
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 0.2:
-            raise ValueError(f"alpha must be in (0, 0.2], got {self.alpha}")
-        if self.eps_conv <= 0:
-            raise ValueError("eps_conv must be > 0")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
+        _within("alpha", self.alpha, 0, 0.2, "(]")
+        _within("eps_conv", self.eps_conv, 0, math.inf, "()")
+        _integer("max_outer_iters", self.max_outer_iters, 1)
+        _integer("seed", self.seed, 0)
+        if self.n_poison is not None:  # 0 passes here and fails when the attack runs
+            _integer("n_poison", self.n_poison, 0)
 
 
 @dataclass(frozen=True)

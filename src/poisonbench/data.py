@@ -16,6 +16,23 @@ import numpy as np
 PROVENANCES = ("clean", "poisoned", "mixed")
 
 
+def _integer(name: str, value, minimum: int) -> None:
+    """The rule for counts and seeds: an int or numpy integer, not a bool, >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _within(name: str, value, lo, hi, ends: str) -> None:
+    """The rule for real settings: a number, not a bool, from lo to hi with the ends `ends`
+    names ("(]", "[)", ...). NaN fails every comparison; an open infinite end refuses inf."""
+    ok = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    ok = ok and (lo < value if ends[0] == "(" else lo <= value)
+    if not (ok and (value < hi if ends[1] == ")" else value <= hi)):
+        raise ValueError(f"{name} must be in {ends[0]}{lo}, {hi}{ends[1]}, got {value}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An immutable (features, responses) pair in normalized units.
@@ -121,8 +138,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
+        _integer("d", self.d, 1)
         if self.n < self.d + 1:
             raise ValueError(f"need n >= d+1 samples, got n={self.n}, d={self.d}")
         weights = () if self.true_weights is None else self.true_weights
@@ -130,11 +146,8 @@ class SyntheticSpec:
             raise ValueError(f"true_weights has {len(weights)} entries, expected d={self.d}")
         if not all(map(math.isfinite, (*weights, self.true_bias or 0.0))):
             raise ValueError("true_weights and true_bias must be finite")
-        # NaN fails every comparison, so it would pass a plain `< 0` test
-        if not 0.0 <= self.noise_std < math.inf:
-            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _within("noise_std", self.noise_std, 0, math.inf, "[)")
+        _integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -318,10 +331,8 @@ def poison_count(n_clean: int, alpha: float) -> int:
     floor(alpha * n_clean / (1 - alpha)). Computed from the closed form then
     nudged by direct inequality checks, so a p that meets alpha exactly
     (18 of 207 + 18 at alpha = 0.08) is not lost to rounding."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if n_clean < 0:
-        raise ValueError(f"n_clean must be >= 0, got {n_clean}")
+    _within("alpha", alpha, 0, 1, "()")
+    _integer("n_clean", n_clean, 0)
     p = math.floor(alpha * n_clean / (1.0 - alpha))
     while (p + 1) / (n_clean + p + 1) <= alpha:
         p += 1

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _integer, _within
 from .regress import Moments, RegressionModel, fit, loss, mse
 
 BLOCK_FLOATS = 2**15  # bounds every (trials x rows) array of a Proda block
@@ -55,9 +55,8 @@ class ProdaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.gamma, bool) or not isinstance(self.gamma, (int, np.integer)):
-            raise ValueError(f"gamma must be an integer, got {self.gamma}")
         compute_beta(self.alpha_assumed, self.gamma, self.epsilon)  # the ranges, and a finite beta
+        _integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -101,15 +100,15 @@ def compute_beta(alpha: float, gamma: int, epsilon: float) -> int:
     the result is exact at floating-point boundaries. alpha = 0 gives 1:
     every group is clean.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha_assumed must be in [0, 1), got {alpha}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if gamma < 1:
-        raise ValueError("gamma must be >= 1")
+    _within("alpha_assumed", alpha, 0, 1, "[)")
+    _within("epsilon", epsilon, 0, 1, "()")
+    _integer("gamma", gamma, 1)
     if alpha == 0.0:
         return 1
-    p_clean = (1.0 - alpha) ** gamma
+    try:
+        p_clean = (1.0 - alpha) ** gamma
+    except OverflowError:  # gamma is beyond float range, where the power underflows
+        p_clean = 0.0
     p_dirty = 1.0 - p_clean  # P(group touches poison)
     if p_dirty <= 0.0:
         return 1
@@ -128,8 +127,7 @@ def compute_beta(alpha: float, gamma: int, epsilon: float) -> int:
 
 def subset_size(n_rows: int, alpha_assumed: float) -> int:
     """Estimated clean count: ceil((1 - alpha_assumed) * N)."""
-    if not 0.0 <= alpha_assumed < 1.0:
-        raise ValueError(f"alpha_assumed must be in [0, 1), got {alpha_assumed}")
+    _within("alpha_assumed", alpha_assumed, 0, 1, "[)")
     return math.ceil((1.0 - alpha_assumed) * n_rows)
 
 
@@ -259,8 +257,8 @@ def trim_defend(
 
     The trimmed loss is nonincreasing across iterations.
     """
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    _integer("max_iters", max_iters, 1)
+    _integer("seed", seed, 0)
     n_rows = ds.n
     n = subset_size(n_rows, alpha_assumed)
     if n < ds.d + 1:

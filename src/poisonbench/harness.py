@@ -25,6 +25,8 @@ from .attack import AttackConfig, nopt_attack, opt_attack
 from .data import (
     Dataset,
     SyntheticSpec,
+    _integer,
+    _within,
     generate_synthetic,
     load_csv,
     merge,
@@ -85,23 +87,20 @@ class ExperimentSpec:
             raise ValueError("alpha_grid must be nonempty")
         if self.defense == "proda" and not self.gamma_grid:
             raise ValueError("gamma_grid must be nonempty for the proda defense")
-        if self.alpha_assumed is not None and not 0.0 <= self.alpha_assumed < 1.0:
-            raise ValueError(f"alpha_assumed must be in [0, 1), got {self.alpha_assumed}")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        if self.max_features is not None and self.max_features < 1:
-            raise ValueError(f"max_features must be >= 1, got {self.max_features}")
-        if self.train_subsample is not None and self.train_subsample < 1:
-            raise ValueError(f"train_subsample must be >= 1, got {self.train_subsample}")
-        fraction = self.surrogate_fraction
-        if fraction is not None and not 0.0 < fraction <= 1.0:
-            raise ValueError(f"surrogate_fraction must be in (0, 1], got {fraction}")
+        if self.alpha_assumed is not None:
+            _within("alpha_assumed", self.alpha_assumed, 0, 1, "[)")
+        _integer("repeats", self.repeats, 1)
+        if self.max_features is not None:
+            _integer("max_features", self.max_features, 1)
+        if self.train_subsample is not None:
+            _integer("train_subsample", self.train_subsample, 1)
+        if self.surrogate_fraction is not None:
+            _within("surrogate_fraction", self.surrogate_fraction, 0, 1, "(]")
         lam = self.lambda_policy
         number = isinstance(lam, (int, float)) and not isinstance(lam, bool)
         if lam != "select" and not (number and 0.0 <= lam < math.inf):
             raise ValueError(f"lambda_policy must be 'select' or a finite float >= 0, got {lam!r}")
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must be in [0, 1], got {self.rho}")
+        _within("rho", self.rho, 0, 1, "[]")
         # the cells build these configs; building them here rejects a bad
         # grid value before any cell runs
         if self.attack != "none":
@@ -111,8 +110,8 @@ class ExperimentSpec:
             for alpha_assumed in dict.fromkeys(map(self.assumed_alpha, self.alpha_grid)):
                 for gamma in self.gamma_grid:
                     ProdaConfig(gamma, self.defense_epsilon, alpha_assumed)
-        if self.defense == "trim" and self.defense_max_iters < 1:
-            raise ValueError(f"defense_max_iters must be >= 1, got {self.defense_max_iters}")
+        if self.defense == "trim":
+            _integer("defense_max_iters", self.defense_max_iters, 1)
 
     def assumed_alpha(self, alpha: float) -> float:
         """The defender's alpha in a cell of real rate alpha: the spec's

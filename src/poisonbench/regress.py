@@ -75,7 +75,7 @@ def _check_settings(family: str, lam: float, rho: float) -> None:
         raise ValueError(f"unknown family {family!r}")
     if isinstance(lam, bool) or not 0.0 <= lam < math.inf:
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-    if not 0.0 <= rho <= 1.0:
+    if isinstance(rho, bool) or not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
 
 

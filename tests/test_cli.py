@@ -244,6 +244,9 @@ class TestMainExitCodes:
         (["defend", "--method", "proda", "--gamma", "60", "--alpha", "0.5"], "underflowed"),
         (["sweep", "--defense", "proda", "--gammas", "60", "--alpha-assumed", "0.5", "--alphas",
           "0.2", "--repeats", "1"], "underflowed"),
+        (["defend", "--method", "proda", "--gamma", "1" + "0" * 400], "underflowed"),
+        (["attack", "--alpha", "0.1", "--epsilon-conv", "nan"], "eps_conv must be in (0, inf)"),
+        (["attack", "--alpha", "0.1", "--epsilon-conv", "inf"], "eps_conv must be in (0, inf)"),
     ])
     def test_out_of_range_setting_exits_2_before_output(self, tmp_path, capsys, argv, message):
         code = main([*argv, "--synthetic", "d=2,n=40,noise=0.1", "--out", str(tmp_path / "out")])

@@ -663,6 +663,11 @@ class TestRejectedInputs:
                                              "underflowed"):
             ProdaConfig(60, alpha_assumed=0.5)
 
+    def test_proda_config_with_a_gamma_beyond_float_range(self):
+        # 0.8^(10^400) underflows to 0, though 10^400 itself has no float
+        with pytest.raises(ValueError, match="underflowed"):
+            ProdaConfig(10**400, alpha_assumed=0.2)
+
     @pytest.mark.parametrize("alpha_assumed", [-0.5, float("nan"), 1.0, 1.5])
     def test_subset_size_alpha_assumed(self, alpha_assumed):
         # numpy's sampling, a NaN-to-integer conversion or the d+1 check

@@ -9,14 +9,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import poisonbench
 from poisonbench import attack as attack_module
 from poisonbench import defend, harness, records
 from poisonbench.attack import AttackConfig
-from poisonbench.data import SyntheticSpec, generate_synthetic
-from poisonbench.defend import ProdaConfig
+from poisonbench.data import SyntheticSpec, generate_synthetic, poison_count
+from poisonbench.defend import ProdaConfig, compute_beta, subset_size, trim_defend
+from poisonbench.harness import ExperimentSpec
 
 
 def test_import_loads_no_scipy():
@@ -435,3 +437,123 @@ def test_every_field_has_a_reader():
     assert fields
     unread = {f"{cls}.{name}" for cls, name in fields if name not in read}
     assert unread == FIELDS_READ_ONLY_BY_TESTS
+
+
+def test_dir_lists_every_export_and_loads_no_numpy():
+    assert set(poisonbench.__all__) <= set(dir(poisonbench))
+    src = str(Path(poisonbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, poisonbench; names = dir(poisonbench); "
+            "print(set(poisonbench.__all__) <= set(names), 'numpy' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "True False"
+
+
+def test_cli_module_runs_as_a_script():
+    src = str(Path(poisonbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-m", "poisonbench.cli", "--help"], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "usage:" in out.stdout
+
+
+# each builder takes one setting by keyword over valid values of the rest
+TRIM_DATA = generate_synthetic(SyntheticSpec(d=2, n=40, seed=1))[0]
+BUILDERS = {
+    "SyntheticSpec": lambda **kw: SyntheticSpec(**{"d": 2, "n": 40, **kw}),
+    "poison_count": lambda **kw: poison_count(**{"n_clean": 40, "alpha": 0.1, **kw}),
+    "AttackConfig": lambda **kw: AttackConfig(**{"alpha": 0.1, **kw}),
+    "ProdaConfig": lambda **kw: ProdaConfig(**{"gamma": 3, **kw}),
+    "compute_beta": lambda **kw: compute_beta(**{"alpha": 0.2, "gamma": 3, "epsilon": 1e-5, **kw}),
+    "subset_size": lambda **kw: subset_size(**{"n_rows": 40, "alpha_assumed": 0.2, **kw}),
+    "trim_defend": lambda **kw: trim_defend(TRIM_DATA, **{"alpha_assumed": 0.2, **kw}),
+    "ExperimentSpec": lambda **kw: ExperimentSpec(**{
+        "synthetic": SyntheticSpec(d=2, n=40), "defense": "trim", "alpha_grid": (0.1,),
+        "repeats": 1, **kw}),
+}
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("builder,setting,value", [
+    ("SyntheticSpec", "d", 2.5), ("SyntheticSpec", "d", True), ("SyntheticSpec", "noise_std", True),
+    ("SyntheticSpec", "seed", 2.5), ("SyntheticSpec", "seed", True),
+    ("poison_count", "alpha", True), ("poison_count", "n_clean", 2.5),
+    ("poison_count", "n_clean", True),
+    ("AttackConfig", "alpha", NAN), ("AttackConfig", "alpha", True),
+    ("AttackConfig", "eps_conv", NAN), ("AttackConfig", "eps_conv", INF),
+    ("AttackConfig", "eps_conv", True), ("AttackConfig", "max_outer_iters", 2.5),
+    ("AttackConfig", "max_outer_iters", True), ("AttackConfig", "seed", 2.5),
+    ("AttackConfig", "seed", True), ("AttackConfig", "seed", -1),
+    ("AttackConfig", "n_poison", 2.5), ("AttackConfig", "n_poison", True),
+    ("AttackConfig", "n_poison", -1),
+    ("ProdaConfig", "gamma", True), ("ProdaConfig", "epsilon", NAN),
+    ("ProdaConfig", "epsilon", True), ("ProdaConfig", "alpha_assumed", True),
+    ("ProdaConfig", "seed", 2.5), ("ProdaConfig", "seed", True), ("ProdaConfig", "seed", -1),
+    ("compute_beta", "alpha", NAN), ("compute_beta", "alpha", True),
+    ("compute_beta", "epsilon", NAN), ("compute_beta", "epsilon", True),
+    ("compute_beta", "gamma", 2.5), ("compute_beta", "gamma", True),
+    ("subset_size", "alpha_assumed", True),
+    ("trim_defend", "max_iters", 2.5), ("trim_defend", "max_iters", True),
+    ("trim_defend", "seed", 2.5), ("trim_defend", "seed", True), ("trim_defend", "seed", -1),
+    ("ExperimentSpec", "alpha_assumed", NAN), ("ExperimentSpec", "alpha_assumed", True),
+    ("ExperimentSpec", "repeats", 2.5), ("ExperimentSpec", "repeats", True),
+    ("ExperimentSpec", "max_features", 2.5), ("ExperimentSpec", "max_features", True),
+    ("ExperimentSpec", "train_subsample", 2.5), ("ExperimentSpec", "train_subsample", True),
+    ("ExperimentSpec", "surrogate_fraction", INF), ("ExperimentSpec", "surrogate_fraction", True),
+    ("ExperimentSpec", "rho", INF), ("ExperimentSpec", "rho", True),
+    ("ExperimentSpec", "defense_max_iters", 2.5), ("ExperimentSpec", "defense_max_iters", True),
+])
+def test_every_setting_is_checked_where_it_is_built(builder, setting, value):
+    # a count is an integer >= its minimum, a real setting a number in its
+    # interval, and a bool neither; the message names the setting (compute_beta's
+    # alpha is Proda's alpha_assumed)
+    with pytest.raises(ValueError, match=f"^{setting}"):
+        BUILDERS[builder](**{setting: value})
+
+
+@pytest.mark.parametrize("builder,settings", [
+    ("SyntheticSpec", dict(d=np.int64(2), noise_std=0, seed=np.uint8(3))),
+    ("SyntheticSpec", dict(noise_std=np.float32(0.5))),
+    ("poison_count", dict(n_clean=np.int32(0), alpha=np.float64(0.5))),
+    ("AttackConfig", dict(alpha=0.2, eps_conv=1, max_outer_iters=np.int64(1), seed=0,
+                          n_poison=0)),
+    ("ProdaConfig", dict(gamma=np.int64(3), epsilon=np.float64(0.5), alpha_assumed=0, seed=0)),
+    ("trim_defend", dict(alpha_assumed=0, max_iters=np.int64(1), seed=np.int64(0))),
+    ("ExperimentSpec", dict(alpha_assumed=0.0, repeats=np.int64(1), max_features=1,
+                            train_subsample=1, surrogate_fraction=1, rho=0,
+                            defense_max_iters=1)),
+    ("ExperimentSpec", dict(rho=1.0, surrogate_fraction=np.float64(1e-9))),
+])
+def test_settings_at_their_closed_ends_and_numpy_numbers_build(builder, settings):
+    BUILDERS[builder](**settings)
+
+
+def test_fixed_ranges_are_checked_by_the_two_rules():
+    # `data._integer` and `data._within` hold the range rule of every count and
+    # real setting. A raise under a comparison of a parameter or a field with
+    # a number, anywhere else in these modules, would write a rule of its own
+    def compares_a_setting_with_a_number(test, params):
+        for node in ast.walk(test):
+            operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+            number = any(isinstance(o, ast.Constant) and type(o.value) in (int, float)
+                         or ast.unparse(o) == "math.inf" for o in operands)
+            if number and any(isinstance(o, ast.Name) and o.id in params
+                              or ast.unparse(o).startswith("self.") for o in operands):
+                return True
+        return False
+
+    found = []
+    for module in ("data", "attack", "defend", "harness"):
+        path = Path(poisonbench.__file__).resolve().parent / f"{module}.py"
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef) or func.name in ("_integer", "_within"):
+                continue
+            params = {a.arg for a in (*func.args.args, *func.args.kwonlyargs)}
+            found += [f"{module}.{func.name}:{node.lineno}" for node in ast.walk(func)
+                      if isinstance(node, ast.If)
+                      and any(isinstance(line, ast.Raise) for line in node.body)
+                      and compares_a_setting_with_a_number(node.test, params)]
+    assert found == []

@@ -805,13 +805,14 @@ class TestRejectedInputs:
         (dict(family="enet", rho=1.5), "rho"),
         (dict(family="enet", rho=-0.5), "rho"),
         (dict(family="enet", rho=float("nan")), "rho"),
+        (dict(family="enet", rho=True), "rho"),
     ])
     def test_model_settings(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             RegressionModel(np.array([0.5]), 0.1, **kwargs)
 
     @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("rho", [2.0, -0.5, float("nan")])
+    @pytest.mark.parametrize("rho", [2.0, -0.5, float("nan"), True])
     def test_fit_rejects_rho_outside_the_unit_interval(self, family, rho):
         # checked before any solve: Elastic-net at rho = 2 divided by zero inside CD
         with pytest.raises(ValueError, match="rho must be in"):
