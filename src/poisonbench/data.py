@@ -139,6 +139,7 @@ class SyntheticSpec:
 
     def __post_init__(self):
         _integer("d", self.d, 1)
+        _integer("n", self.n, 1)
         if self.n < self.d + 1:
             raise ValueError(f"need n >= d+1 samples, got n={self.n}, d={self.d}")
         weights = () if self.true_weights is None else self.true_weights

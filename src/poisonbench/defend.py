@@ -13,7 +13,11 @@ The groups come from one generator, default_rng(seed): trial i reads
 uniforms i*gamma to (i+1)*gamma - 1 of its stream and turns them into gamma
 distinct rows by Floyd's algorithm (Bentley & Floyd, "A Sample of
 Brilliance", CACM 1987), so a trial's group does not depend on how the
-trials are blocked.
+trials are blocked. Its residuals may: OpenBLAS rounds a row of a block's
+product by the row's position and the block's row count, so another
+BLOCK_FLOATS moves some trial MSEs by an ulp or so (107 of 2,433 at N = 375,
+d = 5, gamma = 24 for 2^13 against 2^15; same subset). Results are
+deterministic for a given dataset and config.
 
 The trials run in blocks of max(1, BLOCK_FLOATS // N), so no (trials x rows)
 array exceeds BLOCK_FLOATS floats. A block draws its groups in gamma vector
@@ -198,9 +202,12 @@ def proda_defend(
     rng = np.random.default_rng(cfg.seed)
     block = min(beta, max(1, BLOCK_FLOATS // n_rows))
     # rows (w, b, -1): coef @ rows.T are residuals. A product with one row
-    # takes numpy's matrix-vector path, which rounds differently, so a block of
-    # one trial runs its products on two rows and keeps the first: a trial's
-    # numbers then do not depend on the size of its block.
+    # takes numpy's matrix-vector path, which rounds differently from the
+    # matrix product of a larger block, so a block of one trial (every beta = 1
+    # call) runs its products on two rows and keeps the first. A row's rounding
+    # still depends on its block's row count and its place there, so the
+    # numbers are deterministic for a given dataset and config, not for a trial
+    # under another BLOCK_FLOATS.
     coef = np.zeros((max(block, 2), d + 2))
     coef[:, d + 1] = -1.0
     # both residual products of a block, written in place: nothing that

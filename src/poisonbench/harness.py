@@ -101,6 +101,10 @@ class ExperimentSpec:
         if lam != "select" and not (number and 0.0 <= lam < math.inf):
             raise ValueError(f"lambda_policy must be 'select' or a finite float >= 0, got {lam!r}")
         _within("rho", self.rho, 0, 1, "[]")
+        # every grid value is a poisoning rate in poison_count's domain, with
+        # or without an attack; AttackConfig narrows it when one runs
+        for alpha in self.alpha_grid:
+            _within("alpha", alpha, 0, 1, "()")
         # the cells build these configs; building them here rejects a bad
         # grid value before any cell runs
         if self.attack != "none":

@@ -28,9 +28,13 @@ function generated from source and compiled once per number k of free
 weights (`_sweep_kernel`, cached by k) for k up to KERNEL_MAX_K = 8: every
 matrix and vector entry is a local variable, so a weight change updates q
 in k straight-line lines instead of a loop over lists, in the float order
-of that loop, bit for bit, and a fit takes about half the time. Compiling
-grows as k^2 (see KERNEL_MAX_K), so wider systems run the same sweeps as
-that loop over lists (`_sweep_loop`), which compiles nothing.
+of that loop, bit for bit, and a fit takes a third to a half of the time.
+Compiling grows as k^2 (see KERNEL_MAX_K), so wider systems run the same
+sweeps as that loop over lists (`_sweep_loop`), which compiles nothing.
+Both sum left to right from 0.0 and take maxima and absolute values by
+comparison, so `copysign` is the only call in a coordinate update and the
+sweeps return Python 3.11's bits on every Python (from 3.12 the builtin
+`sum` is compensated).
 Moments holding NaN or inf raise a ValueError naming them, for every family.
 """
 
@@ -53,12 +57,14 @@ MIN_RCOND = 1e-8  # below this eigenvalue ratio the normal equations lose too ma
 # leaves up to 140 ulps there (measured on 40 to 100,000 rows)
 ZERO_VARIANCE_RTOL = 1024 * 2.0**-52
 # the widest system whose sweeps are compiled (`_sweep_kernel`). The kernel
-# halves a fit's time at every k, so it pays back its compile after 15-35
-# fits of one k, but the compile grows as k^2 (Python 3.11, 2-vCPU Xeon):
-# 1 ms at k = 2, 2-3 ms at 5, 4-6 ms and 0.75 MB at 8, 25 ms and 4.6 MB at
-# 20, 1 s and 241 MB at 160. At k <= 8 the nine kernels a process can hold
-# cost at most ~20 ms and ~2 MB in all; wider systems, which one-off fits
-# of one-hot tables reach, run `_sweep_loop` instead
+# runs a LASSO fit 2-3 times as fast as `_sweep_loop`, so it pays back its
+# compile after 20-40 fits of one k, but the compile grows as k^2 (Python
+# 3.11, 2-vCPU Xeon; median of 7 fresh processes, tracemalloc peak): 1.0 ms
+# and 0.2 MB at k = 2, 2.3 ms and 0.5 MB at 5, 3.0 ms and 1.0 MB at 8, 25 ms
+# and 4.2 MB at 20; at 160 it took 1 s and 241 MB. At k <= 8 the nine
+# kernels a process can hold cost at most ~20 ms in all and keep under
+# 0.1 MB; wider systems, which one-off fits of one-hot tables reach, run
+# `_sweep_loop` instead
 KERNEL_MAX_K = 8
 LAMBDA_GRID = tuple(np.logspace(-4, 0, 9))
 
@@ -271,8 +277,8 @@ def _sweep_kernel(k: int):
     cached by k: `_coordinate_descent` asks only for k <= KERNEL_MAX_K, so a
     process holds at most KERNEL_MAX_K + 1 of them. Every entry of Sigma, r,
     q and w is a local variable, so a weight change updates q in k
-    straight-line lines rather than by list iteration. At k = 2 the source
-    reads
+    straight-line lines rather than by list iteration, and the only call in
+    a coordinate update is `copysign`. At k = 2 the source reads
 
         def sweeps(g, w, n, b, l1, l2, tol, max_iters):
             [[g0_0, g0_1, _, r0], [g1_0, g1_1, _, r1], [s0, s1, _, sy], _] = g
@@ -282,21 +288,29 @@ def _sweep_kernel(k: int):
             r0 = r0 - s0 * sy / n
             den0 = g0_0 + l2
             ...                                  # row 1 alike
-            q0 = sum((g0_0 * w0, g0_1 * w1, ))
-            q1 = sum((g1_0 * w0, g1_1 * w1, ))
+            q0 = (0.0 + g0_0 * w0 + g0_1 * w1)
+            q1 = (0.0 + g1_0 * w0 + g1_1 * w1)
             for it in range(1, max_iters + 1):
                 max_delta = 0.0
                 rho = r0 - q0 + g0_0 * w0
-                new = copysign(max(abs(rho) - l1, 0.0), rho) / den0
+                t = (rho if rho >= 0.0 else -rho) - l1
+                new = copysign(0.0 if 0.0 > t else t, rho) / den0
                 if new != w0:
                     delta = new - w0
                     q0 = q0 + g0_0 * delta
                     q1 = q1 + g0_1 * delta
                     w0 = new
-                    max_delta = max(max_delta, abs(delta))
+                    if delta > max_delta:
+                        max_delta = delta
+                    elif -delta > max_delta:
+                        max_delta = -delta
                 ...                              # coordinate 1 alike
-                b_next = (sy - sum((s0 * w0, s1 * w1, ))) / n
-                max_delta = max(max_delta, abs(b_next - b))
+                b_next = (sy - (0.0 + s0 * w0 + s1 * w1)) / n
+                delta = b_next - b
+                if delta > max_delta:
+                    max_delta = delta
+                elif -delta > max_delta:
+                    max_delta = -delta
                 b = b_next
                 if max_delta < tol:
                     return [w0, w1], b, it, True
@@ -306,19 +320,28 @@ def _sweep_kernel(k: int):
     lists, and w the starting weights. Each float operation is the one
     `_sweep_loop` does, in the same order, so weights, bias, sweep count
     and flag match it bit for bit: Sigma and r are centred entry by entry,
-    every sum stays a builtin `sum` over the same terms (Python 3.12
-    compensates float sums), and every maximum a `max` (which keeps its
-    first argument against a NaN). The constant columns that both leave
-    out would add only terms of 0 * Sigma_jk to a loop over all d, which are
-    +-0 and change no sum while Sigma is finite. Its compile costs are at
-    KERNEL_MAX_K."""
+    and every sum is a chain from 0.0, left to right. That is what the
+    builtin `sum` computes on Python 3.11 (0 + x is 0.0 + x for every
+    float x, -0.0 included); from 3.12 `sum` is compensated, so the sweeps
+    call none and return the same bits on every Python. The comparisons
+    return the float `max` and `abs` would: `max(a, b)` keeps a unless b
+    compares greater, so a NaN never replaces max_delta (which is never
+    negative), and the soft threshold's |rho| may differ from `abs` only
+    in the sign of a zero or a NaN, which `copysign` overwrites. The
+    constant columns that both leave out would add only terms of
+    0 * Sigma_jk to a loop over all d, which are +-0 and change no sum
+    while Sigma is finite. Its compile costs are at KERNEL_MAX_K."""
     ix = range(k)
     rows = [[*(f"g{i}_{j}" for j in ix), "_", f"r{i}"] for i in ix]
     rows.append([*(f"s{j}" for j in ix), "_", "sy"])
     ws = ", ".join(f"w{i}" for i in ix)
 
-    def total(a):  # the builtin sum of a_j * w_j over the free j
-        return f"sum(({''.join(f'{a}{j} * w{j}, ' for j in ix)}))"
+    def total(a):  # the sum of a_j * w_j over the free j, left to right from 0.0
+        return f"(0.0{''.join(f' + {a}{j} * w{j}' for j in ix)})"
+
+    def widen(pad):  # max_delta = max(max_delta, abs(delta)), by comparison
+        return [f"{pad}if delta > max_delta:", f"{pad}    max_delta = delta",
+                f"{pad}elif -delta > max_delta:", f"{pad}    max_delta = -delta"]
 
     lines = [
         "def sweeps(g, w, n, b, l1, l2, tol, max_iters):",
@@ -333,16 +356,18 @@ def _sweep_kernel(k: int):
     for i in ix:
         lines += [
             f"        rho = r{i} - q{i} + g{i}_{i} * w{i}",
-            f"        new = copysign(max(abs(rho) - l1, 0.0), rho) / den{i}",
+            "        t = (rho if rho >= 0.0 else -rho) - l1",
+            f"        new = copysign(0.0 if 0.0 > t else t, rho) / den{i}",
             f"        if new != w{i}:",
             f"            delta = new - w{i}",
             *(f"            q{j} = q{j} + g{i}_{j} * delta" for j in ix),
             f"            w{i} = new",
-            "            max_delta = max(max_delta, abs(delta))",
+            *widen(" " * 12),
         ]
     lines += [
         f"        b_next = (sy - {total('s')}) / n",
-        "        max_delta = max(max_delta, abs(b_next - b))",
+        "        delta = b_next - b",
+        *widen(" " * 8),
         "        b = b_next",
         "        if max_delta < tol:",
         f"            return [{ws}], b, it, True",
@@ -355,26 +380,44 @@ def _sweep_kernel(k: int):
 
 def _sweep_loop(g, w, n, b, l1, l2, tol, max_iters):
     """The sweeps of `_sweep_kernel(k)` as one loop over lists, for any k:
-    the same arguments, float operations and order, so the same bits. It
-    runs the systems too wide to compile (k > KERNEL_MAX_K)."""
+    the same arguments, float operations and order, so the same bits, with
+    every sum a loop from 0.0 and every maximum and absolute value the
+    kernel's comparisons. It runs the systems too wide to compile
+    (k > KERNEL_MAX_K)."""
     k, copysign = len(w), math.copysign
     s, sy = g[k][:k], g[k][k + 1]
     sig = [[gij - si * sj / n for gij, sj in zip(gi, s)] for gi, si in zip(g, s)]
     r = [gi[k + 1] - si * sy / n for gi, si in zip(g, s)]
-    q = [sum([sij * wj for sij, wj in zip(row, w)]) for row in sig]
+    q = []
+    for row in sig:
+        acc = 0.0
+        for sij, wj in zip(row, w):
+            acc = acc + sij * wj
+        q.append(acc)
     for it in range(1, max_iters + 1):
         max_delta = 0.0
         for i in range(k):
             si, wi = sig[i], w[i]
             rho = r[i] - q[i] + si[i] * wi
-            new = copysign(max(abs(rho) - l1, 0.0), rho) / (si[i] + l2)
+            t = (rho if rho >= 0.0 else -rho) - l1
+            new = copysign(0.0 if 0.0 > t else t, rho) / (si[i] + l2)
             if new != wi:
                 delta = new - wi
                 q = [qj + sij * delta for qj, sij in zip(q, si)]
                 w[i] = new
-                max_delta = max(max_delta, abs(delta))
-        b_next = (sy - sum([sj * wj for sj, wj in zip(s, w)])) / n
-        max_delta = max(max_delta, abs(b_next - b))
+                if delta > max_delta:
+                    max_delta = delta
+                elif -delta > max_delta:
+                    max_delta = -delta
+        acc = 0.0
+        for sj, wj in zip(s, w):
+            acc = acc + sj * wj
+        b_next = (sy - acc) / n
+        delta = b_next - b
+        if delta > max_delta:
+            max_delta = delta
+        elif -delta > max_delta:
+            max_delta = -delta
         b = b_next
         if max_delta < tol:
             return w, b, it, True

@@ -77,6 +77,10 @@ class TestExperimentSpec:
     @pytest.mark.parametrize("kwargs,message", [
         (dict(attack="nopt", alpha_grid=(0.1, 0.5)), "alpha"),
         (dict(attack="opt", alpha_grid=(0.0,)), "alpha"),
+        # without an attack the grid only labels the cells, in poison_count's domain
+        (dict(alpha_grid=(float("nan"),)), "alpha must be in"),
+        (dict(alpha_grid=(0.1, -3.0)), "alpha must be in"),
+        (dict(alpha_grid=(0.0,)), "alpha must be in"),
         (dict(defense="proda", gamma_grid=(3, 0)), "gamma"),
         (dict(defense="proda", gamma_grid=(6.5,)), "gamma must be an integer, got 6.5"),
         (dict(defense="proda", gamma_grid=(3,), defense_epsilon=1.5), "epsilon"),

@@ -479,6 +479,7 @@ NAN, INF = float("nan"), float("inf")
 
 @pytest.mark.parametrize("builder,setting,value", [
     ("SyntheticSpec", "d", 2.5), ("SyntheticSpec", "d", True), ("SyntheticSpec", "noise_std", True),
+    ("SyntheticSpec", "n", 2.5), ("SyntheticSpec", "n", True),
     ("SyntheticSpec", "seed", 2.5), ("SyntheticSpec", "seed", True),
     ("poison_count", "alpha", True), ("poison_count", "n_clean", 2.5),
     ("poison_count", "n_clean", True),

@@ -1,7 +1,9 @@
 import dataclasses
 import gc
+import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -596,9 +598,9 @@ class TestCoordinateDescent:
 
 def reference_coordinate_descent(m, l1, l2, tol, max_iters, w0=None, b0=None):
     """Coordinate descent as one interpreted loop over lists on all d
-    columns, in the float order the sweeps must keep: `_sweep_kernel` and
-    `_sweep_loop` return its weights, bias, sweep count and flag bit for
-    bit."""
+    columns, in the float order the sweeps must keep, every sum left to
+    right from 0.0: `_sweep_kernel` and `_sweep_loop` return its weights,
+    bias, sweep count and flag bit for bit."""
     d, n = m.d, m.n
     g = m.stats.tolist()
     s, sy = g[d][:d], g[d][d + 1]
@@ -609,7 +611,12 @@ def reference_coordinate_descent(m, l1, l2, tol, max_iters, w0=None, b0=None):
     if w0 is not None:
         for j in free:
             w[j] = float(w0[j])
-    q = [sum(sk * wk for sk, wk in zip(row, w)) for row in sig]
+    q = []
+    for row in sig:
+        q_j = 0.0
+        for sk, wk in zip(row, w):
+            q_j = q_j + sk * wk
+        q.append(q_j)
     b = sy / n if b0 is None else float(b0)
     for it in range(1, max_iters + 1):
         max_delta = 0.0
@@ -622,12 +629,51 @@ def reference_coordinate_descent(m, l1, l2, tol, max_iters, w0=None, b0=None):
                 q = [qk + sk * delta for qk, sk in zip(q, sj)]
                 w[j] = new
                 max_delta = max(max_delta, abs(delta))
-        b_next = (sy - sum(sk * wk for sk, wk in zip(s, w))) / n
+        sw = 0.0
+        for sk, wk in zip(s, w):
+            sw = sw + sk * wk
+        b_next = (sy - sw) / n
         max_delta = max(max_delta, abs(b_next - b))
         b = b_next
         if max_delta < tol:
             return np.array(w), b, it, True
     return np.array(w), b, max_iters, False
+
+
+def pure_python_systems():
+    """200 coordinate-descent systems (g, w, n, b, l1, l2) as
+    `_coordinate_descent` hands them to the sweeps, built without numpy:
+    rows from `random.Random`, every Gram entry summed left to right. Ten
+    row sets each at k = 2, 5, 8, 12 and 40 free weights, each with a
+    LASSO and an Elastic-net mix from a cold and a warm start."""
+    for k in (2, 5, 8, 12, 40):
+        for seed in range(10):
+            rng = random.Random(1000 * k + seed)
+            n = 3 * k if k == 40 else (375 if seed % 2 else max(24, k + 2))
+            true_w = [rng.uniform(-1.0, 1.0) for _ in range(k)]
+            g = [[0.0] * (k + 2) for _ in range(k + 2)]
+            for _ in range(n):
+                x = [rng.random() for _ in range(k)]
+                y = 0.1 * (rng.random() - 0.5)
+                for xj, wj in zip(x, true_w):
+                    y = y + xj * wj
+                row = [*x, 1.0, y]
+                for a in range(k + 2):
+                    for c in range(a, k + 2):
+                        g[a][c] = g[a][c] + row[a] * row[c]
+            for a in range(k + 2):
+                for c in range(a):
+                    g[a][c] = g[c][a]
+            lam = 1e-2 if seed % 4 < 2 else 1e-3
+            warm_w, warm_b = [rng.uniform(-1.0, 1.0) for _ in range(k)], rng.random()
+            for l1, l2 in ((lam, 0.0), (0.3 * lam, 0.7 * lam)):
+                yield g, [0.0] * k, n, g[k][k + 1] / n, l1, l2
+                yield g, warm_w, n, warm_b, l1, l2
+
+
+# the sweeps' results on `pure_python_systems`, the same on every Python:
+# the bits of Python 3.11, whose builtin `sum` adds left to right from 0
+PURE_PYTHON_SWEEPS_SHA256 = "26ccf93b0079a9b431018bb7593a1610ce4857c374d6afa99ac2fdab1864837e"
 
 
 class TestSweepKernel:
@@ -675,6 +721,23 @@ class TestSweepKernel:
         x[:, :n_constant] = 0.25
         self.assert_same_bits(Moments.from_rows(x, y), 1e-2, (1.0, 0.0),
                               regress.DEFAULT_MAX_ITERS, warm, d)
+
+    def test_sweeps_return_the_same_bits_on_every_python(self):
+        """The sha256 of the repr of every (weights, bias, sweeps, flag) that
+        `_sweep_kernel(k)` (k <= 8) and `_sweep_loop` (every k) return on
+        `pure_python_systems` is a constant. No numpy product touches those
+        inputs, so the digest depends on CPython's float arithmetic alone:
+        a sweep that summed with the builtin `sum`, which Python 3.12
+        compensates, would change it there."""
+        digest = hashlib.sha256()
+        for g, w, n, b, l1, l2 in pure_python_systems():
+            runs = [regress._sweep_loop]
+            if len(w) <= 8:
+                runs.append(regress._sweep_kernel(len(w)))
+            for run in runs:
+                got = run(g, list(w), n, b, l1, l2, DEFAULT_TOL, regress.DEFAULT_MAX_ITERS)
+                digest.update(repr(got).encode())
+        assert digest.hexdigest() == PURE_PYTHON_SWEEPS_SHA256
 
     def test_a_wide_fit_stays_within_its_budget(self):
         """A one-off LASSO fit on 200 free columns, alone in a fresh
