@@ -96,10 +96,8 @@ class ExperimentSpec:
             _integer("train_subsample", self.train_subsample, 1)
         if self.surrogate_fraction is not None:
             _within("surrogate_fraction", self.surrogate_fraction, 0, 1, "(]")
-        lam = self.lambda_policy
-        number = isinstance(lam, (int, float)) and not isinstance(lam, bool)
-        if lam != "select" and not (number and 0.0 <= lam < math.inf):
-            raise ValueError(f"lambda_policy must be 'select' or a finite float >= 0, got {lam!r}")
+        if self.lambda_policy != "select":
+            _within("lambda_policy", self.lambda_policy, 0, math.inf, "[)")
         _within("rho", self.rho, 0, 1, "[]")
         # every grid value is a poisoning rate in poison_count's domain, with
         # or without an attack; AttackConfig narrows it when one runs

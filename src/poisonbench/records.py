@@ -91,7 +91,7 @@ def write_records(path, spec: ExperimentSpec, records) -> int:
 
 def read_records(path) -> list[dict]:
     """The records of a JSON-lines file; a line that is not JSON (a file cut
-    off mid-line) raises a ValueError naming `path:line`."""
+    off mid-line) or not a JSON object raises a ValueError naming `path:line`."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -101,6 +101,8 @@ def read_records(path) -> list[dict]:
                     records.append(json.loads(line))
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                if not isinstance(records[-1], dict):
+                    raise ValueError(f"{path}:{lineno}: a record is a JSON object, got {line}")
     return records
 
 

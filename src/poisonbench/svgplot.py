@@ -43,7 +43,12 @@ class _Scale:
         return MARGIN_T + self.plot_h - (y - self.y_lo) / (self.y_hi - self.y_lo) * self.plot_h
 
 
-def _chrome(scale, x_label, y_label):
+def _frame(scale, x_label, y_label, marks, names) -> str:
+    """The whole SVG: header, axes, ticks, axis labels, the caller's marks and
+    a legend naming `names` in palette order; every label and name is escaped."""
+    def text(t):
+        return str(t).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
     s = scale
     x0, x1 = MARGIN_L, WIDTH - MARGIN_R
     y0, y1 = MARGIN_T, HEIGHT - MARGIN_B
@@ -67,47 +72,19 @@ def _chrome(scale, x_label, y_label):
             f'<text x="{x0 - 8}" y="{py + 4:.2f}" text-anchor="end">{_fmt(ty)}</text>'
         )
     parts.append(
-        f'<text x="{(x0 + x1) / 2:.1f}" y="{HEIGHT - 12}" text-anchor="middle">{x_label}</text>'
+        f'<text x="{(x0 + x1) / 2:.1f}" y="{HEIGHT - 12}" text-anchor="middle">{text(x_label)}</text>'
     )
     parts.append(
         f'<text x="18" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {(y0 + y1) / 2:.1f})">{y_label}</text>'
+        f'transform="rotate(-90 18 {(y0 + y1) / 2:.1f})">{text(y_label)}</text>'
     )
-    return parts
-
-
-def _legend(names):
-    parts = []
+    parts.extend(marks)
     lx = WIDTH - MARGIN_R + 18
     for i, name in enumerate(names):
         ly = MARGIN_T + 14 + 20 * i
         color = PALETTE[i % len(PALETTE)]
         parts.append(f'<rect x="{lx}" y="{ly - 9}" width="12" height="12" fill="{color}"/>')
-        parts.append(f'<text class="legend" x="{lx + 18}" y="{ly + 2}">{name}</text>')
-    return parts
-
-
-def render_line_chart(series: dict, x_label: str, y_label: str) -> str:
-    """series maps a name to a list of (x, y) pairs; one polyline (or a lone
-    circle for a single point) per series."""
-    if not series or all(len(pts) == 0 for pts in series.values()):
-        raise ValueError("nothing to plot")
-    xs = [x for pts in series.values() for x, _ in pts]
-    ys = [y for pts in series.values() for _, y in pts]
-    scale = _Scale(xs, ys)
-    parts = _chrome(scale, x_label, y_label)
-    for i, (name, pts) in enumerate(series.items()):
-        color = PALETTE[i % len(PALETTE)]
-        pts = sorted(pts)
-        if len(pts) == 1:
-            x, y = pts[0]
-            parts.append(
-                f'<circle cx="{scale.px(x):.2f}" cy="{scale.py(y):.2f}" r="3" fill="{color}"/>'
-            )
-            continue
-        coords = " ".join(f"{scale.px(x):.2f},{scale.py(y):.2f}" for x, y in pts)
-        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>')
-    parts.extend(_legend(list(series)))
+        parts.append(f'<text class="legend" x="{lx + 18}" y="{ly + 2}">{text(name)}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -120,26 +97,18 @@ def render_scatter_fit(points, lines, x_label: str, y_label: str) -> str:
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     scale = _Scale(xs, ys)
-    parts = _chrome(scale, x_label, y_label)
-    for x, y in points:
-        parts.append(
-            f'<circle cx="{scale.px(x):.2f}" cy="{scale.py(y):.2f}" r="2.5" '
-            f'fill="#1f77b4" fill-opacity="0.7"/>'
-        )
-    names = []
+    marks = [f'<circle cx="{scale.px(x):.2f}" cy="{scale.py(y):.2f}" r="2.5" '
+             f'fill="#1f77b4" fill-opacity="0.7"/>' for x, y in points]
     for i, line in enumerate(lines):
         color = PALETTE[(i + 1) % len(PALETTE)]
         y0 = line["weight"] * scale.x_lo + line["bias"]
         y1 = line["weight"] * scale.x_hi + line["bias"]
-        parts.append(
+        marks.append(
             f'<line x1="{scale.px(scale.x_lo):.2f}" y1="{scale.py(y0):.2f}" '
             f'x2="{scale.px(scale.x_hi):.2f}" y2="{scale.py(y1):.2f}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        names.append(line["name"])
-    parts.extend(_legend(["data"] + names))
-    parts.append("</svg>")
-    return "\n".join(parts)
+    return _frame(scale, x_label, y_label, marks, ["data"] + [line["name"] for line in lines])
 
 
 def _write_with_csv(svg: str, rows, path):
@@ -157,9 +126,28 @@ def _write_with_csv(svg: str, rows, path):
 
 
 def write_line_chart(series: dict, x_label: str, y_label: str, path):
-    """Write the line chart with its companion CSV, each series' points in x order."""
-    rows = [(name, x, y) for name, pts in series.items() for x, y in sorted(pts)]
-    return _write_with_csv(render_line_chart(series, x_label, y_label), rows, path)
+    """Write a line chart with its companion CSV. series maps a name to a list
+    of (x, y) pairs: one polyline per series in x order, or a lone circle for
+    a single point."""
+    if not series or all(len(pts) == 0 for pts in series.values()):
+        raise ValueError("nothing to plot")
+    xs = [x for pts in series.values() for x, _ in pts]
+    ys = [y for pts in series.values() for _, y in pts]
+    scale = _Scale(xs, ys)
+    marks, rows = [], []
+    for i, (name, pts) in enumerate(series.items()):
+        color = PALETTE[i % len(PALETTE)]
+        pts = sorted(pts)
+        rows += [(name, x, y) for x, y in pts]
+        if len(pts) == 1:
+            x, y = pts[0]
+            marks.append(
+                f'<circle cx="{scale.px(x):.2f}" cy="{scale.py(y):.2f}" r="3" fill="{color}"/>'
+            )
+        else:
+            coords = " ".join(f"{scale.px(x):.2f},{scale.py(y):.2f}" for x, y in pts)
+            marks.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>')
+    return _write_with_csv(_frame(scale, x_label, y_label, marks, series), rows, path)
 
 
 def write_scatter_fit(points, lines, x_label: str, y_label: str, path):

@@ -609,6 +609,16 @@ class TestSweepAndReport:
         assert main(["report", "--records", str(cut), "--out", str(tmp_path / "report")]) == 1
         assert f"poisonbench: error: ValueError: {cut}:5: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["3", "[1, 2]", '"cell"', "null"])
+    def test_report_on_a_line_that_is_not_an_object_names_the_file_and_line(
+            self, tmp_path, capsys, line):
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({"record_type": "header"}) + "\n" + line + "\n")
+        capsys.readouterr()
+        assert main(["report", "--records", str(records), "--out", str(tmp_path / "report")]) == 1
+        assert (f"poisonbench: error: ValueError: {records}:2: a record is a JSON object, "
+                f"got {line}") in capsys.readouterr().err
+
     def test_report_says_how_each_attack_ended(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         code = main(["sweep", "--synthetic", "d=2,n=60,noise=0.1", "--attack", "opt",

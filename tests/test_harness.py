@@ -6,6 +6,7 @@ import io
 import json
 import multiprocessing
 import statistics
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -447,6 +448,26 @@ class TestEmitPlot:
         svg = svg_path.read_text()
         assert svg.count("<circle") == 3
         assert csv_path.exists()
+
+    def test_names_with_markup_characters_are_escaped(self, tmp_path):
+        # `&` and `<` in a name would end the SVG's XML at the legend
+        records = [fake_record(family=family, attack="x<y", defense="proda", alpha=alpha,
+                               gamma=gamma, alpha_assumed=alpha, mse_poisoned=0.05,
+                               mse_defended=0.02)
+                   for family in ("a&b", "c>d") for alpha in (0.1, 0.2) for gamma in (3, 6)]
+        write_report(tmp_path, records)
+        for kind in ("mse_vs_alpha", "mse_vs_gamma"):
+            root = ElementTree.parse(tmp_path / f"{kind}.svg").getroot()
+            legend = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")
+                      if t.get("class") == "legend"]
+            assert legend == [f"{family} {name}" for family in ("a&b", "c>d")
+                              for name in ("Unpoison", "x<y", "Proda")]
+        svg_path, _ = write_scatter_fit([(0.0, 0.1), (1.0, 0.9)],
+                                        [{"name": "w<0 & b>0", "weight": 0.8, "bias": 0.1}],
+                                        "x & z", "y", tmp_path / "s.svg")
+        texts = [t.text for t in ElementTree.parse(svg_path).getroot().iter()
+                 if t.tag.endswith("text")]
+        assert {"x & z", "data", "w<0 & b>0"} <= set(texts)
 
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(ValueError, match="unknown plot kind"):

@@ -525,8 +525,9 @@ def test_every_setting_is_checked_where_it_is_built(builder, setting, value):
     ("trim_defend", dict(alpha_assumed=0, max_iters=np.int64(1), seed=np.int64(0))),
     ("ExperimentSpec", dict(alpha_assumed=0.0, repeats=np.int64(1), max_features=1,
                             train_subsample=1, surrogate_fraction=1, rho=0,
-                            defense_max_iters=1)),
-    ("ExperimentSpec", dict(rho=1.0, surrogate_fraction=np.float64(1e-9))),
+                            defense_max_iters=1, lambda_policy=np.int64(1))),
+    ("ExperimentSpec", dict(rho=1.0, surrogate_fraction=np.float64(1e-9),
+                            lambda_policy=np.float32(0.1))),
 ])
 def test_settings_at_their_closed_ends_and_numpy_numbers_build(builder, settings):
     BUILDERS[builder](**settings)
@@ -553,6 +554,11 @@ def test_fixed_ranges_are_checked_by_the_two_rules():
             if not isinstance(func, ast.FunctionDef) or func.name in ("_integer", "_within"):
                 continue
             params = {a.arg for a in (*func.args.args, *func.args.kwonlyargs)}
+            # a local bound straight to a parameter or a field is that setting
+            params |= {node.targets[0].id for node in ast.walk(func)
+                       if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                       and (isinstance(node.value, ast.Name) and node.value.id in params
+                            or ast.unparse(node.value).startswith("self."))}
             found += [f"{module}.{func.name}:{node.lineno}" for node in ast.walk(func)
                       if isinstance(node, ast.If)
                       and any(isinstance(line, ast.Raise) for line in node.body)
