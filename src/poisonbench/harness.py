@@ -269,8 +269,10 @@ def _run_task(task):
 def run_sweep(spec: ExperimentSpec, jobs: int = 1):
     """Iterate the full Cartesian product of grids x repeats, yielding one
     record per cell in deterministic order. The base dataset is loaded once,
-    here, so a load failure raises; `jobs` >= 2 runs the cells in at most
-    min(jobs, cells) worker processes."""
+    here, so a load failure raises, as does a `jobs` that is not a count
+    >= 1; `jobs` >= 2 runs the cells in at most min(jobs, cells) worker
+    processes."""
+    _integer("jobs", jobs, 1)
     base = load_base_dataset(spec)
     tasks = [(spec, *cell, base) for cell in _cells(spec)]
     if jobs < 2 or len(tasks) < 2:

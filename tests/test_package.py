@@ -355,6 +355,19 @@ def test_only_regress_solves_linear_systems():
     assert {module for module, _ in found} <= {"regress"}, found
 
 
+def test_attack_step_products_call_ndarray_dot():
+    # on the attack's small operands the `@` gufunc costs about twice what
+    # `ndarray.dot` does for the same BLAS call and bits, so neither module on
+    # the per-step path writes a matrix product with `@`
+    found = []
+    for module in ("attack", "regress"):
+        path = Path(poisonbench.__file__).resolve().parent / f"{module}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{module}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
+    assert found == []
+
+
 # sites outside regress that test a family by name, each with its reason:
 # `--lambda auto` must not split the data under OLS, since `split_three`
 # needs three rows and a two-row CSV fits under OLS (ROADMAP aim 2)
@@ -473,6 +486,7 @@ BUILDERS = {
     "ExperimentSpec": lambda **kw: ExperimentSpec(**{
         "synthetic": SyntheticSpec(d=2, n=40), "defense": "trim", "alpha_grid": (0.1,),
         "repeats": 1, **kw}),
+    "run_sweep": lambda **kw: next(harness.run_sweep(BUILDERS["ExperimentSpec"](), **kw)),
 }
 NAN, INF = float("nan"), float("inf")
 
@@ -506,6 +520,8 @@ NAN, INF = float("nan"), float("inf")
     ("ExperimentSpec", "surrogate_fraction", INF), ("ExperimentSpec", "surrogate_fraction", True),
     ("ExperimentSpec", "rho", INF), ("ExperimentSpec", "rho", True),
     ("ExperimentSpec", "defense_max_iters", 2.5), ("ExperimentSpec", "defense_max_iters", True),
+    ("run_sweep", "jobs", 0), ("run_sweep", "jobs", -3), ("run_sweep", "jobs", True),
+    ("run_sweep", "jobs", 2.5),
 ])
 def test_every_setting_is_checked_where_it_is_built(builder, setting, value):
     # a count is an integer >= its minimum, a real setting a number in its
@@ -528,6 +544,7 @@ def test_every_setting_is_checked_where_it_is_built(builder, setting, value):
                             defense_max_iters=1, lambda_policy=np.int64(1))),
     ("ExperimentSpec", dict(rho=1.0, surrogate_fraction=np.float64(1e-9),
                             lambda_policy=np.float32(0.1))),
+    ("run_sweep", dict(jobs=np.int64(1))),
 ])
 def test_settings_at_their_closed_ends_and_numpy_numbers_build(builder, settings):
     BUILDERS[builder](**settings)
