@@ -38,7 +38,10 @@ Both run the same BLAS routine (ddot, dgemv or syrk) and return the same
 bits, but at d <= 8 a call costs mostly its dispatch, and the `@` gufunc's
 is about twice `dot`'s (numpy 2.4.6, 2-vCPU Xeon, thread time): 0.98
 against 0.51 us for a 7x7 matrix times a vector, 1.83 against 0.93 us for
-u . S . u, and a step makes several.
+u . S . u, and a step makes several. For the same reason a trial clips
+against numpy scalars, builds its rank-one updates by broadcasting and
+fills u into an empty array, and `_implicit_product` adds its two scalars
+as Python floats: each form rounds alike and skips a box or a call.
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ SHRINK = 0.5
 MAX_BACKTRACKS = 20
 # training MSE at or below this is "zero" (noiseless data up to rounding)
 DEGENERATE_MSE = 1e-18
+# the box's ends as numpy scalars: np.maximum and np.minimum box a Python float per call
+_ZERO, _ONE = np.float64(0.0), np.float64(1.0)
 
 class DegenerateCleanLossError(ValueError):
     """Clean data fits exactly, so the loss-ratio objective is undefined."""
@@ -141,8 +146,8 @@ def _implicit_product(
     d = moments.d
     v = _kkt_solve(moments, model, rhs, h_inv)
     x_c, v_x = row[:d], v[:-1]
-    r_c = float(model.weights.dot(x_c) + model.bias - row[d + 1])
-    s = scale * r_c - (x_c.dot(v_x) + v[-1])
+    r_c = float(model.weights.dot(x_c)) + model.bias - float(row[d + 1])
+    s = scale * r_c - (float(x_c.dot(v_x)) + float(v[-1]))
     ev = s * u
     ev[:d] -= r_c * v_x
     ev[d] = 0.0
@@ -160,16 +165,24 @@ def theta_jacobian(
     """
     moments = Moments.of(training)
     row = np.concatenate((np.asarray(x_c, dtype=float), (1.0, y_c)))
-    u = np.concatenate((model.weights, (model.bias, -1.0)))
+    u = _model_vector(model)
     columns = [_implicit_product(moments, model, row, u, e) for e in np.eye(moments.d + 1)]
     return np.delete(np.column_stack(columns), -2, axis=0)
+
+
+def _model_vector(model: RegressionModel) -> np.ndarray:
+    """u = (w, b, -1), so that a row (x, 1, y) has residual u . row."""
+    d = model.weights.shape[0]
+    u = np.empty(d + 2)
+    u[:d], u[d], u[d + 1] = model.weights, model.bias, -1.0
+    return u
 
 
 def _objective(kind, merged, clean, model, ref_loss):
     """(objective, u, scale) of `model` fitted on the Moments `merged`: Opt's
     clean loss or Nopt's E, u = (w, b, -1), and the gradient's explicit-term
     scale, 0 for Opt and sign(dispersion) / ref_loss for Nopt (+1 at 0)."""
-    u = np.concatenate((model.weights, (model.bias, -1.0)))
+    u = _model_vector(model)
     stats = clean.stats if kind == "opt" else merged.stats
     total = max(0.5 * float(u.dot(stats).dot(u)), 0.0)  # cancellation can dip below 0
     if kind == "opt":
@@ -220,7 +233,7 @@ def opt_objective_gradient(
     clean = Moments.of(clean)
     merged = merged if merged is not None else clean + Moments.of(poison)
     row = np.concatenate((poison.features[index], (1.0, poison.responses[index])))
-    u = np.concatenate((model.weights, (model.bias, -1.0)))
+    u = _model_vector(model)
     return np.delete(_implicit_product(merged, model, row, u, clean.stats.dot(u)[:-1], h_inv), -2)
 
 
@@ -282,15 +295,15 @@ def _run_attack(clean, cfg, family, lam, rho, kind):
             if norm == 0.0 or not math.isfinite(norm):
                 continue
             step = ascent / norm
-            rest = merged.stats - np.multiply.outer(row_c, row_c)
+            rest = merged.stats - row_c[:, None] * row_c
             eta = box
             for _ in range(MAX_BACKTRACKS):
-                cand = np.minimum(np.maximum(row_c + eta * step, 0.0), 1.0)
+                cand = np.minimum(np.maximum(row_c + eta * step, _ZERO), _ONE)
                 # first-order gain of the clipped step: Armijo along the projection arc
                 gain = float(ascent.dot(cand - row_c))
                 if not gain > 0.0:
                     break  # clipped moves keep their sign and shrink with eta: no shorter one gains
-                trial = Moments(rest + np.multiply.outer(cand, cand), merged.n)
+                trial = Moments(rest + cand[:, None] * cand, merged.n)
                 report = fit(trial, family, lam, rho=rho, warm_start=theta)
                 refits += 1
                 if report.converged:

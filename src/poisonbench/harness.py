@@ -268,10 +268,15 @@ def _run_task(task):
 
 def run_sweep(spec: ExperimentSpec, jobs: int = 1):
     """Iterate the full Cartesian product of grids x repeats, yielding one
-    record per cell in deterministic order. The base dataset is loaded once,
-    here, so a load failure raises, as does a `jobs` that is not a count
-    >= 1; `jobs` >= 2 runs the cells in at most min(jobs, cells) worker
-    processes."""
+    record per cell in deterministic order; `jobs` >= 2 runs the cells in
+    at most min(jobs, cells) worker processes. The base dataset is loaded
+    once, before any cell. This is a generator, so nothing runs at the
+    call: a `jobs` that is not a count >= 1 and a load failure raise when
+    the first record is asked for (`cli` checks `--jobs` before it opens
+    its outputs). It stays one because perfbench times its resumptions:
+    the tracer's `harness.parallel_eff` reads their span, and the attack
+    workloads time `next(run_sweep(spec))`, so an eager load would move
+    work outside their timer."""
     _integer("jobs", jobs, 1)
     base = load_base_dataset(spec)
     tasks = [(spec, *cell, base) for cell in _cells(spec)]

@@ -219,6 +219,7 @@ def _non_finite_error(stats: np.ndarray) -> ValueError:
     return ValueError("a fit needs finite moments; non-finite: " + ", ".join(sums))
 
 
+@np.errstate(all="ignore")
 def _solve(h: np.ndarray, rhs: np.ndarray, rows: Dataset | None = None, lam: float = 0.0):
     """x solving H x = rhs for a penalized Gram H, the one rule for the
     closed-form fits and the attack's implicit gradient: x = H^-1 rhs from
@@ -229,13 +230,16 @@ def _solve(h: np.ndarray, rhs: np.ndarray, rows: Dataset | None = None, lam: flo
     A singular H inverts to NaN here and falls back the same way, and one
     holding NaN or inf raises the ValueError naming it there, before least
     squares hangs or fails on it (a non-finite rhs alone comes back in x).
-    Returns (x, H^-1 or None, rank-deficient)."""
-    with np.errstate(all="ignore"):
-        h_inv = _lapack_inv(h, signature="d->d")  # NaN-filled when H is singular
-        hf, inv_f = h.ravel(), h_inv.ravel()
-        # written so that a NaN bound falls back too
-        if MIN_RCOND**2 * float(hf.dot(hf)) * float(inv_f.dot(inv_f)) < 1.0:
-            return h_inv.dot(rhs), h_inv, False
+    The whole call runs with floating-point errors ignored, since the
+    bound's dots overflow on huge moments too. As a decorator, numpy 2's
+    errstate is built once and enters its state per call, 0.5-1 us less
+    than a `with` block around a 6x6 inverse. Returns (x, H^-1 or None,
+    rank-deficient)."""
+    h_inv = _lapack_inv(h, signature="d->d")  # NaN-filled when H is singular
+    hf, inv_f = h.ravel(), h_inv.ravel()
+    # written so that a NaN bound falls back too
+    if MIN_RCOND**2 * float(hf.dot(hf)) * float(inv_f.dot(inv_f)) < 1.0:
+        return h_inv.dot(rhs), h_inv, False
     system = np.column_stack((h, rhs))
     if not np.isfinite(system).all():
         raise _non_finite_error(system)

@@ -1,7 +1,12 @@
 import dataclasses
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -524,6 +529,36 @@ class TestProdaBlocks:
             tracemalloc.stop()
         assert result.beta_used == 9_295
         assert peak <= 8 * 2**20
+
+    def test_the_blas_thread_count_leaves_the_bits(self):
+        # the CLI runs BLAS on one thread and a library caller keeps
+        # OpenBLAS's default, which wakes a helper thread for a block's
+        # subset product (87 x 375 rows by 49 columns at gamma = 24)
+        code = """
+import json
+import numpy as np
+from poisonbench.data import Dataset
+from poisonbench.defend import ProdaConfig, proda_defend
+rng = np.random.default_rng(1)
+x = rng.uniform(size=(375, 5))
+y = np.clip(x @ rng.uniform(-0.5, 0.5, size=5) + 0.4 + rng.normal(0.0, 0.05, size=375), 0.0, 1.0)
+flip = rng.choice(375, size=75, replace=False)
+y[flip] = 1.0 - np.round(y[flip])  # a label-flip poisoned set, alpha = 0.2
+calls = [("ols", 0.0, 24), ("ridge", 0.1, 12), ("lasso", 0.01, 12)]
+print(json.dumps([proda_defend(Dataset(x, y), ProdaConfig(gamma=gamma, alpha_assumed=0.2, seed=3),
+                               family, lam).to_dict() for family, lam, gamma in calls]))
+"""
+        src = str(Path(defend.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, timeout=120)
+            assert (out.returncode, out.stderr) == (0, "")
+            outputs.append(out.stdout)
+        assert outputs[0] == outputs[1]
+        assert [r["beta_used"] for r in json.loads(outputs[0])] == [2_433, 162, 162]
 
 
 def record_groups(monkeypatch):

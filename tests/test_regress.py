@@ -430,6 +430,26 @@ class TestGufuncInverse:
             fit(data, family, 0.1)
         assert not isinstance(info.value, np.linalg.LinAlgError) and calls == []
 
+    @pytest.mark.parametrize("family", ["ols", "ridge"])
+    def test_a_raising_caller_error_state_neither_escapes_nor_is_changed(self, family):
+        # `_solve` quiets the inverse and the Frobenius bound, whose dots
+        # overflow on a 1e300 entry, and hands the caller its own state back
+        rng = np.random.default_rng(8)
+        x = rng.uniform(size=(12, 3))
+        x[:, 2] = x[:, 0]  # exactly singular, as in the fallback test above
+        singular = Dataset(x, x @ [0.3, -0.2, 0.1] + 0.4)
+        huge = Moments.from_rows(rng.uniform(size=(20, 3)), rng.uniform(size=20)).stats.copy()
+        huge[0, 0] = 1e300
+        with np.errstate(all="raise"):
+            caller = np.geterr()
+            for data in (singular, Moments.of(singular)):
+                report = fit(data, family, 0.0)
+                assert report.fallback and report.h_inv is None
+                assert np.geterr() == caller
+            report = fit(Moments(huge, 20), family, 0.1)
+            assert report.converged and np.isfinite(report.model.weights).all()
+            assert np.geterr() == caller
+
     @pytest.mark.parametrize("entry,value,named", [
         ((0, 0), "inf", "sum x0*x0"),  # least squares spun for more than 5 s
         ((0, 1), "nan", "sum x0*x1"),  # LAPACK printed to stderr, then LinAlgError
