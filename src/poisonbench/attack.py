@@ -238,8 +238,9 @@ def opt_objective_gradient(
 
 
 def _initial_poison(clean: Dataset, p: int, rng: np.random.Generator):
-    """Sample p clean rows and flip their responses to the far boundary."""
-    idx = rng.choice(clean.n, size=p, replace=False)
+    """Sample p clean rows, with replacement only when p exceeds them (a small
+    surrogate view), and flip their responses to the far boundary."""
+    idx = rng.choice(clean.n, size=p, replace=p > clean.n)
     px = clean.features[idx]
     py = 1.0 - np.round(clean.responses[idx])
     return px, py

@@ -15,6 +15,7 @@ deterministic; raw wall-clock measurements stay in the per-cell records.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -103,6 +104,19 @@ class ExperimentSpec:
         # or without an attack; AttackConfig narrows it when one runs
         for alpha in self.alpha_grid:
             _within("alpha", alpha, 0, 1, "()")
+        for gamma in self.gamma_grid:
+            _integer("gamma", gamma, 1)
+        _integer("master_seed", self.master_seed, -math.inf)  # any integer: cell_seed hashes it
+        # Python values: cell_seed hashes their repr and the records header writes them as JSON
+        object.__setattr__(self, "families", tuple(map(str, self.families)))
+        object.__setattr__(self, "alpha_grid", tuple(map(float, self.alpha_grid)))
+        object.__setattr__(self, "gamma_grid", tuple(map(int, self.gamma_grid)))
+        object.__setattr__(self, "repeats", int(self.repeats))
+        object.__setattr__(self, "master_seed", int(self.master_seed))
+        for name in ("families", "alpha_grid", "gamma_grid"):
+            grid = getattr(self, name)
+            if len(set(grid)) < len(grid):
+                raise ValueError(f"{name} repeats a value: {grid}")
         # the cells build these configs; building them here rejects a bad
         # grid value before any cell runs
         if self.attack != "none":
@@ -149,6 +163,74 @@ def load_base_dataset(spec: ExperimentSpec) -> Dataset:
     return ds
 
 
+def _clean_phase(spec, family, seed, base, record):
+    """Split, subsample, set lambda and fit; returns the training and test folds and lambda."""
+    split = split_three(base if base is not None else load_base_dataset(spec), seed)
+    train = split.train
+    if spec.train_subsample is not None and train.n > spec.train_subsample:
+        sub_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+        idx = sub_rng.choice(train.n, size=spec.train_subsample, replace=False)
+        train = train.take(np.sort(idx))
+    lam = spec.lambda_policy
+    if lam == "select":
+        lam = select_lambda(train, split.validation, family, rho=spec.rho)
+    model = fit(train, family, float(lam), rho=spec.rho).converged_model("clean fit")
+    record["lambda"] = model.lam  # fit gives OLS lambda 0
+    record["mse_clean"] = mse(train, model)
+    record["mse_clean_test"] = mse(split.test, model)
+    return train, split.test, model.lam
+
+
+def _attack_phase(spec, family, alpha, seed, train, test, lam, record):
+    """Attack the attacker's view of the training fold and fit the poisoned set; returns it."""
+    view, n_poison = train, None
+    if spec.surrogate_fraction is not None:
+        k = max(train.d + 1, int(round(spec.surrogate_fraction * train.n)))
+        view_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+        view = train.take(np.sort(view_rng.choice(train.n, size=min(k, train.n), replace=False)))
+        n_poison = poison_count(train.n, alpha)
+    cfg = AttackConfig(alpha, max_outer_iters=spec.attack_max_outer,
+                       seed=cell_seed(seed, "attack"), n_poison=n_poison)
+    attack_fn = nopt_attack if spec.attack == "nopt" else opt_attack
+    t0 = time.perf_counter()
+    state = attack_fn(view, cfg, family, lam, rho=spec.rho)
+    record["wall_time_attack_s"] = time.perf_counter() - t0
+    record["attack_iterations"] = state.iterations
+    record["attack_converged"] = state.converged
+    record["attack_refits"] = state.refit_count
+    record["time_attack_s"] = state.refit_count * train.n / RATE_ITERS_PER_S
+    poisoned, _ = merge(train, state.poison)
+    model = fit(poisoned, family, lam, rho=spec.rho).converged_model("poisoned fit")
+    record["mse_poisoned"] = mse(train, model)
+    # the collective-training-set MSE is the attack figure of merit
+    record["mse_poisoned_trainset"] = mse(poisoned, model)
+    record["mse_poisoned_test"] = mse(test, model)
+    return poisoned
+
+
+def _defense_phase(spec, family, alpha_assumed, gamma, seed, train, test, lam, pool, record):
+    """Defend the training pool, poisoned under an attack; score the defense on the clean folds."""
+    defense_seed = cell_seed(seed, "defense")
+    t0 = time.perf_counter()
+    if spec.defense == "proda":
+        cfg = ProdaConfig(gamma, spec.defense_epsilon, alpha_assumed, defense_seed)
+        result = proda_defend(pool, cfg, family, lam, rho=spec.rho)
+        record["wall_time_defense_s"] = time.perf_counter() - t0
+        record["beta_used"] = result.beta_used
+    else:
+        result = trim_defend(pool, alpha_assumed, family, lam, rho=spec.rho,
+                             max_iters=spec.defense_max_iters, seed=defense_seed)
+        record["wall_time_defense_s"] = time.perf_counter() - t0
+        record["trim_worst_case_iterations"] = trim_worst_case_text(
+            pool.n, subset_size(pool.n, alpha_assumed))
+    record["defense_iterations"] = result.iterations
+    record["defense_converged"] = result.converged
+    # Proda's iterations are its beta trials, TRIM's its C-steps
+    record["time_defense_s"] = result.iterations * pool.n / RATE_ITERS_PER_S
+    record["mse_defended"] = mse(train, result.model)
+    record["mse_defended_test"] = mse(test, result.model)
+
+
 def run_cell(
     spec: ExperimentSpec,
     family: str,
@@ -157,8 +239,8 @@ def run_cell(
     repeat: int,
     base: Dataset | None = None,
 ) -> dict:
-    """One (dataset, family, attack, defense, alpha, gamma, repeat) cell.
-
+    """One (dataset, family, attack, defense, alpha, gamma, repeat) cell, run
+    as its clean, attack and defense phases, each writing its own record keys.
     Returns the record dict; failures land in the record's error field."""
     seed = cell_seed(
         spec.master_seed, spec.dataset_name, family, spec.attack, spec.defense, alpha, gamma, repeat
@@ -177,77 +259,11 @@ def run_cell(
         "seed": seed,
     }
     try:
-        ds = base if base is not None else load_base_dataset(spec)
-        split = split_three(ds, seed)
-        train, validation, test = split.train, split.validation, split.test
-        sub_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-        if spec.train_subsample is not None and train.n > spec.train_subsample:
-            idx = sub_rng.choice(train.n, size=spec.train_subsample, replace=False)
-            train = train.take(np.sort(idx))
-
-        lam = spec.lambda_policy
-        if lam == "select":
-            lam = select_lambda(train, validation, family, rho=spec.rho)
-        clean_model = fit(train, family, float(lam), rho=spec.rho).converged_model("clean fit")
-        lam = record["lambda"] = clean_model.lam  # fit gives OLS lambda 0
-        record["mse_clean"] = mse(train, clean_model)
-        record["mse_clean_test"] = mse(test, clean_model)
-
-        training_pool = train
-        if spec.attack != "none":
-            view = train
-            n_poison = None
-            if spec.surrogate_fraction is not None:
-                k = max(train.d + 1, int(round(spec.surrogate_fraction * train.n)))
-                view_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-                view = train.take(np.sort(view_rng.choice(train.n, size=min(k, train.n), replace=False)))
-                n_poison = poison_count(train.n, alpha)
-            cfg = AttackConfig(
-                alpha=alpha,
-                max_outer_iters=spec.attack_max_outer,
-                seed=cell_seed(seed, "attack"),
-                n_poison=n_poison,
-            )
-            attack_fn = nopt_attack if spec.attack == "nopt" else opt_attack
-            t0 = time.perf_counter()
-            state = attack_fn(view, cfg, family, lam, rho=spec.rho)
-            record["wall_time_attack_s"] = time.perf_counter() - t0
-            record["attack_iterations"] = state.iterations
-            record["attack_converged"] = state.converged
-            record["attack_refits"] = state.refit_count
-            record["time_attack_s"] = state.refit_count * train.n / RATE_ITERS_PER_S
-            poisoned, _ = merge(train, state.poison)
-            poisoned_model = fit(poisoned, family, lam, rho=spec.rho).converged_model("poisoned fit")
-            record["mse_poisoned"] = mse(train, poisoned_model)
-            # the collective-training-set MSE is the attack figure of merit
-            record["mse_poisoned_trainset"] = mse(poisoned, poisoned_model)
-            record["mse_poisoned_test"] = mse(test, poisoned_model)
-            training_pool = poisoned
-
+        train, test, lam = _clean_phase(spec, family, seed, base, record)
+        pool = train if spec.attack == "none" else _attack_phase(
+            spec, family, alpha, seed, train, test, lam, record)
         if spec.defense != "none":
-            defense_seed = cell_seed(seed, "defense")
-            t0 = time.perf_counter()
-            if spec.defense == "proda":
-                dcfg = ProdaConfig(gamma, spec.defense_epsilon, alpha_assumed, defense_seed)
-                result = proda_defend(training_pool, dcfg, family, lam, rho=spec.rho)
-            else:
-                result = trim_defend(
-                    training_pool, alpha_assumed, family, lam, rho=spec.rho,
-                    max_iters=spec.defense_max_iters, seed=defense_seed,
-                )
-            record["wall_time_defense_s"] = time.perf_counter() - t0
-            if spec.defense == "proda":
-                record["beta_used"] = result.beta_used
-            else:
-                record["trim_worst_case_iterations"] = trim_worst_case_text(
-                    training_pool.n, subset_size(training_pool.n, alpha_assumed)
-                )
-            record["defense_iterations"] = result.iterations
-            record["defense_converged"] = result.converged
-            # Proda's iterations are its beta trials, TRIM's its C-steps
-            record["time_defense_s"] = result.iterations * training_pool.n / RATE_ITERS_PER_S
-            record["mse_defended"] = mse(train, result.model)
-            record["mse_defended_test"] = mse(test, result.model)
+            _defense_phase(spec, family, alpha_assumed, gamma, seed, train, test, lam, pool, record)
     except Exception as exc:  # noqa: BLE001 - a failed cell is recorded, not dropped
         record["error"] = f"{type(exc).__name__}: {exc}"
     return record
@@ -255,11 +271,7 @@ def run_cell(
 
 def _cells(spec: ExperimentSpec):
     gammas = spec.gamma_grid if spec.defense == "proda" else (None,)
-    for family in spec.families:
-        for alpha in spec.alpha_grid:
-            for gamma in gammas:
-                for repeat in range(spec.repeats):
-                    yield family, alpha, gamma, repeat
+    return itertools.product(spec.families, spec.alpha_grid, gammas, range(spec.repeats))
 
 
 def _run_task(task):

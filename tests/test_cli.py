@@ -247,6 +247,14 @@ class TestMainExitCodes:
         (["defend", "--method", "proda", "--gamma", "1" + "0" * 400], "underflowed"),
         (["attack", "--alpha", "0.1", "--epsilon-conv", "nan"], "eps_conv must be in (0, inf)"),
         (["attack", "--alpha", "0.1", "--epsilon-conv", "inf"], "eps_conv must be in (0, inf)"),
+        (["sweep", "--alphas", "0.1,0.1", "--repeats", "1"],
+         "invalid sweep settings: alpha_grid repeats a value: (0.1, 0.1)"),
+        (["sweep", "--families", "ols,ols", "--alphas", "0.2", "--repeats", "1"],
+         "families repeats a value: ('ols', 'ols')"),
+        (["sweep", "--defense", "proda", "--gammas", "3,3", "--alphas", "0.2", "--repeats", "1"],
+         "gamma_grid repeats a value: (3, 3)"),
+        (["sweep", "--defense", "trim", "--gammas", "0", "--alphas", "0.2", "--repeats", "1"],
+         "gamma must be >= 1"),
     ])
     def test_out_of_range_setting_exits_2_before_output(self, tmp_path, capsys, argv, message):
         code = main([*argv, "--synthetic", "d=2,n=40,noise=0.1", "--out", str(tmp_path / "out")])

@@ -84,6 +84,9 @@ class TestExperimentSpec:
         (dict(alpha_grid=(0.0,)), "alpha must be in"),
         (dict(defense="proda", gamma_grid=(3, 0)), "gamma"),
         (dict(defense="proda", gamma_grid=(6.5,)), "gamma must be an integer, got 6.5"),
+        # a gamma grid is checked whatever the defense, as the alpha grid is
+        (dict(defense="trim", gamma_grid=(6.5,)), "gamma must be an integer, got 6.5"),
+        (dict(gamma_grid=(0,)), "gamma must be >= 1"),
         (dict(defense="proda", gamma_grid=(3,), defense_epsilon=1.5), "epsilon"),
         (dict(families=("ridge",), lambda_policy=-1.0), "lambda_policy"),
         (dict(families=("ridge",), lambda_policy="auto"), "lambda_policy"),
@@ -191,14 +194,50 @@ class TestRunCell:
         assert record["time_attack_s"] > 0
         assert record["time_defense_s"] > 0
 
+    # the phases' record keys in the order records.jsonl writes them;
+    # perfbench reads wall_time_attack_s, wall_time_defense_s, attack_refits,
+    # beta_used and defense_iterations
+    CELL_KEYS = ["record_type", "dataset", "family", "attack", "defense", "alpha",
+                 "alpha_assumed", "gamma", "repeat", "seed", "lambda", "mse_clean",
+                 "mse_clean_test"]
+    ATTACK_KEYS = ["wall_time_attack_s", "attack_iterations", "attack_converged",
+                   "attack_refits", "time_attack_s", "mse_poisoned", "mse_poisoned_trainset",
+                   "mse_poisoned_test"]
+    DEFENSE_KEYS = {
+        "proda": ["wall_time_defense_s", "beta_used"],
+        "trim": ["wall_time_defense_s", "trim_worst_case_iterations"],
+    }
+
+    @pytest.mark.parametrize("attack", ["none", "opt", "nopt"])
+    @pytest.mark.parametrize("defense", ["none", "trim", "proda"])
+    def test_record_keys_are_the_phases_keys(self, attack, defense):
+        gamma = 3 if defense == "proda" else None
+        spec = small_spec(attack=attack, defense=defense, gamma_grid=(3,), attack_max_outer=1)
+        expected = self.CELL_KEYS + (self.ATTACK_KEYS if attack != "none" else [])
+        if defense != "none":
+            expected += self.DEFENSE_KEYS[defense] + [
+                "defense_iterations", "defense_converged", "time_defense_s", "mse_defended",
+                "mse_defended_test"]
+        assert list(run_cell(spec, "ols", 0.2, gamma, 0)) == expected
+
+    def test_failed_cell_keeps_the_keys_written_before_it_failed(self):
+        # gamma below d+1 fails in the defense, after the clean and attack phases
+        spec = small_spec(attack="nopt", defense="proda", gamma_grid=(2,), attack_max_outer=1)
+        record = run_cell(spec, "ols", 0.2, 2, 0)
+        assert list(record) == self.CELL_KEYS + self.ATTACK_KEYS + ["error"]
+
     def test_failed_cell_records_error(self):
         # gamma below d+1 is a defense precondition failure
         spec = small_spec(defense="proda", gamma_grid=(2,))
         record = run_cell(spec, "ols", 0.2, 2, 0)
         assert "error" in record and "d+1" in record["error"]
 
-    def test_surrogate_view_keeps_poison_budget(self):
-        spec = small_spec(attack="nopt", surrogate_fraction=0.5, attack_max_outer=1)
+    @pytest.mark.parametrize("n,fraction", [(60, 0.5), (300, 0.1)])
+    def test_surrogate_view_keeps_poison_budget(self, n, fraction):
+        # at n=300 the training fold holds 100 rows: a 10-row view starts its
+        # 25-point budget from rows drawn with replacement
+        spec = small_spec(attack="nopt", surrogate_fraction=fraction, attack_max_outer=1,
+                          synthetic=dataclasses.replace(SYN, n=n))
         record = run_cell(spec, "ols", 0.2, None, 0)
         assert "error" not in record
         assert record["mse_poisoned"] > 0
@@ -305,6 +344,21 @@ class TestRunSweep:
         records = list(run_sweep(spec))
         assert len(records) == 1  # gamma collapsed for non-proda defenses
         assert records[0]["gamma"] is None
+
+    def test_numpy_numbers_write_the_python_numbers_records(self, tmp_path):
+        # cell_seed hashes each coordinate's repr, and the header is JSON
+        written = []
+        for text, real, count in ((str, float, int), (np.str_, np.float64, np.int64)):
+            spec = small_spec(attack="nopt", defense="proda", families=(text("ols"),),
+                              alpha_grid=(real(0.1), real(0.2)), gamma_grid=(count(3),),
+                              repeats=count(1), master_seed=count(7))
+            path = tmp_path / f"{real.__name__}.jsonl"
+            write_records(path, spec, run_sweep(spec))
+            written.append([{k: v for k, v in r.items() if not k.startswith("wall_time_")}
+                            for r in read_records(path)])
+        assert written[0] == written[1]
+        assert [r["seed"] for r in written[1][1:]] == [
+            cell_seed(7, "synthetic", "ols", "nopt", "proda", alpha, 3, 0) for alpha in (0.1, 0.2)]
 
 
 class TestAggregate:
@@ -641,6 +695,11 @@ class TestRejectedSpecs:
         (dict(alpha_grid=()), "alpha_grid must be nonempty"),
         (dict(defense="proda"), "gamma_grid must be nonempty"),
         (dict(repeats=0), "repeats must be >= 1"),
+        # a repeated value would run the same seeded cell twice
+        (dict(families=("ols", "ols")), r"families repeats a value: \('ols', 'ols'\)"),
+        (dict(alpha_grid=(0.2, 0.1, 0.2)), r"alpha_grid repeats a value: \(0.2, 0.1, 0.2\)"),
+        (dict(alpha_grid=(0.1, np.float64(0.1))), r"alpha_grid repeats a value: \(0.1, 0.1\)"),
+        (dict(defense="proda", gamma_grid=(3, 4, 3)), r"gamma_grid repeats a value"),
     ])
     def test_spec(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

@@ -515,6 +515,7 @@ NAN, INF = float("nan"), float("inf")
     ("trim_defend", "seed", 2.5), ("trim_defend", "seed", True), ("trim_defend", "seed", -1),
     ("ExperimentSpec", "alpha_assumed", NAN), ("ExperimentSpec", "alpha_assumed", True),
     ("ExperimentSpec", "repeats", 2.5), ("ExperimentSpec", "repeats", True),
+    ("ExperimentSpec", "master_seed", 2.5), ("ExperimentSpec", "master_seed", True),
     ("ExperimentSpec", "max_features", 2.5), ("ExperimentSpec", "max_features", True),
     ("ExperimentSpec", "train_subsample", 2.5), ("ExperimentSpec", "train_subsample", True),
     ("ExperimentSpec", "surrogate_fraction", INF), ("ExperimentSpec", "surrogate_fraction", True),
