@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 computational failure, 2 usage error. Diagnostics
 go to stderr; data goes to files under the output directory.
 
 numpy and the compute modules are imported by the functions that use them:
-`report`, `--help` and the CLI's own usage checks load neither.
+`report`, `--help` and the CLI's flag checks load neither. The library's
+rules and objects, loaded by the data commands, check every value's range.
 """
 
 from __future__ import annotations
@@ -291,31 +292,32 @@ def _validate(cfg: CliConfig, given: set):
             raise UsageError("--alpha is an alias for --alpha-assumed; give one, not both")
         if opts["method"] == "proda" and "gamma" not in opts:
             raise UsageError("--gamma is required for the proda defense")
-        if opts["method"] == "trim" and opts["max_iters"] < 1:
-            raise UsageError(f"--max-iters must be >= 1, got {opts['max_iters']}")
-        opts.setdefault("alpha_assumed", opts.get("alpha", 0.2))
-    if opts.get("alpha_assumed") is not None and not 0.0 <= opts["alpha_assumed"] < 1.0:
-        raise UsageError(f"--alpha-assumed must be in [0, 1), got {opts['alpha_assumed']}")
+        # the alias by the layer it came from: a flag or section key beats a bare alpha_assumed
+        if "alpha" in given or "alpha_assumed" not in opts:
+            opts["alpha_assumed"] = opts.get("alpha", 0.2)
     if cfg.command == "sweep" and opts["defense"] == "proda" and "gammas" not in opts:
         raise UsageError("--gammas is required when sweeping the proda defense")
-    if cfg.command in _ONE and opts["seed"] < 0:
-        raise UsageError(f"--seed must be >= 0, got {opts['seed']}")
-    if cfg.command == "sweep" and opts["jobs"] < 1:
-        raise UsageError("--jobs must be >= 1")
     if cfg.command == "report" and "records" not in opts:
         raise UsageError("--records is required for report")
     if "lam" in opts and opts["lam"] != "auto":
         try:
-            lam = float(opts["lam"])
+            opts["lam"] = float(opts["lam"])
         except ValueError as exc:
             raise UsageError(f"--lambda must be a number or 'auto', got {opts['lam']!r}") from exc
-        if not 0.0 <= lam < math.inf:
-            raise UsageError(f"--lambda must be finite and >= 0, got {opts['lam']}")
-        opts["lam"] = lam
-    if "rho" in opts and not 0.0 <= opts["rho"] <= 1.0:
-        raise UsageError(f"--rho must be in [0, 1], got {opts['rho']}")
     built = cfg.built
-    try:  # the library objects check their own ranges; the commands use these
+    try:  # the library checks every range: its objects, or its rules where none is built yet
+        if cfg.command in _DATA:
+            from .data import _integer
+            from .defend import subset_size
+            from .regress import _check_settings
+        if cfg.command in _ONE:
+            _check_settings(opts["family"], 0.0 if opts["lam"] == "auto" else opts["lam"], opts["rho"])
+            _integer("seed", opts["seed"], 0)
+        if cfg.command == "defend" and opts["method"] == "trim":  # TRIM builds no config object
+            subset_size(0, opts["alpha_assumed"])  # its alpha_assumed rule
+            _integer("max_iters", opts["max_iters"], 1)
+        if cfg.command == "sweep":  # run_sweep's rule, which it applies only when iterated
+            _integer("jobs", opts["jobs"], 1)
         if cfg.command in _DATA:
             built["source"] = _dataset_source(opts)
         if cfg.command == "attack":

@@ -185,7 +185,8 @@ def _attack_phase(spec, family, alpha, seed, train, test, lam, record):
     """Attack the attacker's view of the training fold and fit the poisoned set; returns it."""
     view, n_poison = train, None
     if spec.surrogate_fraction is not None:
-        k = max(train.d + 1, int(round(spec.surrogate_fraction * train.n)))
+        # d+2 rows at least: OLS interpolates d+1, leaving Nopt no clean loss to scale by
+        k = max(train.d + 2, int(round(spec.surrogate_fraction * train.n)))
         view_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
         view = train.take(np.sort(view_rng.choice(train.n, size=min(k, train.n), replace=False)))
         n_poison = poison_count(train.n, alpha)
@@ -242,6 +243,9 @@ def run_cell(
     """One (dataset, family, attack, defense, alpha, gamma, repeat) cell, run
     as its clean, attack and defense phases, each writing its own record keys.
     Returns the record dict; failures land in the record's error field."""
+    # Python values, as ExperimentSpec stores them: cell_seed hashes their repr
+    family, alpha, repeat = str(family), float(alpha), int(repeat)
+    gamma = None if gamma is None else int(gamma)
     seed = cell_seed(
         spec.master_seed, spec.dataset_name, family, spec.attack, spec.defense, alpha, gamma, repeat
     )

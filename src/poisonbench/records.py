@@ -206,7 +206,9 @@ def write_report(out, records) -> int:
     """Write summary.csv, report.txt and the charts into the directory Path
     `out`; return the cell count. A chart is drawn when its axis has two or
     more x values and some row on it has an MSE to plot. report.txt has the
-    cell count, a line per (attack, family) on how the attacks ended, TRIM's
+    cell count, a line per (attack, defense, family, exception type) of the
+    failed cells with their count and the first one's message, a line per
+    (attack, family) on how the attacks ended, TRIM's
     largest worst-case bound, and a recovery line per (attack, defense,
     family): the cells whose defended MSE is within RECOVERED_RATIO of clean,
     out of all its cells, the median defended/poisoned MSE ratio, and how
@@ -220,6 +222,15 @@ def write_report(out, records) -> int:
     cells = [r for r in records if r.get("record_type") == "cell"]
     failed = sum("error" in r for r in cells)
     lines = ["poisonbench report", f"cells: {len(cells)} ({failed} failed)"]
+    failures = {}
+    for r in cells:
+        if "error" in r:
+            kind, _, message = r["error"].partition(": ")
+            key = (r["attack"], r.get("defense", "none"), r["family"], kind)
+            failures.setdefault(key, []).append(message)
+    for (attack, defense, family, kind), messages in sorted(failures.items()):
+        lines.append(f"failed {attack} {defense} {family}: {len(messages)} {kind}; "
+                     f"first: {messages[0]}")
     attacked = {}
     for r in cells:
         if "attack_converged" in r:

@@ -202,7 +202,7 @@ class TestMainExitCodes:
         code = main([*argv, "--synthetic", "d=2,n=40,noise=0.1",
                      "--alpha-assumed", alpha_assumed, "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "--alpha-assumed must be in [0, 1)" in capsys.readouterr().err
+        assert "alpha_assumed must be in [0, 1)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv,message", [
@@ -216,18 +216,18 @@ class TestMainExitCodes:
         (["sweep", "--defense", "proda", "--gammas", "0", "--alphas", "0.2", "--repeats", "1"],
          "gamma"),
         (["sweep", "--attack", "nopt", "--alphas", "0.5", "--repeats", "1"], "alpha"),
-        (["fit", "--lambda", "nan"], "--lambda must be finite"),
-        (["fit", "--lambda", "inf"], "--lambda must be finite"),
-        (["fit", "--family", "enet", "--rho", "1.5"], "--rho must be in [0, 1]"),
-        (["fit", "--family", "enet", "--rho", "nan"], "--rho must be in [0, 1]"),
-        (["attack", "--alpha", "0.1", "--lambda", "inf"], "--lambda must be finite"),
-        (["attack", "--alpha", "0.1", "--rho", "-0.5"], "--rho must be in [0, 1]"),
-        (["defend", "--method", "trim", "--lambda", "nan"], "--lambda must be finite"),
-        (["defend", "--method", "trim", "--family", "enet", "--rho", "1.5"], "--rho must be in"),
+        (["fit", "--lambda", "nan"], "lambda must be finite"),
+        (["fit", "--lambda", "inf"], "lambda must be finite"),
+        (["fit", "--family", "enet", "--rho", "1.5"], "rho must be in [0, 1]"),
+        (["fit", "--family", "enet", "--rho", "nan"], "rho must be in [0, 1]"),
+        (["attack", "--alpha", "0.1", "--lambda", "inf"], "lambda must be finite"),
+        (["attack", "--alpha", "0.1", "--rho", "-0.5"], "rho must be in [0, 1]"),
+        (["defend", "--method", "trim", "--lambda", "nan"], "lambda must be finite"),
+        (["defend", "--method", "trim", "--family", "enet", "--rho", "1.5"], "rho must be in"),
         (["sweep", "--lambda", "inf", "--alphas", "0.2", "--repeats", "1"],
-         "--lambda must be finite"),
+         "lambda_policy must be in [0, inf)"),
         (["sweep", "--families", "enet", "--lambda", "0.1", "--rho", "1.5", "--alphas", "0.2",
-          "--repeats", "1"], "--rho must be in [0, 1]"),
+          "--repeats", "1"], "rho must be in [0, 1]"),
         (["sweep", "--max-features", "0", "--repeats", "1"], "max_features must be >= 1"),
         (["sweep", "--max-features", "-1", "--repeats", "1"], "max_features must be >= 1"),
         (["sweep", "--train-subsample", "0", "--repeats", "1"], "train_subsample must be >= 1"),
@@ -236,11 +236,11 @@ class TestMainExitCodes:
         (["sweep", "--surrogate-fraction", "1.5", "--repeats", "1"], "surrogate_fraction"),
         (["sweep", "--defense", "trim", "--max-iters", "0", "--repeats", "1"],
          "defense_max_iters must be >= 1"),
-        (["defend", "--method", "trim", "--max-iters", "0"], "--max-iters must be >= 1"),
-        (["fit", "--lambda", "auto", "--family", "ridge", "--seed", "-1"], "--seed must be >= 0"),
-        (["attack", "--alpha", "0.1", "--seed", "-1"], "--seed must be >= 0"),
-        (["defend", "--method", "trim", "--seed", "-1"], "--seed must be >= 0"),
-        (["defend", "--method", "proda", "--gamma", "3", "--seed", "-1"], "--seed must be >= 0"),
+        (["defend", "--method", "trim", "--max-iters", "0"], "max_iters must be >= 1"),
+        (["fit", "--lambda", "auto", "--family", "ridge", "--seed", "-1"], "seed must be >= 0"),
+        (["attack", "--alpha", "0.1", "--seed", "-1"], "seed must be >= 0"),
+        (["defend", "--method", "trim", "--seed", "-1"], "seed must be >= 0"),
+        (["defend", "--method", "proda", "--gamma", "3", "--seed", "-1"], "seed must be >= 0"),
         (["defend", "--method", "proda", "--gamma", "60", "--alpha", "0.5"], "underflowed"),
         (["sweep", "--defense", "proda", "--gammas", "60", "--alpha-assumed", "0.5", "--alphas",
           "0.2", "--repeats", "1"], "underflowed"),
@@ -604,6 +604,26 @@ class TestSweepAndReport:
             assert (path / "summary.csv").read_text() == (out / "summary.csv").read_text()
             assert not list(path.glob("mse_vs_*"))
 
+    def test_report_names_the_failures_of_a_sweep_whose_every_cell_failed(self, tmp_path):
+        # noiseless data leaves Nopt a zero clean reference loss in every cell
+        out = tmp_path / "out"
+        assert main(["sweep", "--synthetic", "d=2,n=60,noise=0", "--attack", "nopt",
+                     "--alphas", "0.2", "--repeats", "2", "--out", str(out)]) == 0
+        assert (out / "report.txt").read_text().splitlines()[1:] == [
+            "cells: 2 (2 failed)",
+            "failed nopt none ols: 2 DegenerateCleanLossError; first: clean reference loss is "
+            "zero; add noise to the data or use a relative floor",
+        ]
+
+    def test_a_small_surrogate_view_runs_its_nopt_cells(self, tmp_path):
+        # a 0.1 view of the 20-row training fold is floored at d+2 = 4 rows;
+        # OLS interpolates d+1 rows, which leaves Nopt no clean loss
+        out = tmp_path / "out"
+        assert main(["sweep", "--synthetic", "d=2,n=60,noise=0.1", "--attack", "nopt",
+                     "--surrogate-fraction", "0.1", "--alphas", "0.2", "--repeats", "2",
+                     "--out", str(out)]) == 0
+        assert (out / "report.txt").read_text().splitlines()[1] == "cells: 2 (0 failed)"
+
     def test_report_on_a_file_cut_off_mid_line_names_the_file_and_line(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["sweep", "--synthetic", "d=2,n=45,noise=0.1", "--attack", "nopt",
@@ -781,6 +801,24 @@ class TestConfigFile:
         defend = parse_args(["--config", path, "defend", *data]).options
         assert (attack["method"], attack["alpha"]) == ("nopt", 0.15)  # the section beats a bare key
         assert (defend["method"], defend["gamma"], defend["alpha_assumed"]) == ("proda", 6, 0.1)
+
+    def test_alpha_flag_beats_a_bare_alpha_assumed_key(self, tmp_path):
+        # flags override config values, whichever of the alias's spellings each uses
+        out = tmp_path / "out"
+        assert main(["--config", _write_config(tmp_path, "alpha_assumed=0.1\n"), "defend",
+                     "--method", "trim", "--alpha", "0.3", "--synthetic", "d=2,n=40,noise=0.1",
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "synthetic_defense.json").read_text())["alpha_assumed"] == 0.3
+
+    @pytest.mark.parametrize("config,alpha_assumed", [
+        ("alpha_assumed=0.1\ndefend.alpha=0.3\n", 0.3),  # a section key beats a bare key
+        ("alpha=0.3\nalpha_assumed=0.1\n", 0.1),  # a bare alpha also serves attack
+        ("", 0.2),
+    ])
+    def test_alias_takes_the_value_of_the_higher_layer(self, tmp_path, config, alpha_assumed):
+        opts = parse_args(["--config", _write_config(tmp_path, config), "defend", "--method",
+                           "trim", "--synthetic", "d=2,n=40,noise=0.1"]).options
+        assert opts["alpha_assumed"] == alpha_assumed
 
     @pytest.mark.parametrize("method", ["proda", "trim"])
     def test_bare_key_the_defense_never_reads_is_ignored(self, tmp_path, method):

@@ -242,6 +242,17 @@ class TestRunCell:
         assert "error" not in record
         assert record["mse_poisoned"] > 0
 
+    def test_numpy_coordinates_give_the_sweeps_cell(self):
+        # cell_seed hashes the repr of each coordinate, which differs for numpy numbers
+        spec = small_spec(attack="nopt", defense="proda", gamma_grid=(3,))
+        wall = ("wall_time_attack_s", "wall_time_defense_s")
+        want = next(run_sweep(spec))
+        got = run_cell(spec, np.str_("ols"), np.float64(0.2), np.int64(3), np.int64(0))
+        assert "error" not in want
+        assert {k: v for k, v in got.items() if k not in wall} == {
+            k: v for k, v in want.items() if k not in wall}
+        assert [type(got[k]) for k in ("family", "alpha", "gamma", "repeat")] == [str, float, int, int]
+
     def test_train_subsample_sets_the_fold_size(self):
         # SYN's training fold holds 20 rows; time_attack_s counts refits x fold rows
         for subsample, rows in ((12, 12), (None, 20), (50, 20)):
@@ -571,8 +582,25 @@ class TestReportText:
     def test_trim_line_says_n_a_when_no_cell_has_a_bound(self, tmp_path):
         failed = fake_record(defense="trim", error="ValueError: subset size n=2 smaller than d+1")
         lines = self.report_lines(tmp_path, [failed])
-        assert lines[2] == ("trim iterations: max n/a (bounded by max_iters); "
+        assert lines[3] == ("trim iterations: max n/a (bounded by max_iters); "
                             "worst case C(N, n) = n/a subset traversals")
+
+    def test_one_failure_line_per_attack_defense_family_and_exception_type(self, tmp_path):
+        cells = [
+            fake_record(attack="nopt", error="DegenerateCleanLossError: clean loss is zero"),
+            fake_record(attack="nopt", defense="trim", error="ValueError: subset n=2"),
+            fake_record(attack="nopt", defense="trim", repeat=1, error="ValueError: subset n=3"),
+            fake_record(attack="nopt", defense="trim", family="ridge", error="ValueError: n=2"),
+            fake_record(attack="nopt", defense="trim", repeat=2, error="FloatingPointError: "),
+            fake_record(attack="nopt", defense="trim", repeat=3, mse_defended=0.01),
+        ]
+        assert self.report_lines(tmp_path, cells)[1:6] == [
+            "cells: 6 (5 failed)",
+            "failed nopt none ols: 1 DegenerateCleanLossError; first: clean loss is zero",
+            "failed nopt trim ols: 1 FloatingPointError; first: ",
+            "failed nopt trim ols: 2 ValueError; first: subset n=2",
+            "failed nopt trim ridge: 1 ValueError; first: n=2",
+        ]
 
     def test_one_recovery_line_per_attack_defense_and_family(self, tmp_path):
         def cell(family, defense, clean, poisoned, defended, **kwargs):
@@ -598,6 +626,7 @@ class TestReportText:
         assert lines == [
             "poisonbench report",
             "cells: 7 (1 failed)",
+            "failed nopt proda ols: 1 ValueError; first: gamma",
             "attack nopt ols: 4/4 converged; median 3 sweeps, 40 refits",
             "attack nopt ridge: 1/1 converged; median 3 sweeps, 40 refits",
             "trim iterations: max 2 (bounded by max_iters); "

@@ -553,30 +553,40 @@ def test_settings_at_their_closed_ends_and_numpy_numbers_build(builder, settings
 
 def test_fixed_ranges_are_checked_by_the_two_rules():
     # `data._integer` and `data._within` hold the range rule of every count and
-    # real setting. A raise under a comparison of a parameter or a field with
-    # a number, anywhere else in these modules, would write a rule of its own
+    # real setting. A raise under a comparison of a parameter, a field or a
+    # named option (the CLI's `opts["seed"]` or `opts.get("seed")`) with a
+    # number, anywhere else in these modules, would write a rule of its own
+    def is_setting(node, params):
+        named = (isinstance(node, ast.Subscript) and node.slice
+                 or isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".get")
+                 and node.args and node.args[0])
+        return (isinstance(node, ast.Name) and node.id in params
+                or ast.unparse(node).startswith("self.")
+                or isinstance(named, ast.Constant) and isinstance(named.value, str))
+
     def compares_a_setting_with_a_number(test, params):
         for node in ast.walk(test):
             operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
             number = any(isinstance(o, ast.Constant) and type(o.value) in (int, float)
                          or ast.unparse(o) == "math.inf" for o in operands)
-            if number and any(isinstance(o, ast.Name) and o.id in params
-                              or ast.unparse(o).startswith("self.") for o in operands):
+            if number and any(is_setting(o, params) for o in operands):
                 return True
         return False
 
     found = []
-    for module in ("data", "attack", "defend", "harness"):
+    for module in ("data", "attack", "defend", "harness", "cli"):
         path = Path(poisonbench.__file__).resolve().parent / f"{module}.py"
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(func, ast.FunctionDef) or func.name in ("_integer", "_within"):
                 continue
             params = {a.arg for a in (*func.args.args, *func.args.kwonlyargs)}
-            # a local bound straight to a parameter or a field is that setting
+            # a local bound to a setting, straight or through a conversion
+            # such as `float(opts["lam"])`, is that setting
             params |= {node.targets[0].id for node in ast.walk(func)
                        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
-                       and (isinstance(node.value, ast.Name) and node.value.id in params
-                            or ast.unparse(node.value).startswith("self."))}
+                       and any(is_setting(value, params) for value in (
+                           node.value, *(node.value.args if isinstance(node.value, ast.Call)
+                                         else ())))}
             found += [f"{module}.{func.name}:{node.lineno}" for node in ast.walk(func)
                       if isinstance(node, ast.If)
                       and any(isinstance(line, ast.Raise) for line in node.body)
