@@ -641,6 +641,49 @@ class TestReportText:
             "median defended/poisoned MSE 1; 1/1 converged",
         ]
 
+    def test_the_whole_report_from_hand_built_records(self, tmp_path):
+        # plain dicts that reach every kind of line, checked as one text
+        def cell(family, attack, defense, repeat, **keys):
+            return {"record_type": "cell", "dataset": "synthetic", "family": family,
+                    "attack": attack, "defense": defense, "alpha": 0.1, "repeat": repeat,
+                    "mse_clean": 0.01, **keys}
+
+        records = [
+            {"record_type": "header", "schema_version": 1},
+            cell("ridge", "opt", "trim", 0, error="ValueError: subset size n=2 smaller than d+1"),
+            cell("ols", "nopt", "trim", 0,
+                 error="DegenerateCleanLossError: clean reference loss is zero"),
+            cell("ols", "nopt", "trim", 1, attack_converged=True, attack_iterations=4,
+                 attack_refits=50, mse_poisoned=0.04, mse_defended=0.01, defense_iterations=3,
+                 defense_converged=True, trim_worst_case_iterations="4598126"),
+            cell("ols", "nopt", "trim", 2, attack_converged=False, attack_iterations=30,
+                 attack_refits=90, mse_poisoned=0.05, mse_defended=0.02, defense_iterations=7,
+                 defense_converged=False, trim_worst_case_iterations="10^4100.123"),
+            cell("ridge", "opt", "trim", 1, attack_converged=True, attack_iterations=2,
+                 attack_refits=8, mse_poisoned=0.03, mse_defended=0.012, defense_iterations=5,
+                 trim_worst_case_iterations="9" * 40),  # from before defense_converged
+            cell("ridge", "opt", "trim", 2, error="ValueError: subset size n=1 smaller than d+1"),
+            cell("lasso", "none", "proda", 0, gamma=4, alpha_assumed=0.0, mse_defended=0.009,
+                 defense_iterations=162, defense_converged=True),  # no attack, no mse_poisoned
+        ]
+        assert write_report(tmp_path, records) is not None
+        assert (tmp_path / "report.txt").read_text(encoding="utf-8") == "\n".join([
+            "poisonbench report",
+            "cells: 7 (3 failed)",
+            "failed nopt trim ols: 1 DegenerateCleanLossError; first: clean reference loss is zero",
+            "failed opt trim ridge: 2 ValueError; first: subset size n=2 smaller than d+1",
+            "attack nopt ols: 1/2 converged; median 17 sweeps, 70 refits",
+            "attack opt ridge: 1/1 converged; median 2 sweeps, 8 refits",
+            "trim iterations: max 7 (bounded by max_iters); "
+            "worst case C(N, n) = 10^4100.123 subset traversals",
+            "recovery none proda lasso: 1/1 cells within 1.1x clean MSE; "
+            "median defended/poisoned MSE n/a; 1/1 converged",
+            "recovery nopt trim ols: 1/3 cells within 1.1x clean MSE; "
+            "median defended/poisoned MSE 0.325; 1/2 converged",
+            "recovery opt trim ridge: 0/3 cells within 1.1x clean MSE; "
+            "median defended/poisoned MSE 0.4",
+        ]) + "\n"
+
 
 class TestSummaryCsv:
     def test_fixed_columns(self):
