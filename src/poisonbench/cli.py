@@ -5,8 +5,9 @@ lines, optionally with a command prefix, e.g. attack.alpha=0.2) > built-in
 default; --out alone falls back to $POISONBENCH_OUT before its default. All
 randomness flows from --seed (default 1337, never wall clock).
 
-Exit codes: 0 success, 1 computational failure, 2 usage error. Diagnostics
-go to stderr; data goes to files under the output directory.
+Exit codes: 0 success, 1 computational failure (a sweep none of whose cells
+succeeded included), 2 usage error. Diagnostics go to stderr; data goes to
+files under the output directory.
 
 numpy and the compute modules are imported by the functions that use them:
 `report`, `--help` and the CLI's flag checks load neither. The library's
@@ -78,8 +79,13 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _family_name(text: str) -> str:
+    """A family as `--family` and `--families` take it: any case, spaces around."""
+    return text.strip().lower()
+
+
 def _parse_families(text: str) -> tuple[str, ...]:
-    families = tuple(f.strip().lower() for f in text.split(","))
+    families = tuple(map(_family_name, text.split(",")))
     for f in families:
         if f not in FAMILIES:
             raise argparse.ArgumentTypeError(f"unknown family {f!r} (choose from {FAMILIES})")
@@ -153,7 +159,7 @@ OPTIONS = (
            lambda s: tuple(p.strip() for p in s.split(","))),
     Option("--synthetic", "synthetic spec, e.g. d=5,n=300,noise=0.1[,seed=0][,w=..;..][,b=..]",
            _DATA, "dataset", _parse_synthetic),
-    Option("--family", "model family (default ols)", _ONE, "model", choices=FAMILIES, default="ols"),
+    Option("--family", "model family (default ols)", _ONE, "model", _family_name, FAMILIES, "ols"),
     Option("--families", f"comma list from {FAMILIES} (default ols)", ("sweep",), "model",
            _parse_families, default=("ols",)),
     Option("--lambda", "regularization strength, or 'auto' for validation-grid selection", _DATA,
@@ -352,14 +358,11 @@ def _load_dataset(cfg: CliConfig):
     """fit, attack and defend's preamble: the dataset, its normalization,
     name and target column, and lambda: 0 for OLS, else --lambda, where
     'auto' selects on the validation fold of the --seed split."""
-    from .data import generate_synthetic, load_csv, source_name, split_three
+    from .data import load_source, source_name, split_three
     from .regress import select_lambda
 
     opts, source = cfg.options, cfg.built["source"]
-    if "csv_path" in source:
-        ds, norm = load_csv(source["csv_path"], source["target_column"], source["categorical"])
-    else:
-        ds, norm = generate_synthetic(source["synthetic"])
+    ds, norm = load_source(**source)
     lam = 0.0 if opts["family"] == "ols" else opts["lam"]
     if lam == "auto":
         split = split_three(ds, opts["seed"])
@@ -486,9 +489,12 @@ def _cmd_sweep(cfg: CliConfig) -> int:
     cells = harness.run_sweep(spec, jobs=cfg.options["jobs"])
     if cfg.options["verbose"]:
         cells = _echo(cells)
-    count = records.write_records(path, spec, cells)
-    records.write_report(out, records.read_records(path))
+    records.write_records(path, spec, cells)
+    count, errors = records.write_report(out, records.read_records(path))
     print(f"wrote {count} records to {path}")
+    if len(errors) == count:
+        print(f"poisonbench: error: all {count} cells failed; first: {errors[0]}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -507,7 +513,7 @@ def _echo(cells):
 def _cmd_report(cfg: CliConfig) -> int:
     loaded = records.read_records(cfg.options["records"])
     out = _out_dir(cfg)
-    cells = records.write_report(out, loaded)
+    cells, _ = records.write_report(out, loaded)
     print(f"wrote summary for {cells} records to {out / 'summary.csv'}")
     return 0
 

@@ -296,6 +296,14 @@ def generate_synthetic(spec: SyntheticSpec):
     return ds, NormalizationSpec(tuple((n, 0.0, 1.0) for n in ds.feature_names), resp_range)
 
 
+def load_source(csv_path=None, target_column=None, categorical=(), synthetic=None):
+    """ExperimentSpec's source fields loaded as (Dataset, NormalizationSpec):
+    `synthetic` drawn if given, else the CSV; either loader read at call time."""
+    if synthetic is not None:
+        return generate_synthetic(synthetic)
+    return load_csv(csv_path, target_column, categorical)
+
+
 def split_three(ds: Dataset, seed: int) -> SplitTriple:
     """Seeded permutation then contiguous thirds; remainder rows go to the
     earlier folds (train first)."""

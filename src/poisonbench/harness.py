@@ -28,8 +28,7 @@ from .data import (
     SyntheticSpec,
     _integer,
     _within,
-    generate_synthetic,
-    load_csv,
+    load_source,
     merge,
     poison_count,
     source_name,
@@ -149,10 +148,7 @@ def cell_seed(master_seed: int, *coords) -> int:
 
 
 def load_base_dataset(spec: ExperimentSpec) -> Dataset:
-    if spec.synthetic is not None:
-        ds, _ = generate_synthetic(spec.synthetic)
-    else:
-        ds, _ = load_csv(spec.csv_path, spec.target_column, spec.categorical)
+    ds, _ = load_source(spec.csv_path, spec.target_column, spec.categorical, spec.synthetic)
     if spec.max_features is not None and spec.max_features < ds.d:
         ds = Dataset(
             ds.features[:, : spec.max_features].copy(),

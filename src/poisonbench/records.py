@@ -202,58 +202,56 @@ def _bound_rank(text: str):
     return (0, len(text), text)
 
 
-def write_report(out, records) -> int:
+def write_report(out, records) -> tuple[int, list[str]]:
     """Write summary.csv, report.txt and the charts into the directory Path
-    `out`; return the cell count. A chart is drawn when its axis has two or
-    more x values and some row on it has an MSE to plot. report.txt has the
-    cell count, a line per (attack, defense, family, exception type) of the
-    failed cells with their count and the first one's message, a line per
-    (attack, family) on how the attacks ended, TRIM's
-    largest worst-case bound, and a recovery line per (attack, defense,
-    family): the cells whose defended MSE is within RECOVERED_RATIO of clean,
-    out of all its cells, the median defended/poisoned MSE ratio, and how
-    many of the cells that record `defense_converged` converged."""
+    `out`; return the cell count and the failed cells' `error` strings in
+    record order. A chart is drawn when its axis has two or more x values and
+    some row on it has an MSE to plot. report.txt prints from one pass's groups
+    of the cells: their count, a line per (attack, defense, family, exception
+    type) of failures with their count and first message, a line per (attack,
+    family) on how the attacks ended, TRIM's largest worst-case bound, and a
+    recovery line per (attack, defense, family): its cells with defended MSE
+    within RECOVERED_RATIO of clean, of all, the median defended/poisoned MSE
+    ratio, and how many of those that record `defense_converged` converged."""
     summary = aggregate(records)
     (out / "summary.csv").write_text(summary_csv(summary), encoding="utf-8")
     for kind, (x_key, _) in _AXES.items():
         rows = [r for r in summary if r.get(x_key) is not None]
         if len({r[x_key] for r in rows}) > 1 and _series_for(rows, x_key):
             emit_plot(summary, kind, out / f"{kind}.svg")
-    cells = [r for r in records if r.get("record_type") == "cell"]
-    failed = sum("error" in r for r in cells)
-    lines = ["poisonbench report", f"cells: {len(cells)} ({failed} failed)"]
-    failures = {}
-    for r in cells:
+    cells, errors, failures, attacked, defended = 0, [], {}, {}, {}
+    for r in records:
+        if r.get("record_type") != "cell":
+            continue
+        cells += 1
         if "error" in r:
+            errors.append(r["error"])
             kind, _, message = r["error"].partition(": ")
             key = (r["attack"], r.get("defense", "none"), r["family"], kind)
             failures.setdefault(key, []).append(message)
+        if "attack_converged" in r:
+            attacked.setdefault((r["attack"], r["family"]), []).append(r)
+        if r.get("defense", "none") != "none":
+            defended.setdefault((r["attack"], r["defense"], r["family"]), []).append(r)
+    lines = ["poisonbench report", f"cells: {cells} ({len(errors)} failed)"]
     for (attack, defense, family, kind), messages in sorted(failures.items()):
         lines.append(f"failed {attack} {defense} {family}: {len(messages)} {kind}; "
                      f"first: {messages[0]}")
-    attacked = {}
-    for r in cells:
-        if "attack_converged" in r:
-            attacked.setdefault((r["attack"], r["family"]), []).append(r)
     for (attack, family), group in sorted(attacked.items()):
         lines.append(
             f"attack {attack} {family}: {sum(r['attack_converged'] for r in group)}/{len(group)} "
             f"converged; median {_median([r['attack_iterations'] for r in group]):g} sweeps, "
             f"{_median([r['attack_refits'] for r in group]):g} refits"
         )
-    trims = [r for r in cells if r.get("defense") == "trim"]
+    trims = [r for (_, defense, _), group in defended.items() if defense == "trim" for r in group]
     if trims:
-        iters = [r.get("defense_iterations", 0) for r in trims if "defense_iterations" in r]
+        iters = [r["defense_iterations"] for r in trims if "defense_iterations" in r]
         bounds = [str(r["trim_worst_case_iterations"]) for r in trims
                   if "trim_worst_case_iterations" in r]
         lines.append(
             f"trim iterations: max {max(iters) if iters else 'n/a'} (bounded by max_iters); "
             f"worst case C(N, n) = {max(bounds, key=_bound_rank, default='n/a')} subset traversals"
         )
-    defended = {}
-    for r in cells:
-        if r.get("defense", "none") != "none":
-            defended.setdefault((r["attack"], r["defense"], r["family"]), []).append(r)
     for (attack, defense, family), group in sorted(defended.items()):
         done = [r for r in group if "mse_defended" in r]
         within = sum(r["mse_defended"] <= RECOVERED_RATIO * r["mse_clean"] for r in done)
@@ -266,4 +264,4 @@ def write_report(out, records) -> int:
             f"{RECOVERED_RATIO:g}x clean MSE; median defended/poisoned MSE {median}{converged}"
         )
     (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return len(cells)
+    return cells, errors

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ import pytest
 
 from poisonbench import attack as attack_module
 from poisonbench import cli, data, defend, harness
+from poisonbench.attack import AttackConfig
 from poisonbench.cli import (
     OPTIONS,
     UsageError,
@@ -21,6 +24,8 @@ from poisonbench.cli import (
     parse_args,
 )
 from poisonbench.data import SyntheticSpec, generate_synthetic, load_csv
+from poisonbench.defend import ProdaConfig, trim_defend
+from poisonbench.harness import ExperimentSpec
 from poisonbench.regress import fit
 
 from conftest import write_collinear_csv
@@ -139,6 +144,43 @@ class TestParsing:
         monkeypatch.setenv("POISONBENCH_OUT", "/tmp/envout")
         cfg = parse_args(["fit", "--synthetic", "d=1,n=10,noise=0.1"])
         assert cfg.options["out"] == "/tmp/envout"
+
+
+def _resolved(argv):
+    return parse_args([*argv, "--synthetic", "d=1,n=20"]).options
+
+
+class TestDefaults:
+    def test_the_cli_restates_the_librarys_defaults(self):
+        # --help imports no numpy, so the option table restates the library's
+        # defaults instead of reading them; this keeps the two in step
+        attack = {f.name: f.default for f in dataclasses.fields(AttackConfig)}
+        proda = {f.name: f.default for f in dataclasses.fields(ProdaConfig)}
+        spec = {f.name: f.default for f in dataclasses.fields(ExperimentSpec)}
+        trim = {k: v.default for k, v in inspect.signature(trim_defend).parameters.items()}
+        fitted = {k: v.default for k, v in inspect.signature(fit).parameters.items()}
+        attack_cli = _resolved(["attack", "--alpha", "0.1"])
+        proda_cli = _resolved(["defend", "--method", "proda", "--gamma", "3"])
+        trim_cli = _resolved(["defend", "--method", "trim"])
+        fit_cli = _resolved(["fit"])
+        sweep_cli = _resolved(["sweep"])
+        assert attack_cli["epsilon_conv"] == attack["eps_conv"]
+        assert attack_cli["max_iters"] == attack["max_outer_iters"]
+        assert proda_cli["epsilon"] == sweep_cli["epsilon"] == proda["epsilon"]
+        assert proda["epsilon"] == spec["defense_epsilon"]
+        assert trim_cli["max_iters"] == sweep_cli["max_iters"] == trim["max_iters"]
+        assert trim["max_iters"] == spec["defense_max_iters"]
+        assert fit_cli["rho"] == sweep_cli["rho"] == fitted["rho"] == spec["rho"]
+        assert sweep_cli["repeats"] == spec["repeats"]
+        assert fit_cli["family"] == fitted["family"]
+        assert sweep_cli["families"] == spec["families"]
+        assert sweep_cli["alphas"] == spec["alpha_grid"]
+        assert fit_cli["seed"] == sweep_cli["seed"] == spec["master_seed"]
+        assert proda_cli["alpha_assumed"] == trim_cli["alpha_assumed"] == proda["alpha_assumed"]
+        # the one deliberate difference: the CLI fits at lambda 0 unless told
+        # `--lambda auto`, where a spec selects lambda unless given a value
+        assert fit_cli["lam"] == sweep_cli["lam"] == fitted["lam"] == 0.0
+        assert spec["lambda_policy"] == "select"
 
 
 class TestMainExitCodes:
@@ -429,6 +471,23 @@ class TestFitCommand:
         assert "family=ols lambda=0.0 " in capsys.readouterr().out
         assert json.loads((out / "synthetic_model.json").read_text())["lambda"] == 0.0
 
+    @pytest.mark.parametrize("config,flags", [("", ["--family", " Ridge"]), ("family= Ridge\n", [])],
+                             ids=["flag", "config"])
+    def test_family_takes_the_spellings_families_takes(self, tmp_path, capsys, config, flags):
+        out = tmp_path / "out"
+        assert main(["--config", _write_config(tmp_path, config), "fit", *flags,
+                     "--synthetic", "d=2,n=40,noise=0.1", "--lambda", "0.1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("family=ridge lambda=0.1 ")
+        assert json.loads((out / "synthetic_model.json").read_text())["family"] == "ridge"
+
+    def test_an_unknown_family_exits_2_and_help_lists_the_four(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--synthetic", "d=2,n=40,noise=0.1", "--family", "bogus",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--family {ols,ridge,lasso,enet}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_auto_lambda(self, tmp_path, capsys):
         code = main(["fit", "--synthetic", "d=2,n=60,noise=0.1", "--family", "ridge",
                      "--lambda", "auto", "--out", str(tmp_path / "out")])
@@ -597,7 +656,7 @@ class TestSweepAndReport:
         out, again = tmp_path / "out", tmp_path / "again"
         code = main(["sweep", "--synthetic", "d=2,n=45,noise=0.1", "--defense", "proda",
                      "--gammas", "2", "--alphas", "0.1,0.2", "--repeats", "1", "--out", str(out)])
-        assert code == 0
+        assert code == 1
         assert main(["report", "--records", str(out / "records.jsonl"), "--out", str(again)]) == 0
         for path in (out, again):
             assert (path / "report.txt").read_text().splitlines()[1] == "cells: 2 (2 failed)"
@@ -608,12 +667,24 @@ class TestSweepAndReport:
         # noiseless data leaves Nopt a zero clean reference loss in every cell
         out = tmp_path / "out"
         assert main(["sweep", "--synthetic", "d=2,n=60,noise=0", "--attack", "nopt",
-                     "--alphas", "0.2", "--repeats", "2", "--out", str(out)]) == 0
+                     "--alphas", "0.2", "--repeats", "2", "--out", str(out)]) == 1
         assert (out / "report.txt").read_text().splitlines()[1:] == [
             "cells: 2 (2 failed)",
             "failed nopt none ols: 2 DegenerateCleanLossError; first: clean reference loss is "
             "zero; add noise to the data or use a relative floor",
         ]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_sweep_with_no_good_cell_writes_its_files_and_exits_1(self, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        assert main(["sweep", "--synthetic", "d=2,n=60,noise=0", "--attack", "nopt",
+                     "--alphas", "0.2", "--repeats", "2", "--jobs", jobs, "--out", str(out)]) == 1
+        printed = capsys.readouterr()
+        assert printed.out == f"wrote 2 records to {out / 'records.jsonl'}\n"
+        assert printed.err == ("poisonbench: error: all 2 cells failed; first: "
+                               "DegenerateCleanLossError: clean reference loss is zero; "
+                               "add noise to the data or use a relative floor\n")
+        assert all((out / name).exists() for name in ("records.jsonl", "summary.csv", "report.txt"))
 
     def test_a_small_surrogate_view_runs_its_nopt_cells(self, tmp_path):
         # a 0.1 view of the 20-row training fold is floored at d+2 = 4 rows;

@@ -400,6 +400,23 @@ def test_only_regress_knows_the_families():
     assert found == FAMILY_TESTS_OUTSIDE_REGRESS
 
 
+def test_only_data_chooses_a_loader():
+    # `data.load_source` is the one choice between the CSV loader and the
+    # generator. A module that names either loader, by a call or an import,
+    # would bring a second choice back; `__init__` exports them in strings
+    loaders = {"load_csv", "generate_synthetic"}
+    found = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src").rglob("*.py")):
+        if path.stem == "data":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            found.update((path.stem, name) for name in names & loaders)
+    assert found == set()
+
+
 def test_cli_imports_no_numpy():
     # numpy stays with the compute modules: the CLI parses and checks its
     # options with the standard library, and a command imports what it runs
