@@ -53,7 +53,10 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     parts = text.split(":" if ":" in text else ",")
     if ":" in text and len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}")
-    values = tuple(float(p) for p in parts)
+    try:
+        values = tuple(float(p) for p in parts)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
     if not all(map(math.isfinite, values)):
         raise argparse.ArgumentTypeError(f"grid values must be finite, got {text!r}")
     if ":" in text:
@@ -103,6 +106,9 @@ def _parse_synthetic(text: str) -> dict:
         if key in fields:
             raise argparse.ArgumentTypeError(f"repeated --synthetic key {key!r}")
         fields[key] = value
+    missing = [key for key in ("d", "n") if key not in fields]
+    if missing:
+        raise argparse.ArgumentTypeError(f"--synthetic needs {' and '.join(missing)}")
     try:
         spec = {"d": int(fields.pop("d")), "n": int(fields.pop("n"))}
         if "noise" in fields:
@@ -113,7 +119,7 @@ def _parse_synthetic(text: str) -> dict:
             spec["true_weights"] = tuple(float(v) for v in fields.pop("w").split(";"))
         if "b" in fields:
             spec["true_bias"] = float(fields.pop("b"))
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad --synthetic value: {exc}") from exc
     if fields:
         raise argparse.ArgumentTypeError(f"unknown --synthetic keys: {sorted(fields)}")

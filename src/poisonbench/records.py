@@ -9,9 +9,11 @@ reads at import: the model families, attacks, defenses, alpha grid and seed.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
+import os
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -59,39 +61,34 @@ def _median(values) -> float:
 
 
 def header_record(spec: ExperimentSpec) -> dict:
-    return {
-        "record_type": "header",
-        "schema_version": SCHEMA_VERSION,
-        "dataset": spec.dataset_name,
-        "attack": spec.attack,
-        "defense": spec.defense,
-        "families": list(spec.families),
-        "alpha_grid": list(spec.alpha_grid),
-        "gamma_grid": list(spec.gamma_grid),
-        "repeats": spec.repeats,
-        "master_seed": spec.master_seed,
-    }
+    """Type, schema version, dataset name, then every spec field by name in field order."""
+    return {"record_type": "header", "schema_version": SCHEMA_VERSION,
+            "dataset": spec.dataset_name, **dataclasses.asdict(spec)}
 
 
-def write_records(path, spec: ExperimentSpec, records) -> int:
+def _plain(value):
+    """A numpy number or array as the JSON value it holds, a path as its string."""
+    return value.tolist() if hasattr(value, "tolist") else os.fspath(value)
+
+
+def write_records(path, spec: ExperimentSpec, records) -> None:
     """JSON-lines file: header record first, then one record per line,
     dropping None values. Each line is flushed as it is written, so when
     `records` is a running sweep, a sweep stopped at any point leaves the
-    header and every record it finished. Returns the record count."""
-    count = 0
+    header and every record it finished."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header_record(spec)) + "\n")
+        fh.write(json.dumps(header_record(spec), default=_plain) + "\n")
         fh.flush()
         for record in records:
-            fh.write(json.dumps({k: v for k, v in record.items() if v is not None}) + "\n")
+            fh.write(json.dumps({k: v for k, v in record.items() if v is not None},
+                                default=_plain) + "\n")
             fh.flush()
-            count += 1
-    return count
 
 
 def read_records(path) -> list[dict]:
     """The records of a JSON-lines file; a line that is not JSON (a file cut
-    off mid-line) or not a JSON object raises a ValueError naming `path:line`."""
+    off mid-line), not a JSON object, or a cell record without a `family` or
+    an `attack` raises a ValueError naming `path:line`."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -103,6 +100,9 @@ def read_records(path) -> list[dict]:
                     raise ValueError(f"{path}:{lineno}: {exc}") from exc
                 if not isinstance(records[-1], dict):
                     raise ValueError(f"{path}:{lineno}: a record is a JSON object, got {line}")
+                for key in ("family", "attack"):
+                    if records[-1].get("record_type") == "cell" and key not in records[-1]:
+                        raise ValueError(f"{path}:{lineno}: a cell record needs {key!r}")
     return records
 
 

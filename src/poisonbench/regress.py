@@ -249,7 +249,7 @@ def _solve(h: np.ndarray, rhs: np.ndarray, rows: Dataset | None = None, lam: flo
                        np.sqrt(lam) * np.eye(d, d + 1)])
         rhs = np.concatenate([rows.responses, np.zeros(d)])
     x, _, rank, _ = np.linalg.lstsq(h, rhs, rcond=None)
-    return x, None, rank < h.shape[1]
+    return x, None, bool(rank < h.shape[1])
 
 
 def _kkt_solve(

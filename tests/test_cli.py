@@ -402,6 +402,30 @@ class TestMainExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--alphas", "abc", "expected numbers, got 'abc'"),
+        ("--gammas", "abc", "expected numbers, got 'abc'"),
+        ("--alphas", "0.1,,0.2", "expected numbers, got '0.1,,0.2'"),
+        ("--synthetic", "d=2", "--synthetic needs n"),
+        ("--synthetic", "n=60,noise=0.1", "--synthetic needs d"),
+    ])
+    def test_a_bad_grid_or_source_value_is_described(self, tmp_path, capsys, flag, value,
+                                                      message):
+        out = tmp_path / "out"
+        data = [] if flag == "--synthetic" else ["--synthetic", "d=2,n=40,noise=0.1"]
+        argv = ["sweep", "--defense", "proda", *data, "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: {message}\n" in capsys.readouterr().err
+        key = flag[2:]
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key}={value}\n", encoding="utf-8")
+        assert main(["--config", str(config), *argv]) == 2
+        assert capsys.readouterr().err == (
+            f"poisonbench: {config}:1: bad value for {key!r}: {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text,message", [
         (None, "cannot read --config file"),
         ("seed 9\n", "expected key=value"),
@@ -717,6 +741,33 @@ class TestSweepAndReport:
         assert main(["report", "--records", str(records), "--out", str(tmp_path / "report")]) == 1
         assert (f"poisonbench: error: ValueError: {records}:2: a record is a JSON object, "
                 f"got {line}") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["family", "attack"])
+    @pytest.mark.parametrize("error", [None, "ValueError: x"])
+    def test_report_refuses_a_cell_record_without_family_or_attack(
+            self, tmp_path, capsys, key, error):
+        cell = {"record_type": "cell", "family": "ols", "attack": "nopt", "defense": "none",
+                "alpha": 0.1, "repeat": 0, "mse_clean": 0.01, "mse_poisoned": 0.02,
+                "error": error}
+        del cell[key]
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({"record_type": "header"}) + "\n"
+                           + json.dumps({k: v for k, v in cell.items() if v is not None}) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--records", str(records), "--out", str(tmp_path / "report")]) == 1
+        assert capsys.readouterr().err == (
+            f"poisonbench: error: ValueError: {records}:2: a cell record needs {key!r}\n")
+        assert not (tmp_path / "report").exists()
+
+    def test_sweeps_of_two_synthetic_sources_write_different_headers(self, tmp_path):
+        heads = []
+        for synthetic in ("d=2,n=60,noise=0.1", "d=5,n=300,noise=0.3"):
+            out = tmp_path / synthetic
+            assert main(["sweep", "--synthetic", synthetic, "--alphas", "0.1",
+                         "--repeats", "1", "--out", str(out)]) == 0
+            heads.append(json.loads((out / "records.jsonl").read_text().splitlines()[0]))
+        assert [(h["synthetic"]["d"], h["synthetic"]["n"], h["synthetic"]["noise_std"])
+                for h in heads] == [(2, 60, 0.1), (5, 300, 0.3)]
 
     def test_report_says_how_each_attack_ended(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -6,6 +6,7 @@ import io
 import json
 import multiprocessing
 import statistics
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
@@ -544,8 +545,7 @@ class TestRecordsIO:
         spec = small_spec(alpha_grid=(0.1, 0.2), repeats=2)
         records = list(run_sweep(spec))
         path = tmp_path / "records.jsonl"
-        n = write_records(path, spec, records)
-        assert n == 4
+        write_records(path, spec, records)
         back = read_records(path)
         assert back[0]["record_type"] == "header"
         assert back[0]["schema_version"] == 1
@@ -556,6 +556,61 @@ class TestRecordsIO:
         head = header_record(spec)
         assert head["master_seed"] == 7
         assert head["attack"] == "none"
+
+    def test_the_header_holds_every_spec_field_in_field_order(self):
+        spec = small_spec(attack="nopt", defense="proda", gamma_grid=(3, 4))
+        head = header_record(spec)
+        names = [f.name for f in dataclasses.fields(ExperimentSpec)]
+        assert list(head) == ["record_type", "schema_version", "dataset", *names]
+        # the keys the header has always written keep their values
+        assert {k: head[k] for k in ("record_type", "schema_version", "dataset", "attack",
+                                     "defense", "families", "alpha_grid", "gamma_grid",
+                                     "repeats", "master_seed")} == {
+            "record_type": "header", "schema_version": 1, "dataset": "synthetic",
+            "attack": "nopt", "defense": "proda", "families": ("ols",), "alpha_grid": (0.2,),
+            "gamma_grid": (3, 4), "repeats": 1, "master_seed": 7}
+
+    @pytest.mark.parametrize("spec", [
+        ExperimentSpec(csv_path="houses.csv", target_column="price", categorical=("zone",),
+                       families=("ridge", "lasso"), lambda_policy=0.25, rho=0.3,
+                       attack="nopt", defense="trim", alpha_grid=(0.04, 0.12),
+                       alpha_assumed=0.1, repeats=2, master_seed=-5, max_features=3,
+                       train_subsample=50, surrogate_fraction=0.5, attack_max_outer=7,
+                       defense_epsilon=1e-4, defense_max_iters=9),
+        small_spec(synthetic=SyntheticSpec(d=3, n=40, true_weights=(0.1, -0.2, 0.3),
+                                           true_bias=0.25, noise_std=0.05, seed=4),
+                   defense="proda", gamma_grid=(4, 6)),
+    ], ids=["csv", "synthetic"])
+    def test_a_written_header_rebuilds_its_spec(self, tmp_path, spec):
+        path = tmp_path / "records.jsonl"
+        write_records(path, spec, [])
+        (head,) = read_records(path)
+        values = {f.name: head[f.name] for f in dataclasses.fields(ExperimentSpec)}
+        values = {k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}
+        if values["synthetic"] is not None:
+            synthetic = {k: tuple(v) if isinstance(v, list) else v
+                         for k, v in values["synthetic"].items()}
+            values["synthetic"] = SyntheticSpec(**synthetic)
+        assert ExperimentSpec(**values) == spec
+
+    @pytest.mark.parametrize("given, plain", [
+        (dict(max_features=np.int64(2)), dict(max_features=2)),
+        (dict(rho=np.float32(0.5)), dict(rho=0.5)),
+        (dict(synthetic=SyntheticSpec(d=np.int64(2), n=60)),
+         dict(synthetic=SyntheticSpec(d=2, n=60))),
+        (dict(synthetic=None, csv_path=Path("data/houses.csv"), target_column="y"),
+         dict(synthetic=None, csv_path="data/houses.csv", target_column="y")),
+    ], ids=["int64", "float32", "int64-in-synthetic", "path"])
+    def test_numpy_values_and_paths_write_plain_json(self, tmp_path, given, plain):
+        texts = []
+        for name, fields in (("given", given), ("plain", plain)):
+            write_records(tmp_path / name, small_spec(**fields), [])
+            texts.append((tmp_path / name).read_text(encoding="utf-8"))
+        assert texts[0] == texts[1]
+        head = json.loads(texts[0])
+        for key, value in plain.items():
+            assert head[key] == (dataclasses.asdict(value) if key == "synthetic" and value
+                                 else value)
 
 
 class TestReportText:

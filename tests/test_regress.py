@@ -73,6 +73,14 @@ class TestFit:
         assert report.fallback
         assert mse(ds, report.model) <= 1e-20
 
+    def test_fallback_is_a_python_bool(self):
+        x = np.array([[0.1, 0.1], [0.4, 0.4], [0.9, 0.9]])
+        singular = Dataset(x, np.array([0.1, 0.4, 0.9]))
+        for data, fell_back in ((singular, True), (Moments.of(singular), True),
+                                (make_noisy_dataset(seed=2), False)):
+            report = fit(data, "ols")
+            assert type(report.fallback) is bool and report.fallback is fell_back
+
     @pytest.mark.parametrize("spread", [1e-3, 1e-7])
     def test_near_collinear_full_rank_matches_lstsq(self, spread):
         # the second column is the first plus a sliver: full rank, but the
