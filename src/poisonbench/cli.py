@@ -135,9 +135,8 @@ def _parse_bool(text: str) -> bool:
 
 @dataclass(frozen=True)
 class Option:
-    """One flag of `commands`, also read as a config-file key (the flag name
-    or `dest`, with '-' or '_'). A config value goes through the same `type`
-    and `choices` as the flag; a `_parse_bool` option is a store_true flag."""
+    """One flag of `commands` and the config key of the same full name; a
+    config value goes through the flag's `type` and `choices`."""
 
     flag: str
     help: str
@@ -146,16 +145,16 @@ class Option:
     type: Callable = str
     choices: tuple | None = None
     default: object = None
-    dest: str = ""
 
-    def __post_init__(self):
-        if not self.dest:
-            object.__setattr__(self, "dest", self.flag[2:].replace("-", "_"))
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
 
 _DATA = ("fit", "attack", "defend", "sweep")
 _ONE = ("fit", "attack", "defend")
 _ALL = (*_DATA, "report")
+_READS = {"proda": ("gamma", "epsilon"), "trim": ("max_iters",)}  # defend settings only it reads
 
 # Each command's rows, in table order, give its usage line and help.
 OPTIONS = (
@@ -169,7 +168,7 @@ OPTIONS = (
     Option("--families", f"comma list from {FAMILIES} (default ols)", ("sweep",), "model",
            _parse_families, default=("ols",)),
     Option("--lambda", "regularization strength, or 'auto' for validation-grid selection", _DATA,
-           "model", default="0.0", dest="lam"),
+           "model", default="0.0"),
     Option("--rho", "elastic-net l1 mix in [0, 1] (default 0.5)", _DATA, "model", float, default=0.5),
     Option("--method", "attack algorithm (default nopt)", ("attack",), choices=("opt", "nopt"),
            default="nopt"),
@@ -191,8 +190,7 @@ OPTIONS = (
     Option("--epsilon", "proda failure budget (default 1e-5)", ("defend", "sweep"), type=float,
            default=1e-5),
     Option("--alpha-assumed", "defender's poisoning-rate estimate (default 0.2)", ("defend",),
-           type=float),
-    Option("--alpha", "alias for --alpha-assumed", ("defend",), type=float),
+           type=float, default=0.2),
     Option("--max-iters", "trim iteration cap (default 100)", ("defend", "sweep"), type=int,
            default=100),
     Option("--repeats", "repeats per cell (default 5)", ("sweep",), type=int, default=5),
@@ -209,15 +207,16 @@ OPTIONS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    common = dict(argument_default=argparse.SUPPRESS, allow_abbrev=False)
     parser = argparse.ArgumentParser(
         prog="poisonbench",
         description="Poisoning attacks (Nopt, Opt) and defenses (Proda, TRIM) for linear regression.",
-        argument_default=argparse.SUPPRESS,
+        **common,
     )
     parser.add_argument("--config", help="key=value config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        p = sub.add_parser(command, help=help_text, **common)
         groups = {None: p}
         for o in (row for row in OPTIONS if command in row.commands):
             if o.group not in groups:
@@ -236,7 +235,7 @@ def _load_config_file(path, command: str) -> tuple[dict, dict]:
     for the others must be a valid value of some command's option."""
     bare, sectioned = {}, {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # drops a leading BOM
     except OSError as exc:
         raise UsageError(f"cannot read --config file: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -247,7 +246,7 @@ def _load_config_file(path, command: str) -> tuple[dict, dict]:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, value = (s.strip() for s in line.split("=", 1))
         section, _, name = key.rpartition(".")
-        known = [o for o in OPTIONS if name.replace("-", "_") in (o.dest, o.flag[2:].replace("-", "_"))]
+        known = [o for o in OPTIONS if name.replace("-", "_") == o.dest]
         option = next((o for o in known if (section or command) in o.commands), None)
         if not known or (section and option is None):
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
@@ -296,26 +295,22 @@ def _validate(cfg: CliConfig, given: set):
     if cfg.command == "defend":
         if "method" not in opts:
             raise UsageError("--method is required for defend (proda or trim)")
-        unread = given & {"proda": {"max_iters"}, "trim": {"gamma", "epsilon"}}[opts["method"]]
+        unread = given.intersection(*(keys for m, keys in _READS.items() if m != opts["method"]))
         if unread:
             flags = ", ".join(f"--{dest.replace('_', '-')}" for dest in sorted(unread))
             raise UsageError(f"--method {opts['method']} never reads {flags}")
-        if {"alpha", "alpha_assumed"} <= given:
-            raise UsageError("--alpha is an alias for --alpha-assumed; give one, not both")
         if opts["method"] == "proda" and "gamma" not in opts:
             raise UsageError("--gamma is required for the proda defense")
-        # the alias by the layer it came from: a flag or section key beats a bare alpha_assumed
-        if "alpha" in given or "alpha_assumed" not in opts:
-            opts["alpha_assumed"] = opts.get("alpha", 0.2)
     if cfg.command == "sweep" and opts["defense"] == "proda" and "gammas" not in opts:
         raise UsageError("--gammas is required when sweeping the proda defense")
     if cfg.command == "report" and "records" not in opts:
         raise UsageError("--records is required for report")
-    if "lam" in opts and opts["lam"] != "auto":
+    lam = opts.get("lambda")
+    if lam not in (None, "auto"):
         try:
-            opts["lam"] = float(opts["lam"])
+            opts["lambda"] = lam = float(lam)
         except ValueError as exc:
-            raise UsageError(f"--lambda must be a number or 'auto', got {opts['lam']!r}") from exc
+            raise UsageError(f"--lambda must be a number or 'auto', got {lam!r}") from exc
     built = cfg.built
     try:  # the library checks every range: its objects, or its rules where none is built yet
         if cfg.command in _DATA:
@@ -323,7 +318,7 @@ def _validate(cfg: CliConfig, given: set):
             from .defend import subset_size
             from .regress import _check_settings
         if cfg.command in _ONE:
-            _check_settings(opts["family"], 0.0 if opts["lam"] == "auto" else opts["lam"], opts["rho"])
+            _check_settings(opts["family"], 0.0 if lam == "auto" else lam, opts["rho"])
             _integer("seed", opts["seed"], 0)
         if cfg.command == "defend" and opts["method"] == "trim":  # TRIM builds no config object
             subset_size(0, opts["alpha_assumed"])  # its alpha_assumed rule
@@ -369,7 +364,7 @@ def _load_dataset(cfg: CliConfig):
 
     opts, source = cfg.options, cfg.built["source"]
     ds, norm = load_source(**source)
-    lam = 0.0 if opts["family"] == "ols" else opts["lam"]
+    lam = 0.0 if opts["family"] == "ols" else opts["lambda"]
     if lam == "auto":
         split = split_three(ds, opts["seed"])
         lam = select_lambda(split.train, split.validation, opts["family"], rho=opts["rho"])
@@ -419,6 +414,7 @@ def _cmd_attack(cfg: CliConfig) -> int:
         "converged": state.converged,
         "n_poison": state.poison.n,
         "model": state.model.to_dict(),
+        **{key: opts[key] for key in ("alpha", "epsilon_conv", "max_iters", "seed")},
     }
     (out / f"{name}_attack.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")
     print(
@@ -453,8 +449,7 @@ def _cmd_defend(cfg: CliConfig) -> int:
     doc["trim_worst_case_note"] = (
         f"iterative trimming may traverse C({ds.n}, {n}) subsets in the worst case"
     )
-    if opts["method"] == "trim":
-        doc["max_iters"] = opts["max_iters"]
+    doc |= {key: opts[key] for key in (*_READS[opts["method"]], "seed")}
     (out / f"{name}_defense.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
     print(
         f"method={opts['method']} subset_mse={result.subset_mse} "
@@ -469,7 +464,7 @@ def _build_experiment_spec(opts, source: dict):
     return ExperimentSpec(
         **source,
         families=opts["families"],
-        lambda_policy="select" if opts["lam"] == "auto" else opts["lam"],
+        lambda_policy="select" if opts["lambda"] == "auto" else opts["lambda"],
         rho=opts["rho"],
         attack=opts["attack"],
         defense=opts["defense"],
@@ -518,7 +513,7 @@ def _echo(cells):
 
 def _cmd_report(cfg: CliConfig) -> int:
     loaded = records.read_records(cfg.options["records"])
-    out = _out_dir(cfg)
+    out = Path(cfg.options["out"])
     cells, _ = records.write_report(out, loaded)
     print(f"wrote summary for {cells} records to {out / 'summary.csv'}")
     return 0

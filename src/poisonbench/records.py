@@ -90,7 +90,7 @@ def read_records(path) -> list[dict]:
     off mid-line), not a JSON object, or a cell record without a `family` or
     an `attack` raises a ValueError naming `path:line`."""
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # drops a leading BOM
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
@@ -204,16 +204,18 @@ def _bound_rank(text: str):
 
 def write_report(out, records) -> tuple[int, list[str]]:
     """Write summary.csv, report.txt and the charts into the directory Path
-    `out`; return the cell count and the failed cells' `error` strings in
-    record order. A chart is drawn when its axis has two or more x values and
-    some row on it has an MSE to plot. report.txt prints from one pass's groups
-    of the cells: their count, a line per (attack, defense, family, exception
-    type) of failures with their count and first message, a line per (attack,
-    family) on how the attacks ended, TRIM's largest worst-case bound, and a
-    recovery line per (attack, defense, family): its cells with defended MSE
-    within RECOVERED_RATIO of clean, of all, the median defended/poisoned MSE
-    ratio, and how many of those that record `defense_converged` converged."""
+    `out`, created once the records hold a cell to aggregate; return the cell
+    count and the failed cells' `error` strings in record order. A chart is
+    drawn when its axis has two or more x values and some row on it has an
+    MSE to plot. report.txt prints from one pass's groups of the cells: their
+    count, a line per (attack, defense, family, exception type) of failures
+    with their count and first message, a line per (attack, family) on how
+    the attacks ended, TRIM's largest worst-case bound, and a recovery line
+    per (attack, defense, family): its cells with defended MSE within
+    RECOVERED_RATIO of clean, of all, the median defended/poisoned MSE ratio,
+    and how many of those that record `defense_converged` converged."""
     summary = aggregate(records)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "summary.csv").write_text(summary_csv(summary), encoding="utf-8")
     for kind, (x_key, _) in _AXES.items():
         rows = [r for r in summary if r.get(x_key) is not None]

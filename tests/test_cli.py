@@ -26,6 +26,7 @@ from poisonbench.cli import (
 from poisonbench.data import SyntheticSpec, generate_synthetic, load_csv
 from poisonbench.defend import ProdaConfig, trim_defend
 from poisonbench.harness import ExperimentSpec
+from poisonbench.records import read_records
 from poisonbench.regress import fit
 
 from conftest import write_collinear_csv
@@ -130,7 +131,7 @@ class TestParsing:
         cfg_file.write_text(f"fit.lambda={text}\n", encoding="utf-8")
         data = ["fit", "--synthetic", "d=1,n=10,noise=0.1"]
         for argv in ([*data, "--lambda", text], ["--config", str(cfg_file), *data]):
-            value = parse_args(argv).options["lam"]
+            value = parse_args(argv).options["lambda"]
             assert value == lam and type(value) is type(lam)
 
     def test_config_file_unknown_key(self, tmp_path):
@@ -179,7 +180,7 @@ class TestDefaults:
         assert proda_cli["alpha_assumed"] == trim_cli["alpha_assumed"] == proda["alpha_assumed"]
         # the one deliberate difference: the CLI fits at lambda 0 unless told
         # `--lambda auto`, where a spec selects lambda unless given a value
-        assert fit_cli["lam"] == sweep_cli["lam"] == fitted["lam"] == 0.0
+        assert fit_cli["lambda"] == sweep_cli["lambda"] == fitted["lam"] == 0.0
         assert spec["lambda_policy"] == "select"
 
 
@@ -216,7 +217,7 @@ class TestMainExitCodes:
          ""),
         (["defend", "--synthetic", "d=2,n=40,noise=0.1", "--method", "proda", "--gamma", "3"],
          "defend.max_iters=5\n"),
-        # --alpha is an alias: given beside --alpha-assumed, one of the two goes unread
+        # defend has no --alpha, as a flag or a defend. key: the attacker's rate is attack's
         (["defend", "--synthetic", "d=2,n=40,noise=0.1", "--method", "trim", "--alpha", "7",
           "--alpha-assumed", "0.3"], ""),
         (["defend", "--synthetic", "d=2,n=40,noise=0.1", "--method", "trim",
@@ -283,7 +284,7 @@ class TestMainExitCodes:
         (["attack", "--alpha", "0.1", "--seed", "-1"], "seed must be >= 0"),
         (["defend", "--method", "trim", "--seed", "-1"], "seed must be >= 0"),
         (["defend", "--method", "proda", "--gamma", "3", "--seed", "-1"], "seed must be >= 0"),
-        (["defend", "--method", "proda", "--gamma", "60", "--alpha", "0.5"], "underflowed"),
+        (["defend", "--method", "proda", "--gamma", "60", "--alpha-assumed", "0.5"], "underflowed"),
         (["sweep", "--defense", "proda", "--gammas", "60", "--alpha-assumed", "0.5", "--alphas",
           "0.2", "--repeats", "1"], "underflowed"),
         (["defend", "--method", "proda", "--gamma", "1" + "0" * 400], "underflowed"),
@@ -543,13 +544,28 @@ class TestAttackCommand:
         summary = json.loads((out / "synthetic_attack.json").read_text())
         assert summary["method"] == "nopt"
 
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_json_names_the_settings_behind_it(self, tmp_path, source):
+        settings = {"alpha": 0.15, "epsilon_conv": 1e-4, "max_iters": 2, "seed": 7}
+        out = tmp_path / "out"
+        argv = ["attack", "--synthetic", "d=2,n=40,noise=0.1", "--out", str(out)]
+        if source == "flags":
+            argv += [arg for key, value in settings.items()
+                     for arg in (f"--{key.replace('_', '-')}", str(value))]
+        else:
+            lines = "".join(f"attack.{key}={value}\n" for key, value in settings.items())
+            argv = ["--config", _write_config(tmp_path, lines), *argv]
+        assert main(argv) == 0
+        summary = json.loads((out / "synthetic_attack.json").read_text())
+        assert {key: summary[key] for key in settings} == settings
+
 
 class TestDefendCommand:
     def test_proda_beta_in_json(self, tmp_path):
         csv = write_poisoned_csv(tmp_path / "p.csv")
         out = tmp_path / "out"
         code = main(["defend", "--csv", str(csv), "--target", "y", "--method", "proda",
-                     "--gamma", "6", "--alpha", "0.2", "--out", str(out)])
+                     "--gamma", "6", "--alpha-assumed", "0.2", "--out", str(out)])
         assert code == 0
         doc = json.loads((out / "p_defense.json").read_text())
         assert doc["beta_used"] == 38
@@ -573,10 +589,25 @@ class TestDefendCommand:
         out = tmp_path / "out"
         gamma = ["--gamma", "6"] if method == "proda" else []  # TRIM never reads gamma
         code = main(["defend", "--csv", str(csv), "--target", "y", "--method", method, *gamma,
-                     "--alpha", "0.2", "--out", str(out)])
+                     "--alpha-assumed", "0.2", "--out", str(out)])
         assert code == 0
         doc = json.loads((out / "p_defense.json").read_text())
         assert isinstance(doc["wall_time_s"], float) and doc["wall_time_s"] >= 0.0
+
+    @pytest.mark.parametrize("method,flags,settings", [
+        ("proda", ["--gamma", "6", "--epsilon", "0.001"], {"gamma": 6, "epsilon": 0.001}),
+        ("trim", ["--max-iters", "20"], {"max_iters": 20}),
+    ])
+    def test_json_names_the_settings_behind_it(self, tmp_path, method, flags, settings):
+        csv = write_poisoned_csv(tmp_path / "p.csv")
+        out = tmp_path / "out"
+        assert main(["defend", "--csv", str(csv), "--target", "y", "--method", method, *flags,
+                     "--alpha-assumed", "0.15", "--seed", "7", "--out", str(out)]) == 0
+        doc = json.loads((out / "p_defense.json").read_text())
+        want = {**settings, "alpha_assumed": 0.15, "seed": 7}
+        assert {key: doc[key] for key in want} == want
+        # the other method's settings stay out, as the CLI refuses them under this one
+        assert not ({"gamma", "epsilon", "max_iters"} - set(settings)) & set(doc)
 
     def test_trim_bound_past_the_digit_limit(self, tmp_path):
         out = tmp_path / "out"
@@ -604,7 +635,7 @@ class TestJsonFiles:
         assert json.loads((out / "c_model.json").read_text()) == model.to_dict()
         assert json.loads((out / "c_normalization.json").read_text()) == norm.to_dict()
         result = defend.trim_defend(ds, 0.2, "ridge", 0.01, rho=0.5, max_iters=100, seed=1337)
-        added = {"wall_time_s", "method", "alpha_assumed", "max_iters",
+        added = {"wall_time_s", "method", "alpha_assumed", "max_iters", "seed",
                  "trim_worst_case_iterations", "trim_worst_case_note"}
         doc = json.loads((out / "c_defense.json").read_text())
         assert added <= set(doc)
@@ -758,6 +789,32 @@ class TestSweepAndReport:
         assert capsys.readouterr().err == (
             f"poisonbench: error: ValueError: {records}:2: a cell record needs {key!r}\n")
         assert not (tmp_path / "report").exists()
+
+    def test_report_on_a_file_with_no_cell_record_creates_nothing(self, tmp_path, capsys):
+        # a sweep whose dataset fails to load leaves only the header
+        sweep = tmp_path / "sweep"
+        assert main(["sweep", "--csv", str(tmp_path / "missing.csv"), "--target", "y",
+                     "--out", str(sweep)]) == 1
+        assert len((sweep / "records.jsonl").read_text().splitlines()) == 1
+        capsys.readouterr()
+        report = tmp_path / "report"
+        assert main(["report", "--records", str(sweep / "records.jsonl"),
+                     "--out", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            "poisonbench: error: ValueError: no cell records to aggregate\n")
+        assert not report.exists()
+
+    def test_a_records_file_may_start_with_a_bom(self, tmp_path):
+        sweep = tmp_path / "sweep"
+        assert main(["sweep", "--synthetic", "d=2,n=45,noise=0.1", "--attack", "nopt",
+                     "--alphas", "0.1,0.2", "--repeats", "1", "--out", str(sweep)]) == 0
+        plain = sweep / "records.jsonl"
+        marked = tmp_path / "marked.jsonl"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert read_records(marked) == read_records(plain)
+        assert main(["report", "--records", str(marked), "--out", str(tmp_path / "report")]) == 0
+        for name in ("summary.csv", "mse_vs_alpha.csv", "report.txt"):
+            assert (tmp_path / "report" / name).read_bytes() == (sweep / name).read_bytes()
 
     def test_sweeps_of_two_synthetic_sources_write_different_headers(self, tmp_path):
         heads = []
@@ -922,25 +979,37 @@ class TestConfigFile:
         attack = parse_args(["--config", path, "attack", *data]).options
         defend = parse_args(["--config", path, "defend", *data]).options
         assert (attack["method"], attack["alpha"]) == ("nopt", 0.15)  # the section beats a bare key
-        assert (defend["method"], defend["gamma"], defend["alpha_assumed"]) == ("proda", 6, 0.1)
-
-    def test_alpha_flag_beats_a_bare_alpha_assumed_key(self, tmp_path):
-        # flags override config values, whichever of the alias's spellings each uses
-        out = tmp_path / "out"
-        assert main(["--config", _write_config(tmp_path, "alpha_assumed=0.1\n"), "defend",
-                     "--method", "trim", "--alpha", "0.3", "--synthetic", "d=2,n=40,noise=0.1",
-                     "--out", str(out)]) == 0
-        assert json.loads((out / "synthetic_defense.json").read_text())["alpha_assumed"] == 0.3
+        # a bare alpha is the attacker's rate, which defend does not read
+        assert (defend["method"], defend["gamma"], defend["alpha_assumed"]) == ("proda", 6, 0.2)
 
     @pytest.mark.parametrize("config,alpha_assumed", [
-        ("alpha_assumed=0.1\ndefend.alpha=0.3\n", 0.3),  # a section key beats a bare key
-        ("alpha=0.3\nalpha_assumed=0.1\n", 0.1),  # a bare alpha also serves attack
+        ("alpha=0.3\nalpha_assumed=0.1\n", 0.1),  # a bare alpha is attack's alone
         ("", 0.2),
     ])
     def test_alias_takes_the_value_of_the_higher_layer(self, tmp_path, config, alpha_assumed):
         opts = parse_args(["--config", _write_config(tmp_path, config), "defend", "--method",
                            "trim", "--synthetic", "d=2,n=40,noise=0.1"]).options
         assert opts["alpha_assumed"] == alpha_assumed
+
+    def test_one_file_holds_the_attackers_and_the_defenders_rate(self, tmp_path):
+        data = ["--synthetic", "d=2,n=40,noise=0.1"]
+        path = _write_config(tmp_path, "alpha=0.1\nalpha_assumed=0.3\n")
+        assert parse_args(["--config", path, "attack", *data]).options["alpha"] == 0.1
+        for argv in (["defend", "--method", "trim"], ["sweep"]):
+            assert parse_args(["--config", path, *argv, *data]).options["alpha_assumed"] == 0.3
+        path = _write_config(tmp_path, "alpha=0.1\n")
+        opts = parse_args(["--config", path, "defend", "--method", "trim", *data]).options
+        assert opts["alpha_assumed"] == 0.2
+
+    def test_a_config_file_may_start_with_a_bom(self, tmp_path):
+        text = "seed=9\nfit.lambda=0.5\n"
+        argv = ["fit", "--synthetic", "d=2,n=40,noise=0.1", "--family", "ridge"]
+        read = []
+        for prefix in ("", "\ufeff"):
+            read.append(parse_args(["--config", _write_config(tmp_path, prefix + text),
+                                    *argv]).options)
+        assert read[0] == read[1]
+        assert (read[1]["seed"], read[1]["lambda"]) == (9, 0.5)
 
     @pytest.mark.parametrize("method", ["proda", "trim"])
     def test_bare_key_the_defense_never_reads_is_ignored(self, tmp_path, method):
@@ -973,6 +1042,36 @@ class TestConfigFile:
         with pytest.raises(UsageError, match=match):
             parse_args(["--config", _write_config(tmp_path, line + "\n"), "fit",
                         "--synthetic", "d=1,n=10,noise=0.1"])
+
+
+class TestOneNamePerSetting:
+    # defend reads only --alpha-assumed, the config key of --lambda is lambda,
+    # and a flag matches by its full name only
+    @pytest.mark.parametrize("argv,config", [
+        (["defend", "--method", "trim", "--alpha", "0.2"], ""),
+        (["defend", "--method", "trim"], "defend.alpha=0.2\n"),
+        (["fit"], "lam=0.5\n"),
+        (["fit"], "fit.lam=0.5\n"),
+        (["sweep", "--rep", "3"], ""),
+        (["defend", "--method", "trim", "--alpha", "7", "--alpha-assumed", "0.3"], ""),
+    ])
+    def test_a_spelling_that_is_not_the_name_exits_2_before_output(
+            self, tmp_path, capsys, argv, config):
+        out = tmp_path / "out"
+        try:
+            code = main(["--config", _write_config(tmp_path, config), *argv,
+                         "--synthetic", "d=2,n=40,noise=0.1", "--out", str(out)])
+        except SystemExit as exc:  # argparse: the command has no such flag
+            code = exc.code
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    def test_help_names_lambda_by_its_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        assert "--lambda LAMBDA" in capsys.readouterr().out
 
 
 _SAMPLE_TEXT = {
@@ -1018,3 +1117,6 @@ def test_flag_and_config_key_give_the_same_option(tmp_path, option, command):
     path = _write_config(tmp_path, f"{command}.{option.flag[2:]}={text}\n")
     assert parse_args(["--config", path] + base).options == by_flag
     assert by_flag[option.dest] != option.default
+    with pytest.raises(SystemExit) as exc:  # a flag matches by its full name only
+        parse_args(base + [option.flag[:-1], *flag[1:]])
+    assert exc.value.code == 2
