@@ -133,6 +133,13 @@ def _parse_bool(text: str) -> bool:
     return value in ("1", "true", "yes")
 
 
+def _parse_lambda(text: str) -> float | str:
+    try:
+        return text if text == "auto" else float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number or 'auto', got {text!r}") from None
+
+
 @dataclass(frozen=True)
 class Option:
     """One flag of `commands` and the config key of the same full name; a
@@ -145,6 +152,8 @@ class Option:
     type: Callable = str
     choices: tuple | None = None
     default: object = None
+    reads: tuple[str, ...] = ()  # the defenses under which the command reads it; () is always
+    required: bool = False  # the command needs it wherever it reads it
 
     @property
     def dest(self) -> str:
@@ -154,7 +163,6 @@ class Option:
 _DATA = ("fit", "attack", "defend", "sweep")
 _ONE = ("fit", "attack", "defend")
 _ALL = (*_DATA, "report")
-_READS = {"proda": ("gamma", "epsilon"), "trim": ("max_iters",)}  # defend settings only it reads
 
 # Each command's rows, in table order, give its usage line and help.
 OPTIONS = (
@@ -168,11 +176,11 @@ OPTIONS = (
     Option("--families", f"comma list from {FAMILIES} (default ols)", ("sweep",), "model",
            _parse_families, default=("ols",)),
     Option("--lambda", "regularization strength, or 'auto' for validation-grid selection", _DATA,
-           "model", default="0.0"),
+           "model", _parse_lambda, default=0.0),
     Option("--rho", "elastic-net l1 mix in [0, 1] (default 0.5)", _DATA, "model", float, default=0.5),
     Option("--method", "attack algorithm (default nopt)", ("attack",), choices=("opt", "nopt"),
            default="nopt"),
-    Option("--alpha", "poisoning rate in (0, 0.2]", ("attack",), type=float),
+    Option("--alpha", "poisoning rate in (0, 0.2]", ("attack",), type=float, required=True),
     Option("--epsilon-conv", "stop when a sweep changes E (nopt) or the mean clean loss (opt) "
            "by less than this (default 1e-6)", ("attack",), type=float, default=1e-6),
     Option("--max-iters", "max outer iterations (default 100)", ("attack",), type=int, default=100),
@@ -182,24 +190,27 @@ OPTIONS = (
            default="none"),
     Option("--alphas", "alpha grid: comma list or start:stop:step (default 0.04:0.20:0.04)",
            ("sweep",), type=_parse_float_list, default=records.DEFAULT_ALPHA_GRID),
-    Option("--gammas", "gamma grid for proda", ("sweep",), type=_parse_int_list),
+    Option("--gammas", "gamma grid for proda", ("sweep",), type=_parse_int_list, reads=("proda",),
+           required=True),
     Option("--alpha-assumed", "fixed assumed alpha (default: the cell's real alpha)", ("sweep",),
-           type=float),
-    Option("--method", "defense algorithm (required)", ("defend",), choices=("proda", "trim")),
-    Option("--gamma", "proda group size (>= d+1)", ("defend",), type=int),
+           type=float, reads=("proda", "trim")),
+    Option("--method", "defense algorithm (required)", ("defend",), choices=("proda", "trim"),
+           required=True),
+    Option("--gamma", "proda group size (>= d+1)", ("defend",), type=int, reads=("proda",),
+           required=True),
     Option("--epsilon", "proda failure budget (default 1e-5)", ("defend", "sweep"), type=float,
-           default=1e-5),
+           default=1e-5, reads=("proda",)),
     Option("--alpha-assumed", "defender's poisoning-rate estimate (default 0.2)", ("defend",),
            type=float, default=0.2),
     Option("--max-iters", "trim iteration cap (default 100)", ("defend", "sweep"), type=int,
-           default=100),
+           default=100, reads=("trim",)),
     Option("--repeats", "repeats per cell (default 5)", ("sweep",), type=int, default=5),
     Option("--jobs", "parallel cell workers (default 1)", ("sweep",), type=int, default=1),
     Option("--max-features", "keep only the first K feature columns", ("sweep",), type=int),
     Option("--train-subsample", "subsample the training fold to this size", ("sweep",), type=int),
     Option("--surrogate-fraction", "grey-box attacker view as a fraction of the training fold",
            ("sweep",), type=float),
-    Option("--records", "records.jsonl produced by sweep (required)", ("report",)),
+    Option("--records", "records.jsonl produced by sweep (required)", ("report",), required=True),
     Option("--seed", f"master seed (default {DEFAULT_SEED})", _DATA, type=int, default=DEFAULT_SEED),
     Option("--out", "output directory (default $POISONBENCH_OUT or ./poisonbench-out)", _ALL),
     Option("--verbose", "chatty progress on stderr", ("sweep",), type=_parse_bool, default=False),
@@ -250,16 +261,16 @@ def _load_config_file(path, command: str) -> tuple[dict, dict]:
         option = next((o for o in known if (section or command) in o.commands), None)
         if not known or (section and option is None):
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        for candidate in [option] if option else known:
+        for candidate in [option] if option else known:  # argparse converts, as for the flag
+            parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+            parser.add_argument("--value", type=candidate.type, choices=candidate.choices)
             try:
-                converted = candidate.type(value)
-                if candidate.choices is not None and converted not in candidate.choices:
-                    raise ValueError(f"{value!r} not in {candidate.choices}")
+                converted = parser.parse_args([f"--value={value}"]).value
                 break
-            except (ValueError, argparse.ArgumentTypeError) as exc:
+            except argparse.ArgumentError as exc:
                 error = exc
         else:
-            raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {error}") from error
+            raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {error.message}") from error
         if option is not None and section in ("", command):
             (sectioned if section else bare)[option.dest] = converted
     return bare, sectioned
@@ -284,34 +295,21 @@ def _validate(cfg: CliConfig, given: set):
     """Check the options; `given` holds those set by a flag or a section key."""
     opts = cfg.options
     if cfg.command in _DATA:
-        has_csv = "csv" in opts
-        has_syn = "synthetic" in opts
-        if has_csv == has_syn:
+        if ("csv" in opts) == ("synthetic" in opts):
             raise UsageError("exactly one of --csv and --synthetic is required")
-        if has_csv and "target" not in opts:
+        if "csv" in opts and "target" not in opts:
             raise UsageError("--target is required with --csv")
-    if cfg.command == "attack" and "alpha" not in opts:
-        raise UsageError("--alpha is required for attack")
-    if cfg.command == "defend":
-        if "method" not in opts:
-            raise UsageError("--method is required for defend (proda or trim)")
-        unread = given.intersection(*(keys for m, keys in _READS.items() if m != opts["method"]))
-        if unread:
-            flags = ", ".join(f"--{dest.replace('_', '-')}" for dest in sorted(unread))
-            raise UsageError(f"--method {opts['method']} never reads {flags}")
-        if opts["method"] == "proda" and "gamma" not in opts:
-            raise UsageError("--gamma is required for the proda defense")
-    if cfg.command == "sweep" and opts["defense"] == "proda" and "gammas" not in opts:
-        raise UsageError("--gammas is required when sweeping the proda defense")
-    if cfg.command == "report" and "records" not in opts:
-        raise UsageError("--records is required for report")
-    lam = opts.get("lambda")
-    if lam not in (None, "auto"):
-        try:
-            opts["lambda"] = lam = float(lam)
-        except ValueError as exc:
-            raise UsageError(f"--lambda must be a number or 'auto', got {lam!r}") from exc
-    built = cfg.built
+    rows = [o for o in OPTIONS if cfg.command in o.commands]
+    pick = next((o for o in rows if "trim" in (o.choices or ())), None)  # --method or --defense
+    for o in rows:  # in table order, so defend's --method comes before the rows it picks
+        when = f"{pick.flag} {opts[pick.dest]}" if o.reads else cfg.command
+        reads = not o.reads or opts[pick.dest] in o.reads
+        if o.required and reads and o.dest not in opts:
+            choices = f" ({' or '.join(o.choices)})" if o.choices else ""
+            raise UsageError(f"{o.flag} is required for {when}{choices}")
+        if not reads and o.dest in given:
+            raise UsageError(f"{when} never reads {o.flag}")
+    lam, built = opts.get("lambda"), cfg.built
     try:  # the library checks every range: its objects, or its rules where none is built yet
         if cfg.command in _DATA:
             from .data import _integer
@@ -449,7 +447,8 @@ def _cmd_defend(cfg: CliConfig) -> int:
     doc["trim_worst_case_note"] = (
         f"iterative trimming may traverse C({ds.n}, {n}) subsets in the worst case"
     )
-    doc |= {key: opts[key] for key in (*_READS[opts["method"]], "seed")}
+    reads = [o.dest for o in OPTIONS if "defend" in o.commands and opts["method"] in o.reads]
+    doc |= {key: opts[key] for key in (*reads, "seed")}
     (out / f"{name}_defense.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
     print(
         f"method={opts['method']} subset_mse={result.subset_mse} "

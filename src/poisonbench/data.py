@@ -196,7 +196,8 @@ def load_csv(path, target_column: str, categorical=()):
     and recorded in the returned NormalizationSpec. An empty column name, a
     name repeated in the header or by one-hot expansion, a non-numeric cell
     in the target or a numeric column, and a non-finite number (nan, inf;
-    named with its row and column) are rejected.
+    named with its row and column) are rejected. Empty lines are skipped, and
+    an error counts rows with the header as row 1 and no empty line.
 
     Returns (Dataset, NormalizationSpec).
     """
@@ -208,7 +209,7 @@ def load_csv(path, target_column: str, categorical=()):
     header = [h.strip() for h in rows[0]]
     if "" in header:
         raise ValueError(f"{path}: empty column name at column {header.index('') + 1}")
-    body = rows[1:]
+    body = [row for row in rows[1:] if row]  # an empty line is no row
     if len(body) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(body)}")
     repeated = sorted({h for h in header if header.count(h) > 1})

@@ -19,6 +19,7 @@ from poisonbench.cli import (
     _parse_families,
     _parse_float_list,
     _parse_int_list,
+    _parse_lambda,
     _parse_synthetic,
     main,
     parse_args,
@@ -296,7 +297,7 @@ class TestMainExitCodes:
          "families repeats a value: ('ols', 'ols')"),
         (["sweep", "--defense", "proda", "--gammas", "3,3", "--alphas", "0.2", "--repeats", "1"],
          "gamma_grid repeats a value: (3, 3)"),
-        (["sweep", "--defense", "trim", "--gammas", "0", "--alphas", "0.2", "--repeats", "1"],
+        (["sweep", "--defense", "proda", "--gammas", "0", "--alphas", "0.2", "--repeats", "1"],
          "gamma must be >= 1"),
     ])
     def test_out_of_range_setting_exits_2_before_output(self, tmp_path, capsys, argv, message):
@@ -395,10 +396,14 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("argv,message", [
         (["attack"], "--alpha is required"),
         (["sweep", "--defense", "proda"], "--gammas is required"),
-        (["fit", "--lambda", "small"], "--lambda must be a number or 'auto'"),
+        (["fit", "--lambda", "small"], "argument --lambda: expected a number or 'auto'"),
     ])
     def test_missing_or_malformed_setting_exits_2(self, tmp_path, capsys, argv, message):
-        code = main([*argv, "--synthetic", "d=2,n=40,noise=0.1", "--out", str(tmp_path / "out")])
+        try:
+            code = main([*argv, "--synthetic", "d=2,n=40,noise=0.1",
+                         "--out", str(tmp_path / "out")])
+        except SystemExit as exc:  # argparse refuses a malformed flag value
+            code = exc.code
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -1074,10 +1079,88 @@ class TestOneNamePerSetting:
         assert "--lambda LAMBDA" in capsys.readouterr().out
 
 
+_SYN = ["--synthetic", "d=2,n=40,noise=0.1"]
+
+
+class TestEachRowHoldsItsRules:
+    # an OPTIONS row says whether its command needs it and under which
+    # defenses it is read; sweep shares defend's --epsilon and --max-iters
+    # rows, so it refuses what its --defense never reads as defend does
+    @pytest.mark.parametrize("flags,message", [
+        (["--gammas", "3"], "--defense none never reads --gammas"),
+        (["--defense", "trim", "--epsilon", "0.1"], "--defense trim never reads --epsilon"),
+        (["--defense", "proda", "--gammas", "3", "--max-iters", "5"],
+         "--defense proda never reads --max-iters"),
+        (["--alpha-assumed", "0.1"], "--defense none never reads --alpha-assumed"),
+    ])
+    @pytest.mark.parametrize("as_key", [False, True])
+    def test_sweep_refuses_a_setting_its_defense_never_reads(
+            self, tmp_path, capsys, flags, message, as_key):
+        config = ""
+        if as_key:  # the last flag as a sweep. key
+            *flags, flag, value = flags
+            config = f"sweep.{flag[2:]}={value}\n"
+        out = tmp_path / "out"
+        code = main(["--config", _write_config(tmp_path, config), "sweep", *_SYN, *flags,
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"poisonbench: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep"], ["sweep", "--defense", "trim"], ["sweep", "--defense", "proda", "--gammas", "3"],
+        ["defend", "--method", "trim"], ["defend", "--method", "proda", "--gamma", "3"],
+    ])
+    def test_a_bare_key_stays_ignored_where_it_is_not_read(self, tmp_path, argv):
+        config = "gammas=4\ngamma=4\nepsilon=0.1\nmax_iters=5\nalpha_assumed=0.1\n"
+        parse_args(["--config", _write_config(tmp_path, config), *argv, *_SYN])
+
+    @pytest.mark.parametrize("argv,message", [
+        # unchanged from before the rows held these rules
+        (["attack", *_SYN], "--alpha is required for attack"),
+        (["defend", *_SYN], "--method is required for defend (proda or trim)"),
+        (["report"], "--records is required for report"),
+        # a missing --method comes before any other defend rule
+        (["defend", *_SYN, "--gamma", "3", "--max-iters", "5"],
+         "--method is required for defend (proda or trim)"),
+        # a rule that holds under one defense names the flag and that defense
+        (["defend", *_SYN, "--method", "proda"], "--gamma is required for --method proda"),
+        (["sweep", *_SYN, "--defense", "proda"], "--gammas is required for --defense proda"),
+        (["defend", *_SYN, "--method", "trim", "--gamma", "3"],
+         "--method trim never reads --gamma"),
+        (["defend", *_SYN, "--method", "proda", "--gamma", "3", "--max-iters", "5"],
+         "--method proda never reads --max-iters"),
+    ])
+    def test_a_rule_message_names_the_flag(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"poisonbench: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", *_SYN, "--lambda", "0.1"], ["report", "--records", "r.jsonl"],
+    ])
+    def test_a_config_lambda_is_checked_like_the_flag(self, tmp_path, capsys, argv):
+        # the flag overrides the key, and report has no --lambda, yet the
+        # key's value is checked as every other key's is
+        path = _write_config(tmp_path, "lambda=small\n")
+        out = tmp_path / "out"
+        assert main(["--config", path, *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"poisonbench: {path}:1: bad value for 'lambda': "
+                                           "expected a number or 'auto', got 'small'\n")
+        assert not out.exists()
+
+
 _SAMPLE_TEXT = {
     str: "0.25", float: "0.15", int: "7", _parse_bool: "true",
     _parse_float_list: "0.1,0.2", _parse_int_list: "6,8", _parse_families: "ridge,lasso",
-    _parse_synthetic: "d=2,n=30,noise=0.2",
+    _parse_synthetic: "d=2,n=30,noise=0.2", _parse_lambda: "0.3",
+}
+# a value each row type refuses; --categorical takes any text, and --verbose
+# no value at all
+_BAD_TEXT = {
+    float: "x", int: "1.5", _parse_float_list: "abc", _parse_int_list: "3,4.5",
+    _parse_families: "ols,bogus", _parse_synthetic: "d=2", _parse_lambda: "small",
 }
 
 
@@ -1099,7 +1182,9 @@ def _base_argv(command, dest):
     else:
         base = {"synthetic": "d=1,n=10,noise=0.1"}
     defend = {"method": "trim"} if dest == "max_iters" else {"method": "proda", "gamma": "6"}
-    base.update({"attack": {"alpha": "0.1"}, "defend": defend}.get(command, {}))
+    sweep = {"defense": "trim"} if dest in ("max_iters", "defense") else {
+        "defense": "proda", "gammas": "6"}
+    base.update({"attack": {"alpha": "0.1"}, "defend": defend, "sweep": sweep}.get(command, {}))
     base.pop(dest, None)
     return [command] + [arg for key, value in base.items() for arg in (f"--{key}", value)]
 
@@ -1109,14 +1194,27 @@ def _base_argv(command, dest):
     [(o, c) for o in OPTIONS for c in o.commands],
     ids=[f"{c}{o.flag}" for o in OPTIONS for c in o.commands],
 )
-def test_flag_and_config_key_give_the_same_option(tmp_path, option, command):
+def test_flag_and_config_key_give_the_same_option(tmp_path, capsys, option, command):
     base = _base_argv(command, option.dest)
     text = _sample_text(option)
     flag = [option.flag] if option.type is _parse_bool else [option.flag, text]
     by_flag = parse_args(base + flag).options
-    path = _write_config(tmp_path, f"{command}.{option.flag[2:]}={text}\n")
+    key = f"{command}.{option.flag[2:]}"
+    path = _write_config(tmp_path, f"{key}={text}\n")
     assert parse_args(["--config", path] + base).options == by_flag
     assert by_flag[option.dest] != option.default
     with pytest.raises(SystemExit) as exc:  # a flag matches by its full name only
         parse_args(base + [option.flag[:-1], *flag[1:]])
     assert exc.value.code == 2
+    bad = "bogus" if option.choices else _BAD_TEXT.get(option.type)
+    if bad is None:
+        return
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:  # a malformed value: the same text both ways
+        parse_args(base + [option.flag, bad])
+    assert exc.value.code == 2
+    tail = capsys.readouterr().err.split(f"argument {option.flag}: ", 1)[1]
+    path = _write_config(tmp_path, f"{key}={bad}\n")
+    with pytest.raises(UsageError) as exc:
+        parse_args(["--config", path] + base)
+    assert str(exc.value) == f"{path}:1: bad value for {key!r}: {tail.rstrip()}"

@@ -133,6 +133,22 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="missing value"):
             load_csv(p, "y")
 
+    @pytest.mark.parametrize("text", ["a,y\n1,2\n3,4\n5,7\n\n", "a,y\n1,2\n\n3,4\n5,7\n"])
+    def test_an_empty_line_is_skipped(self, tmp_path, text):
+        # a trailing or a middle empty line; the file without it gives the same
+        ds, norm = load_csv(write_csv(tmp_path / "e.csv", text), "y")
+        want_ds, want_norm = load_csv(write_csv(tmp_path / "a.csv", "a,y\n1,2\n3,4\n5,7\n"), "y")
+        assert norm == want_norm
+        assert ds.feature_names == want_ds.feature_names
+        np.testing.assert_array_equal(ds.features, want_ds.features)
+        np.testing.assert_array_equal(ds.responses, want_ds.responses)
+
+    def test_an_empty_line_is_not_counted_in_a_row_number(self, tmp_path):
+        # rows count from the header as row 1; a line of spaces is a row
+        p = write_csv(tmp_path / "a.csv", "a,y\n1,2\n\n3,4\n   \n")
+        with pytest.raises(ValueError, match="row 4 has 1 cells, expected 2"):
+            load_csv(p, "y")
+
     def test_too_few_rows_errors(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", "a,y\n1,0\n")
         with pytest.raises(ValueError, match="at least 2"):

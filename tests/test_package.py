@@ -142,6 +142,23 @@ def test_bench_tracer_patches_every_target():
         tracer.restore(done)
 
 
+def test_bench_cli_command_lines_parse(tmp_path):
+    # load perfbench/workloads.py by its path and parse every command line
+    # its sweep-cli workload runs, so a CLI change that refuses the bench's
+    # sweep or report fails here, not in the bench
+    from poisonbench import cli
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    groups = workloads.build("sweep-cli", 1, 2, tmp_path)["groups"]
+    argvs = [argv for group in groups for argv in group]
+    assert [argv[0] for argv in argvs] == ["sweep", "report"] * 2
+    for argv in argvs:
+        cli.parse_args(argv)
+
+
 def test_traced_attacks_and_defenses_pass_the_bench_self_checks(tmp_path):
     # the traced bench's per-call checks, run here: an attack makes exactly
     # refit_count fit calls, and Proda makes two fits for each of its beta
