@@ -152,7 +152,7 @@ class Option:
     type: Callable = str
     choices: tuple | None = None
     default: object = None
-    reads: tuple[str, ...] = ()  # the defenses under which the command reads it; () is always
+    reads: tuple[str, ...] = ()  # the attacks or defenses under which it is read; () is always
     required: bool = False  # the command needs it wherever it reads it
 
     @property
@@ -208,8 +208,8 @@ OPTIONS = (
     Option("--jobs", "parallel cell workers (default 1)", ("sweep",), type=int, default=1),
     Option("--max-features", "keep only the first K feature columns", ("sweep",), type=int),
     Option("--train-subsample", "subsample the training fold to this size", ("sweep",), type=int),
-    Option("--surrogate-fraction", "grey-box attacker view as a fraction of the training fold",
-           ("sweep",), type=float),
+    Option("--surrogate-fraction", "grey-box attacker view as a fraction of the training fold "
+           "(read under --attack opt or nopt)", ("sweep",), type=float, reads=("opt", "nopt")),
     Option("--records", "records.jsonl produced by sweep (required)", ("report",), required=True),
     Option("--seed", f"master seed (default {DEFAULT_SEED})", _DATA, type=int, default=DEFAULT_SEED),
     Option("--out", "output directory (default $POISONBENCH_OUT or ./poisonbench-out)", _ALL),
@@ -300,8 +300,8 @@ def _validate(cfg: CliConfig, given: set):
         if "csv" in opts and "target" not in opts:
             raise UsageError("--target is required with --csv")
     rows = [o for o in OPTIONS if cfg.command in o.commands]
-    pick = next((o for o in rows if "trim" in (o.choices or ())), None)  # --method or --defense
-    for o in rows:  # in table order, so defend's --method comes before the rows it picks
+    for o in rows:  # in table order, so a selector (--method, --defense, --attack) comes first
+        pick = next(p for p in rows if set(o.reads) <= set(p.choices or ()))
         when = f"{pick.flag} {opts[pick.dest]}" if o.reads else cfg.command
         reads = not o.reads or opts[pick.dest] in o.reads
         if o.required and reads and o.dest not in opts:
@@ -309,6 +309,10 @@ def _validate(cfg: CliConfig, given: set):
             raise UsageError(f"{o.flag} is required for {when}{choices}")
         if not reads and o.dest in given:
             raise UsageError(f"{when} never reads {o.flag}")
+        if not reads:  # a bare key gives way, so the spec holds only what its cells read
+            opts.pop(o.dest, None)
+            if o.default is not None:
+                opts[o.dest] = o.default
     lam, built = opts.get("lambda"), cfg.built
     try:  # the library checks every range: its objects, or its rules where none is built yet
         if cfg.command in _DATA:

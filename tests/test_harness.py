@@ -613,133 +613,6 @@ class TestRecordsIO:
                                  else value)
 
 
-class TestReportText:
-    @staticmethod
-    def report_lines(tmp_path, records):
-        path = tmp_path / "records.jsonl"
-        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-        write_report(tmp_path, read_records(path))
-        return (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines()
-
-    @pytest.mark.parametrize("bounds, largest", [
-        (("4598126", "131282477347802347061316958640"), "131282477347802347061316958640"),
-        (("999", "1000", "998"), "1000"),
-        (("5", "10^4000.500", "10^4100.123", "9" * 3999), "10^4100.123"),
-    ])
-    def test_trim_line_shows_the_largest_bound(self, tmp_path, bounds, largest):
-        cells = [fake_record(defense="trim", alpha=0.04 * (i + 1), defense_iterations=i + 2,
-                             trim_worst_case_iterations=b, mse_defended=0.01)
-                 for i, b in enumerate(bounds)]
-        lines = self.report_lines(tmp_path, cells)
-        assert lines[2] == (f"trim iterations: max {len(bounds) + 1} (bounded by max_iters); "
-                            f"worst case C(N, n) = {largest} subset traversals")
-
-    def test_trim_line_says_n_a_when_no_cell_has_a_bound(self, tmp_path):
-        failed = fake_record(defense="trim", error="ValueError: subset size n=2 smaller than d+1")
-        lines = self.report_lines(tmp_path, [failed])
-        assert lines[3] == ("trim iterations: max n/a (bounded by max_iters); "
-                            "worst case C(N, n) = n/a subset traversals")
-
-    def test_one_failure_line_per_attack_defense_family_and_exception_type(self, tmp_path):
-        cells = [
-            fake_record(attack="nopt", error="DegenerateCleanLossError: clean loss is zero"),
-            fake_record(attack="nopt", defense="trim", error="ValueError: subset n=2"),
-            fake_record(attack="nopt", defense="trim", repeat=1, error="ValueError: subset n=3"),
-            fake_record(attack="nopt", defense="trim", family="ridge", error="ValueError: n=2"),
-            fake_record(attack="nopt", defense="trim", repeat=2, error="FloatingPointError: "),
-            fake_record(attack="nopt", defense="trim", repeat=3, mse_defended=0.01),
-        ]
-        assert self.report_lines(tmp_path, cells)[1:6] == [
-            "cells: 6 (5 failed)",
-            "failed nopt none ols: 1 DegenerateCleanLossError; first: clean loss is zero",
-            "failed nopt trim ols: 1 FloatingPointError; first: ",
-            "failed nopt trim ols: 2 ValueError; first: subset n=2",
-            "failed nopt trim ridge: 1 ValueError; first: n=2",
-        ]
-
-    def test_one_recovery_line_per_attack_defense_and_family(self, tmp_path):
-        def cell(family, defense, clean, poisoned, defended, **kwargs):
-            return fake_record(family=family, attack="nopt", defense=defense, mse_clean=clean,
-                               mse_poisoned=poisoned, mse_defended=defended,
-                               attack_converged=True, attack_iterations=3, attack_refits=40,
-                               **kwargs)
-
-        cells = [
-            # at 1.1x clean: recovered
-            cell("ols", "proda", 0.010, 0.040, 0.011, gamma=3, defense_converged=True),
-            cell("ols", "proda", 0.010, 0.050, 0.020, gamma=3, repeat=1, defense_converged=False),
-            cell("ols", "proda", 0.010, 0.020, 0.010, gamma=4),  # records from before the key
-            fake_record(family="ols", attack="nopt", defense="proda", gamma=4, repeat=1,
-                        error="ValueError: gamma"),
-            cell("ridge", "proda", 0.010, 0.030, 0.030, gamma=3, defense_converged=True),
-            cell("ols", "none", 0.010, 0.040, None),
-            fake_record(defense="trim", mse_defended=0.0105, defense_iterations=2,
-                        trim_worst_case_iterations="12"),
-        ]
-        lines = self.report_lines(tmp_path, [{k: v for k, v in c.items() if v is not None}
-                                             for c in cells])
-        assert lines == [
-            "poisonbench report",
-            "cells: 7 (1 failed)",
-            "failed nopt proda ols: 1 ValueError; first: gamma",
-            "attack nopt ols: 4/4 converged; median 3 sweeps, 40 refits",
-            "attack nopt ridge: 1/1 converged; median 3 sweeps, 40 refits",
-            "trim iterations: max 2 (bounded by max_iters); "
-            "worst case C(N, n) = 12 subset traversals",
-            "recovery none trim ols: 1/1 cells within 1.1x clean MSE; "
-            "median defended/poisoned MSE n/a",
-            # defended/poisoned ratios 0.275, 0.4 and 0.5; the failed cell counts as not
-            # recovered, and the convergence count is over the cells that record it
-            "recovery nopt proda ols: 2/4 cells within 1.1x clean MSE; "
-            "median defended/poisoned MSE 0.4; 1/2 converged",
-            "recovery nopt proda ridge: 0/1 cells within 1.1x clean MSE; "
-            "median defended/poisoned MSE 1; 1/1 converged",
-        ]
-
-    def test_the_whole_report_from_hand_built_records(self, tmp_path):
-        # plain dicts that reach every kind of line, checked as one text
-        def cell(family, attack, defense, repeat, **keys):
-            return {"record_type": "cell", "dataset": "synthetic", "family": family,
-                    "attack": attack, "defense": defense, "alpha": 0.1, "repeat": repeat,
-                    "mse_clean": 0.01, **keys}
-
-        records = [
-            {"record_type": "header", "schema_version": 1},
-            cell("ridge", "opt", "trim", 0, error="ValueError: subset size n=2 smaller than d+1"),
-            cell("ols", "nopt", "trim", 0,
-                 error="DegenerateCleanLossError: clean reference loss is zero"),
-            cell("ols", "nopt", "trim", 1, attack_converged=True, attack_iterations=4,
-                 attack_refits=50, mse_poisoned=0.04, mse_defended=0.01, defense_iterations=3,
-                 defense_converged=True, trim_worst_case_iterations="4598126"),
-            cell("ols", "nopt", "trim", 2, attack_converged=False, attack_iterations=30,
-                 attack_refits=90, mse_poisoned=0.05, mse_defended=0.02, defense_iterations=7,
-                 defense_converged=False, trim_worst_case_iterations="10^4100.123"),
-            cell("ridge", "opt", "trim", 1, attack_converged=True, attack_iterations=2,
-                 attack_refits=8, mse_poisoned=0.03, mse_defended=0.012, defense_iterations=5,
-                 trim_worst_case_iterations="9" * 40),  # from before defense_converged
-            cell("ridge", "opt", "trim", 2, error="ValueError: subset size n=1 smaller than d+1"),
-            cell("lasso", "none", "proda", 0, gamma=4, alpha_assumed=0.0, mse_defended=0.009,
-                 defense_iterations=162, defense_converged=True),  # no attack, no mse_poisoned
-        ]
-        assert write_report(tmp_path, records) is not None
-        assert (tmp_path / "report.txt").read_text(encoding="utf-8") == "\n".join([
-            "poisonbench report",
-            "cells: 7 (3 failed)",
-            "failed nopt trim ols: 1 DegenerateCleanLossError; first: clean reference loss is zero",
-            "failed opt trim ridge: 2 ValueError; first: subset size n=2 smaller than d+1",
-            "attack nopt ols: 1/2 converged; median 17 sweeps, 70 refits",
-            "attack opt ridge: 1/1 converged; median 2 sweeps, 8 refits",
-            "trim iterations: max 7 (bounded by max_iters); "
-            "worst case C(N, n) = 10^4100.123 subset traversals",
-            "recovery none proda lasso: 1/1 cells within 1.1x clean MSE; "
-            "median defended/poisoned MSE n/a; 1/1 converged",
-            "recovery nopt trim ols: 1/3 cells within 1.1x clean MSE; "
-            "median defended/poisoned MSE 0.325; 1/2 converged",
-            "recovery opt trim ridge: 0/3 cells within 1.1x clean MSE; "
-            "median defended/poisoned MSE 0.4",
-        ]) + "\n"
-
-
 class TestSummaryCsv:
     def test_fixed_columns(self):
         text = summary_csv(aggregate([fake_record()]))
