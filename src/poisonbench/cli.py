@@ -95,6 +95,13 @@ def _parse_families(text: str) -> tuple[str, ...]:
     return families
 
 
+# --synthetic key: (SyntheticSpec field, converter), in conversion order
+_SYNTHETIC_KEYS = {
+    "d": ("d", int), "n": ("n", int), "noise": ("noise_std", float), "seed": ("seed", int),
+    "w": ("true_weights", lambda v: tuple(map(float, v.split(";")))), "b": ("true_bias", float),
+}
+
+
 def _parse_synthetic(text: str) -> dict:
     """d=5,n=300[,noise=0.1][,seed=0][,w=0.3;0.2;...][,b=0.25] as SyntheticSpec
     fields; the generator draws w and b from the seed when they are left out."""
@@ -110,15 +117,8 @@ def _parse_synthetic(text: str) -> dict:
     if missing:
         raise argparse.ArgumentTypeError(f"--synthetic needs {' and '.join(missing)}")
     try:
-        spec = {"d": int(fields.pop("d")), "n": int(fields.pop("n"))}
-        if "noise" in fields:
-            spec["noise_std"] = float(fields.pop("noise"))
-        if "seed" in fields:
-            spec["seed"] = int(fields.pop("seed"))
-        if "w" in fields:
-            spec["true_weights"] = tuple(float(v) for v in fields.pop("w").split(";"))
-        if "b" in fields:
-            spec["true_bias"] = float(fields.pop("b"))
+        spec = {field: convert(fields.pop(key))
+                for key, (field, convert) in _SYNTHETIC_KEYS.items() if key in fields}
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad --synthetic value: {exc}") from exc
     if fields:
@@ -454,10 +454,9 @@ def _cmd_defend(cfg: CliConfig) -> int:
     reads = [o.dest for o in OPTIONS if "defend" in o.commands and opts["method"] in o.reads]
     doc |= {key: opts[key] for key in (*reads, "seed")}
     (out / f"{name}_defense.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
-    print(
-        f"method={opts['method']} subset_mse={result.subset_mse} "
-        f"beta_used={result.beta_used} iterations={result.iterations}"
-    )
+    beta = f"beta_used={doc['beta_used']} " if "beta_used" in doc else ""
+    print(f"method={opts['method']} subset_mse={result.subset_mse} "
+          f"{beta}iterations={result.iterations}")
     return 0
 
 

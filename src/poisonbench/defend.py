@@ -78,12 +78,15 @@ class DefenseResult:
         return self.iterations
 
     def to_dict(self) -> dict:
-        """The result as a JSON-ready dict, the model as its own `to_dict`."""
+        """The result as a JSON-ready dict, the model as its own `to_dict`;
+        `beta_used` only for Proda, whose trace holds one MSE per trial (TRIM's
+        holds its start and one per C-step)."""
+        proda = len(self.group_mse_trace) == self.iterations
         return {
             "subset_indices": list(self.subset_indices),
             "model": self.model.to_dict(),
             "subset_mse": self.subset_mse,
-            "beta_used": self.beta_used,
+            **({"beta_used": self.iterations} if proda else {}),
             "group_mses": list(self.group_mse_trace),
             "iterations": self.iterations,
             "converged": self.converged,

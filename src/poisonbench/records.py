@@ -149,14 +149,15 @@ _AXES = {"mse_vs_alpha": ("alpha", "poisoning rate alpha"),  # kind: (x key, x a
 
 
 def _series_for(summary, x_key):
-    """name -> [(x, mean y), ...] in x order, names in first-appearance order.
-    Summaries from combined record files repeat an x (one clean baseline per
-    sweep), so each point averages the rows that share its x."""
-    multi = len({r["family"] for r in summary}) > 1
+    """name -> [(x, mean y), ...] in x order, names in first-appearance order,
+    each name prefixed with its dataset and its family where the summary holds
+    more than one. Summaries from combined record files repeat an x (one clean
+    baseline per sweep), so each point averages the rows that share its x."""
+    split = [key for key in ("dataset", "family") if len({r.get(key) for r in summary}) > 1]
     table: dict = {}
     for row in summary:
         x = row.get(x_key)
-        prefix = f"{row['family']} " if multi else ""
+        prefix = "".join(f"{row.get(key)} " for key in split)
         for name, column in (("Unpoison", "mse_clean"), (row.get("attack"), "mse_poisoned"),
                              (row.get("defense"), "mse_defended")):
             y = row.get(column)
@@ -213,7 +214,9 @@ def write_report(out, records) -> tuple[int, list[str]]:
     the attacks ended, TRIM's largest worst-case bound, and a recovery line
     per (attack, defense, family): its cells with defended MSE within
     RECOVERED_RATIO of clean, of all, the median defended/poisoned MSE ratio,
-    and how many of those that record `defense_converged` converged."""
+    and how many of those that record `defense_converged` converged. When the
+    cells come from more than one dataset, each group is also one dataset's,
+    and its line names the dataset after the family."""
     summary = aggregate(records)
     out.mkdir(parents=True, exist_ok=True)
     (out / "summary.csv").write_text(summary_csv(summary), encoding="utf-8")
@@ -221,21 +224,21 @@ def write_report(out, records) -> tuple[int, list[str]]:
         rows = [r for r in summary if r.get(x_key) is not None]
         if len({r[x_key] for r in rows}) > 1 and _series_for(rows, x_key):
             emit_plot(summary, kind, out / f"{kind}.svg")
-    cells, errors, failures, attacked, defended = 0, [], {}, {}, {}
-    for r in records:
-        if r.get("record_type") != "cell":
-            continue
-        cells += 1
+    cells = [r for r in records if r.get("record_type") == "cell"]
+    named = len({r.get("dataset") for r in cells}) > 1
+    errors, failures, attacked, defended = [], {}, {}, {}
+    for r in cells:
+        family = f"{r['family']} {r.get('dataset')}" if named else r["family"]
         if "error" in r:
             errors.append(r["error"])
             kind, _, message = r["error"].partition(": ")
-            key = (r["attack"], r.get("defense", "none"), r["family"], kind)
+            key = (r["attack"], r.get("defense", "none"), family, kind)
             failures.setdefault(key, []).append(message)
         if "attack_converged" in r:
-            attacked.setdefault((r["attack"], r["family"]), []).append(r)
+            attacked.setdefault((r["attack"], family), []).append(r)
         if r.get("defense", "none") != "none":
-            defended.setdefault((r["attack"], r["defense"], r["family"]), []).append(r)
-    lines = ["poisonbench report", f"cells: {cells} ({len(errors)} failed)"]
+            defended.setdefault((r["attack"], r["defense"], family), []).append(r)
+    lines = ["poisonbench report", f"cells: {len(cells)} ({len(errors)} failed)"]
     for (attack, defense, family, kind), messages in sorted(failures.items()):
         lines.append(f"failed {attack} {defense} {family}: {len(messages)} {kind}; "
                      f"first: {messages[0]}")
@@ -266,4 +269,4 @@ def write_report(out, records) -> tuple[int, list[str]]:
             f"{RECOVERED_RATIO:g}x clean MSE; median defended/poisoned MSE {median}{converged}"
         )
     (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return cells, errors
+    return len(cells), errors

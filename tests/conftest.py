@@ -1,7 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import poisonbench
 from poisonbench.data import Dataset
+
+# the directory holding the package this session imports
+SRC = str(Path(poisonbench.__file__).resolve().parents[1])
+
+
+def run_python(args, env=None, **kwargs):
+    """`sys.executable` with `args` in a fresh interpreter, with SRC in front
+    of the PYTHONPATH of `env` (default: this process's environment), its
+    output captured as text; other keyword arguments go to subprocess.run."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          **kwargs)
 
 
 @pytest.fixture

@@ -2,9 +2,6 @@ import dataclasses
 import inspect
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +27,7 @@ from poisonbench.harness import ExperimentSpec
 from poisonbench.records import read_records
 from poisonbench.regress import fit
 
-from conftest import write_collinear_csv
+from conftest import run_python, write_collinear_csv
 
 
 def write_line_csv(path, n=12):
@@ -581,6 +578,16 @@ class TestDefendCommand:
         assert doc["max_iters"] == 100
         assert doc["iterations"] <= 100
 
+    def test_trim_reports_its_steps_as_iterations_only(self, tmp_path, capsys):
+        # beta is Proda's trial count; TRIM's count is its C-steps
+        out = tmp_path / "out"
+        assert main(["defend", "--synthetic", "d=2,n=60,noise=0.1", "--method", "trim",
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        doc = json.loads((out / "synthetic_defense.json").read_text())
+        assert "beta_used" not in printed and "beta_used" not in doc
+        assert printed.endswith(f" iterations={doc['iterations']}\n")
+
     @pytest.mark.parametrize("method", ["proda", "trim"])
     def test_writes_the_defense_wall_time(self, tmp_path, method):
         csv = write_poisoned_csv(tmp_path / "p.csv")
@@ -878,13 +885,10 @@ class TestSweepAndReport:
         # worker's environment holds
         script = tmp_path / "sweep.py"
         script.write_text(RECORDING_SWEEP, encoding="utf-8")
-        src = str(Path(cli.__file__).resolve().parents[1])
         env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
-        env.update(preset, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         argv = ["sweep", "--synthetic", "d=2,n=45,noise=0.1", "--alphas", "0.1,0.2",
                 "--repeats", "1", "--jobs", "2", "--out", str(tmp_path / "out")]
-        done = subprocess.run([sys.executable, str(script), str(tmp_path), *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = run_python([str(script), str(tmp_path), *argv], env={**env, **preset}, timeout=120)
         assert done.returncode == 0, done.stderr
         seen = [json.loads(p.read_text()) for p in tmp_path.glob("worker-*.json")]
         assert 1 <= len(seen) <= 2

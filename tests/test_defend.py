@@ -3,10 +3,7 @@ import itertools
 import json
 import math
 import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +24,7 @@ from poisonbench.defend import (
 from poisonbench.records import trim_worst_case_text
 from poisonbench.regress import FAMILIES, fit, loss, mse
 
-from conftest import make_noisy_dataset
+from conftest import make_noisy_dataset, run_python
 
 
 def brute_force_beta(alpha, gamma, epsilon):
@@ -548,13 +545,10 @@ calls = [("ols", 0.0, 24), ("ridge", 0.1, 12), ("lasso", 0.01, 12)]
 print(json.dumps([proda_defend(Dataset(x, y), ProdaConfig(gamma=gamma, alpha_assumed=0.2, seed=3),
                                family, lam).to_dict() for family, lam, gamma in calls]))
 """
-        src = str(Path(defend.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                 text=True, timeout=120)
+            out = run_python(["-c", code], env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                             timeout=120)
             assert (out.returncode, out.stderr) == (0, "")
             outputs.append(out.stdout)
         assert outputs[0] == outputs[1]

@@ -1,10 +1,10 @@
 import ast
 import dataclasses
+import functools
 import importlib
 import importlib.util
 import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 
@@ -19,16 +19,41 @@ from poisonbench.data import SyntheticSpec, generate_synthetic, poison_count
 from poisonbench.defend import ProdaConfig, compute_beta, subset_size, trim_defend
 from poisonbench.harness import ExperimentSpec
 
+from conftest import run_python
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE, BENCH = "src/poisonbench", "perfbench"
+
+
+@functools.cache
+def parsed(folder: str) -> dict[str, ast.Module]:
+    """The syntax tree of each .py file under ROOT/`folder` (PACKAGE or
+    BENCH) by file stem, each file parsed once a session; the guards only
+    read the trees."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / folder).rglob("*.py"))}
+
+
+def all_trees() -> list[ast.Module]:
+    """The package's trees, then perfbench's."""
+    return [*parsed(PACKAGE).values(), *parsed(BENCH).values()]
+
+
+def load_bench(name: str):
+    """perfbench/<name>.py, run from its path as a fresh module on each
+    call, so no test sees the module state another test left."""
+    path = ROOT / BENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency; importing scipy.linalg alone
     # costs several times the package's own import time
-    src = str(Path(poisonbench.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, poisonbench; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    out = run_python(["-c", code], check=True)
     assert out.stdout.strip() == "[]"
 
 
@@ -36,8 +61,6 @@ def test_serial_sweep_loads_no_process_pool_or_chart_writer():
     # the pool's module brings multiprocessing, logging and socket; harness
     # and records load it and svgplot only where a pool is opened or a chart
     # is drawn
-    src = str(Path(poisonbench.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = """
 import sys
 from poisonbench.data import SyntheticSpec
@@ -47,9 +70,7 @@ records = list(run_sweep(spec, jobs=1))
 print(len(records), "error" in records[0],
       [m for m in ("concurrent.futures.process", "poisonbench.svgplot") if m in sys.modules])
 """
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    out = run_python(["-c", code], check=True)
     assert out.stdout.strip() == "1 False []"
 
 
@@ -62,8 +83,7 @@ def test_report_tests_pass_without_numpy(tmp_path):
     # blocked, importing it or a compute module (each imports numpy at its
     # top) fails, so the module passes only if none loads; conftest imports
     # numpy, and so may a plugin
-    root = Path(__file__).resolve().parents[1]
-    module = root / "tests" / "test_report.py"
+    module = ROOT / "tests" / "test_report.py"
     imported = set()
     for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
@@ -75,11 +95,10 @@ def test_report_tests_pass_without_numpy(tmp_path):
     assert {m for m in imported if m.split(".")[0] not in sys.stdlib_module_names} \
         <= REPORT_TEST_IMPORTS
     code = "import sys; sys.modules['numpy'] = None; import pytest; sys.exit(pytest.main())"
-    env = dict(os.environ, PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
-    result = subprocess.run(
-        [sys.executable, "-c", code, "-q", "--noconftest", "-p", "no:cacheprovider",
+    result = run_python(
+        ["-c", code, "-q", "--noconftest", "-p", "no:cacheprovider",
          f"--basetemp={tmp_path / 'inner'}", str(module)],
-        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTEST_DISABLE_PLUGIN_AUTOLOAD="1"), cwd=ROOT, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
 
@@ -87,11 +106,9 @@ def test_report_tests_pass_without_numpy(tmp_path):
 def test_traced_bench_targets_resolve():
     # perfbench/tracer.py wraps these (layer, attribute) pairs; read them
     # without importing the tracer, so a deleted function fails here
-    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    tree = ast.parse(tracer.read_text(encoding="utf-8"))
     targets = next(
         ast.literal_eval(node.value)
-        for node in tree.body
+        for node in parsed(BENCH)["tracer"].body
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
     )
     assert targets
@@ -108,10 +125,7 @@ def test_traced_bench_targets_resolve():
 def test_bench_tracer_patches_every_target():
     # load perfbench/tracer.py by its path and run its own patching over
     # every target, so a renamed traced function fails here, not in the bench
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_bench("tracer")
     for layer in tracer.TARGETS:
         importlib.import_module(f"poisonbench.{layer}")
     spans = {f"{layer}.{attr.split('.')[-1]}" for layer, attrs in tracer.TARGETS.items()
@@ -133,11 +147,7 @@ def test_bench_cli_command_lines_parse(tmp_path):
     # sweep or report fails here, not in the bench
     from poisonbench import cli
 
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    groups = workloads.build("sweep-cli", 1, 2, tmp_path)["groups"]
+    groups = load_bench("workloads").build("sweep-cli", 1, 2, tmp_path)["groups"]
     argvs = [argv for group in groups for argv in group]
     assert [argv[0] for argv in argvs] == ["sweep", "report"] * 2
     for argv in argvs:
@@ -149,10 +159,7 @@ def test_traced_attacks_and_defenses_pass_the_bench_self_checks(tmp_path):
     # refit_count fit calls, and Proda makes two fits for each of its beta
     # trials, so a loop that refits outside attack.fit or a Proda that stacks
     # its fits fails in tier-1 too
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_bench("tracer")
     for layer in tracer.TARGETS:
         importlib.import_module(f"poisonbench.{layer}")
     clean, _ = generate_synthetic(SyntheticSpec(3, 60, (0.3, -0.2, 0.1), 0.4, 0.08, seed=5))
@@ -213,10 +220,9 @@ def test_every_config_field_has_a_caller():
     # class. perfbench is parsed, not imported.
     configs = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
                for cls in (AttackConfig, ProdaConfig, harness.ExperimentSpec)}
-    root = Path(__file__).resolve().parents[1]
     keywords, positional = set(), set()
-    for path in [*(root / "src").rglob("*.py"), *(root / "perfbench").rglob("*.py")]:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for tree in all_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 keywords.update(k.arg for k in node.keywords)
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
@@ -253,11 +259,9 @@ def test_every_parameter_has_a_caller():
     # attribute (past self or cls), to a class for its __init__, or to a
     # name assigned from the function (`attack_fn = nopt_attack if ... else
     # opt_attack`); perfbench is parsed, not imported
-    root = Path(__file__).resolve().parents[1]
-    package = sorted((root / "src").rglob("*.py"))
     params = {}  # "module.function.parameter" -> (called name, position or None, parameter)
-    for path in package:
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for module, tree in parsed(PACKAGE).items():
+        for node in tree.body:
             defs = [(node.name, node, 0)] if isinstance(node, ast.FunctionDef) else []
             if isinstance(node, ast.ClassDef):  # the package has no staticmethod
                 defs = [(node.name if item.name == "__init__" else item.name, item, 1)
@@ -266,14 +270,13 @@ def test_every_parameter_has_a_caller():
                 args = fn.args
                 positional = [a.arg for a in args.posonlyargs + args.args][skip:]
                 for i in range(len(positional) - len(args.defaults), len(positional)):
-                    params[f"{path.stem}.{fn.name}.{positional[i]}"] = (called, i, positional[i])
+                    params[f"{module}.{fn.name}.{positional[i]}"] = (called, i, positional[i])
                 for a, default in zip(args.kwonlyargs, args.kw_defaults):
                     if default is not None:
-                        params[f"{path.stem}.{fn.name}.{a.arg}"] = (called, None, a.arg)
+                        params[f"{module}.{fn.name}.{a.arg}"] = (called, None, a.arg)
     assert params
     passed = set()
-    for path in [*package, *(root / "perfbench").rglob("*.py")]:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for tree in all_trees():
         aliases = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
@@ -291,7 +294,7 @@ def test_every_parameter_has_a_caller():
 
 def test_readme_library_example_runs(capsys):
     # the README's one Python example is the public API as users first see it
-    readme = Path(__file__).resolve().parents[1] / "README.md"
+    readme = ROOT / "README.md"
     (example,) = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
     exec(compile(example, str(readme), "exec"), {})
     poisoned_mse, defended_mse = (float(v) for v in capsys.readouterr().out.split())
@@ -300,7 +303,7 @@ def test_readme_library_example_runs(capsys):
 
 def test_readme_summary_columns_are_the_harness_columns():
     # the columns README lists for summary.csv are the keys of aggregate's rows
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     (listed,) = re.findall(r"`summary\.csv`: fixed columns `([^`]*)`", readme)
     assert tuple(c.strip() for c in listed.split(",")) == records.SUMMARY_COLUMNS
 
@@ -311,19 +314,17 @@ def test_every_function_has_a_caller():
     # tracer names its targets in strings); perfbench is parsed, not imported.
     # Dunders are exempt: the interpreter calls them (a module's __getattr__
     # by PEP 562)
-    root = Path(__file__).resolve().parents[1]
-    package = sorted((root / "src").rglob("*.py"))
     defined, used = {}, set()
-    for path in [*package, *(root / "perfbench").rglob("*.py")]:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body if path in package else ():
+    for module, tree in parsed(PACKAGE).items():
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if not node.name.startswith("__"):
-                    defined[f"{path.stem}.{node.name}"] = node.name
+                    defined[f"{module}.{node.name}"] = node.name
             elif isinstance(node, ast.ClassDef):
                 defined.update((f"{node.name}.{item.name}", item.name) for item in node.body
                                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                                and not item.name.startswith("__"))
+    for tree in all_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -343,8 +344,8 @@ def test_only_regress_solves_linear_systems():
     # gufuncs under them, would bring a second rule back
     solver = re.compile(r"linalg\.(solve|inv|lstsq|_umath_linalg)\b")
     found = set()
-    for path in sorted((Path(__file__).resolve().parents[1] / "src").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for module, tree in parsed(PACKAGE).items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 names = [ast.unparse(node)]
             elif isinstance(node, ast.ImportFrom):
@@ -353,7 +354,7 @@ def test_only_regress_solves_linear_systems():
                 names = [alias.name for alias in node.names]
             else:
                 continue
-            found.update((path.stem, name) for name in names if solver.search(name))
+            found.update((module, name) for name in names if solver.search(name))
     assert {module for module, _ in found} <= {"regress"}, found
 
 
@@ -363,9 +364,7 @@ def test_attack_step_products_call_ndarray_dot():
     # the per-step path writes a matrix product with `@`
     found = []
     for module in ("attack", "regress"):
-        path = Path(poisonbench.__file__).resolve().parent / f"{module}.py"
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        found += [f"{module}:{node.lineno}" for node in ast.walk(tree)
+        found += [f"{module}:{node.lineno}" for node in ast.walk(parsed(PACKAGE)[module])
                   if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
     assert found == []
 
@@ -383,11 +382,11 @@ def test_only_regress_knows_the_families():
     # second definition back. A site is the top-level definition holding it
     rules = {"_penalty_mix", "_solve", "penalized_gram"}
     found = set()
-    for path in sorted((Path(__file__).resolve().parents[1] / "src").rglob("*.py")):
-        if path.stem == "regress":
+    for module, tree in parsed(PACKAGE).items():
+        if module == "regress":
             continue
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            site = (path.stem, getattr(top, "name", "<module>"))
+        for top in tree.body:
+            site = (module, getattr(top, "name", "<module>"))
             for node in ast.walk(top):
                 if isinstance(node, ast.Compare):
                     for operand in (node.left, *node.comparators):
@@ -408,23 +407,22 @@ def test_only_data_chooses_a_loader():
     # would bring a second choice back; `__init__` exports them in strings
     loaders = {"load_csv", "generate_synthetic"}
     found = set()
-    for path in sorted((Path(__file__).resolve().parents[1] / "src").rglob("*.py")):
-        if path.stem == "data":
+    for module, tree in parsed(PACKAGE).items():
+        if module == "data":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in ast.walk(tree):
             names = {getattr(node, "id", None), getattr(node, "attr", None)}
             if isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
-            found.update((path.stem, name) for name in names & loaders)
+            found.update((module, name) for name in names & loaders)
     assert found == set()
 
 
 def test_cli_imports_no_numpy():
     # numpy stays with the compute modules: the CLI parses and checks its
     # options with the standard library, and a command imports what it runs
-    path = Path(__file__).resolve().parents[1] / "src" / "poisonbench" / "cli.py"
     found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(parsed(PACKAGE)["cli"]):
         if isinstance(node, ast.Import):
             found += [alias.name for alias in node.names if alias.name.split(".")[0] == "numpy"]
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
@@ -446,12 +444,9 @@ def test_every_field_has_a_reader():
     # shows. It is read when its name appears in the package or perfbench as
     # an attribute load or a string (to_dict's keys, perfbench's record
     # keys); perfbench is parsed, not imported
-    root = Path(__file__).resolve().parents[1]
-    package = sorted((root / "src").rglob("*.py"))
     fields, read = set(), set()
-    for path in [*package, *(root / "perfbench").rglob("*.py")]:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for cls in tree.body if path in package else ():
+    for tree in parsed(PACKAGE).values():
+        for cls in tree.body:
             if not isinstance(cls, ast.ClassDef):
                 continue
             decorators = {getattr(getattr(d, "func", d), "id", None) for d in cls.decorator_list}
@@ -461,6 +456,7 @@ def test_every_field_has_a_reader():
                 elif isinstance(item, ast.FunctionDef) and any(
                         getattr(d, "id", None) == "property" for d in item.decorator_list):
                     fields.add((cls.name, item.name))
+    for tree in all_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
@@ -473,21 +469,14 @@ def test_every_field_has_a_reader():
 
 def test_dir_lists_every_export_and_loads_no_numpy():
     assert set(poisonbench.__all__) <= set(dir(poisonbench))
-    src = str(Path(poisonbench.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, poisonbench; names = dir(poisonbench); "
             "print(set(poisonbench.__all__) <= set(names), 'numpy' in sys.modules)")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    out = run_python(["-c", code], check=True)
     assert out.stdout.strip() == "True False"
 
 
 def test_cli_module_runs_as_a_script():
-    src = str(Path(poisonbench.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-m", "poisonbench.cli", "--help"], env=env,
-                         capture_output=True, text=True)
+    out = run_python(["-m", "poisonbench.cli", "--help"])
     assert out.returncode == 0, out.stderr
     assert "usage:" in out.stdout
 
@@ -594,8 +583,7 @@ def test_fixed_ranges_are_checked_by_the_two_rules():
 
     found = []
     for module in ("data", "attack", "defend", "harness", "cli"):
-        path = Path(poisonbench.__file__).resolve().parent / f"{module}.py"
-        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for func in ast.walk(parsed(PACKAGE)[module]):
             if not isinstance(func, ast.FunctionDef) or func.name in ("_integer", "_within"):
                 continue
             params = {a.arg for a in (*func.args.args, *func.args.kwonlyargs)}

@@ -2,12 +2,8 @@ import dataclasses
 import gc
 import hashlib
 import math
-import os
 import random
-import subprocess
-import sys
 import weakref
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -31,7 +27,7 @@ from poisonbench.regress import (
     select_lambda,
 )
 
-from conftest import make_noisy_dataset, write_collinear_csv
+from conftest import make_noisy_dataset, run_python, write_collinear_csv
 
 
 def grad_eq4(ds, model):
@@ -486,10 +482,7 @@ for family in ("ols", "ridge"):
     except ValueError as exc:
         print(type(exc).__name__, exc)
 """
-        src = str(Path(regress.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=30)
+        out = run_python(["-c", code], timeout=30)
         assert (out.returncode, out.stderr) == (0, "")
         want = "ValueError a fit needs finite moments; non-finite: " + named if named else "fitted"
         assert out.stdout.splitlines() == [want, want]
@@ -788,10 +781,7 @@ elapsed = time.perf_counter() - start
 grown_mb = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024
 print(report.converged, elapsed, grown_mb)
 """
-        src = str(Path(regress.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
+        out = run_python(["-c", code], check=True)
         converged, elapsed, grown_mb = out.stdout.split()
         assert converged == "True"
         assert float(elapsed) < 1.0 and float(grown_mb) < 32.0, out.stdout

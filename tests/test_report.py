@@ -234,6 +234,27 @@ class TestReportText:
             "failed nopt trim ridge: 1 ValueError; first: n=2",
         ]
 
+    def test_records_of_two_datasets_keep_them_apart(self, tmp_path):
+        # the records of two sweeps `cat`-ed together: each dataset has its
+        # own chart series and its own report lines
+        cells = [fake_record(dataset=name, attack="nopt", alpha=alpha, mse_clean=clean,
+                             mse_poisoned=poisoned, attack_converged=True, attack_iterations=3,
+                             attack_refits=40)
+                 for name, clean, poisoned in (("a", 0.01, 0.02), ("b", 0.03, 0.05))
+                 for alpha in (0.1, 0.2)]
+        cells.append(fake_record(dataset="b", attack="nopt", repeat=1, error="ValueError: x"))
+        assert self.report_lines(tmp_path, cells) == [
+            "poisonbench report",
+            "cells: 5 (1 failed)",
+            "failed nopt none ols b: 1 ValueError; first: x",
+            "attack nopt ols a: 2/2 converged; median 3 sweeps, 40 refits",
+            "attack nopt ols b: 2/2 converged; median 3 sweeps, 40 refits",
+        ]
+        chart = (tmp_path / "mse_vs_alpha.csv").read_text(encoding="utf-8").splitlines()
+        assert chart[1:] == [f"{name},{alpha},{y}" for name, y in (
+            ("a Unpoison", 0.01), ("a Nopt", 0.02), ("b Unpoison", 0.03), ("b Nopt", 0.05))
+            for alpha in (0.1, 0.2)]
+
     def test_one_recovery_line_per_attack_defense_and_family(self, tmp_path):
         def cell(family, defense, clean, poisoned, defended, **kwargs):
             return fake_record(family=family, attack="nopt", defense=defense, mse_clean=clean,
