@@ -1,9 +1,9 @@
 """Command-line entry point: fit, attack, defend, sweep, and report.
 
-Precedence for every option: command-line flag > config file (key=value
-lines, optionally with a command prefix, e.g. attack.alpha=0.2) > built-in
-default; --out alone falls back to $POISONBENCH_OUT before its default. All
-randomness flows from --seed (default 1337, never wall clock).
+Precedence for every option: command-line flag > built-in default; --out
+alone falls back to $POISONBENCH_OUT before its default. An argument @FILE
+stands for the flags its lines hold. All randomness flows from --seed
+(default 1337, never wall clock).
 
 Exit codes: 0 success, 1 computational failure (a sweep none of whose cells
 succeeded included), 2 usage error. Diagnostics go to stderr; data goes to
@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import os
+import shlex
 import sys
 import time
 from collections.abc import Callable
@@ -126,13 +127,6 @@ def _parse_synthetic(text: str) -> dict:
     return spec
 
 
-def _parse_bool(text: str) -> bool:
-    value = text.strip().lower()
-    if value not in ("1", "true", "yes", "0", "false", "no"):
-        raise argparse.ArgumentTypeError(f"expected 1/true/yes or 0/false/no, got {text!r}")
-    return value in ("1", "true", "yes")
-
-
 def _parse_lambda(text: str) -> float | str:
     try:
         return text if text == "auto" else float(text)
@@ -142,8 +136,7 @@ def _parse_lambda(text: str) -> float | str:
 
 @dataclass(frozen=True)
 class Option:
-    """One flag of `commands` and the config key of the same full name; a
-    config value goes through the flag's `type` and `choices`."""
+    """One flag of `commands`, on the command line or in an @FILE alike."""
 
     flag: str
     help: str
@@ -154,6 +147,7 @@ class Option:
     default: object = None
     reads: tuple[str, ...] = ()  # the attacks or defenses under which it is read; () is always
     required: bool = False  # the command needs it wherever it reads it
+    action: str | None = None  # argparse's, for a flag that takes no value
 
     @property
     def dest(self) -> str:
@@ -213,86 +207,55 @@ OPTIONS = (
     Option("--records", "records.jsonl produced by sweep (required)", ("report",), required=True),
     Option("--seed", f"master seed (default {DEFAULT_SEED})", _DATA, type=int, default=DEFAULT_SEED),
     Option("--out", "output directory (default $POISONBENCH_OUT or ./poisonbench-out)", _ALL),
-    Option("--verbose", "chatty progress on stderr", ("sweep",), type=_parse_bool, default=False),
+    Option("--verbose", "chatty progress on stderr", ("sweep",), default=False, action="store_true"),
 )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads each @FILE line as POSIX shell words, after a leading UTF-8 BOM;
+    a blank line, or one whose first non-blank character is '#', holds none."""
+
+    def convert_arg_line_to_args(self, arg_line):
+        line = arg_line.removeprefix("\ufeff")
+        try:
+            return [] if line.lstrip().startswith("#") else shlex.split(line)
+        except ValueError as exc:  # an unclosed quote
+            self.error(f"cannot split argument file line {line!r}: {exc}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = dict(argument_default=argparse.SUPPRESS, allow_abbrev=False)
-    parser = argparse.ArgumentParser(
+    common = dict(argument_default=argparse.SUPPRESS, allow_abbrev=False, fromfile_prefix_chars="@")
+    parser = _ArgumentParser(
         prog="poisonbench",
         description="Poisoning attacks (Nopt, Opt) and defenses (Proda, TRIM) for linear regression.",
         **common,
     )
-    parser.add_argument("--config", help="key=value config file; flags override its values")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)  # subparsers share the class
     for command, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text, **common)
         groups = {None: p}
         for o in (row for row in OPTIONS if command in row.commands):
             if o.group not in groups:
                 groups[o.group] = p.add_argument_group(o.group)
-            kind = dict(type=o.type, choices=o.choices)
-            if o.type is _parse_bool:
-                kind = dict(action="store_true")
+            kind = dict(action=o.action) if o.action else dict(type=o.type, choices=o.choices)
             groups[o.group].add_argument(o.flag, dest=o.dest, help=o.help, **kind)
     return parser
 
 
-def _load_config_file(path, command: str) -> tuple[dict, dict]:
-    """Read key=value lines into (bare, sectioned) options. `section.key` is
-    checked against that command's option and applies only when it is
-    running; a bare key applies to every command that has the option, and
-    for the others must be a valid value of some command's option."""
-    bare, sectioned = {}, {}
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")  # drops a leading BOM
-    except OSError as exc:
-        raise UsageError(f"cannot read --config file: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):  # a value may hold a '#'
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        section, _, name = key.rpartition(".")
-        known = [o for o in OPTIONS if name.replace("-", "_") == o.dest]
-        option = next((o for o in known if (section or command) in o.commands), None)
-        if not known or (section and option is None):
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        for candidate in [option] if option else known:  # argparse converts, as for the flag
-            parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-            parser.add_argument("--value", type=candidate.type, choices=candidate.choices)
-            try:
-                converted = parser.parse_args([f"--value={value}"]).value
-                break
-            except argparse.ArgumentError as exc:
-                error = exc
-        else:
-            raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {error.message}") from error
-        if option is not None and section in ("", command):
-            (sectioned if section else bare)[option.dest] = converted
-    return bare, sectioned
-
-
 def parse_args(argv) -> CliConfig:
-    """Resolve the full configuration: flags > config file > defaults."""
-    explicit = vars(build_parser().parse_args(argv))
-    command = explicit.pop("command")
+    """Resolve the full configuration: flags > defaults."""
+    given = vars(build_parser().parse_args(argv))
+    command = given.pop("command")
     options = {o.dest: o.default for o in OPTIONS if command in o.commands and o.default is not None}
-    bare, sectioned = {}, {}
-    if "config" in explicit:
-        bare, sectioned = _load_config_file(explicit.pop("config"), command)
-    options.update({**bare, **sectioned, **explicit})  # a section key wins over a bare one
+    options.update(given)
     options.setdefault("out", os.environ.get("POISONBENCH_OUT", DEFAULT_OUT))
     cfg = CliConfig(command=command, options=options)
-    _validate(cfg, given=sectioned.keys() | explicit.keys())
+    _validate(cfg, given=given.keys())
     return cfg
 
 
 def _validate(cfg: CliConfig, given: set):
-    """Check the options; `given` holds those set by a flag or a section key."""
+    """Check the options; `given` names those a flag set."""
     opts = cfg.options
     if cfg.command in _DATA:
         if ("csv" in opts) == ("synthetic" in opts):
@@ -309,10 +272,6 @@ def _validate(cfg: CliConfig, given: set):
             raise UsageError(f"{o.flag} is required for {when}{choices}")
         if not reads and o.dest in given:
             raise UsageError(f"{when} never reads {o.flag}")
-        if not reads:  # a bare key gives way, so the spec holds only what its cells read
-            opts.pop(o.dest, None)
-            if o.default is not None:
-                opts[o.dest] = o.default
     lam, built = opts.get("lambda"), cfg.built
     try:  # the library checks every range: its objects, or its rules where none is built yet
         if cfg.command in _DATA:

@@ -2,6 +2,8 @@ import dataclasses
 import inspect
 import json
 import os
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from poisonbench.attack import AttackConfig
 from poisonbench.cli import (
     OPTIONS,
     UsageError,
-    _parse_bool,
     _parse_families,
     _parse_float_list,
     _parse_int_list,
@@ -113,31 +114,25 @@ class TestParsing:
         with pytest.raises(UsageError, match="--gamma"):
             parse_args(["defend", "--synthetic", "d=1,n=10,noise=0.1", "--method", "proda"])
 
-    def test_config_file_overridden_by_flag(self, tmp_path):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("attack.alpha=0.12\nseed=9\n# comment\n", encoding="utf-8")
-        cfg = parse_args(
-            ["--config", str(cfg_file), "attack", "--synthetic", "d=1,n=20,noise=0.1",
-             "--alpha", "0.2"]
-        )
-        assert cfg.options["alpha"] == 0.2  # flag wins
-        assert cfg.options["seed"] == 9  # config beats default
+    def test_a_later_flag_overrides_an_argument_file(self, tmp_path):
+        path = _write_args(tmp_path, "--alpha 0.12\n--seed 9\n# comment\n")
+        cfg = parse_args(["attack", "--synthetic", "d=1,n=20,noise=0.1", path, "--alpha", "0.2"])
+        assert cfg.options["alpha"] == 0.2  # the later flag wins
+        assert cfg.options["seed"] == 9  # the file's beats the default
 
     @pytest.mark.parametrize("text, lam", [("0.25", 0.25), ("auto", "auto")])
-    def test_lambda_is_parsed_once_from_a_flag_or_a_config_key(self, tmp_path, text, lam):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(f"fit.lambda={text}\n", encoding="utf-8")
+    def test_lambda_is_parsed_once_from_a_flag_or_an_argument_file(self, tmp_path, text, lam):
         data = ["fit", "--synthetic", "d=1,n=10,noise=0.1"]
-        for argv in ([*data, "--lambda", text], ["--config", str(cfg_file), *data]):
+        for argv in ([*data, "--lambda", text], [*data, _write_args(tmp_path, f"--lambda {text}")]):
             value = parse_args(argv).options["lambda"]
             assert value == lam and type(value) is type(lam)
 
-    def test_config_file_unknown_key(self, tmp_path):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("nonsense=1\n", encoding="utf-8")
-        with pytest.raises(UsageError, match="unknown config key"):
-            parse_args(["--config", str(cfg_file), "fit",
-                        "--synthetic", "d=1,n=10,noise=0.1"])
+    def test_an_unknown_flag_in_an_argument_file_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["fit", "--synthetic", "d=1,n=10,noise=0.1",
+                        _write_args(tmp_path, "--nonsense 1\n")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --nonsense 1" in capsys.readouterr().err
 
     def test_env_out_dir(self, monkeypatch):
         monkeypatch.setenv("POISONBENCH_OUT", "/tmp/envout")
@@ -188,7 +183,7 @@ class TestMainExitCodes:
         assert code == 2
         assert "--target" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv,config", [
+    @pytest.mark.parametrize("argv,args", [
         # only sweep reports progress
         (["fit", "--synthetic", "d=1,n=20,noise=0.1", "--verbose"], ""),
         (["attack", "--synthetic", "d=1,n=20,noise=0.1", "--alpha", "0.1", "--max-iters", "1",
@@ -204,19 +199,18 @@ class TestMainExitCodes:
         (["defend", "--synthetic", "d=2,n=40,noise=0.1", "--method", "trim", "--epsilon", "0.5"],
          ""),
         (["defend", "--synthetic", "d=2,n=40,noise=0.1", "--method", "proda", "--gamma", "3"],
-         "defend.max_iters=5\n"),
-        # defend has no --alpha, as a flag or a defend. key: the attacker's rate is attack's
+         "--max-iters 5\n"),
+        # defend has no --alpha, in argv or in a file: the attacker's rate is attack's
         (["defend", "--synthetic", "d=2,n=40,noise=0.1", "--method", "trim", "--alpha", "7",
           "--alpha-assumed", "0.3"], ""),
         (["defend", "--synthetic", "d=2,n=40,noise=0.1", "--method", "trim",
-          "--alpha-assumed", "0.3"], "defend.alpha=0.2\n"),
+          "--alpha-assumed", "0.3"], "--alpha 0.2\n"),
         (["defend", "--synthetic", "d=2,n=40,noise=0.1", "--method", "proda", "--gamma", "3"],
-         "defend.alpha=0.2\ndefend.alpha_assumed=0.3\n"),
+         "--alpha 0.2\n--alpha-assumed 0.3\n"),
     ])
-    def test_flag_the_command_never_reads_exits_2(self, tmp_path, argv, config):
+    def test_flag_the_command_never_reads_exits_2(self, tmp_path, argv, args):
         try:
-            code = main(["--config", _write_config(tmp_path, config), *argv,
-                         "--out", str(tmp_path / "out")])
+            code = main([*argv, _write_args(tmp_path, args), "--out", str(tmp_path / "out")])
         except SystemExit as exc:  # argparse: the command has no such flag
             code = exc.code
         assert code == 2
@@ -413,26 +407,27 @@ class TestMainExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([*argv, flag, value])
         assert exc.value.code == 2
-        assert f"error: argument {flag}: {message}\n" in capsys.readouterr().err
-        key = flag[2:]
-        config = tmp_path / "run.cfg"
-        config.write_text(f"{key}={value}\n", encoding="utf-8")
-        assert main(["--config", str(config), *argv]) == 2
-        assert capsys.readouterr().err == (
-            f"poisonbench: {config}:1: bad value for {key!r}: {message}\n")
+        by_flag = capsys.readouterr().err
+        assert f"error: argument {flag}: {message}\n" in by_flag
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, _write_args(tmp_path, f"{flag}={value}\n")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == by_flag
         assert not out.exists()
 
     @pytest.mark.parametrize("text,message", [
-        (None, "cannot read --config file"),
-        ("seed 9\n", "expected key=value"),
+        (None, "No such file or directory"),
+        ("--seed '9\n", "cannot split argument file line \"--seed '9\": No closing quotation"),
+        ("seed 9\n", "unrecognized arguments: seed 9"),
     ])
-    def test_bad_config_file_exits_2(self, tmp_path, capsys, text, message):
-        path = tmp_path / "run.cfg"
+    def test_bad_argument_file_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "run.args"
         if text is not None:
             path.write_text(text, encoding="utf-8")
-        code = main(["--config", str(path), "fit", "--synthetic", "d=2,n=40,noise=0.1",
-                     "--out", str(tmp_path / "out")])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--synthetic", "d=2,n=40,noise=0.1", f"@{path}",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -491,11 +486,11 @@ class TestFitCommand:
         assert "family=ols lambda=0.0 " in capsys.readouterr().out
         assert json.loads((out / "synthetic_model.json").read_text())["lambda"] == 0.0
 
-    @pytest.mark.parametrize("config,flags", [("", ["--family", " Ridge"]), ("family= Ridge\n", [])],
-                             ids=["flag", "config"])
-    def test_family_takes_the_spellings_families_takes(self, tmp_path, capsys, config, flags):
+    @pytest.mark.parametrize("args,flags", [
+        ("", ["--family", " Ridge"]), ("--family ' Ridge'\n", [])], ids=["flag", "file"])
+    def test_family_takes_the_spellings_families_takes(self, tmp_path, capsys, args, flags):
         out = tmp_path / "out"
-        assert main(["--config", _write_config(tmp_path, config), "fit", *flags,
+        assert main(["fit", _write_args(tmp_path, args), *flags,
                      "--synthetic", "d=2,n=40,noise=0.1", "--lambda", "0.1", "--out", str(out)]) == 0
         assert capsys.readouterr().out.startswith("family=ridge lambda=0.1 ")
         assert json.loads((out / "synthetic_model.json").read_text())["family"] == "ridge"
@@ -539,18 +534,15 @@ class TestAttackCommand:
         summary = json.loads((out / "synthetic_attack.json").read_text())
         assert summary["method"] == "nopt"
 
-    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize("source", ["flags", "file"])
     def test_json_names_the_settings_behind_it(self, tmp_path, source):
         settings = {"alpha": 0.15, "epsilon_conv": 1e-4, "max_iters": 2, "seed": 7}
         out = tmp_path / "out"
-        argv = ["attack", "--synthetic", "d=2,n=40,noise=0.1", "--out", str(out)]
-        if source == "flags":
-            argv += [arg for key, value in settings.items()
-                     for arg in (f"--{key.replace('_', '-')}", str(value))]
-        else:
-            lines = "".join(f"attack.{key}={value}\n" for key, value in settings.items())
-            argv = ["--config", _write_config(tmp_path, lines), *argv]
-        assert main(argv) == 0
+        flags = [arg for key, value in settings.items()
+                 for arg in (f"--{key.replace('_', '-')}", str(value))]
+        if source == "file":
+            flags = [_write_args(tmp_path, shlex.join(flags))]
+        assert main(["attack", "--synthetic", "d=2,n=40,noise=0.1", "--out", str(out), *flags]) == 0
         summary = json.loads((out / "synthetic_attack.json").read_text())
         assert {key: summary[key] for key in settings} == settings
 
@@ -841,6 +833,33 @@ class TestSweepAndReport:
         cells = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()[1:]]
         assert len(cells) == len(lines)
 
+    def test_sweep_and_report_from_argument_files_write_the_flags_bytes(self, tmp_path):
+        # the benchmark's sweep-cli argv, its data and its attack and defense
+        # settings each in a file; only the cells' wall times may differ
+        data = ["--synthetic", "d=5,n=300,noise=0.1"]
+        proda = ["--attack", "nopt", "--defense", "proda", "--gammas", "6",
+                 "--alphas", "0.04:0.20:0.04", "--repeats", "5", "--jobs", "2"]
+        written = []
+        for how in ("flags", "files"):
+            sweep, report = tmp_path / how / "sweep", tmp_path / how / "report"
+            sweep_args, report_args = [*data, *proda], ["--records", str(sweep / "records.jsonl")]
+            if how == "files":
+                sweep_args = [_write_args(tmp_path, shlex.join(args), name)
+                              for name, args in (("data", data), ("proda", proda))]
+                report_args = [_write_args(tmp_path, shlex.join(report_args), "report")]
+            assert main(["sweep", *sweep_args, "--seed", "3", "--out", str(sweep)]) == 0
+            assert main(["report", *report_args, "--out", str(report)]) == 0
+            files = {f"{out.name}/{f.name}": f.read_bytes()
+                     for out in (sweep, report) for f in sorted(out.iterdir())}
+            files["sweep/records.jsonl"] = re.sub(rb'("wall_time\w*": )[^,}]+', rb"\1_",
+                                                  files["sweep/records.jsonl"])
+            written.append(files)
+        assert sorted(written[0]) == [
+            "report/mse_vs_alpha.csv", "report/mse_vs_alpha.svg", "report/report.txt",
+            "report/summary.csv", "sweep/mse_vs_alpha.csv", "sweep/mse_vs_alpha.svg",
+            "sweep/records.jsonl", "sweep/report.txt", "sweep/summary.csv"]
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("k", [1, 3])
     def test_interrupted_sweep_keeps_finished_records(self, tmp_path, monkeypatch, k):
         run_cell = harness.run_cell
@@ -924,116 +943,44 @@ if __name__ == "__main__":
 """
 
 
-def _write_config(tmp_path, text):
-    path = tmp_path / "run.cfg"
+def _write_args(tmp_path, text, name="run"):
+    """An argument file holding `text`, as the `@FILE` argument that reads it."""
+    path = tmp_path / f"{name}.args"
     path.write_text(text, encoding="utf-8")
-    return str(path)
+    return f"@{path}"
 
 
-class TestConfigFile:
-    @pytest.mark.parametrize("line,argv", [
-        ("attack.method=bogus", ["attack", "--alpha", "0.2", "--max-iters", "1"]),
-        ("defend.method=bogus", ["defend"]),
-        ("family=foo", ["fit"]),
-    ])
-    def test_bad_choice_exits_2_before_output(self, tmp_path, line, argv):
-        out = tmp_path / "out"
-        code = main(["--config", _write_config(tmp_path, line + "\n"), *argv,
-                     "--synthetic", "d=1,n=20,noise=0.1", "--out", str(out)])
-        assert code == 2
-        assert not out.exists()
-
-    def test_sections_apply_to_their_command_only(self, tmp_path):
-        path = _write_config(tmp_path, "attack.method=nopt\ndefend.method=proda\ndefend.gamma=6\n"
-                                       "attack.alpha=0.15\nalpha=0.1\n")
-        data = ["--synthetic", "d=1,n=20,noise=0.1"]
-        attack = parse_args(["--config", path, "attack", *data]).options
-        defend = parse_args(["--config", path, "defend", *data]).options
-        assert (attack["method"], attack["alpha"]) == ("nopt", 0.15)  # the section beats a bare key
-        # a bare alpha is the attacker's rate, which defend does not read
-        assert (defend["method"], defend["gamma"], defend["alpha_assumed"]) == ("proda", 6, 0.2)
-
-    @pytest.mark.parametrize("config,alpha_assumed", [
-        ("alpha=0.3\nalpha_assumed=0.1\n", 0.1),  # a bare alpha is attack's alone
-        ("", 0.2),
-    ])
-    def test_alias_takes_the_value_of_the_higher_layer(self, tmp_path, config, alpha_assumed):
-        opts = parse_args(["--config", _write_config(tmp_path, config), "defend", "--method",
-                           "trim", "--synthetic", "d=2,n=40,noise=0.1"]).options
-        assert opts["alpha_assumed"] == alpha_assumed
-
-    def test_one_file_holds_the_attackers_and_the_defenders_rate(self, tmp_path):
-        data = ["--synthetic", "d=2,n=40,noise=0.1"]
-        path = _write_config(tmp_path, "alpha=0.1\nalpha_assumed=0.3\n")
-        assert parse_args(["--config", path, "attack", *data]).options["alpha"] == 0.1
-        for argv in (["defend", "--method", "trim"], ["sweep", "--defense", "trim"]):
-            assert parse_args(["--config", path, *argv, *data]).options["alpha_assumed"] == 0.3
-        path = _write_config(tmp_path, "alpha=0.1\n")
-        opts = parse_args(["--config", path, "defend", "--method", "trim", *data]).options
-        assert opts["alpha_assumed"] == 0.2
-
-    def test_a_config_file_may_start_with_a_bom(self, tmp_path):
-        text = "seed=9\nfit.lambda=0.5\n"
-        argv = ["fit", "--synthetic", "d=2,n=40,noise=0.1", "--family", "ridge"]
-        read = []
-        for prefix in ("", "\ufeff"):
-            read.append(parse_args(["--config", _write_config(tmp_path, prefix + text),
-                                    *argv]).options)
-        assert read[0] == read[1]
-        assert (read[1]["seed"], read[1]["lambda"]) == (9, 0.5)
-
-    @pytest.mark.parametrize("method", ["proda", "trim"])
-    def test_bare_key_the_defense_never_reads_is_ignored(self, tmp_path, method):
-        path = _write_config(tmp_path, "max_iters=5\ngamma=3\nepsilon=0.5\n")
-        opts = parse_args(["--config", path, "defend", "--method", method,
-                           "--synthetic", "d=2,n=40,noise=0.1"]).options
-        # each key the method never reads keeps its row's default, or is absent
-        want = {"proda": (100, 3, 0.5), "trim": (5, None, 1e-5)}[method]
-        assert (opts["max_iters"], opts.get("gamma"), opts["epsilon"]) == want
-
-    def test_bare_key_of_another_command_is_checked_then_ignored(self, tmp_path):
-        path = _write_config(tmp_path, "verbose=yes\nseed=9\n")
-        assert parse_args(["--config", path, "sweep", "--synthetic", "d=1,n=10,noise=0.1"]
-                          ).options["verbose"] is True
-        report = parse_args(["--config", path, "report", "--records", "r.jsonl"]).options
-        assert "verbose" not in report and "seed" not in report
-
-    def test_hash_inside_a_value_is_kept(self, tmp_path):
-        # only a line whose first non-blank character is '#' is a comment, so
-        # out=.../run#3 means what --out .../run#3 means
-        out = tmp_path / "run#3"
-        path = _write_config(tmp_path, f"  # where to write\nout={out}\n")
-        assert main(["--config", path, "fit", "--synthetic", "d=1,n=20,noise=0.1"]) == 0
-        assert (out / "synthetic_model.json").exists()
-
-    @pytest.mark.parametrize("line,match", [
-        ("verbose=maybe", "verbose"),
-        ("nosuchcommand.alpha=0.1", "unknown config key"),
-        ("fit.alpha=0.1", "unknown config key"),
-    ])
-    def test_usage_errors(self, tmp_path, line, match):
-        with pytest.raises(UsageError, match=match):
-            parse_args(["--config", _write_config(tmp_path, line + "\n"), "fit",
-                        "--synthetic", "d=1,n=10,noise=0.1"])
+@pytest.mark.parametrize("line,argv", [
+    ("--method bogus", ["attack", "--alpha", "0.2", "--max-iters", "1"]),
+    ("--method bogus", ["defend"]),
+    ("--family foo", ["fit"]),
+])
+def test_a_bad_choice_in_an_argument_file_exits_2_before_output(tmp_path, line, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, _write_args(tmp_path, line + "\n"), "--synthetic", "d=1,n=20,noise=0.1",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 class TestOneNamePerSetting:
-    # defend reads only --alpha-assumed, the config key of --lambda is lambda,
-    # and a flag matches by its full name only
-    @pytest.mark.parametrize("argv,config", [
+    # defend reads only --alpha-assumed, and a flag, in argv or in an
+    # argument file, matches by its full name only
+    @pytest.mark.parametrize("argv,args", [
         (["defend", "--method", "trim", "--alpha", "0.2"], ""),
-        (["defend", "--method", "trim"], "defend.alpha=0.2\n"),
-        (["fit"], "lam=0.5\n"),
-        (["fit"], "fit.lam=0.5\n"),
+        (["defend", "--method", "trim"], "--alpha 0.2\n"),
+        (["fit"], "--lam 0.5\n"),
+        (["fit"], "--lam=0.5\n"),
         (["sweep", "--rep", "3"], ""),
         (["defend", "--method", "trim", "--alpha", "7", "--alpha-assumed", "0.3"], ""),
     ])
     def test_a_spelling_that_is_not_the_name_exits_2_before_output(
-            self, tmp_path, capsys, argv, config):
+            self, tmp_path, capsys, argv, args):
         out = tmp_path / "out"
         try:
-            code = main(["--config", _write_config(tmp_path, config), *argv,
-                         "--synthetic", "d=2,n=40,noise=0.1", "--out", str(out)])
+            code = main([*argv, _write_args(tmp_path, args), "--synthetic", "d=2,n=40,noise=0.1",
+                         "--out", str(out)])
         except SystemExit as exc:  # argparse: the command has no such flag
             code = exc.code
         assert code == 2
@@ -1057,43 +1004,17 @@ class TestEachRowHoldsItsRules:
         (["--alpha-assumed", "0.1"], "--defense none never reads --alpha-assumed"),
         (["--surrogate-fraction", "0.5"], "--attack none never reads --surrogate-fraction"),
     ])
-    @pytest.mark.parametrize("as_key", [False, True])
+    @pytest.mark.parametrize("in_file", [False, True])
     def test_sweep_refuses_a_setting_its_defense_never_reads(
-            self, tmp_path, capsys, flags, message, as_key):
-        config = ""
-        if as_key:  # the last flag as a sweep. key
+            self, tmp_path, capsys, flags, message, in_file):
+        if in_file:  # the last flag in an argument file
             *flags, flag, value = flags
-            config = f"sweep.{flag[2:]}={value}\n"
+            flags.append(_write_args(tmp_path, f"{flag} {value}\n"))
         out = tmp_path / "out"
-        code = main(["--config", _write_config(tmp_path, config), "sweep", *_SYN, *flags,
-                     "--out", str(out)])
+        code = main(["sweep", *_SYN, *flags, "--out", str(out)])
         assert code == 2
         assert capsys.readouterr() == ("", f"poisonbench: {message}\n")
         assert not out.exists()
-
-    @pytest.mark.parametrize("argv", [
-        ["sweep"], ["sweep", "--defense", "trim"], ["sweep", "--defense", "proda", "--gammas", "3"],
-        ["defend", "--method", "trim"], ["defend", "--method", "proda", "--gamma", "3"],
-    ])
-    def test_a_bare_key_stays_ignored_where_it_is_not_read(self, tmp_path, argv):
-        config = "gammas=4\ngamma=4\nepsilon=0.1\nmax_iters=5\nalpha_assumed=0.1\n"
-        parse_args(["--config", _write_config(tmp_path, config), *argv, *_SYN])
-
-    @pytest.mark.parametrize("argv,config", [
-        (["--defense", "none"], "gammas=5,9\nepsilon=0.3\nmax_iters=7\nalpha_assumed=0.1\n"
-                                "surrogate_fraction=0.5\n"),
-        (["--defense", "trim"], "gammas=5,9\nepsilon=0.3\nsurrogate_fraction=0.5\n"),
-        (["--defense", "proda", "--gammas", "3"], "max_iters=7\nsurrogate_fraction=0.5\n"),
-    ], ids=["none", "trim", "proda"])
-    def test_a_bare_key_no_cell_reads_stays_out_of_the_header(self, tmp_path, argv, config):
-        # the records header holds the settings its cells ran with
-        heads = []
-        for text in ("", config):
-            out = tmp_path / f"out{len(heads)}"
-            assert main(["--config", _write_config(tmp_path, text), "sweep", *_SYN, *argv,
-                         "--alphas", "0.1", "--repeats", "1", "--out", str(out)]) == 0
-            heads.append((out / "records.jsonl").read_bytes().split(b"\n")[0])
-        assert heads[0] == heads[1]
 
     @pytest.mark.parametrize("argv,message", [
         # unchanged from before the rows held these rules
@@ -1119,7 +1040,7 @@ class TestEachRowHoldsItsRules:
 
 
 _SAMPLE_TEXT = {
-    str: "0.25", float: "0.15", int: "7", _parse_bool: "true",
+    str: "0.25", float: "0.15", int: "7",
     _parse_float_list: "0.1,0.2", _parse_int_list: "6,8", _parse_families: "ridge,lasso",
     _parse_synthetic: "d=2,n=30,noise=0.2", _parse_lambda: "0.3",
 }
@@ -1163,14 +1084,11 @@ def _base_argv(command, dest):
     [(o, c) for o in OPTIONS for c in o.commands],
     ids=[f"{c}{o.flag}" for o in OPTIONS for c in o.commands],
 )
-def test_flag_and_config_key_give_the_same_option(tmp_path, capsys, option, command):
+def test_flag_and_argument_file_give_the_same_option(tmp_path, capsys, option, command):
     base = _base_argv(command, option.dest)
-    text = _sample_text(option)
-    flag = [option.flag] if option.type is _parse_bool else [option.flag, text]
+    flag = [option.flag] if option.action else [option.flag, _sample_text(option)]
     by_flag = parse_args(base + flag).options
-    key = f"{command}.{option.flag[2:]}"
-    path = _write_config(tmp_path, f"{key}={text}\n")
-    assert parse_args(["--config", path] + base).options == by_flag
+    assert parse_args(base + [_write_args(tmp_path, shlex.join(flag) + "\n")]).options == by_flag
     assert by_flag[option.dest] != option.default
     with pytest.raises(SystemExit) as exc:  # a flag matches by its full name only
         parse_args(base + [option.flag[:-1], *flag[1:]])
@@ -1178,12 +1096,11 @@ def test_flag_and_config_key_give_the_same_option(tmp_path, capsys, option, comm
     bad = "bogus" if option.choices else _BAD_TEXT.get(option.type)
     if bad is None:
         return
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:  # a malformed value: the same text both ways
-        parse_args(base + [option.flag, bad])
-    assert exc.value.code == 2
-    tail = capsys.readouterr().err.split(f"argument {option.flag}: ", 1)[1]
-    path = _write_config(tmp_path, f"{key}={bad}\n")
-    with pytest.raises(UsageError) as exc:
-        parse_args(["--config", path] + base)
-    assert str(exc.value) == f"{path}:1: bad value for {key!r}: {tail.rstrip()}"
+    errors = []
+    for argv in (base + [option.flag, bad], base + [_write_args(tmp_path, f"{option.flag} {bad}")]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:  # a malformed value: the same text both ways
+            parse_args(argv)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert f"argument {option.flag}: " in errors[0] and errors[0] == errors[1]

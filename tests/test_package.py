@@ -313,7 +313,8 @@ def test_every_function_has_a_caller():
     # package or perfbench as a name, an attribute or a string (perfbench's
     # tracer names its targets in strings); perfbench is parsed, not imported.
     # Dunders are exempt: the interpreter calls them (a module's __getattr__
-    # by PEP 562)
+    # by PEP 562), and so is a method that overrides one of a base class,
+    # which the base calls
     defined, used = {}, set()
     for module, tree in parsed(PACKAGE).items():
         for node in tree.body:
@@ -321,9 +322,12 @@ def test_every_function_has_a_caller():
                 if not node.name.startswith("__"):
                     defined[f"{module}.{node.name}"] = node.name
             elif isinstance(node, ast.ClassDef):
+                bases = getattr(importlib.import_module(f"poisonbench.{module}"),
+                                node.name).__mro__[1:]
                 defined.update((f"{node.name}.{item.name}", item.name) for item in node.body
                                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                               and not item.name.startswith("__"))
+                               and not item.name.startswith("__")
+                               and not any(hasattr(base, item.name) for base in bases))
     for tree in all_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):

@@ -17,10 +17,11 @@ from poisonbench.records import read_records, write_report
 _SYN = ["--synthetic", "d=2,n=40,noise=0.1"]
 
 
-def _write_config(tmp_path, text):
-    path = tmp_path / "run.cfg"
+def _write_args(tmp_path, text):
+    """An argument file holding `text`, as the `@FILE` argument that reads it."""
+    path = tmp_path / "run.args"
     path.write_text(text, encoding="utf-8")
-    return str(path)
+    return f"@{path}"
 
 
 def _write_records(path, records):
@@ -129,28 +130,54 @@ def test_report_without_records_exits_2_before_output(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["fit", *_SYN, "--lambda", "0.1"], ["report", "--records", "r.jsonl"],
+@pytest.mark.parametrize("argv,message", [
+    (["fit", *_SYN], "argument --lambda: expected a number or 'auto', got 'small'"),
+    (["report", "--records", "r.jsonl"], "unrecognized arguments: --lambda small"),
 ])
-def test_a_config_lambda_is_checked_like_the_flag(tmp_path, capsys, argv):
-    # the flag overrides the key, and report has no --lambda, yet the
-    # key's value is checked as every other key's is
-    path = _write_config(tmp_path, "lambda=small\n")
+def test_a_file_lambda_is_checked_like_the_flag(tmp_path, capsys, argv, message):
+    # a later flag overrides the file's --lambda, and report has no --lambda,
+    # yet the file's value is checked as the flag's is
     out = tmp_path / "out"
-    assert main(["--config", path, *argv, "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", f"poisonbench: {path}:1: bad value for 'lambda': "
-                                       "expected a number or 'auto', got 'small'\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, _write_args(tmp_path, "--lambda small\n"), "--lambda", "0.1",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_a_config_file_with_a_bom_sets_report_out(tmp_path):
-    # an editor may save the file with a UTF-8 byte-order mark; its first
-    # key is read as written
+@pytest.mark.parametrize("text", [
+    "--records 'sale price/r.jsonl' --out runs/#3\n",
+    '--records="sale price/r.jsonl"\n--out=runs/#3\n',
+    # an editor may save the file with a UTF-8 byte-order mark
+    "\ufeff--records sale\\ price/r.jsonl\n--out runs/#3\n",
+    # only a line whose first non-blank character is '#' is a comment
+    "\n  # the records\n\n   \n--records 'sale price/r.jsonl'\n#--out elsewhere\n--out runs/#3",
+], ids=["one-line", "equals", "bom", "comments"])
+def test_an_argument_file_line_reads_as_shell_words(tmp_path, text):
+    by_flags = parse_args(["report", "--records", "sale price/r.jsonl", "--out", "runs/#3"])
+    assert parse_args(["report", _write_args(tmp_path, text)]).options == by_flags.options
+
+
+def test_an_argument_file_with_a_bom_sets_report_out(tmp_path):
     path = _write_records(tmp_path / "records.jsonl", RECORDS_WITH_A_FAILED_CELL[:2])
-    out = tmp_path / "report"
-    config = _write_config(tmp_path, f"\ufeffout={out}\n")
-    assert main(["--config", config, "report", "--records", str(path)]) == 0
+    out = tmp_path / "run #3"
+    args = _write_args(tmp_path, f"\ufeff# where to write\n--out '{out}'\n")
+    assert main(["report", args, "--records", str(path)]) == 0
     assert (out / "summary.csv").stat().st_size > 0
+
+
+def test_a_value_that_starts_with_at_names_an_argument_file(tmp_path, monkeypatch, capsys):
+    # --out @runs reads the arguments in the file runs; --out=@runs is a value
+    monkeypatch.chdir(tmp_path)
+    path = _write_records(tmp_path / "records.jsonl", RECORDS_WITH_A_FAILED_CELL[:2])
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--records", str(path), "--out", "@runs"])
+    assert exc.value.code == 2
+    assert "error: [Errno 2] No such file or directory: 'runs'\n" in capsys.readouterr().err
+    assert main(["report", "--records", str(path), "--out=@runs"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["@runs", "records.jsonl"]
+    assert (tmp_path / "@runs" / "summary.csv").stat().st_size > 0
 
 
 @pytest.mark.parametrize("line", ["3", "[1, 2]", '"cell"', "null"])
