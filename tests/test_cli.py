@@ -419,6 +419,10 @@ class TestMainExitCodes:
         (None, "No such file or directory"),
         ("--seed '9\n", "cannot split argument file line \"--seed '9\": No closing quotation"),
         ("seed 9\n", "unrecognized arguments: seed 9"),
+        # fit reads no other command's flag or name, from a file as from argv
+        ("--verbose maybe\n", "unrecognized arguments: --verbose maybe"),
+        ("--alpha 0.1\n", "unrecognized arguments: --alpha 0.1"),
+        ("attack --alpha 0.1\n", "unrecognized arguments: attack --alpha 0.1"),
     ])
     def test_bad_argument_file_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "run.args"
@@ -1015,6 +1019,56 @@ class TestEachRowHoldsItsRules:
         assert code == 2
         assert capsys.readouterr() == ("", f"poisonbench: {message}\n")
         assert not out.exists()
+
+    # what a config file's bare key left unread, an argument file's line refuses
+    @pytest.mark.parametrize("argv,text,message", [
+        (["sweep"], "--gammas 4\n--epsilon 0.1\n--max-iters 5\n--alpha-assumed 0.1\n",
+         "--defense none never reads --gammas"),
+        (["sweep", "--defense", "trim"], "--gammas 4\n", "--defense trim never reads --gammas"),
+        (["sweep", "--defense", "proda", "--gammas", "3"], "--max-iters 5\n",
+         "--defense proda never reads --max-iters"),
+        (["defend", "--method", "trim"], "--gamma 4\n--epsilon 0.1\n",
+         "--method trim never reads --gamma"),
+        (["defend", "--method", "proda", "--gamma", "3"], "--epsilon 0.1\n--max-iters 5\n",
+         "--method proda never reads --max-iters"),
+        (["defend", "--method", "trim"], "--max-iters 5\n--epsilon 0.5\n",
+         "--method trim never reads --epsilon"),
+        (["defend", "--method", "proda"], "--gamma 3\n--max-iters 5\n",
+         "--method proda never reads --max-iters"),
+    ])
+    def test_a_file_setting_never_read_exits_2(self, tmp_path, capsys, argv, text, message):
+        out = tmp_path / "out"
+        assert main([*argv, *_SYN, _write_args(tmp_path, text), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"poisonbench: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "--attack nopt\n--surrogate-fraction 0.5\n",
+        "--defense trim\n--max-iters 7\n--alpha-assumed 0.1\n",
+        "--defense proda\n--gammas 5,9\n--epsilon 0.3\n--alpha-assumed 0.1\n",
+    ], ids=["none", "trim", "proda"])
+    def test_a_file_of_settings_the_cells_read_writes_the_flags_header(self, tmp_path, text):
+        heads = []
+        for given in (shlex.split(text), [_write_args(tmp_path, text)]):
+            out = tmp_path / f"out{len(heads)}"
+            assert main(["sweep", *_SYN, *given, "--alphas", "0.1", "--repeats", "1",
+                         "--out", str(out)]) == 0
+            heads.append((out / "records.jsonl").read_bytes().split(b"\n")[0])
+        assert heads[0] == heads[1]
+
+    @pytest.mark.parametrize("argv,text,want,refused_by", [
+        (["attack"], "--method nopt\n--alpha 0.15\n", {"method": "nopt", "alpha": 0.15},
+         ["defend", "--method", "trim", *_SYN]),
+        (["sweep"], "--verbose\n--seed 9\n", {"verbose": True, "seed": 9},
+         ["report", "--records", "r.jsonl"]),
+    ], ids=["attack", "sweep"])
+    def test_another_command_refuses_a_file(self, tmp_path, argv, text, want, refused_by):
+        path = _write_args(tmp_path, text)
+        opts = parse_args([*argv, *_SYN, path]).options
+        assert {key: opts[key] for key in want} == want
+        with pytest.raises(SystemExit) as exc:
+            parse_args([*refused_by, path])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv,message", [
         # unchanged from before the rows held these rules
